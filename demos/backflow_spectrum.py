@@ -30,7 +30,7 @@ TD_PAIR = (math.pi / 4, math.pi / 3, -math.pi / 4, math.pi / 3)
 
 def analyze(label, noise):
     cfg = WalkConfig(steps=100)
-    td = witness_series(cfg, noise, witness="TD", td_pair=TD_PAIR)
+    td = witness_series(cfg, noise, witnesses=("TD",), td_pair=TD_PAIR)["TD"]
     report = disambiguate(
         TimeSeries(times=td.steps.astype(float), values=td.values),
         family="exponential",

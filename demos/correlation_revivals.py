@@ -9,7 +9,7 @@ drops (a purity revival). The monotone kernels (OUN/PLN) produce no
 noise-driven revivals; the only oscillation left is the one the position
 lattice itself imprints on the coin.
 
-Run:  python demos/correlation_revivals.py   (about a minute)
+Run:  python demos/correlation_revivals.py
 """
 
 import numpy as np
@@ -26,10 +26,8 @@ SETTINGS = [
 def main():
     cfg = WalkConfig(steps=60)
     for label, noise in SETTINGS:
-        mi = witness_series(cfg, noise, witness="MI").values
-        mid_v = witness_series(cfg, noise, witness="MID").values
-        qd = witness_series(cfg, noise, witness="QD").values
-        ent = witness_series(cfg, noise, witness="Entropy").values
+        found = witness_series(cfg, noise, witnesses=("MI", "MID", "QD", "Entropy"))
+        mi, mid_v, qd, ent = (found[tag].values for tag in ("MI", "MID", "QD", "Entropy"))
         print(f"{label}  (T = {cfg.steps})")
         print(f"  final MI / MID / QD : {mi[-1]:.3f} / {mid_v[-1]:.3f} / {qd[-1]:.3f}")
         print(f"  discord <= MID everywhere: {bool(np.all(qd <= mid_v + 1e-6))}")

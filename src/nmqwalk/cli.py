@@ -330,10 +330,10 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
 
 def run_witness(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Emit <tag>.csv per requested witness plus a metadata sidecar."""
-    for tag in cfg.witnesses:
-        series = witness_series(
-            cfg.walk, cfg.noise, mode=cfg.mode, witness=tag, td_pair=cfg.td_pair
-        )
+    found = witness_series(
+        cfg.walk, cfg.noise, mode=cfg.mode, witnesses=cfg.witnesses, td_pair=cfg.td_pair
+    )
+    for tag, series in found.items():
         rows = list(zip(series.steps.tolist(), series.values.tolist()))
         _write_csv(out_dir / f"{tag.lower()}.csv", ["step", "value"], rows)
     _write_json(
@@ -439,10 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, help="JSON config file (default: {})")
         p.add_argument("--out", type=Path, help="output directory (overrides config)")
-        p.add_argument(
-            "--seed", type=int, default=None,
-            help="reserved; evolution is deterministic",
-        )
         if name == "spectrum":
             p.add_argument(
                 "--input", type=Path, required=True,

@@ -90,38 +90,6 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValueError(f"keep must be 'coin' or 'position', got {keep!r}")
 
 
-def eigensystem(m: np.ndarray, hermitian: bool = False):
-    """Eigenvalues and eigenvectors of a square matrix.
-
-    For Hermitian input the eigenvalues are real and sorted in descending
-    order, and the eigenvector columns are orthonormal. Non-Hermitian input
-    falls back to the general solver with no ordering guarantee beyond
-    descending real part.
-
-    Returns
-    -------
-    (eigenvalues, eigenvectors) with eigenvectors in columns, ordered to
-    match the eigenvalues.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"eigensystem needs a square matrix, got {m.shape}")
-    if hermitian and not is_hermitian(m, tol=1e-10):
-        raise ValueError("matrix fails the Hermiticity check at 1e-10")
-    try:
-        if hermitian:
-            w, v = np.linalg.eigh(m)
-        else:
-            w, v = np.linalg.eig(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        cond = float(np.linalg.cond(m)) if np.all(np.isfinite(m)) else np.inf
-        raise np.linalg.LinAlgError(
-            f"eigensolver failed to converge (condition number ~{cond:.3e})"
-        ) from exc
-    order = np.argsort(-w.real, kind="stable")
-    return w[order], v[:, order]
-
-
 def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float:
     """Entropy -Tr(rho log2 rho) in bits; 0*log(0) := 0."""
     if validate:

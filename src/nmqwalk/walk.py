@@ -79,23 +79,6 @@ def coin_operator(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def shift_operator(n_positions: int) -> np.ndarray:
-    """Dense coin-conditioned shift S on the truncated lattice.
-
-    Interior columns are isometric; the two boundary columns map outside
-    the lattice and are zeroed, so S is only a partial isometry. Evolution
-    routines never populate those columns (enforced by the edge guard).
-    """
-    if n_positions < 3 or n_positions % 2 == 0:
-        raise ValueError(f"n_positions must be odd and >= 3, got {n_positions}")
-    s = np.zeros((2 * n_positions, 2 * n_positions), dtype=complex)
-    for c, d in enumerate(_COIN_SHIFT):
-        for x in range(n_positions):
-            if 0 <= x + d < n_positions:
-                s[c * n_positions + x + d, c * n_positions + x] = 1.0
-    return s
-
-
 def initial_state(cfg: WalkConfig) -> np.ndarray:
     """Amplitude array (2, n_positions) of the localized initial state."""
     amps = np.zeros((2, cfg.n_positions), dtype=complex)
@@ -196,7 +179,8 @@ def evolve_stepwise(
             )
         k_t = float(kernel_value(noise, float(t)))
         rho = dephase_density(_walk_density(rho, coin, np_), k_t / k_prev, np_)
-        edge = max(abs(rho[0, 0]), abs(rho[np_ - 1, np_ - 1]))
+        # both coin populations at both lattice ends
+        edge = float(np.max(np.abs(rho.diagonal()[[0, np_ - 1, np_, -1]])))
         if edge > EDGE_AMPLITUDE_TOL:
             raise EdgeAmplitudeError(
                 f"boundary population {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}"

@@ -6,14 +6,18 @@ mutual information, measurement-induced disturbance (MID), quantum
 discord, coin entropy, and position variance. All entropic quantities are
 in bits.
 
-The series driver re-runs the walk for each requested witness; states are
-streamed one step at a time so memory stays flat in the walk length.
+The series driver evolves the walk once for all requested witnesses (plus
+the two trace-distance walkers when TD is requested) and computes each
+state's partial traces and entropies once, in a per-state cache shared by
+every witness; states are streamed one step at a time so memory stays flat
+in the walk length.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
@@ -46,6 +50,9 @@ DEFAULT_TD_PAIR = (math.pi / 4, 0.0, -math.pi / 4, 0.0)
 
 _PROJECTION_TOL = 1e-8
 
+#: (theta, phi) points of the coarse scan that seeds the discord optimizer
+_DISCORD_GRID = (32, 32)
+
 
 @dataclass(frozen=True)
 class WitnessSeries:
@@ -58,11 +65,15 @@ class WitnessSeries:
 
 @dataclass(frozen=True)
 class MidResult:
-    """MID value plus a flag marking degenerate marginal spectra.
+    """MID value plus a flag marking a degenerate marginal spectrum.
 
-    Under degeneracy the marginal eigenbasis is not unique; the value is
-    still deterministic thanks to the canonical basis rule (see ``mid``),
-    but comparisons against other conventions may differ.
+    The flag is set when a marginal has a degenerate eigenvalue inside its
+    support (at or above EIGENVALUE_CUTOFF). There the marginal eigenbasis
+    is not unique; the value is still deterministic thanks to the canonical
+    basis rule (see ``mid``), but comparisons against other conventions may
+    differ. Degeneracy below the cutoff, such as the kernel of a low-rank
+    position marginal, is not flagged: its outcomes have probability zero,
+    so no choice of basis there changes the value.
     """
 
     value: float
@@ -94,6 +105,39 @@ def _entropy(rho: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
 
+class _State:
+    """One coin (x) position state with its reductions and entropies.
+
+    Each quantity is computed on first use and kept, so the witnesses that
+    share it (MI inside MID and discord, S(rho_p) inside discord) read one
+    value instead of recomputing it.
+    """
+
+    def __init__(self, rho: np.ndarray, split: tuple[int, int]):
+        self.rho = _check_split(rho, split)
+        self.split = split
+
+    @cached_property
+    def coin(self) -> np.ndarray:
+        return partial_trace(self.rho, self.split, "coin")
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        return partial_trace(self.rho, self.split, "position")
+
+    @cached_property
+    def coin_entropy(self) -> float:
+        return _entropy(self.coin)
+
+    @cached_property
+    def position_entropy(self) -> float:
+        return _entropy(self.position)
+
+    @cached_property
+    def mutual_information(self) -> float:
+        return self.coin_entropy + self.position_entropy - _entropy(self.rho)
+
+
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """TD(rho1, rho2) = 1/2 ||rho1 - rho2||_1, in [0, 1] for states."""
     rho1 = np.asarray(rho1, dtype=complex)
@@ -107,10 +151,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 def mutual_information(rho: np.ndarray, split: tuple[int, int]) -> float:
     """I(rho) = S(rho_c) + S(rho_p) - S(rho) in bits."""
-    rho = _check_split(rho, split)
-    s_c = _entropy(partial_trace(rho, split, "coin"))
-    s_p = _entropy(partial_trace(rho, split, "position"))
-    return s_c + s_p - _entropy(rho)
+    return _State(rho, split).mutual_information
 
 
 def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -119,7 +160,8 @@ def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     Eigenvalues within DEGENERACY_TOL of their neighbor are grouped; inside
     each group the basis is rebuilt by projecting computational basis
     vectors (in ascending index order) onto the eigenspace and
-    orthonormalizing. Returns (column eigenbasis, had-degenerate-group).
+    orthonormalizing. Returns (column eigenbasis, whether a degenerate group
+    lies inside the support).
 
     A group whose eigenvalues all lie below EIGENVALUE_CUTOFF keeps the
     solver's own vectors: every outcome in it has probability zero, so no
@@ -140,25 +182,24 @@ def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
         while stop < n and w[stop] - w[stop - 1] < DEGENERACY_TOL:
             stop += 1
         g = stop - start
-        if g > 1:
+        if g > 1 and w[stop - 1] >= EIGENVALUE_CUTOFF:
             degenerate = True
-            if w[stop - 1] >= EIGENVALUE_CUTOFF:
-                span = v[:, start:stop]
-                accepted = []
-                for c in span.conj():
-                    length = np.linalg.norm(c)
-                    if length <= _PROJECTION_TOL:
-                        continue
-                    u = c.copy()
-                    for _ in range(2):
-                        for a in accepted:
-                            u -= a * np.vdot(a, u)
-                    norm = np.linalg.norm(u)
-                    if norm > _PROJECTION_TOL * length:
-                        accepted.append(u / norm)
-                        if len(accepted) == g:
-                            break
-                basis[:, start:stop] = span @ np.column_stack(accepted)
+            span = v[:, start:stop]
+            accepted = []
+            for c in span.conj():
+                length = np.linalg.norm(c)
+                if length <= _PROJECTION_TOL:
+                    continue
+                u = c.copy()
+                for _ in range(2):
+                    for a in accepted:
+                        u -= a * np.vdot(a, u)
+                norm = np.linalg.norm(u)
+                if norm > _PROJECTION_TOL * length:
+                    accepted.append(u / norm)
+                    if len(accepted) == g:
+                        break
+            basis[:, start:stop] = span @ np.column_stack(accepted)
         start = stop
     return basis, degenerate
 
@@ -183,14 +224,17 @@ def mid(rho: np.ndarray, split: tuple[int, int]) -> MidResult:
     outcome table. Degenerate marginal spectra are resolved with the
     canonical computational-basis rule and flagged on the result.
     """
-    rho = _check_split(rho, split)
-    dc, dp = split
-    u_c, deg_c = _canonical_eigenbasis(partial_trace(rho, split, "coin"))
-    u_p, deg_p = _canonical_eigenbasis(partial_trace(rho, split, "position"))
+    return _mid(_State(rho, split))
+
+
+def _mid(state: _State) -> MidResult:
+    dc, dp = state.split
+    u_c, deg_c = _canonical_eigenbasis(state.coin)
+    u_p, deg_p = _canonical_eigenbasis(state.position)
     u = np.kron(u_c, u_p)
-    diag = np.real(np.sum(u.conj() * (rho @ u), axis=0))
+    diag = np.real(np.sum(u.conj() * (state.rho @ u), axis=0))
     table = np.clip(diag, 0.0, None).reshape(dc, dp)
-    value = mutual_information(rho, split) - _classical_mi(table)
+    value = state.mutual_information - _classical_mi(table)
     return MidResult(value=value, degenerate_marginal=deg_c or deg_p)
 
 
@@ -234,38 +278,23 @@ def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return out
 
 
-def discord(
-    rho: np.ndarray,
-    split: tuple[int, int],
-    measured: str = "coin",
-    grid: tuple[int, int] = (32, 32),
-) -> DiscordResult:
+def discord(rho: np.ndarray, split: tuple[int, int]) -> DiscordResult:
     """Quantum discord D = I(rho) - max_axis J(axis) in bits.
 
     J(axis) = S(rho_p) - sum_i p_i S(rho_p | outcome i) for a rank-1
     projective measurement of the coin along the Bloch axis (theta, phi).
     The maximization runs a coarse grid scan followed by Nelder-Mead
     refinement (tolerance 1e-7 on J).
-
-    ``measured="position"`` gives the reverse direction D(rho_c | rho_p):
-    the position register is measured in its canonical marginal eigenbasis
-    with no axis optimization (the measurement space is too large to scan),
-    so the reverse value is an upper bound on the reverse discord.
     """
-    rho = _check_split(rho, split)
-    dc, dp = split
-    if measured == "position":
-        return _discord_measure_position(rho, split)
-    if measured != "coin":
-        raise ValueError(f"measured must be 'coin' or 'position', got {measured!r}")
-    if dc != 2:
+    return _discord(_State(rho, split))
+
+
+def _discord(state: _State) -> DiscordResult:
+    if state.split[0] != 2:
         raise DimensionMismatchError("coin measurement requires a 2-level coin")
+    gram = _coin_gram_blocks(state.rho, state.split)
 
-    total = mutual_information(rho, split)
-    s_p = _entropy(partial_trace(rho, split, "position"))
-    gram = _coin_gram_blocks(rho, split)
-
-    nt, nf = grid
+    nt, nf = _DISCORD_GRID
     thetas = np.linspace(0.0, math.pi, nt)
     phis = np.linspace(0.0, 2.0 * math.pi, nf, endpoint=False)
     axes = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -284,49 +313,18 @@ def discord(
     else:  # pragma: no cover - refinement never worsens the grid optimum
         theta, phi = axes[best]
         cond_min = float(cond[best])
-    j_max = s_p - cond_min
+    j_max = state.position_entropy - cond_min
     return DiscordResult(
-        value=total - j_max,
+        value=state.mutual_information - j_max,
         theta=float(theta) % (2.0 * math.pi),
         phi=float(phi) % (2.0 * math.pi),
         classical_correlation=j_max,
     )
 
 
-def _discord_measure_position(rho: np.ndarray, split: tuple[int, int]) -> DiscordResult:
-    dc, dp = split
-    u_p, _ = _canonical_eigenbasis(partial_trace(rho, split, "position"))
-    s_c = _entropy(partial_trace(rho, split, "coin"))
-    r = rho.reshape(dc, dp, dc, dp)
-    cond = 0.0
-    for b in range(dp):
-        vec = u_p[:, b]
-        block = np.einsum("j,ajck,k->ac", vec.conj(), r, vec)
-        p = float(np.real(np.trace(block)))
-        if p > EIGENVALUE_CUTOFF:
-            cond += p * _entropy(block / p)
-    j = s_c - cond
-    return DiscordResult(
-        value=mutual_information(rho, split) - j,
-        theta=math.nan,
-        phi=math.nan,
-        classical_correlation=j,
-    )
-
-
 def coin_entropy(rho: np.ndarray, split: tuple[int, int]) -> float:
     """Entropy in bits of the reduced coin state; in [0, 1] for a qubit coin."""
-    rho = _check_split(rho, split)
-    return _entropy(partial_trace(rho, split, "coin"))
-
-
-def variance(p: np.ndarray, positions: np.ndarray | None = None) -> float:
-    """Variance E[x^2] - E[x]^2 of a lattice probability distribution."""
-    p = np.asarray(p, dtype=float)
-    if positions is None:
-        half = (len(p) - 1) // 2
-        positions = np.arange(-half, half + 1)
-    return distribution_variance(p, np.asarray(positions, dtype=float))
+    return _State(rho, split).coin_entropy
 
 
 def _evolver(mode: EvolutionMode):
@@ -337,50 +335,74 @@ def _evolver(mode: EvolutionMode):
     raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
 
 
+def _trace_distances(
+    cfg: WalkConfig,
+    noise: NoiseModel,
+    evolve,
+    td_pair: tuple[float, float, float, float],
+) -> list[float]:
+    """TD of the reduced coin states of two co-evolved walkers at each step.
+
+    Kept apart from the driver so that both generators, and the states a
+    suspended one still holds, are freed before the single walker starts.
+    """
+    split = (2, cfg.n_positions)
+    d1, e1, d2, e2 = td_pair
+    gen1 = evolve(replace(cfg, delta=d1, eta=e1), noise)
+    gen2 = evolve(replace(cfg, delta=d2, eta=e2), noise)
+    return [
+        trace_distance(partial_trace(r1, split, "coin"), partial_trace(r2, split, "coin"))
+        for (_, r1), (_, r2) in zip(gen1, gen2)
+    ]
+
+
 def witness_series(
     cfg: WalkConfig,
     noise: NoiseModel,
     mode: EvolutionMode = "one_shot",
-    witness: str = "TD",
+    witnesses: tuple[str, ...] = ("TD",),
     td_pair: tuple[float, float, float, float] | None = None,
-) -> WitnessSeries:
-    """Evaluate one witness at every step 0..cfg.steps of the experiment.
+) -> dict[str, WitnessSeries]:
+    """Evaluate each requested witness at every step 0..cfg.steps.
 
-    TD co-evolves two walkers whose initial coin states come from
+    Returns one series per distinct tag, keyed by tag in request order.
+    All witnesses but TD act on the single walker defined by ``cfg``,
+    evolved once and shared through a per-state cache. TD co-evolves two
+    more walkers, only when requested, whose initial coin states come from
     ``td_pair`` (radians, default the orthogonal pair psi(+-pi/4, 0)) under
-    the same noise, and compares their reduced coin states. All other
-    witnesses act on the single walker defined by ``cfg``.
+    the same noise, and compares their reduced coin states; they run before
+    the single walker, so the two passes never hold states at once.
     """
-    if witness not in WITNESS_TAGS:
-        raise ValueError(f"unknown witness {witness!r}, expected one of {WITNESS_TAGS}")
+    tags = tuple(dict.fromkeys(witnesses))
+    for tag in tags:
+        if tag not in WITNESS_TAGS:
+            raise ValueError(f"unknown witness {tag!r}, expected one of {WITNESS_TAGS}")
     evolve = _evolver(mode)
-    split = (2, cfg.n_positions)
+    values: dict[str, list[float]] = {tag: [] for tag in tags}
+
+    if "TD" in values:
+        pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
+        values["TD"] = _trace_distances(cfg, noise, evolve, pair)
+
+    single = [tag for tag in tags if tag != "TD"]
+    if single:
+        split = (2, cfg.n_positions)
+        positions = lattice_positions(cfg.steps).astype(float)
+        for _, rho in evolve(cfg, noise):
+            state = _State(rho, split)
+            for tag in single:
+                if tag == "MI":
+                    value = state.mutual_information
+                elif tag == "MID":
+                    value = _mid(state).value
+                elif tag == "QD":
+                    value = _discord(state).value
+                elif tag == "Entropy":
+                    value = state.coin_entropy
+                else:  # Variance
+                    probs = position_distribution(rho, cfg.n_positions)
+                    value = distribution_variance(probs, positions)
+                values[tag].append(value)
+
     steps = np.arange(cfg.steps + 1)
-
-    if witness == "TD":
-        d1, e1, d2, e2 = td_pair if td_pair is not None else DEFAULT_TD_PAIR
-        gen1 = evolve(replace(cfg, delta=d1, eta=e1), noise)
-        gen2 = evolve(replace(cfg, delta=d2, eta=e2), noise)
-        values = [
-            trace_distance(
-                partial_trace(r1, split, "coin"), partial_trace(r2, split, "coin")
-            )
-            for (_, r1), (_, r2) in zip(gen1, gen2)
-        ]
-        return WitnessSeries("TD", steps, np.asarray(values))
-
-    positions = lattice_positions(cfg.steps).astype(float)
-    values = []
-    for _, rho in evolve(cfg, noise):
-        if witness == "MI":
-            values.append(mutual_information(rho, split))
-        elif witness == "MID":
-            values.append(mid(rho, split).value)
-        elif witness == "QD":
-            values.append(discord(rho, split).value)
-        elif witness == "Entropy":
-            values.append(coin_entropy(rho, split))
-        else:  # Variance
-            probs = position_distribution(rho, cfg.n_positions)
-            values.append(distribution_variance(probs, positions))
-    return WitnessSeries(witness, steps, np.asarray(values))
+    return {tag: WitnessSeries(tag, steps, np.asarray(v)) for tag, v in values.items()}

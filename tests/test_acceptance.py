@@ -73,8 +73,10 @@ def report(capsys, number: int, label: str, checks: dict[str, bool]) -> None:
     assert ok, f"criterion {number} failed sub-checks: {failed}"
 
 
-def series(noise, witness, td_pair=None, cfg=SPLIT_CFG):
-    return witness_series(cfg, noise, witness=witness, td_pair=td_pair).values
+def series(noise, *witnesses, td_pair=None, cfg=SPLIT_CFG):
+    """Values of each requested witness series, keyed by tag, from one walk."""
+    found = witness_series(cfg, noise, witnesses=witnesses, td_pair=td_pair)
+    return {tag: s.values for tag, s in found.items()}
 
 
 def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
@@ -197,11 +199,11 @@ def test_criterion_3_composition_consistency(capsys):
 
 def test_criterion_4_noiseless_walk_quantumness(capsys):
     start = time.perf_counter()
-    var = series(None, "Variance")
+    found = series(None, "Variance", "Entropy")
+    var, ent = found["Variance"], found["Entropy"]
     t = np.arange(T_STEPS + 1)
     mask = (t >= 20) & (t <= T_STEPS)
     slope = float(np.polyfit(np.log(t[mask]), np.log(var[mask]), 1)[0])
-    ent = series(None, "Entropy")
     # the coin entropy cycles with period 4: average the last four periods
     asymptote = float(np.mean(ent[T_STEPS - 4 * COIN_PERIOD + 1 :]))
     elapsed = time.perf_counter() - start
@@ -229,10 +231,10 @@ def low_frequency_peaks(values, family="exponential"):
 
 
 def test_criterion_5_backflow_witnesses(capsys):
-    td_free = series(None, "TD")
+    td_free = series(None, "TD")["TD"]
     rises = int(np.sum(np.diff(td_free) > 0))
-    _, low_nm = low_frequency_peaks(series(RtnParams(a=0.08, gamma=0.001), "TD"))
-    _, low_m = low_frequency_peaks(series(RtnParams(a=1.0, gamma=7.0), "TD"))
+    _, low_nm = low_frequency_peaks(series(RtnParams(a=0.08, gamma=0.001), "TD")["TD"])
+    _, low_m = low_frequency_peaks(series(RtnParams(a=1.0, gamma=7.0), "TD")["TD"])
     report(
         capsys,
         5,
@@ -250,7 +252,7 @@ def test_criterion_6_spectral_disambiguation(capsys):
     # comparable strength in a 101-sample spectrum
     pair = (math.pi / 4, math.pi / 3, -math.pi / 4, math.pi / 3)
     rep_rtn, _ = low_frequency_peaks(
-        series(RtnParams(a=0.03, gamma=0.011), "TD", td_pair=pair)
+        series(RtnParams(a=0.03, gamma=0.011), "TD", td_pair=pair)["TD"]
     )
     checks = {"exactly two prominent peaks (RTN)": len(rep_rtn.peaks) == 2}
     if len(rep_rtn.peaks) == 2:
@@ -260,7 +262,7 @@ def test_criterion_6_spectral_disambiguation(capsys):
         ratio = high.power / low.power
         checks["high/low power ratio in [0.75, 3.0]"] = 0.75 <= ratio <= 3.0
     _, low_oun = low_frequency_peaks(
-        series(OunParams(Gamma=1.0, gamma=0.01), "TD", td_pair=pair)
+        series(OunParams(Gamma=1.0, gamma=0.01), "TD", td_pair=pair)["TD"]
     )
     checks["no low-frequency peak for OUN"] = len(low_oun) == 0
     report(capsys, 6, "two-source spectral disambiguation of TD backflow", checks)
@@ -274,9 +276,8 @@ def test_criterion_7_correlation_ordering(capsys):
     }
     checks = {}
     for tag, noise in settings.items():
-        mi = series(noise, "MI")
-        mid_v = series(noise, "MID")
-        qd = series(noise, "QD")
+        found = series(noise, "MI", "MID", "QD")
+        mi, mid_v, qd = found["MI"], found["MID"], found["QD"]
         checks[f"{tag}: MI >= 0"] = bool(np.min(mi) >= -1e-9)
         checks[f"{tag}: QD >= 0"] = bool(np.min(qd) >= -1e-6)
         checks[f"{tag}: QD <= MID"] = bool(np.max(qd - mid_v) <= 1e-6)
@@ -301,7 +302,7 @@ def test_criterion_7_correlation_ordering(capsys):
 
 def test_criterion_8_purity_revival(capsys):
     rtn = RtnParams(a=0.1, gamma=0.01)
-    ent_rtn = series(rtn, "Entropy")
+    ent_rtn = series(rtn, "Entropy")["Entropy"]
     checks = {
         "RTN entropy strictly decreases after t=10": bool(
             np.any(np.diff(ent_rtn[10:]) < 0)
@@ -315,7 +316,7 @@ def test_criterion_8_purity_revival(capsys):
         ("OUN", OunParams(Gamma=1.0, gamma=0.01)),
         ("PLN", PlnParams(Gamma=1.0, gamma=0.01)),
     ):
-        ent = series(noise, "Entropy")
+        ent = series(noise, "Entropy")["Entropy"]
         checks[f"{tag}: entropy tail has no noise-driven drop below -1e-9"] = (
             min(noise_driven_steps(noise, coin_entropy, ent, 30)) >= -1e-9
         )

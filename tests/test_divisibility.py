@@ -6,7 +6,6 @@ from nmqwalk.divisibility import (
     apply_signed,
     choi_eigenvalues,
     cp_divisibility_scan,
-    intermediate_choi,
     intermediate_kraus,
     is_cp,
     kernel_ratio,
@@ -20,6 +19,18 @@ def dephase(rho, k):
     out[0, 1] *= k
     out[1, 0] *= k
     return out
+
+
+def intermediate_choi(ratio):
+    """Unnormalized Choi matrix of the intermediate dephasing map (test oracle).
+
+    Built by applying the map to half of |Phi+> = |00> + |11>: ones at
+    (0,0) and (3,3), the ratio r at the (0,3)/(3,0) corners.
+    """
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[3, 3] = 1.0
+    m[0, 3] = m[3, 0] = ratio.r
+    return m
 
 
 def random_qubit_states(n, seed):

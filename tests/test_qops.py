@@ -6,7 +6,6 @@ from nmqwalk.qops import (
     check_density_matrix,
     check_pure_state,
     density_from_pure,
-    eigensystem,
     entropy_of_spectrum,
     partial_trace,
     purity,
@@ -111,13 +110,6 @@ class TestNormsAndSpectra:
         assert trace_norm(m) == pytest.approx(
             np.sum(np.linalg.svd(m, compute_uv=False)), abs=1e-10
         )
-
-    def test_eigensystem_descending_and_reconstructs(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(rng, 5)
-        w, v = eigensystem(rho, hermitian=True)
-        assert np.all(np.diff(w.real) <= 1e-14)
-        np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, rho, atol=1e-12)
 
     def test_purity_bounds(self):
         assert purity(np.diag([1.0, 0.0])) == pytest.approx(1.0)

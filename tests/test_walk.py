@@ -17,8 +17,24 @@ from nmqwalk.walk import (
     initial_state,
     lattice_positions,
     position_distribution,
-    shift_operator,
 )
+
+
+def shift_operator(n_positions: int) -> np.ndarray:
+    """Dense coin-conditioned shift S on the truncated lattice (test oracle).
+
+    Interior columns are isometric; the two boundary columns map outside
+    the lattice and are zeroed, so S is only a partial isometry. Evolution
+    routines never populate those columns (enforced by the edge guard).
+    """
+    if n_positions < 3 or n_positions % 2 == 0:
+        raise ValueError(f"n_positions must be odd and >= 3, got {n_positions}")
+    s = np.zeros((2 * n_positions, 2 * n_positions), dtype=complex)
+    for c, d in enumerate((-1, +1)):
+        for x in range(n_positions):
+            if 0 <= x + d < n_positions:
+                s[c * n_positions + x + d, c * n_positions + x] = 1.0
+    return s
 
 
 class TestOperators:
@@ -138,6 +154,13 @@ class TestNoisyEvolution:
         next(gen)  # the map into t=1 (kernel hits zero there) still exists
         with pytest.raises(NonInvertibleMapError):
             next(gen)
+
+    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
+    def test_edge_guard_fires_in_both_modes(self, evolve):
+        # started next to the right edge, the coin-1 weight reaches it at t = 3
+        cfg = WalkConfig(steps=4, initial_position=4)
+        with pytest.raises(EdgeAmplitudeError):
+            list(evolve(cfg, self.NOISE))
 
 
 class TestDistributions:
