@@ -14,8 +14,6 @@ Run:  python demos/backflow_spectrum.py
 
 import math
 
-import numpy as np
-
 from nmqwalk import (
     OunParams,
     RtnParams,

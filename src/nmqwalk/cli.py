@@ -318,8 +318,8 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     positions = lattice_positions(cfg.walk.steps)
     dist_rows = []
     var_rows = []
-    for t, rho in evolve(cfg.walk, cfg.noise):
-        probs = position_distribution(rho, cfg.walk.n_positions)
+    for t, state in evolve(cfg.walk, cfg.noise):  # Kraus factor or density matrix
+        probs = position_distribution(state, cfg.walk.n_positions)
         for x, p in zip(positions, probs):
             if p > _PROB_EMIT_TOL:
                 dist_rows.append((t, int(x), p))

@@ -99,7 +99,11 @@ def rtn_lambda(p: RtnParams, t):
     else:
         root = np.sqrt(-disc)
         mu = g * root
-        out = env * (np.cosh(mu * t) + np.sinh(mu * t) / root)
+        # env (cosh + sinh / root) in terms of the slow decay
+        # exp(-(gamma - mu) t): nothing overflows at large gamma t, and
+        # expm1 keeps sinh / root accurate near the critical ratio
+        e = np.expm1(-2.0 * mu * t)
+        out = np.exp(-(g - mu) * t) * (1.0 + 0.5 * e * (1.0 - 1.0 / root))
     return out if out.ndim else float(out)
 
 
@@ -144,7 +148,7 @@ def kraus_at(noise: NoiseModel, t: float) -> list[np.ndarray]:
     if noise is None:
         raise ValueError("kraus_at requires a concrete noise model, not None")
     k = float(kernel_value(noise, t))
-    if abs(k) > 1.0 + _KERNEL_SLACK:
+    if not abs(k) <= 1.0 + _KERNEL_SLACK:  # also rejects NaN
         raise KernelRangeError(f"kernel value {k} at t={t} outside [-1, 1]")
     k = min(1.0, max(-1.0, k))
     k1 = np.sqrt((1.0 + k) / 2.0) * np.eye(2, dtype=complex)

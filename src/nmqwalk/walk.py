@@ -9,11 +9,16 @@ Noisy evolution applies the dephasing kernel to the coin coherences in
 two inequivalent ways:
 
 * one-shot -- the full channel acts once on the noiseless state at each
-  readout time, ``rho(t) = D[k(t)](W^t rho_0 W^dag t)``;
+  readout time, ``rho(t) = D[k(t)](W^t rho_0 W^dag t)``. The state is a
+  dephased pure state of rank <= 2, so it is yielded as its Kraus factor
+  ``b`` of shape (2, n_positions, 2): column ``b[..., r] = (K_r (x) I) psi(t)``
+  for the Kraus pair of :func:`nmqwalk.noise.kraus_at`, and
+  ``rho(t) = sum_r b_r b_r^dag``;
 * stepwise -- the intermediate map between consecutive steps is
   interleaved with the walk, ``rho(t) = D[k(t)/k(t-1)](W rho(t-1) W^dag)``,
   which requires an invertible kernel and may transiently leave the set
   of physical states when an intermediate map is not completely positive.
+  States are full rank in general and are yielded as dense matrices.
 
 Amplitude arrays are shaped (2, n_positions); flat indices follow the
 coin (x) position order of :mod:`nmqwalk.qops`.
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EdgeAmplitudeError, NonInvertibleMapError
-from .noise import NoiseModel, kernel_value
+from .noise import NoiseModel, kernel_value, kraus_at
 
 EDGE_AMPLITUDE_TOL = 1e-14
 _INVERTIBILITY_TOL = 1e-14
@@ -133,16 +138,18 @@ def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
 def evolve_one_shot(
     cfg: WalkConfig, noise: NoiseModel
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, rho_t) with the full dephasing channel applied at each t.
+    """Yield (t, b_t) with the full dephasing channel applied at each t.
 
-    Every yielded matrix is a valid density matrix: the channel is
-    completely positive for any kernel value in [-1, 1].
+    ``b_t`` has shape (2, n_positions, 2) (coin, position, Kraus index), and
+    the state is ``rho_t = sum_r b_r b_r^dag`` with ``b_r = (K_r (x) I) psi(t)``.
+    Without noise the pair is (I, 0). Every such state is a valid density
+    matrix: the channel is completely positive for any kernel value in
+    [-1, 1], and a value outside it raises KernelRangeError.
     """
-    np_ = cfg.n_positions
+    no_noise = (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
     for t, amps in enumerate(evolve_noiseless(cfg)):
-        rho = density_from_amplitudes(amps)
-        k = float(kernel_value(noise, float(t)))
-        yield t, dephase_density(rho, k, np_)
+        kraus = no_noise if noise is None else kraus_at(noise, float(t))
+        yield t, np.einsum("rcd,dj->cjr", kraus, amps)
 
 
 def _walk_density(rho: np.ndarray, coin: np.ndarray, n_positions: int) -> np.ndarray:
@@ -190,8 +197,13 @@ def evolve_stepwise(
 
 
 def position_distribution(state: np.ndarray, n_positions: int | None = None) -> np.ndarray:
-    """Position probabilities from an amplitude array or a density matrix."""
+    """Position probabilities of an amplitude array, Kraus factor or density matrix.
+
+    A one-shot Kraus factor has shape (2, n_positions, 2).
+    """
     state = np.asarray(state)
+    if state.ndim == 3:
+        return np.sum(np.abs(state) ** 2, axis=(0, 2))
     if state.ndim == 2 and state.shape[0] == 2 and state.shape[1] != state.shape[0]:
         return np.sum(np.abs(state) ** 2, axis=0).real
     if n_positions is None:

@@ -8,9 +8,15 @@ in bits.
 
 The series driver evolves the walk once for all requested witnesses (plus
 the two trace-distance walkers when TD is requested) and computes each
-state's partial traces and entropies once, in a per-state cache shared by
+state's reductions and entropies once, in a per-state cache shared by
 every witness; states are streamed one step at a time so memory stays flat
-in the walk length.
+in the walk length. One-shot states arrive as their rank-2 Kraus factor
+and are measured through it: every spectrum comes from a 2 x 2 matrix
+(B^dag B for S(rho), the coin block, the Gram matrix of the position
+marginal), the MID outcome table spans the support of the position
+marginal only, and the discord Gram blocks are read off the factor, so no
+(2 n_positions)^2 matrix is formed. Stepwise states, and the arguments of
+the public single-state functions, are dense density matrices.
 """
 
 from __future__ import annotations
@@ -105,13 +111,38 @@ def _entropy(rho: np.ndarray) -> float:
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
 
 
-class _State:
-    """One coin (x) position state with its reductions and entropies.
+def _gram_blocks(factor: np.ndarray) -> np.ndarray:
+    """Gram blocks G[c, c'] = A_c^dag A_c' of a factorization rho = A A^dag.
+
+    ``factor`` has shape (d_c, d_p, r), with A_c = factor[c] the coin-c block
+    of A. The unnormalized conditional position state after projecting the
+    coin onto |m> has the same nonzero spectrum as
+    sum_{c,c'} m_c conj(m_c') G[c, c'], an r x r matrix instead of d_p x d_p.
+    """
+    return np.einsum("cjr,djs->cdrs", factor.conj(), factor)
+
+
+class _Reductions:
+    """Per-state cache shared by the dense and the factor-backed state.
 
     Each quantity is computed on first use and kept, so the witnesses that
     share it (MI inside MID and discord, S(rho_p) inside discord) read one
-    value instead of recomputing it.
+    value instead of recomputing it. A subclass provides ``split``, ``coin``,
+    ``position_entropy``, ``joint_entropy``, ``position_basis``,
+    ``outcome_table`` and ``coin_gram``.
     """
+
+    @cached_property
+    def coin_entropy(self) -> float:
+        return _entropy(self.coin)
+
+    @cached_property
+    def mutual_information(self) -> float:
+        return self.coin_entropy + self.position_entropy - self.joint_entropy
+
+
+class _State(_Reductions):
+    """One dense coin (x) position density matrix."""
 
     def __init__(self, rho: np.ndarray, split: tuple[int, int]):
         self.rho = _check_split(rho, split)
@@ -126,16 +157,94 @@ class _State:
         return partial_trace(self.rho, self.split, "position")
 
     @cached_property
-    def coin_entropy(self) -> float:
-        return _entropy(self.coin)
-
-    @cached_property
     def position_entropy(self) -> float:
         return _entropy(self.position)
 
     @cached_property
-    def mutual_information(self) -> float:
-        return self.coin_entropy + self.position_entropy - _entropy(self.rho)
+    def joint_entropy(self) -> float:
+        return _entropy(self.rho)
+
+    @cached_property
+    def position_basis(self) -> tuple[np.ndarray, bool]:
+        return _canonical_eigenbasis(self.position)
+
+    def outcome_table(self, u_c: np.ndarray, u_p: np.ndarray) -> np.ndarray:
+        """Joint probabilities of the product-basis outcomes (columns of u_c, u_p)."""
+        u = np.kron(u_c, u_p)
+        diag = np.real(np.sum(u.conj() * (self.rho @ u), axis=0))
+        return np.clip(diag, 0.0, None).reshape(u_c.shape[1], u_p.shape[1])
+
+    @cached_property
+    def coin_gram(self) -> np.ndarray:
+        dc, dp = self.split
+        w, v = np.linalg.eigh(self.rho)
+        keep = w > EIGENVALUE_CUTOFF
+        return _gram_blocks((v[:, keep] * np.sqrt(w[keep])).reshape(dc, dp, -1))
+
+
+class _FactorState(_Reductions):
+    """A one-shot state rho = sum_r b_r b_r^dag, held as its Kraus factor.
+
+    ``factor`` has shape (2, n_positions, 2): coin, position, Kraus index
+    (see :func:`nmqwalk.walk.evolve_one_shot`). Every spectrum is taken from
+    a 2 x 2 matrix, so no (2 n_positions)^2 state is ever formed.
+    """
+
+    def __init__(self, factor: np.ndarray, split: tuple[int, int]):
+        self.factor = factor
+        self.split = split
+
+    @cached_property
+    def coin(self) -> np.ndarray:
+        return np.einsum("cjr,djr->cd", self.factor, self.factor.conj())
+
+    @cached_property
+    def joint_entropy(self) -> float:
+        # rho = B B^dag has the nonzero spectrum of B^dag B
+        b = self.factor.reshape(-1, self.factor.shape[-1])
+        return _entropy(b.conj().T @ b)
+
+    @cached_property
+    def _position_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, a u): the Gram spectrum of rho_p and its eigenvectors times a.
+
+        Both Kraus operators are multiples of coin unitaries (I and sigma_3),
+        so either column alone carries the position marginal,
+        rho_p = Tr_c(b_r b_r^dag) / |b_r|^2 = a a^dag with a = b_r / |b_r| read
+        as a d_p x 2 matrix whose columns are the coin slices psi_c. Its
+        nonzero spectrum is that of the Gram matrix a^dag a = <psi_c|psi_c'>.
+        The heavier column is used.
+        """
+        weights = np.sum(np.abs(self.factor) ** 2, axis=(0, 1))
+        r = int(np.argmax(weights))
+        a = self.factor[:, :, r].T / math.sqrt(weights[r])
+        w, u = np.linalg.eigh(a.conj().T @ a)
+        return w, a @ u
+
+    @cached_property
+    def position_entropy(self) -> float:
+        return entropy_of_spectrum(self._position_eigen[0])
+
+    @cached_property
+    def position_basis(self) -> tuple[np.ndarray, bool]:
+        """Canonical eigenbasis of the support of rho_p only.
+
+        Outcomes in the null space of rho_p have probability zero, so MID
+        needs no basis there (Luo, PRA 77, 022301, 2008).
+        """
+        w, au = self._position_eigen
+        keep = w > EIGENVALUE_CUTOFF
+        return _canonicalize(w[keep], au[:, keep] / np.sqrt(w[keep]))
+
+    def outcome_table(self, u_c: np.ndarray, u_p: np.ndarray) -> np.ndarray:
+        """Joint probabilities of the product-basis outcomes (columns of u_c, u_p)."""
+        amps = np.einsum("ca,cjr->ajr", u_c.conj(), self.factor)
+        amps = np.einsum("jp,ajr->apr", u_p.conj(), amps)
+        return np.sum(np.abs(amps) ** 2, axis=2)
+
+    @cached_property
+    def coin_gram(self) -> np.ndarray:
+        return _gram_blocks(self.factor)
 
 
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
@@ -155,7 +264,12 @@ def mutual_information(rho: np.ndarray, split: tuple[int, int]) -> float:
 
 
 def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Marginal eigenbasis made deterministic under degeneracy.
+    """Marginal eigenbasis made deterministic under degeneracy (see _canonicalize)."""
+    return _canonicalize(*np.linalg.eigh(rho))
+
+
+def _canonicalize(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Eigenbasis ``v`` (columns, eigenvalues ``w`` ascending) made deterministic.
 
     Eigenvalues within DEGENERACY_TOL of their neighbor are grouped; inside
     each group the basis is rebuilt by projecting computational basis
@@ -172,7 +286,6 @@ def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
     than _PROJECTION_TOL of its projected length, so the result stays
     orthonormal however large the group is.
     """
-    w, v = np.linalg.eigh(rho)
     n = len(w)
     degenerate = False
     basis = v.copy()
@@ -227,30 +340,12 @@ def mid(rho: np.ndarray, split: tuple[int, int]) -> MidResult:
     return _mid(_State(rho, split))
 
 
-def _mid(state: _State) -> MidResult:
-    dc, dp = state.split
+def _mid(state: _Reductions) -> MidResult:
     u_c, deg_c = _canonical_eigenbasis(state.coin)
-    u_p, deg_p = _canonical_eigenbasis(state.position)
-    u = np.kron(u_c, u_p)
-    diag = np.real(np.sum(u.conj() * (state.rho @ u), axis=0))
-    table = np.clip(diag, 0.0, None).reshape(dc, dp)
+    u_p, deg_p = state.position_basis
+    table = state.outcome_table(u_c, u_p)
     value = state.mutual_information - _classical_mi(table)
     return MidResult(value=value, degenerate_marginal=deg_c or deg_p)
-
-
-def _coin_gram_blocks(rho: np.ndarray, split: tuple[int, int]) -> np.ndarray:
-    """Gram blocks G[c, c'] = A_c^dag A_c' of a low-rank factorization.
-
-    With rho = A A^dag and A_c the coin-c block of A, the unnormalized
-    conditional position state after projecting the coin onto |m> has the
-    same nonzero spectrum as sum_{c,c'} m_c conj(m_c') G[c, c'], an r x r
-    matrix (r = rank of rho) instead of d_p x d_p.
-    """
-    dc, dp = split
-    w, v = np.linalg.eigh(rho)
-    keep = w > EIGENVALUE_CUTOFF
-    a = (v[:, keep] * np.sqrt(w[keep])).reshape(dc, dp, -1)
-    return np.einsum("cjr,djs->cdrs", a.conj(), a)
 
 
 def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -289,10 +384,10 @@ def discord(rho: np.ndarray, split: tuple[int, int]) -> DiscordResult:
     return _discord(_State(rho, split))
 
 
-def _discord(state: _State) -> DiscordResult:
+def _discord(state: _Reductions) -> DiscordResult:
     if state.split[0] != 2:
         raise DimensionMismatchError("coin measurement requires a 2-level coin")
-    gram = _coin_gram_blocks(state.rho, state.split)
+    gram = state.coin_gram
 
     nt, nf = _DISCORD_GRID
     thetas = np.linspace(0.0, math.pi, nt)
@@ -328,10 +423,11 @@ def coin_entropy(rho: np.ndarray, split: tuple[int, int]) -> float:
 
 
 def _evolver(mode: EvolutionMode):
+    """The generator of one mode and the state type of what it yields."""
     if mode == "one_shot":
-        return evolve_one_shot
+        return evolve_one_shot, _FactorState
     if mode == "stepwise":
-        return evolve_stepwise
+        return evolve_stepwise, _State
     raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
 
 
@@ -339,6 +435,7 @@ def _trace_distances(
     cfg: WalkConfig,
     noise: NoiseModel,
     evolve,
+    state_type,
     td_pair: tuple[float, float, float, float],
 ) -> list[float]:
     """TD of the reduced coin states of two co-evolved walkers at each step.
@@ -351,8 +448,8 @@ def _trace_distances(
     gen1 = evolve(replace(cfg, delta=d1, eta=e1), noise)
     gen2 = evolve(replace(cfg, delta=d2, eta=e2), noise)
     return [
-        trace_distance(partial_trace(r1, split, "coin"), partial_trace(r2, split, "coin"))
-        for (_, r1), (_, r2) in zip(gen1, gen2)
+        trace_distance(state_type(s1, split).coin, state_type(s2, split).coin)
+        for (_, s1), (_, s2) in zip(gen1, gen2)
     ]
 
 
@@ -377,19 +474,19 @@ def witness_series(
     for tag in tags:
         if tag not in WITNESS_TAGS:
             raise ValueError(f"unknown witness {tag!r}, expected one of {WITNESS_TAGS}")
-    evolve = _evolver(mode)
+    evolve, state_type = _evolver(mode)
     values: dict[str, list[float]] = {tag: [] for tag in tags}
 
     if "TD" in values:
         pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
-        values["TD"] = _trace_distances(cfg, noise, evolve, pair)
+        values["TD"] = _trace_distances(cfg, noise, evolve, state_type, pair)
 
     single = [tag for tag in tags if tag != "TD"]
     if single:
         split = (2, cfg.n_positions)
         positions = lattice_positions(cfg.steps).astype(float)
-        for _, rho in evolve(cfg, noise):
-            state = _State(rho, split)
+        for _, raw in evolve(cfg, noise):
+            state = state_type(raw, split)
             for tag in single:
                 if tag == "MI":
                     value = state.mutual_information
@@ -400,7 +497,7 @@ def witness_series(
                 elif tag == "Entropy":
                     value = state.coin_entropy
                 else:  # Variance
-                    probs = position_distribution(rho, cfg.n_positions)
+                    probs = position_distribution(raw, cfg.n_positions)
                     value = distribution_variance(probs, positions)
                 values[tag].append(value)
 

@@ -27,7 +27,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from nmqwalk.divisibility import (
     apply_signed,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import nmqwalk.noise as noise_mod
 from nmqwalk.cli import main, parse_config
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
@@ -278,3 +279,11 @@ class TestExitCodes:
         # starting on the lattice boundary trips the edge guard
         cfg = write_config(tmp_path, {"walk": {"steps": 4, "initial_position": 5}})
         assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["walk", "witness"])
+    def test_kernel_out_of_range_is_3(self, tmp_path, monkeypatch, command):
+        # a one-shot kernel past 1 has no Kraus pair
+        monkeypatch.setattr(noise_mod, "kernel_value", lambda noise, t: 1.0 + 1e-9)
+        doc = {"walk": {"steps": 4}, "noise": {"model": "rtn", "a": 0.9, "gamma": 0.05}}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3

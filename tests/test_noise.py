@@ -2,8 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nmqwalk.noise as noise_mod
+from nmqwalk.exceptions import KernelRangeError
 from nmqwalk.noise import (
+    _CRITICAL_TOL,
+    _KERNEL_SLACK,
     OunParams,
     PlnParams,
     RtnParams,
@@ -17,6 +23,25 @@ from nmqwalk.noise import (
 )
 
 TIMES = np.arange(0.0, 50.5, 0.5)
+
+RATES = st.floats(min_value=1e-4, max_value=10.0)
+STRENGTHS = st.floats(min_value=0.0, max_value=10.0)
+KERNEL_TIMES = st.floats(min_value=0.0, max_value=2000.0)
+
+
+def near_critical_rtn(gamma: float, offset: float) -> RtnParams:
+    """RTN with 2a/gamma = 1 + offset."""
+    return RtnParams(a=0.5 * gamma * (1.0 + offset), gamma=gamma)
+
+
+MODELS = st.one_of(
+    st.builds(RtnParams, a=STRENGTHS, gamma=RATES),
+    # 2a/gamma within 1e-10 of 1, on both sides of the _CRITICAL_TOL switch
+    # between the cos and cosh branches
+    st.builds(near_critical_rtn, RATES, st.floats(min_value=-1e-10, max_value=1e-10)),
+    st.builds(OunParams, Gamma=STRENGTHS, gamma=RATES),
+    st.builds(PlnParams, Gamma=STRENGTHS, gamma=RATES),
+)
 
 
 class TestRtnKernel:
@@ -108,6 +133,32 @@ class TestKraus:
     def test_requires_concrete_model(self):
         with pytest.raises(ValueError):
             kraus_at(None, 1.0)
+
+
+class TestKernelProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(noise=MODELS, t=KERNEL_TIMES)
+    @example(noise=near_critical_rtn(0.4, 0.4 * _CRITICAL_TOL), t=3.0)
+    @example(noise=near_critical_rtn(0.4, 0.6 * _CRITICAL_TOL), t=3.0)
+    @example(noise=near_critical_rtn(0.4, -0.6 * _CRITICAL_TOL), t=3.0)
+    @example(noise=RtnParams(a=0.25, gamma=1.0), t=900.0)
+    def test_kernel_within_unit_range(self, noise, t):
+        # the slack is the rounding allowance kraus_at accepts
+        k = kernel_value(noise, t)
+        assert abs(k) <= 1.0 + _KERNEL_SLACK
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(noise=MODELS, t=KERNEL_TIMES)
+    def test_kraus_pair_is_complete(self, noise, t):
+        k1, k2 = kraus_at(noise, t)
+        total = k1.conj().T @ k1 + k2.conj().T @ k2
+        assert np.max(np.abs(total - np.eye(2))) <= 1e-14
+
+    @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1.0 - 1e-9, math.nan])
+    def test_kraus_rejects_out_of_range_kernel(self, monkeypatch, bad):
+        monkeypatch.setattr(noise_mod, "kernel_value", lambda noise, t: bad)
+        with pytest.raises(KernelRangeError):
+            kraus_at(RtnParams(a=0.9, gamma=0.05), 1.0)
 
 
 class TestParamsAndDispatch:

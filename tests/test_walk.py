@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from conftest import dense_one_shot, density_from_factor
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nmqwalk.noise as noise_mod
 import nmqwalk.walk as walk_mod
-from nmqwalk.exceptions import EdgeAmplitudeError, NonInvertibleMapError
-from nmqwalk.noise import RtnParams
+from nmqwalk.exceptions import EdgeAmplitudeError, KernelRangeError, NonInvertibleMapError
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import check_density_matrix
 from nmqwalk.walk import (
     WalkConfig,
     coin_operator,
+    dephase_density,
+    density_from_amplitudes,
     distribution_variance,
     evolve_noiseless,
     evolve_one_shot,
@@ -17,6 +23,14 @@ from nmqwalk.walk import (
     initial_state,
     lattice_positions,
     position_distribution,
+)
+
+RATES = st.floats(min_value=1e-3, max_value=2.0)
+NOISES = st.one_of(
+    st.none(),
+    st.builds(RtnParams, a=st.floats(min_value=0.0, max_value=2.0), gamma=RATES),
+    st.builds(OunParams, Gamma=RATES, gamma=RATES),
+    st.builds(PlnParams, Gamma=RATES, gamma=RATES),
 )
 
 
@@ -115,16 +129,16 @@ class TestNoisyEvolution:
     NOISE = RtnParams(a=0.9, gamma=0.5)
 
     def test_one_shot_states_are_physical(self):
-        for t, rho in evolve_one_shot(WalkConfig(steps=8), self.NOISE):
-            check_density_matrix(rho)
+        cfg = WalkConfig(steps=8)
+        for t, factor in evolve_one_shot(cfg, self.NOISE):
+            assert factor.shape == (2, cfg.n_positions, 2)
+            check_density_matrix(density_from_factor(factor))
 
     def test_one_shot_scales_coherence_blocks(self):
         cfg = WalkConfig(steps=5)
         n = cfg.n_positions
-        pure = {t: rho for t, rho in evolve_one_shot(cfg, None)}
-        noisy = {t: rho for t, rho in evolve_one_shot(cfg, self.NOISE)}
-        from nmqwalk.noise import kernel_value
-
+        pure = {t: density_from_factor(b) for t, b in evolve_one_shot(cfg, None)}
+        noisy = {t: density_from_factor(b) for t, b in evolve_one_shot(cfg, self.NOISE)}
         for t in pure:
             k = kernel_value(self.NOISE, float(t))
             np.testing.assert_allclose(
@@ -134,11 +148,37 @@ class TestNoisyEvolution:
 
     def test_stepwise_equals_one_shot_without_noise(self):
         cfg = WalkConfig(steps=10)
-        for (t1, r1), (t2, r2) in zip(
+        for (t1, b1), (t2, r2) in zip(
             evolve_one_shot(cfg, None), evolve_stepwise(cfg, None)
         ):
             assert t1 == t2
-            np.testing.assert_allclose(r1, r2, atol=1e-12)
+            np.testing.assert_allclose(density_from_factor(b1), r2, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        noise=NOISES,
+        steps=st.integers(min_value=0, max_value=6),
+        delta=st.floats(min_value=-math.pi, max_value=math.pi),
+        eta=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_factor_matches_dense_dephasing(self, noise, steps, delta, eta):
+        # sum_r b_r b_r^dag is the dephased pure state D[k](|psi><psi|)
+        cfg = WalkConfig(steps=steps, delta=delta, eta=eta)
+        amps = evolve_noiseless(cfg)
+        for t, factor in evolve_one_shot(cfg, noise):
+            k = float(kernel_value(noise, float(t)))
+            expected = dephase_density(density_from_amplitudes(amps[t]), k, cfg.n_positions)
+            np.testing.assert_allclose(density_from_factor(factor), expected, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [1.0 + 1e-9, -1.0 - 1e-9])
+    def test_kernel_outside_unit_range_raises(self, monkeypatch, k):
+        # |k| > 1 has no Kraus pair; it must stop the walk, not give NaN columns
+        monkeypatch.setattr(noise_mod, "kernel_value", lambda noise, t: 1.0 if t < 2 else k)
+        gen = evolve_one_shot(WalkConfig(steps=4), self.NOISE)
+        next(gen)
+        next(gen)
+        with pytest.raises(KernelRangeError):
+            next(gen)
 
     def test_stepwise_preserves_trace_and_hermiticity(self):
         for t, rho in evolve_stepwise(WalkConfig(steps=8), self.NOISE):
@@ -171,13 +211,16 @@ class TestDistributions:
 
     def test_density_and_amplitude_paths_agree(self):
         cfg = WalkConfig(steps=6)
+        noise = RtnParams(a=0.9, gamma=0.5)
         amps = evolve_noiseless(cfg)[-1]
-        rho = dict(evolve_one_shot(cfg, None))[6]
-        np.testing.assert_allclose(
-            position_distribution(amps),
-            position_distribution(rho, cfg.n_positions),
-            atol=1e-13,
-        )
+        rho = dict(dense_one_shot(cfg, noise))[6]
+        factor = dict(evolve_one_shot(cfg, noise))[6]
+        for state in (rho, factor):
+            np.testing.assert_allclose(
+                position_distribution(amps),
+                position_distribution(state, cfg.n_positions),
+                atol=1e-13,
+            )
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)

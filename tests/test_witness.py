@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import dense_one_shot, density_from_factor
 
 import nmqwalk.witness as witness_mod
 from nmqwalk.exceptions import DimensionMismatchError
-from nmqwalk.noise import RtnParams
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kraus_at
 from nmqwalk.qops import density_from_pure, partial_trace
 from nmqwalk.walk import (
     WalkConfig,
@@ -36,6 +37,51 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
+
+
+#: the noise settings on which the rank-2 one-shot path is checked against
+#: the dense oracle
+ORACLE_NOISES = {
+    "none": None,
+    "rtn-underdamped": RtnParams(a=0.05, gamma=0.008),
+    "rtn-overdamped": RtnParams(a=0.1, gamma=0.5),
+    "oun": OunParams(Gamma=0.1, gamma=0.01),
+    "pln": PlnParams(Gamma=0.1, gamma=0.01),
+}
+ORACLE_STEPS = 30
+
+
+def single_state_values(cfg, noise, evolve):
+    """Every witness tag at each step, from the public single-state functions
+    applied to the dense states that ``evolve`` yields."""
+    split = (2, cfg.n_positions)
+    positions = lattice_positions(cfg.steps).astype(float)
+    d1, e1, d2, e2 = DEFAULT_TD_PAIR
+    values = {tag: [] for tag in WITNESS_TAGS}
+    values["TD"] = [
+        trace_distance(partial_trace(r1, split, "coin"), partial_trace(r2, split, "coin"))
+        for (_, r1), (_, r2) in zip(
+            evolve(replace(cfg, delta=d1, eta=e1), noise),
+            evolve(replace(cfg, delta=d2, eta=e2), noise),
+        )
+    ]
+    for _, rho in evolve(cfg, noise):
+        values["MI"].append(mutual_information(rho, split))
+        values["MID"].append(mid(rho, split).value)
+        values["QD"].append(discord(rho, split).value)
+        values["Entropy"].append(coin_entropy(rho, split))
+        values["Variance"].append(
+            distribution_variance(position_distribution(rho, cfg.n_positions), positions)
+        )
+    return values
+
+
+def assert_matches_oracle(values, expected, tag):
+    """1e-12 absolute, or 1e-12 relative for the variance (values of order T^2)."""
+    if tag == "Variance":
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0, err_msg=tag)
+    else:
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12, err_msg=tag)
 
 
 def classical_classical(p):
@@ -80,7 +126,7 @@ class TestMutualInformation:
 
     def test_noiseless_walk_step_two_maximally_entangled(self):
         cfg = WalkConfig(steps=2)
-        rho = dict(evolve_one_shot(cfg, None))[2]
+        rho = dict(dense_one_shot(cfg, None))[2]
         assert mutual_information(rho, (2, cfg.n_positions)) == pytest.approx(
             2.0, abs=1e-10
         )
@@ -112,10 +158,25 @@ class TestMid:
         split = (2, cfg.n_positions)
         noise = RtnParams(a=0.05, gamma=0.008)
         flagged = [
-            t for t, rho in evolve_one_shot(cfg, noise)
+            t for t, rho in dense_one_shot(cfg, noise)
             if mid(rho, split).degenerate_marginal
         ]
         assert flagged == [2]
+
+    def test_gram_route_keeps_the_canonical_basis(self):
+        # psi = |0>(e1 + e2)/2 + |1>(e1 - e2)/2: the position marginal is I/2
+        # on sites 1 and 2, where the 2 x 2 Gram route first finds the
+        # vectors (e1 +- e2)/sqrt(2); only the canonical basis e1, e2 gives
+        # the dense value
+        amps = np.zeros((2, 5), dtype=complex)
+        amps[0, 1:3] = 0.5
+        amps[1, 1:3] = 0.5, -0.5
+        factor = np.einsum("rcd,dj->cjr", kraus_at(RtnParams(a=0.9, gamma=0.5), 2.0), amps)
+        split = (2, 5)
+        fast = witness_mod._mid(witness_mod._FactorState(factor, split))
+        dense = mid(density_from_factor(factor), split)
+        assert fast.degenerate_marginal and dense.degenerate_marginal
+        assert fast.value == pytest.approx(dense.value, abs=1e-12)
 
     def test_deterministic_under_degeneracy(self):
         a = mid(BELL, (2, 2)).value
@@ -130,7 +191,7 @@ class TestMid:
         cfg = WalkConfig(steps=100)
         split = (2, cfg.n_positions)
         eye = np.eye(cfg.n_positions)
-        for t, rho in evolve_one_shot(cfg, None):
+        for t, rho in dense_one_shot(cfg, None):
             assert mid(rho, split).value == pytest.approx(
                 coin_entropy(rho, split), abs=1e-9
             ), f"t={t}"
@@ -156,7 +217,7 @@ class TestDiscord:
     def test_bounded_by_mid_on_walk_states(self):
         cfg = WalkConfig(steps=8)
         noise = RtnParams(a=0.08, gamma=0.01)
-        for t, rho in evolve_one_shot(cfg, noise):
+        for t, rho in dense_one_shot(cfg, noise):
             split = (2, cfg.n_positions)
             d = discord(rho, split).value
             m = mid(rho, split).value
@@ -170,7 +231,7 @@ class TestDiscord:
 class TestScalarWitnesses:
     def test_initial_coin_entropy_zero(self):
         cfg = WalkConfig(steps=3)
-        rho = dict(evolve_one_shot(cfg, None))[0]
+        rho = dict(dense_one_shot(cfg, None))[0]
         assert coin_entropy(rho, (2, cfg.n_positions)) == pytest.approx(0.0, abs=1e-12)
 
     def test_dephased_entangled_coin_fully_mixed(self):
@@ -212,38 +273,33 @@ class TestSeries:
         assert s.values[2] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "mode, evolve", [("one_shot", evolve_one_shot), ("stepwise", evolve_stepwise)]
+        "mode, oracle",
+        [("one_shot", dense_one_shot), ("stepwise", evolve_stepwise)],
+        ids=["one_shot-evolve_one_shot", "stepwise-evolve_stepwise"],
     )
-    def test_one_pass_matches_single_state_functions(self, mode, evolve):
+    def test_one_pass_matches_single_state_functions(self, mode, oracle):
         cfg = WalkConfig(steps=8, delta=0.7, eta=0.3)
         noise = RtnParams(a=0.08, gamma=0.01)
-        split = (2, cfg.n_positions)
-        positions = lattice_positions(cfg.steps).astype(float)
         found = witness_series(cfg, noise, mode=mode, witnesses=WITNESS_TAGS)
         assert list(found) == list(WITNESS_TAGS)
-
-        d1, e1, d2, e2 = DEFAULT_TD_PAIR
-        td = [
-            trace_distance(partial_trace(r1, split, "coin"), partial_trace(r2, split, "coin"))
-            for (_, r1), (_, r2) in zip(
-                evolve(replace(cfg, delta=d1, eta=e1), noise),
-                evolve(replace(cfg, delta=d2, eta=e2), noise),
-            )
-        ]
-        expected = {tag: [] for tag in WITNESS_TAGS}
-        expected["TD"] = td
-        for _, rho in evolve(cfg, noise):
-            expected["MI"].append(mutual_information(rho, split))
-            expected["MID"].append(mid(rho, split).value)
-            expected["QD"].append(discord(rho, split).value)
-            expected["Entropy"].append(coin_entropy(rho, split))
-            expected["Variance"].append(
-                distribution_variance(position_distribution(rho, cfg.n_positions), positions)
-            )
+        expected = single_state_values(cfg, noise, oracle)
         for tag in WITNESS_TAGS:
             assert found[tag].witness == tag
             np.testing.assert_array_equal(found[tag].steps, np.arange(cfg.steps + 1))
-            np.testing.assert_array_equal(found[tag].values, expected[tag], err_msg=tag)
+            if mode == "stepwise":
+                # the same dense matrices through the same calls
+                np.testing.assert_array_equal(found[tag].values, expected[tag], err_msg=tag)
+            else:
+                # rank-2 factor against dense matrices: rounding differs
+                assert_matches_oracle(found[tag].values, expected[tag], tag)
+
+    @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
+    def test_rank2_one_shot_matches_dense_oracle(self, noise):
+        cfg = WalkConfig(steps=ORACLE_STEPS, delta=0.7, eta=0.3)
+        found = witness_series(cfg, noise, witnesses=WITNESS_TAGS)
+        expected = single_state_values(cfg, noise, dense_one_shot)
+        for tag in WITNESS_TAGS:
+            assert_matches_oracle(found[tag].values, expected[tag], tag)
 
     def test_one_walk_for_all_single_walker_tags(self, monkeypatch):
         calls = []
