@@ -22,16 +22,17 @@ import datetime
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
+from typing import get_args
 
 import numpy as np
 
 from .divisibility import cp_divisibility_scan
 from .exceptions import ConfigError, NmqwalkError
 from .noise import NoiseModel, OunParams, PlnParams, RtnParams
-from .spectral import TimeSeries, disambiguate
+from .spectral import FIT_FAMILIES, TimeSeries, disambiguate
 from .walk import (
     WalkConfig,
     distribution_variance,
@@ -40,7 +41,7 @@ from .walk import (
     lattice_positions,
     position_distribution,
 )
-from .witness import WITNESS_TAGS, witness_series
+from .witness import DEFAULT_TD_PAIR, WITNESS_TAGS, EvolutionMode, witness_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,21 +50,48 @@ EXIT_IO = 4
 
 _PROB_EMIT_TOL = 1e-15
 
-_WALK_DEFAULTS = {
-    "steps": 100,
-    "coin_angle": 45.0,
-    "delta": 45.0,
-    "eta": 0.0,
-    "initial_position": 0,
-}
-_TD_PAIR_DEFAULT = [45.0, 0.0, -45.0, 0.0]
-_SPECTRAL_DEFAULTS = {"family": "exponential", "min_prominence": 0.05}
-_CHOI_DEFAULTS = {"t1": 1.0, "t2_max": 20.0, "dt": 0.1}
+#: noise.model value -> parameter record (None: no noise)
+_NOISE_MODELS = {"none": None, "rtn": RtnParams, "oun": OunParams, "pln": PlnParams}
 
-_NOISE_FIELDS = {
-    "rtn": ("a", "gamma"),
-    "oun": ("Gamma", "gamma"),
-    "pln": ("Gamma", "gamma", "alpha"),
+_ANGLE = "angle"  # a number in degrees; its value is converted to radians
+_REQUIRED = object()  # default of a key the document must give
+
+
+@dataclass(frozen=True)
+class _ListOf:
+    """A list kind: items of one kind, exactly ``length`` of them if given."""
+
+    item: object
+    length: int | None = None
+
+
+#: section -> key -> (kind, default), defaults as they would appear in the
+#: JSON. A kind is int, float (any number), str, _ANGLE, a tuple of allowed
+#: values or a _ListOf; a nested dict is a section. The noise section's keys
+#: depend on its model (_noise_schema).
+_SCHEMA = {
+    "walk": {
+        "steps": (int, 100),
+        "coin_angle": (_ANGLE, math.degrees(WalkConfig.coin_angle)),
+        "delta": (_ANGLE, math.degrees(WalkConfig.delta)),
+        "eta": (_ANGLE, math.degrees(WalkConfig.eta)),
+        "initial_position": (int, WalkConfig.initial_position),
+    },
+    "noise": {},
+    "mode": (get_args(EvolutionMode), "one_shot"),
+    "witnesses": (_ListOf(WITNESS_TAGS), ["TD"]),
+    "td_pair": (_ListOf(_ANGLE, 4), [math.degrees(a) for a in DEFAULT_TD_PAIR]),
+    "spectral": {"family": (FIT_FAMILIES, "exponential"), "min_prominence": (float, 0.05)},
+    "choi": {"t1": (float, 1.0), "t2_max": (float, 20.0), "dt": (float, 0.1)},
+    "output_dir": (str, "out"),
+}
+
+#: scalar kind -> (accepted JSON types, name in messages); bools never pass
+_SCALARS = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    _ANGLE: ((int, float), "a number"),
+    str: (str, "a string"),
 }
 
 
@@ -87,59 +115,77 @@ class ExperimentConfig:
     echo: dict = field(repr=False)
 
 
-def _require_keys(section: dict, allowed, path: str) -> None:
-    unknown = set(section) - set(allowed)
+def _noise_schema(section) -> dict:
+    """The noise section's keys: the model plus that model's parameters."""
+    model = section.get("model") if isinstance(section, dict) else None
+    record = _NOISE_MODELS.get(model) if isinstance(model, str) else None
+    params = fields(record) if record else ()
+    return {
+        "model": (tuple(_NOISE_MODELS), "none"),
+        **{p.name: (float, _REQUIRED if p.default is MISSING else p.default) for p in params},
+    }
+
+
+def _check(schema: dict, section, path: str = "") -> tuple[dict, dict]:
+    """Check one section against its schema and fill in the defaults.
+
+    Returns the echo (JSON values, angles in degrees) and the values
+    (angles in radians, lists as tuples) of the section.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{path}' must be an object, got {type(section).__name__}")
+    unknown = set(section) - set(schema)
     if unknown:
         raise ConfigError(
-            f"unknown key(s) {sorted(unknown)} in '{path}'; allowed: {sorted(allowed)}"
+            f"unknown key(s) {sorted(unknown)} in '{path or 'config'}'; "
+            f"allowed: {sorted(schema)}"
         )
+    echo, values = {}, {}
+    for key, spec in schema.items():
+        name = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            echo[key], values[key] = _check(spec, section.get(key, {}), name)
+        elif key in section or spec[1] is not _REQUIRED:
+            echo[key], values[key] = _check_value(spec[0], section.get(key, spec[1]), name)
+        else:
+            raise ConfigError(f"'{name}' is required")
+    return echo, values
 
 
-def _get_number(section: dict, key: str, default, path: str) -> float:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{path}.{key}' must be a number, got {value!r}")
-    return float(value)
+def _check_value(kind, raw, name: str):
+    """(echo, value) of one config value of the given kind."""
+    if isinstance(kind, _ListOf):
+        if not isinstance(raw, list) or kind.length not in (None, len(raw)):
+            count = f" of {kind.length}" if kind.length else ""
+            raise ConfigError(f"'{name}' must be a list{count}, got {raw!r}")
+        items = [_check_value(kind.item, v, f"{name}[{i}]") for i, v in enumerate(raw)]
+        return [e for e, _ in items], tuple(v for _, v in items)
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"'{name}' must be one of {list(kind)}, got {raw!r}")
+        return raw, raw
+    types, noun = _SCALARS[kind]
+    if isinstance(raw, bool) or not isinstance(raw, types):
+        raise ConfigError(f"'{name}' must be {noun}, got {raw!r}")
+    if kind in (int, str):
+        return raw, raw
+    # JSON parsing lets NaN, Infinity and integers too large for a float in
+    if not abs(raw) <= sys.float_info.max:
+        raise ConfigError(f"'{name}' must be a finite number, got {raw!r}")
+    x = float(raw)
+    return x, math.radians(x) if kind is _ANGLE else x
 
 
-def _get_int(section: dict, key: str, default, path: str) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{path}.{key}' must be an integer, got {value!r}")
-    return value
-
-
-def _parse_noise(section) -> NoiseModel:
-    if section is None:
-        return None
-    if not isinstance(section, dict):
-        raise ConfigError(f"'noise' must be an object, got {type(section).__name__}")
-    model = section.get("model", "none")
-    if model == "none":
-        _require_keys(section, {"model"}, "noise")
-        return None
-    if model not in _NOISE_FIELDS:
-        raise ConfigError(
-            f"'noise.model' must be one of ['none', 'rtn', 'oun', 'pln'], got {model!r}"
-        )
-    fields = _NOISE_FIELDS[model]
-    _require_keys(section, {"model", *fields}, "noise")
-    kwargs = {}
-    for name in fields:
-        if name == "alpha" and name not in section:
-            continue
-        if name not in section:
-            raise ConfigError(f"'noise.{name}' is required for model {model!r}")
-        kwargs[name] = _get_number(section, name, None, "noise")
-    cls = {"rtn": RtnParams, "oun": OunParams, "pln": PlnParams}[model]
+def _build(cls, kwargs: dict, path: str):
+    """cls(**kwargs), with the range checks of cls reported as ConfigError."""
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"'noise' parameter out of range: {exc}") from exc
+        raise ConfigError(f"'{path}' parameter out of range: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON config document and apply defaults.
+    """Validate a JSON config document against the schema and apply defaults.
 
     Angles (coin_angle, delta, eta, td_pair entries) are given in degrees
     and converted to radians exactly once, here.
@@ -150,132 +196,35 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be an object, got {type(doc).__name__}")
-    _require_keys(
-        doc,
-        {"walk", "noise", "mode", "witnesses", "td_pair", "spectral", "choi",
-         "output_dir"},
-        "config",
-    )
+    if doc.get("noise") is None:  # "noise": null means no noise, like a missing section
+        doc["noise"] = {}
+    echo, values = _check({**_SCHEMA, "noise": _noise_schema(doc["noise"])}, doc)
 
-    walk_sec = doc.get("walk", {})
-    if not isinstance(walk_sec, dict):
-        raise ConfigError("'walk' must be an object")
-    _require_keys(walk_sec, _WALK_DEFAULTS, "walk")
-    steps = _get_int(walk_sec, "steps", _WALK_DEFAULTS["steps"], "walk")
-    coin_angle = _get_number(walk_sec, "coin_angle", _WALK_DEFAULTS["coin_angle"], "walk")
-    delta = _get_number(walk_sec, "delta", _WALK_DEFAULTS["delta"], "walk")
-    eta = _get_number(walk_sec, "eta", _WALK_DEFAULTS["eta"], "walk")
-    x0 = _get_int(walk_sec, "initial_position", 0, "walk")
-    try:
-        walk = WalkConfig(
-            steps=steps,
-            coin_angle=math.radians(coin_angle),
-            delta=math.radians(delta),
-            eta=math.radians(eta),
-            initial_position=x0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"'walk' parameter out of range: {exc}") from exc
-
-    noise = _parse_noise(doc.get("noise"))
-
-    mode = doc.get("mode", "one_shot")
-    if mode not in ("one_shot", "stepwise"):
+    walk = _build(WalkConfig, values["walk"], "walk")
+    params = values["noise"]
+    model = _NOISE_MODELS[params.pop("model")]
+    noise = _build(model, params, "noise") if model else None
+    spectral, choi = values["spectral"], values["choi"]
+    if not 0 <= spectral["min_prominence"] <= 1:
         raise ConfigError(
-            f"'mode' must be 'one_shot' or 'stepwise', got {mode!r}"
+            f"'spectral.min_prominence' must be in [0, 1], got {spectral['min_prominence']}"
         )
-
-    witnesses = doc.get("witnesses", ["TD"])
-    if not isinstance(witnesses, list) or not all(
-        isinstance(w, str) for w in witnesses
-    ):
-        raise ConfigError("'witnesses' must be a list of witness tags")
-    for w in witnesses:
-        if w not in WITNESS_TAGS:
-            raise ConfigError(f"unknown witness tag {w!r}; allowed: {list(WITNESS_TAGS)}")
-
-    td_pair = doc.get("td_pair", _TD_PAIR_DEFAULT)
-    if (
-        not isinstance(td_pair, list)
-        or len(td_pair) != 4
-        or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in td_pair)
-    ):
-        raise ConfigError("'td_pair' must be a list of 4 angles in degrees")
-
-    spectral_sec = doc.get("spectral", {})
-    if not isinstance(spectral_sec, dict):
-        raise ConfigError("'spectral' must be an object")
-    _require_keys(spectral_sec, _SPECTRAL_DEFAULTS, "spectral")
-    family = spectral_sec.get("family", _SPECTRAL_DEFAULTS["family"])
-    if family not in ("isotonic", "exponential"):
+    if choi["t1"] < 0 or choi["dt"] <= 0 or choi["t2_max"] <= choi["t1"]:
         raise ConfigError(
-            f"'spectral.family' must be 'isotonic' or 'exponential', got {family!r}"
+            "'choi' requires t1 >= 0, dt > 0, t2_max > t1; got "
+            "t1={t1}, t2_max={t2_max}, dt={dt}".format(**choi)
         )
-    min_prom = _get_number(
-        spectral_sec, "min_prominence", _SPECTRAL_DEFAULTS["min_prominence"], "spectral"
-    )
-    if not 0 <= min_prom <= 1:
-        raise ConfigError(f"'spectral.min_prominence' must be in [0, 1], got {min_prom}")
-
-    choi_sec = doc.get("choi", {})
-    if not isinstance(choi_sec, dict):
-        raise ConfigError("'choi' must be an object")
-    _require_keys(choi_sec, _CHOI_DEFAULTS, "choi")
-    t1 = _get_number(choi_sec, "t1", _CHOI_DEFAULTS["t1"], "choi")
-    t2_max = _get_number(choi_sec, "t2_max", _CHOI_DEFAULTS["t2_max"], "choi")
-    dt = _get_number(choi_sec, "dt", _CHOI_DEFAULTS["dt"], "choi")
-    if t1 < 0 or dt <= 0 or t2_max <= t1:
-        raise ConfigError(
-            f"'choi' requires t1 >= 0, dt > 0, t2_max > t1; got t1={t1}, "
-            f"t2_max={t2_max}, dt={dt}"
-        )
-
-    output_dir = doc.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"'output_dir' must be a string, got {output_dir!r}")
-
-    echo = {
-        "walk": {
-            "steps": steps,
-            "coin_angle": coin_angle,
-            "delta": delta,
-            "eta": eta,
-            "initial_position": x0,
-        },
-        "noise": _noise_echo(noise),
-        "mode": mode,
-        "witnesses": list(witnesses),
-        "td_pair": [float(v) for v in td_pair],
-        "spectral": {"family": family, "min_prominence": min_prom},
-        "choi": {"t1": t1, "t2_max": t2_max, "dt": dt},
-        "output_dir": output_dir,
-    }
     return ExperimentConfig(
         walk=walk,
         noise=noise,
-        mode=mode,
-        witnesses=tuple(witnesses),
-        td_pair=tuple(math.radians(v) for v in td_pair),
-        spectral={"family": family, "min_prominence": min_prom},
-        choi={"t1": t1, "t2_max": t2_max, "dt": dt},
-        output_dir=output_dir,
+        mode=values["mode"],
+        witnesses=values["witnesses"],
+        td_pair=values["td_pair"],
+        spectral=spectral,
+        choi=choi,
+        output_dir=values["output_dir"],
         echo=echo,
     )
-
-
-def _noise_echo(noise: NoiseModel):
-    if noise is None:
-        return {"model": "none"}
-    if isinstance(noise, RtnParams):
-        return {"model": "rtn", "a": noise.a, "gamma": noise.gamma}
-    if isinstance(noise, OunParams):
-        return {"model": "oun", "Gamma": noise.Gamma, "gamma": noise.gamma}
-    return {
-        "model": "pln",
-        "Gamma": noise.Gamma,
-        "gamma": noise.gamma,
-        "alpha": noise.alpha,
-    }
 
 
 def _fmt(value) -> str:

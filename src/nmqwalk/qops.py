@@ -90,11 +90,9 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValueError(f"keep must be 'coin' or 'position', got {keep!r}")
 
 
-def von_neumann_entropy(rho: np.ndarray, validate: bool = True) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Entropy -Tr(rho log2 rho) in bits; 0*log(0) := 0."""
-    if validate:
-        rho = check_density_matrix(rho)
-    w = np.linalg.eigvalsh(rho)
+    w = np.linalg.eigvalsh(check_density_matrix(rho))
     w = w[w > EIGENVALUE_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
 

@@ -164,13 +164,11 @@ def detrend(s: TimeSeries, fit: MonotoneFit) -> TimeSeries:
     return TimeSeries(times=s.times, values=s.values - fit.fitted, weights=s.weights)
 
 
-def power_spectrum(s: TimeSeries, hann: bool = False) -> Spectrum:
+def power_spectrum(s: TimeSeries) -> Spectrum:
     """One-sided magnitude-squared DFT of the mean-removed series.
 
     Interior bins carry both DFT halves so the total power equals N times
     the variance of the mean-removed input (a discrete Parseval identity).
-    The optional Hann window trades leakage for resolution and is off by
-    default.
     """
     n = len(s.values)
     if n < 8:
@@ -179,8 +177,6 @@ def power_spectrum(s: TimeSeries, hann: bool = False) -> Spectrum:
     if np.max(np.abs(dt - dt[0])) > _UNIFORM_SPACING_TOL:
         raise ValueError("power_spectrum requires uniformly spaced times")
     y = s.values - np.mean(s.values)
-    if hann:
-        y = y * np.hanning(n)
     spec = np.abs(np.fft.rfft(y)) ** 2 / n
     scale = np.full(len(spec), 2.0)
     scale[0] = 1.0

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,63 @@ import nmqwalk.noise as noise_mod
 from nmqwalk.cli import main, parse_config
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# one bad document per way parse_config can refuse a config, with the key
+# its message must name
+CONFIG_FAULTS = {
+    "root-not-object": ("[]", "config"),
+    "unknown-top-level-key": ('{"walks": {}}', "walks"),
+    "section-not-object": ('{"walk": []}', "walk"),
+    "unknown-walk-key": ('{"walk": {"step": 10}}', "step"),
+    "steps-bool": ('{"walk": {"steps": true}}', "walk.steps"),
+    "steps-float": ('{"walk": {"steps": 5.0}}', "walk.steps"),
+    "steps-string": ('{"walk": {"steps": "many"}}', "walk.steps"),
+    "position-float": ('{"walk": {"initial_position": 1.5}}', "walk.initial_position"),
+    "angle-bool": ('{"walk": {"coin_angle": true}}', "walk.coin_angle"),
+    "angle-string": ('{"walk": {"eta": "0"}}', "walk.eta"),
+    "steps-negative": ('{"walk": {"steps": -1}}', "steps"),
+    "noise-not-object": ('{"noise": "rtn"}', "noise"),
+    "unknown-noise-key": (
+        '{"noise": {"model": "rtn", "a": 0.1, "gamma": 0.01, "colour": "pink"}}',
+        "colour",
+    ),
+    "noise-none-with-parameter": ('{"noise": {"model": "none", "a": 0.1}}', "'a'"),
+    "unknown-noise-model": ('{"noise": {"model": "brownian"}}', "noise.model"),
+    "missing-noise-parameter": ('{"noise": {"model": "oun", "Gamma": 1.0}}', "noise.gamma"),
+    "noise-parameter-string": (
+        '{"noise": {"model": "rtn", "a": "big", "gamma": 0.01}}', "noise.a"
+    ),
+    "noise-parameter-bool": ('{"noise": {"model": "rtn", "a": true, "gamma": 0.01}}', "noise.a"),
+    "rtn-gamma-out-of-range": ('{"noise": {"model": "rtn", "a": 0.1, "gamma": -1}}', "gamma"),
+    "oun-Gamma-out-of-range": ('{"noise": {"model": "oun", "Gamma": -1, "gamma": 1}}', "Gamma"),
+    "pln-alpha-out-of-range": (
+        '{"noise": {"model": "pln", "Gamma": 1, "gamma": 1, "alpha": 0.5}}', "alpha"
+    ),
+    "bad-mode": ('{"mode": "retrocausal"}', "mode"),
+    "witnesses-not-list": ('{"witnesses": "TD"}', "witnesses"),
+    "witness-not-string": ('{"witnesses": [1]}', "witnesses"),
+    "unknown-witness": ('{"witnesses": ["TD", "Concurrence"]}', "witness"),
+    "td-pair-not-list": ('{"td_pair": 45}', "td_pair"),
+    "td-pair-short": ('{"td_pair": [1, 2, 3]}', "td_pair"),
+    "td-pair-entry-string": ('{"td_pair": [45, 0, "-45", 0]}', "td_pair"),
+    "td-pair-entry-bool": ('{"td_pair": [45, 0, -45, false]}', "td_pair"),
+    "spectral-not-object": ('{"spectral": 0.05}', "spectral"),
+    "unknown-spectral-key": ('{"spectral": {"window": "hann"}}', "window"),
+    "bad-family": ('{"spectral": {"family": "linear"}}', "spectral.family"),
+    "prominence-string": ('{"spectral": {"min_prominence": "low"}}', "spectral.min_prominence"),
+    "prominence-below-0": ('{"spectral": {"min_prominence": -0.1}}', "spectral.min_prominence"),
+    "prominence-above-1": ('{"spectral": {"min_prominence": 1.5}}', "spectral.min_prominence"),
+    "choi-not-object": ('{"choi": [1, 20, 0.1]}', "choi"),
+    "unknown-choi-key": ('{"choi": {"t0": 0}}', "t0"),
+    "choi-t1-string": ('{"choi": {"t1": "1"}}', "choi.t1"),
+    "choi-t1-negative": ('{"choi": {"t1": -1}}', "t1"),
+    "choi-dt-zero": ('{"choi": {"dt": 0}}', "dt"),
+    "choi-t2max-not-after-t1": ('{"choi": {"t1": 5, "t2_max": 5}}', "t2_max"),
+    "output-dir-not-string": ('{"output_dir": 7}', "output_dir"),
+}
 
 
 def read_csv(path):
@@ -66,6 +125,82 @@ class TestParseConfig:
     def test_invalid_json_rejected(self):
         with pytest.raises(ConfigError, match="JSON"):
             parse_config("{not json}")
+
+    @pytest.mark.parametrize("text, key", CONFIG_FAULTS.values(), ids=CONFIG_FAULTS.keys())
+    def test_each_fault_names_its_key(self, text, key, tmp_path, capsys):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text)
+        assert key in str(excinfo.value)
+        if key == "walk.steps":  # and through main: exit code 2, key on stderr
+            path = tmp_path / "config.json"
+            path.write_text(text)
+            assert main(["walk", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+            assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"walk": {"coin_angle": Infinity}}', "walk.coin_angle"),
+            ('{"noise": {"model": "rtn", "a": NaN, "gamma": 1}}', "noise.a"),
+            ('{"td_pair": [45, 0, -Infinity, 0]}', "td_pair"),
+            ('{"choi": {"dt": NaN}}', "choi.dt"),
+            ('{"choi": {"t2_max": 1%s}}' % ("0" * 400), "choi.t2_max"),  # no float holds it
+        ],
+        ids=["angle-infinity", "noise-nan", "td-pair-infinity", "choi-nan", "choi-huge-int"],
+    )
+    def test_non_finite_number_rejected(self, text, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(text)
+
+    def test_default_echo(self):
+        defaults = {
+            "walk": {
+                "steps": 100,
+                "coin_angle": 45.0,
+                "delta": 45.0,
+                "eta": 0.0,
+                "initial_position": 0,
+            },
+            "noise": {"model": "none"},
+            "mode": "one_shot",
+            "witnesses": ["TD"],
+            "td_pair": [45.0, 0.0, -45.0, 0.0],
+            "spectral": {"family": "exponential", "min_prominence": 0.05},
+            "choi": {"t1": 1.0, "t2_max": 20.0, "dt": 0.1},
+            "output_dir": "out",
+        }
+        pln = {"model": "pln", "Gamma": 5.0, "gamma": 0.05, "alpha": 2.0}
+        echo = parse_config("{}").echo
+        pln_echo = parse_config('{"noise": {"model": "pln", "Gamma": 5, "gamma": 0.05}}').echo
+        # compared as JSON text too, so 45 and 45.0 differ as in metadata.json
+        assert echo == defaults
+        assert parse_config('{"noise": null}').echo == defaults
+        assert json.dumps(echo, sort_keys=True) == json.dumps(defaults, sort_keys=True)
+        assert pln_echo == {**defaults, "noise": pln}
+        assert json.dumps(pln_echo["noise"], sort_keys=True) == json.dumps(pln, sort_keys=True)
+
+    def test_readme_example_parses(self):
+        readme = README.read_text(encoding="utf-8")
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        echo = parse_config(example).echo
+        for key, value in json.loads(example).items():
+            if isinstance(value, dict):
+                assert echo[key] == {**echo[key], **value}
+            else:
+                assert echo[key] == value
+
+    def test_readme_reference_lists_every_key(self):
+        readme = README.read_text(encoding="utf-8")
+        noise = [
+            '{"model": "rtn", "a": 1, "gamma": 1}',
+            '{"model": "oun", "Gamma": 1, "gamma": 1}',
+            '{"model": "pln", "Gamma": 1, "gamma": 1}',
+        ]
+        for doc in ["{}", *(f'{{"noise": {n}}}' for n in noise)]:
+            for key, value in parse_config(doc).echo.items():
+                paths = [f"{key}.{sub}" for sub in value] if isinstance(value, dict) else [key]
+                for path in paths:
+                    assert f"`{path}`" in readme, path
 
     def test_echo_round_trips(self):
         text = (
