@@ -12,7 +12,6 @@ sources.
 from .divisibility import (
     ChoiScanPoint,
     ChoiScanResult,
-    KernelRatio,
     SignedKrausSet,
     apply_signed,
     choi_eigenvalues,
@@ -35,18 +34,14 @@ from .noise import (
     OunParams,
     PlnParams,
     RtnParams,
-    autocorrelation,
     kernel_value,
     kraus_at,
     oun_p,
     pln_p,
     rtn_lambda,
-    rtn_psd_peak,
 )
 from .qops import (
     check_density_matrix,
-    check_pure_state,
-    density_from_pure,
     entropy_of_spectrum,
     partial_trace,
     purity,
@@ -100,7 +95,6 @@ __all__ = [
     "EdgeAmplitudeError",
     "FitError",
     "KernelRangeError",
-    "KernelRatio",
     "MidResult",
     "MonotoneFit",
     "NmqwalkError",
@@ -116,14 +110,11 @@ __all__ = [
     "WalkConfig",
     "WitnessSeries",
     "apply_signed",
-    "autocorrelation",
     "check_density_matrix",
-    "check_pure_state",
     "choi_eigenvalues",
     "coin_entropy",
     "coin_operator",
     "cp_divisibility_scan",
-    "density_from_pure",
     "detrend",
     "disambiguate",
     "discord",
@@ -149,7 +140,6 @@ __all__ = [
     "power_spectrum",
     "purity",
     "rtn_lambda",
-    "rtn_psd_peak",
     "step_amplitudes",
     "trace_distance",
     "trace_norm",

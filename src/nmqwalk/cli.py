@@ -32,7 +32,13 @@ import numpy as np
 from .divisibility import cp_divisibility_scan
 from .exceptions import ConfigError, NmqwalkError
 from .noise import NoiseModel, OunParams, PlnParams, RtnParams
-from .spectral import FIT_FAMILIES, TimeSeries, disambiguate
+from .spectral import (
+    DEFAULT_FIT_FAMILY,
+    DEFAULT_MIN_PROMINENCE,
+    FIT_FAMILIES,
+    TimeSeries,
+    disambiguate,
+)
 from .walk import (
     WalkConfig,
     distribution_variance,
@@ -81,7 +87,10 @@ _SCHEMA = {
     "mode": (get_args(EvolutionMode), "one_shot"),
     "witnesses": (_ListOf(WITNESS_TAGS), ["TD"]),
     "td_pair": (_ListOf(_ANGLE, 4), [math.degrees(a) for a in DEFAULT_TD_PAIR]),
-    "spectral": {"family": (FIT_FAMILIES, "exponential"), "min_prominence": (float, 0.05)},
+    "spectral": {
+        "family": (FIT_FAMILIES, DEFAULT_FIT_FAMILY),
+        "min_prominence": (float, DEFAULT_MIN_PROMINENCE),
+    },
     "choi": {"t1": (float, 1.0), "t2_max": (float, 20.0), "dt": (float, 0.1)},
     "output_dir": (str, "out"),
 }

@@ -25,15 +25,6 @@ CP_EIGENVALUE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class KernelRatio:
-    """Ratio r = k(t2)/k(t1) parameterizing an intermediate dephasing map."""
-
-    r: float
-    t1: float = 0.0
-    t2: float = 0.0
-
-
-@dataclass(frozen=True)
 class SignedKrausSet:
     """Operators with signs realizing sum_j sign_j K_j rho K_j^dag.
 
@@ -56,37 +47,37 @@ class ChoiScanPoint:
 
 @dataclass(frozen=True)
 class ChoiScanResult:
-    t1: float
     points: tuple[ChoiScanPoint, ...] = field(repr=False)
     non_markovian_by_cp: bool = False
 
 
-def kernel_ratio(noise: NoiseModel, t1: float, t2: float) -> KernelRatio:
-    """Intermediate-map parameter k(t2)/k(t1); fails if k(t1) ~ 0."""
-    if t2 <= t1:
-        raise ValueError(f"need t2 > t1, got t1={t1}, t2={t2}")
+def kernel_ratio(noise: NoiseModel, t1: float, t2):
+    """Intermediate-map parameter r = k(t2)/k(t1), elementwise for an array t2.
+
+    Fails if any t2 <= t1, or if k(t1) ~ 0.
+    """
+    if np.any(np.asarray(t2) <= t1):
+        raise ValueError(f"need t2 > t1, got t1={t1}, t2={np.min(t2)}")
     k1 = float(kernel_value(noise, t1))
     if abs(k1) <= KERNEL_ZERO_TOL:
         raise NonInvertibleMapError(
             f"kernel vanishes at t1={t1}; the map from 0 to t1 is not invertible"
         )
-    k2 = float(kernel_value(noise, t2))
-    return KernelRatio(r=k2 / k1, t1=t1, t2=t2)
+    return kernel_value(noise, t2) / k1
 
 
-def choi_eigenvalues(ratio: KernelRatio) -> tuple[float, float, float, float]:
+def choi_eigenvalues(r):
     """Eigenvalues (0, 0, 1 - r, 1 + r) of the intermediate Choi matrix."""
-    return (0.0, 0.0, 1.0 - ratio.r, 1.0 + ratio.r)
+    return (0.0, 0.0, 1.0 - r, 1.0 + r)
 
 
-def intermediate_kraus(ratio: KernelRatio) -> SignedKrausSet:
+def intermediate_kraus(r: float) -> SignedKrausSet:
     """Signed Kraus pair of the intermediate map, K+- = sqrt(|1 +- r|/2) diag(1, +-1).
 
     The sign -1 is attached to whichever operator folds a negative Choi
     eigenvalue (K- when r > 1, K+ when r < -1); this is the unique
     assignment under which sum_j sign_j K_j^dag K_j = I.
     """
-    r = ratio.r
     k_plus = np.sqrt(abs(1.0 + r) / 2.0) * np.eye(2, dtype=complex)
     k_minus = np.sqrt(abs(1.0 - r) / 2.0) * SIGMA_3
     sign_plus = -1 if (1.0 + r) < 0 else 1
@@ -107,9 +98,14 @@ def apply_signed(rho: np.ndarray, ks: SignedKrausSet) -> np.ndarray:
     return out
 
 
-def is_cp(ratio: KernelRatio, tol: float = CP_EIGENVALUE_TOL) -> bool:
-    """Complete positivity of the intermediate map: no negative Choi eigenvalue."""
-    return bool(min(choi_eigenvalues(ratio)) >= -tol)
+def is_cp(r):
+    """Complete positivity of the intermediate map: no negative Choi eigenvalue.
+
+    Elementwise for an array r; a NaN r is not CP.
+    """
+    _, _, l3, l4 = choi_eigenvalues(r)
+    cp = np.minimum(l3, l4) >= -CP_EIGENVALUE_TOL
+    return cp if cp.ndim else bool(cp)
 
 
 def cp_divisibility_scan(
@@ -117,19 +113,21 @@ def cp_divisibility_scan(
 ) -> ChoiScanResult:
     """Classify the intermediate map E(t2, t1) over a grid of t2 values.
 
-    Grid points whose preceding map is non-invertible (kernel ~ 0 at t1)
-    are flagged rather than failing the whole scan.
+    If the kernel vanishes at t1, no intermediate map exists: every point
+    is flagged non-invertible (NaN eigenvalues, not CP) rather than failing
+    the whole scan.
     """
-    points = []
-    violation = False
-    for t2 in np.asarray(t2_grid, dtype=float):
-        try:
-            ratio = kernel_ratio(noise, t1, float(t2))
-        except NonInvertibleMapError:
-            points.append(ChoiScanPoint(float(t2), np.nan, np.nan, False, False))
-            continue
-        _, _, l3, l4 = choi_eigenvalues(ratio)
-        cp = is_cp(ratio)
-        violation = violation or not cp
-        points.append(ChoiScanPoint(float(t2), l3, l4, cp, True))
-    return ChoiScanResult(t1=t1, points=tuple(points), non_markovian_by_cp=violation)
+    t2 = np.asarray(t2_grid, dtype=float)
+    try:
+        r = kernel_ratio(noise, t1, t2)
+        invertible = True
+    except NonInvertibleMapError:
+        r = np.full(t2.shape, np.nan)
+        invertible = False
+    _, _, l3, l4 = choi_eigenvalues(r)
+    cp = is_cp(r)
+    points = tuple(
+        ChoiScanPoint(*row, invertible)
+        for row in zip(t2.tolist(), l3.tolist(), l4.tolist(), cp.tolist())
+    )
+    return ChoiScanResult(points=points, non_markovian_by_cp=invertible and not cp.all())

@@ -4,8 +4,7 @@ Each model is fully characterized by a scalar decoherence kernel k(t) that
 multiplies the coin coherences: Lambda(t) for random telegraph noise and
 P(t) for the OU / power-law models. One walk step corresponds to one unit
 of kernel time. Kernels are evaluated in closed form; no stochastic
-trajectories are sampled. The autocorrelation functions of the underlying
-classical processes are provided for spectral reference.
+trajectories are sampled.
 """
 
 from __future__ import annotations
@@ -53,23 +52,16 @@ class OunParams:
 
 @dataclass(frozen=True)
 class PlnParams:
-    """Power-law noise: relaxation rate Gamma, bandwidth gamma, exponent alpha.
-
-    alpha enters only the autocorrelation; the kernel P(t) does not depend
-    on it.
-    """
+    """Power-law noise: relaxation rate Gamma, bandwidth gamma."""
 
     Gamma: float
     gamma: float
-    alpha: float = 2.0
 
     def __post_init__(self):
         if self.Gamma < 0:
             raise ValueError(f"PLN Gamma must be >= 0, got {self.Gamma}")
         if self.gamma <= 0:
             raise ValueError(f"PLN gamma must be > 0, got {self.gamma}")
-        if self.alpha <= 1:
-            raise ValueError(f"PLN alpha must be > 1, got {self.alpha}")
 
 
 #: A noise model is one of the three parameter records, or None (no noise).
@@ -155,22 +147,3 @@ def kraus_at(noise: NoiseModel, t: float) -> list[np.ndarray]:
     k2 = np.sqrt((1.0 - k) / 2.0) * SIGMA_3
     return [k1, k2]
 
-
-def autocorrelation(noise: NoiseModel, t: float, s: float) -> float:
-    """Two-time autocorrelation of the underlying classical noise process."""
-    if noise is None:
-        raise ValueError("autocorrelation requires a concrete noise model")
-    tau = abs(t - s)
-    if isinstance(noise, RtnParams):
-        return noise.a**2 * float(np.exp(-noise.gamma * tau))
-    if isinstance(noise, OunParams):
-        return noise.Gamma * noise.gamma * float(np.exp(-noise.gamma * tau))
-    if isinstance(noise, PlnParams):
-        al = noise.alpha
-        return 0.5 * (al - 1.0) * al * noise.Gamma / (noise.gamma * tau + 1.0) ** al
-    raise TypeError(f"unknown noise model {noise!r}")
-
-
-def rtn_psd_peak(p: RtnParams) -> float:
-    """Peak of the Lorentzian power spectral density of RTN: 2 a^2 / gamma."""
-    return 2.0 * p.a**2 / p.gamma

@@ -29,15 +29,6 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
 
 
-def check_pure_state(psi: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate a state vector (unit norm within tol) and return it."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm2 = float(np.real(np.vdot(psi, psi)))
-    if abs(norm2 - 1.0) > tol:
-        raise ValueError(f"state vector norm^2 = {norm2!r}, expected 1 within {tol}")
-    return psi
-
-
 def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, near-PSD.
 
@@ -59,12 +50,6 @@ def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     if wmin < -POSITIVITY_TOL:
         raise ValueError(f"density matrix has eigenvalue {wmin} < -1e-10")
     return rho
-
-
-def density_from_pure(psi: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a (validated) state vector."""
-    psi = check_pure_state(psi)
-    return np.outer(psi, psi.conj())
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:

@@ -23,6 +23,9 @@ from scipy.optimize import curve_fit, isotonic_regression
 from .exceptions import FitError
 
 FIT_FAMILIES = ("isotonic", "exponential")
+DEFAULT_FIT_FAMILY = "exponential"
+#: peaks below this fraction of the largest power are dropped
+DEFAULT_MIN_PROMINENCE = 0.05
 _MAX_FIT_EVALS = 10_000
 _UNIFORM_SPACING_TOL = 1e-9
 
@@ -119,7 +122,7 @@ def _exponential_init(times: np.ndarray, values: np.ndarray) -> tuple[float, flo
     return a0, b0, c0
 
 
-def fit_mfbf(s: TimeSeries, family: str = "exponential") -> MonotoneFit:
+def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
     """Monotonically falling best fit of a series.
 
     The isotonic family solves the weighted least-squares problem under
@@ -186,7 +189,7 @@ def power_spectrum(s: TimeSeries) -> Spectrum:
     return Spectrum(frequencies=freqs, power=spec * scale)
 
 
-def find_peaks(sp: Spectrum, min_prominence: float = 0.05) -> list[Peak]:
+def find_peaks(sp: Spectrum, min_prominence: float = DEFAULT_MIN_PROMINENCE) -> list[Peak]:
     """Strict local maxima above a fraction of the maximum power.
 
     The f = 0 bin and the endpoints (which lack two neighbors) are
@@ -205,7 +208,9 @@ def find_peaks(sp: Spectrum, min_prominence: float = 0.05) -> list[Peak]:
 
 
 def disambiguate(
-    s: TimeSeries, family: str = "exponential", min_prominence: float = 0.05
+    s: TimeSeries,
+    family: str = DEFAULT_FIT_FAMILY,
+    min_prominence: float = DEFAULT_MIN_PROMINENCE,
 ) -> DisambiguationReport:
     """Run fit -> detrend -> spectrum -> peaks and summarize peak strengths."""
     fit = fit_mfbf(s, family)

@@ -169,10 +169,13 @@ def evolve_stepwise(
     """Yield (t, rho_t) with intermediate dephasing maps between steps.
 
     The map applied after step t has ratio k(t)/k(t-1) and is not
-    completely positive whenever |k| grows between consecutive steps, so
-    yielded matrices can have (slightly) negative eigenvalues in
-    information-backflow regimes. Raises NonInvertibleMapError if the
-    kernel vanishes at an intermediate step.
+    completely positive whenever |k| grows between consecutive steps. Near
+    a zero of the kernel that ratio grows without bound, and the yielded
+    matrices leave the state space by whole units: for RTN a=0.05,
+    gamma=0.008 the minimum eigenvalue is -0.27 at t = 18 and -6.6 at
+    t = 60. Such states are neither checked nor reported yet; how to treat
+    them is an open item of ROADMAP.md. Raises NonInvertibleMapError if
+    the kernel vanishes exactly at an intermediate step.
     """
     np_ = cfg.n_positions
     coin = coin_operator(cfg.coin_angle)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nmqwalk.divisibility import (
-    KernelRatio,
     apply_signed,
     choi_eigenvalues,
     cp_divisibility_scan,
@@ -21,7 +20,7 @@ def dephase(rho, k):
     return out
 
 
-def intermediate_choi(ratio):
+def intermediate_choi(r):
     """Unnormalized Choi matrix of the intermediate dephasing map (test oracle).
 
     Built by applying the map to half of |Phi+> = |00> + |11>: ones at
@@ -29,7 +28,7 @@ def intermediate_choi(ratio):
     """
     m = np.zeros((4, 4), dtype=complex)
     m[0, 0] = m[3, 3] = 1.0
-    m[0, 3] = m[3, 0] = ratio.r
+    m[0, 3] = m[3, 0] = r
     return m
 
 
@@ -43,28 +42,27 @@ def random_qubit_states(n, seed):
 class TestChoi:
     def test_closed_form_matches_numeric_spectrum(self):
         for r in (-1.7, -0.3, 0.0, 0.8, 1.0, 2.4):
-            analytic = np.sort(choi_eigenvalues(KernelRatio(r=r)))
-            numeric = np.sort(np.linalg.eigvalsh(intermediate_choi(KernelRatio(r=r))))
+            analytic = np.sort(choi_eigenvalues(r))
+            numeric = np.sort(np.linalg.eigvalsh(intermediate_choi(r)))
             np.testing.assert_allclose(numeric, analytic, atol=1e-12)
 
     def test_cp_iff_ratio_within_unit_interval(self):
-        assert is_cp(KernelRatio(r=0.9))
-        assert is_cp(KernelRatio(r=-1.0))
-        assert not is_cp(KernelRatio(r=1.2))
-        assert not is_cp(KernelRatio(r=-1.0000001))
+        assert is_cp(0.9)
+        assert is_cp(-1.0)
+        assert not is_cp(1.2)
+        assert not is_cp(-1.0000001)
+        assert is_cp(np.array([0.9, -1.0, 1.2, -1.0000001])).tolist() == [True, True, False, False]
 
     def test_ratio_continuity_near_t1(self):
         noise = RtnParams(a=0.9, gamma=0.05)
-        ratio = kernel_ratio(noise, 1.0, 1.0 + 1e-8)
-        _, _, l3, _ = choi_eigenvalues(ratio)
+        _, _, l3, _ = choi_eigenvalues(kernel_ratio(noise, 1.0, 1.0 + 1e-8))
         assert abs(l3) < 1e-6
 
 
 class TestKernelRatio:
     def test_value(self):
         noise = OunParams(Gamma=1.0, gamma=0.05)
-        ratio = kernel_ratio(noise, 2.0, 5.0)
-        assert ratio.r == pytest.approx(
+        assert kernel_ratio(noise, 2.0, 5.0) == pytest.approx(
             kernel_value(noise, 5.0) / kernel_value(noise, 2.0)
         )
 
@@ -83,7 +81,7 @@ class TestKernelRatio:
 class TestSignedKraus:
     @pytest.mark.parametrize("r", [-1.6, -0.4, 0.0, 0.7, 1.0, 1.9])
     def test_generalized_completeness(self, r):
-        ks = intermediate_kraus(KernelRatio(r=r))
+        ks = intermediate_kraus(r)
         total = sum(
             s * (op.conj().T @ op) for op, s in zip(ks.operators, ks.signs)
         )
@@ -91,16 +89,16 @@ class TestSignedKraus:
 
     @pytest.mark.parametrize("r", [-1.6, -0.4, 0.7, 1.9])
     def test_action_equals_coherence_scaling(self, r):
-        ks = intermediate_kraus(KernelRatio(r=r))
+        ks = intermediate_kraus(r)
         for rho in random_qubit_states(20, seed=17):
             np.testing.assert_allclose(
                 apply_signed(rho, ks), dephase(rho, r), atol=1e-13
             )
 
     def test_signs_follow_negative_choi_eigenvalue(self):
-        assert intermediate_kraus(KernelRatio(r=1.5)).signs == (1, -1)
-        assert intermediate_kraus(KernelRatio(r=-1.5)).signs == (-1, 1)
-        assert intermediate_kraus(KernelRatio(r=0.5)).signs == (1, 1)
+        assert intermediate_kraus(1.5).signs == (1, -1)
+        assert intermediate_kraus(-1.5).signs == (-1, 1)
+        assert intermediate_kraus(0.5).signs == (1, 1)
 
 
 class TestComposition:
@@ -137,3 +135,19 @@ class TestScan:
         result = cp_divisibility_scan(OunParams(Gamma=1.0, gamma=5.0), 1.0, self.GRID)
         assert not result.non_markovian_by_cp
         assert all(p.is_cp and p.invertible for p in result.points)
+
+    def test_kernel_zero_at_t1_flags_every_point(self, monkeypatch):
+        import nmqwalk.divisibility as div
+
+        monkeypatch.setattr(div, "kernel_value", lambda noise, t: np.zeros_like(t, dtype=float))
+        result = cp_divisibility_scan(RtnParams(a=0.9, gamma=0.05), 1.0, self.GRID)
+        assert len(result.points) == len(self.GRID)
+        for p in result.points:
+            assert not p.invertible and not p.is_cp
+            assert np.isnan(p.lambda3) and np.isnan(p.lambda4)
+        assert not result.non_markovian_by_cp
+
+    @pytest.mark.parametrize("grid", [[1.5, 1.0, 2.0], [0.5], [1.5, 0.9]])
+    def test_grid_entry_not_after_t1_rejected(self, grid):
+        with pytest.raises(ValueError, match="t2 > t1"):
+            cp_divisibility_scan(OunParams(Gamma=1.0, gamma=5.0), 1.0, grid)

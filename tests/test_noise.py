@@ -13,13 +13,11 @@ from nmqwalk.noise import (
     OunParams,
     PlnParams,
     RtnParams,
-    autocorrelation,
     kernel_value,
     kraus_at,
     oun_p,
     pln_p,
     rtn_lambda,
-    rtn_psd_peak,
 )
 
 TIMES = np.arange(0.0, 50.5, 0.5)
@@ -177,25 +175,8 @@ class TestParamsAndDispatch:
             lambda: OunParams(Gamma=-1.0, gamma=1.0),
             lambda: OunParams(Gamma=1.0, gamma=-1.0),
             lambda: PlnParams(Gamma=-1.0, gamma=1.0),
-            lambda: PlnParams(Gamma=1.0, gamma=1.0, alpha=1.0),
         ],
     )
     def test_parameter_ranges_enforced(self, bad):
         with pytest.raises(ValueError):
             bad()
-
-
-class TestAutocorrelation:
-    def test_rtn_at_zero_lag(self):
-        assert autocorrelation(RtnParams(a=2.0, gamma=1.0), 5.0, 5.0) == pytest.approx(4.0)
-
-    def test_rtn_exponential_decay(self):
-        p = RtnParams(a=1.0, gamma=0.5)
-        assert autocorrelation(p, 3.0, 1.0) == pytest.approx(math.exp(-1.0))
-
-    def test_pln_value(self):
-        p = PlnParams(Gamma=1.0, gamma=1.0, alpha=3.0)
-        assert autocorrelation(p, 1.0, 0.0) == pytest.approx(3.0 / 8.0)
-
-    def test_psd_peak(self):
-        assert rtn_psd_peak(RtnParams(a=3.0, gamma=2.0)) == pytest.approx(9.0)

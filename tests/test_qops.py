@@ -4,16 +4,15 @@ import pytest
 from nmqwalk.exceptions import DimensionMismatchError
 from nmqwalk.qops import (
     check_density_matrix,
-    check_pure_state,
-    density_from_pure,
     entropy_of_spectrum,
     partial_trace,
     purity,
     trace_norm,
     von_neumann_entropy,
 )
+from nmqwalk.walk import density_from_amplitudes
 
-BELL = density_from_pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
+BELL = density_from_amplitudes(np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
 def random_density(rng, dim):
@@ -94,10 +93,6 @@ class TestValidation:
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             check_density_matrix(np.diag([1.5, -0.5]))
-
-    def test_unnormalized_vector_rejected(self):
-        with pytest.raises(ValueError, match="norm"):
-            check_pure_state(np.array([1.0, 1.0]))
 
 
 class TestNormsAndSpectra:

@@ -7,9 +7,10 @@ from conftest import dense_one_shot, density_from_factor
 import nmqwalk.witness as witness_mod
 from nmqwalk.exceptions import DimensionMismatchError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kraus_at
-from nmqwalk.qops import density_from_pure, partial_trace
+from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
     WalkConfig,
+    density_from_amplitudes,
     distribution_variance,
     evolve_one_shot,
     evolve_stepwise,
@@ -28,9 +29,9 @@ from nmqwalk.witness import (
     witness_series,
 )
 
-BELL = density_from_pure(np.array([1, 0, 0, 1]) / np.sqrt(2))
-PLUS = density_from_pure(np.array([1, 1]) / np.sqrt(2))
-MINUS = density_from_pure(np.array([1, -1]) / np.sqrt(2))
+BELL = density_from_amplitudes(np.array([1, 0, 0, 1]) / np.sqrt(2))
+PLUS = density_from_amplitudes(np.array([1, 1]) / np.sqrt(2))
+MINUS = density_from_amplitudes(np.array([1, -1]) / np.sqrt(2))
 
 
 def random_density(rng, dim):
