@@ -277,7 +277,7 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     dist_rows = []
     var_rows = []
     for t, state in evolve(cfg.walk, cfg.noise):  # Kraus factor or density matrix
-        probs = position_distribution(state, cfg.walk.n_positions)
+        probs = position_distribution(state)
         for x, p in zip(positions, probs):
             if p > _PROB_EMIT_TOL:
                 dist_rows.append((t, int(x), p))

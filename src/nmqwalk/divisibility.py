@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NonInvertibleMapError
-from .noise import SIGMA_3, NoiseModel, kernel_value
+from .noise import KERNEL_ZERO_TOL, SIGMA_3, NoiseModel, kernel_value
 
-KERNEL_ZERO_TOL = 1e-14
 CP_EIGENVALUE_TOL = 1e-12
 
 

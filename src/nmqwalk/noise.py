@@ -17,6 +17,9 @@ from .exceptions import KernelRangeError
 
 SIGMA_3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 
+#: |k(t)| at or below this is a kernel zero: the map from 0 to t has no inverse
+KERNEL_ZERO_TOL = 1e-14
+
 # tolerance for treating the RTN discriminant (2a/gamma)^2 - 1 as zero
 _CRITICAL_TOL = 1e-12
 _KERNEL_SLACK = 1e-12
@@ -113,7 +116,7 @@ def pln_p(p: PlnParams, t):
     """
     t = np.asarray(t, dtype=float)
     g = p.gamma
-    out = np.exp(-t * (t * g + 2.0) * p.Gamma * g / (2.0 * (t * g + 1.0) ** 2))
+    out = np.exp(-t * (t * g + 2.0) * p.Gamma * g / (2.0 * np.square(t * g + 1.0)))
     return out if out.ndim else float(out)
 
 
@@ -134,11 +137,9 @@ def kraus_at(noise: NoiseModel, t: float) -> list[np.ndarray]:
     """Kraus pair of the dephasing map from 0 to t on the coin qubit.
 
     K1 = sqrt((1+k)/2) I and K2 = sqrt((1-k)/2) sigma_3 where k is the
-    kernel value at t. Completeness K1^dag K1 + K2^dag K2 = I is exact up
-    to floating point.
+    kernel value at t, so no noise (None, k = 1) gives the pair (I, 0).
+    Completeness K1^dag K1 + K2^dag K2 = I is exact up to floating point.
     """
-    if noise is None:
-        raise ValueError("kraus_at requires a concrete noise model, not None")
     k = float(kernel_value(noise, t))
     if not abs(k) <= 1.0 + _KERNEL_SLACK:  # also rejects NaN
         raise KernelRangeError(f"kernel value {k} at t={t} outside [-1, 1]")

@@ -32,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import EdgeAmplitudeError, NonInvertibleMapError
-from .noise import NoiseModel, kernel_value, kraus_at
+from .exceptions import DimensionMismatchError, EdgeAmplitudeError, NonInvertibleMapError
+from .noise import KERNEL_ZERO_TOL, NoiseModel, kernel_value, kraus_at
 
 EDGE_AMPLITUDE_TOL = 1e-14
-_INVERTIBILITY_TOL = 1e-14
 
 #: position displacement per step, indexed by coin basis state
 _COIN_SHIFT = (-1, +1)
@@ -67,10 +66,6 @@ class WalkConfig:
     @property
     def n_positions(self) -> int:
         return 2 * (self.steps + 1) + 1
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_positions
 
 
 def lattice_positions(steps: int) -> np.ndarray:
@@ -146,10 +141,8 @@ def evolve_one_shot(
     matrix: the channel is completely positive for any kernel value in
     [-1, 1], and a value outside it raises KernelRangeError.
     """
-    no_noise = (np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
     for t, amps in enumerate(evolve_noiseless(cfg)):
-        kraus = no_noise if noise is None else kraus_at(noise, float(t))
-        yield t, np.einsum("rcd,dj->cjr", kraus, amps)
+        yield t, np.einsum("rcd,dj->cjr", kraus_at(noise, float(t)), amps)
 
 
 def _walk_density(rho: np.ndarray, coin: np.ndarray, n_positions: int) -> np.ndarray:
@@ -183,7 +176,7 @@ def evolve_stepwise(
     yield 0, rho.copy()
     k_prev = float(kernel_value(noise, 0.0))
     for t in range(1, cfg.steps + 1):
-        if abs(k_prev) <= _INVERTIBILITY_TOL:
+        if abs(k_prev) <= KERNEL_ZERO_TOL:
             raise NonInvertibleMapError(
                 f"kernel vanishes at t={t - 1}; stepwise evolution cannot continue"
             )
@@ -199,20 +192,20 @@ def evolve_stepwise(
         yield t, rho.copy()
 
 
-def position_distribution(state: np.ndarray, n_positions: int | None = None) -> np.ndarray:
-    """Position probabilities of an amplitude array, Kraus factor or density matrix.
+def position_distribution(state: np.ndarray) -> np.ndarray:
+    """Position probabilities of a (2, n, r) factor or a (2n, 2n) density matrix.
 
-    A one-shot Kraus factor has shape (2, n_positions, 2).
+    A factor gives rho = sum_r b_r b_r^dag: r = 2 for the one-shot Kraus
+    factor, r = 1 for an amplitude array passed as ``amps[..., None]``.
     """
     state = np.asarray(state)
-    if state.ndim == 3:
+    if state.ndim == 3 and state.shape[0] == 2:
         return np.sum(np.abs(state) ** 2, axis=(0, 2))
-    if state.ndim == 2 and state.shape[0] == 2 and state.shape[1] != state.shape[0]:
-        return np.sum(np.abs(state) ** 2, axis=0).real
-    if n_positions is None:
-        n_positions = state.shape[0] // 2
+    if state.ndim != 2 or state.shape[0] != state.shape[1] or state.shape[0] % 2:
+        raise DimensionMismatchError(f"not a (2, n, r) factor or (2n, 2n) state: {state.shape}")
     diag = np.real(np.diag(state))
-    return diag[:n_positions] + diag[n_positions:]
+    n = len(diag) // 2
+    return diag[:n] + diag[n:]
 
 
 def distribution_variance(probs: np.ndarray, positions: np.ndarray) -> float:

@@ -6,17 +6,21 @@ mutual information, measurement-induced disturbance (MID), quantum
 discord, coin entropy, and position variance. All entropic quantities are
 in bits.
 
-The series driver evolves the walk once for all requested witnesses (plus
-the two trace-distance walkers when TD is requested) and computes each
-state's reductions and entropies once, in a per-state cache shared by
-every witness; states are streamed one step at a time so memory stays flat
-in the walk length. One-shot states arrive as their rank-2 Kraus factor
-and are measured through it: every spectrum comes from a 2 x 2 matrix
-(B^dag B for S(rho), the coin block, the Gram matrix of the position
-marginal), the MID outcome table spans the support of the position
-marginal only, and the discord Gram blocks are read off the factor, so no
-(2 n_positions)^2 matrix is formed. Stepwise states, and the arguments of
-the public single-state functions, are dense density matrices.
+A walk state is either form the walk yields, told apart by its shape, which
+also gives the lattice size n: a one-shot Kraus factor of shape (2, n, 2),
+whose columns ``b_r = (K_r (x) I) psi`` for the :func:`nmqwalk.noise.kraus_at`
+pair give ``rho = sum_r b_r b_r^dag``, or a dense (2n, 2n) density matrix.
+The series driver and the public single-state functions take either form.
+The driver evolves the walk once for all requested witnesses (plus the two
+trace-distance walkers when TD is requested) and computes each state's
+reductions and entropies once, in a per-state cache shared by every
+witness; states are streamed one step at a time so memory stays flat in
+the walk length. A factor is measured through itself: every spectrum comes
+from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the Gram matrix of
+the position marginal), the MID outcome table spans the support of the
+position marginal only, and the discord Gram blocks are read off the
+factor, so no (2n)^2 matrix is formed. The tests check the factor path
+against the dense one.
 """
 
 from __future__ import annotations
@@ -96,16 +100,6 @@ class DiscordResult:
     classical_correlation: float
 
 
-def _check_split(rho: np.ndarray, split: tuple[int, int]) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    dc, dp = split
-    if rho.shape != (dc * dp, dc * dp):
-        raise DimensionMismatchError(
-            f"state of shape {rho.shape} does not factor as ({dc}*{dp})^2"
-        )
-    return rho
-
-
 def _entropy(rho: np.ndarray) -> float:
     """Entropy in bits from the spectrum; tolerant of tiny negative parts."""
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
@@ -127,7 +121,7 @@ class _Reductions:
 
     Each quantity is computed on first use and kept, so the witnesses that
     share it (MI inside MID and discord, S(rho_p) inside discord) read one
-    value instead of recomputing it. A subclass provides ``split``, ``coin``,
+    value instead of recomputing it. A subclass provides ``coin``,
     ``position_entropy``, ``joint_entropy``, ``position_basis``,
     ``outcome_table`` and ``coin_gram``.
     """
@@ -142,19 +136,19 @@ class _Reductions:
 
 
 class _State(_Reductions):
-    """One dense coin (x) position density matrix."""
+    """One dense coin (x) position density matrix of shape (2n, 2n)."""
 
-    def __init__(self, rho: np.ndarray, split: tuple[int, int]):
-        self.rho = _check_split(rho, split)
-        self.split = split
+    def __init__(self, rho: np.ndarray):
+        self.rho = rho
+        self._dims = (2, rho.shape[0] // 2)
 
     @cached_property
     def coin(self) -> np.ndarray:
-        return partial_trace(self.rho, self.split, "coin")
+        return partial_trace(self.rho, self._dims, "coin")
 
     @cached_property
     def position(self) -> np.ndarray:
-        return partial_trace(self.rho, self.split, "position")
+        return partial_trace(self.rho, self._dims, "position")
 
     @cached_property
     def position_entropy(self) -> float:
@@ -176,23 +170,21 @@ class _State(_Reductions):
 
     @cached_property
     def coin_gram(self) -> np.ndarray:
-        dc, dp = self.split
         w, v = np.linalg.eigh(self.rho)
         keep = w > EIGENVALUE_CUTOFF
-        return _gram_blocks((v[:, keep] * np.sqrt(w[keep])).reshape(dc, dp, -1))
+        return _gram_blocks((v[:, keep] * np.sqrt(w[keep])).reshape(*self._dims, -1))
 
 
 class _FactorState(_Reductions):
     """A one-shot state rho = sum_r b_r b_r^dag, held as its Kraus factor.
 
-    ``factor`` has shape (2, n_positions, 2): coin, position, Kraus index
-    (see :func:`nmqwalk.walk.evolve_one_shot`). Every spectrum is taken from
-    a 2 x 2 matrix, so no (2 n_positions)^2 state is ever formed.
+    ``factor`` has shape (2, n, 2): coin, position, Kraus index (see
+    :func:`nmqwalk.walk.evolve_one_shot`). Every spectrum is taken from a
+    2 x 2 matrix, so no (2n)^2 state is ever formed.
     """
 
-    def __init__(self, factor: np.ndarray, split: tuple[int, int]):
+    def __init__(self, factor: np.ndarray):
         self.factor = factor
-        self.split = split
 
     @cached_property
     def coin(self) -> np.ndarray:
@@ -247,6 +239,16 @@ class _FactorState(_Reductions):
         return _gram_blocks(self.factor)
 
 
+def _state(x: np.ndarray) -> _Reductions:
+    """A (2, n, 2) Kraus factor or a (2n, 2n) density matrix, by its shape."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim == 3 and x.shape[0] == x.shape[2] == 2:
+        return _FactorState(x)
+    if x.ndim == 2 and x.shape[0] == x.shape[1] and x.shape[0] % 2 == 0:
+        return _State(x)
+    raise DimensionMismatchError(f"not a (2, n, 2) factor or (2n, 2n) state: {x.shape}")
+
+
 def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     """TD(rho1, rho2) = 1/2 ||rho1 - rho2||_1, in [0, 1] for states."""
     rho1 = np.asarray(rho1, dtype=complex)
@@ -258,9 +260,13 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     return 0.5 * trace_norm(rho1 - rho2)
 
 
-def mutual_information(rho: np.ndarray, split: tuple[int, int]) -> float:
-    """I(rho) = S(rho_c) + S(rho_p) - S(rho) in bits."""
-    return _State(rho, split).mutual_information
+def mutual_information(state: np.ndarray) -> float:
+    """I(rho) = S(rho_c) + S(rho_p) - S(rho) in bits.
+
+    ``state`` is a (2, n, 2) Kraus factor, ``b_r = (K_r (x) I) psi`` for the
+    ``kraus_at`` pair, or a (2n, 2n) density matrix.
+    """
+    return _state(state).mutual_information
 
 
 def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -329,15 +335,16 @@ def _classical_mi(table: np.ndarray) -> float:
     )
 
 
-def mid(rho: np.ndarray, split: tuple[int, int]) -> MidResult:
+def mid(state: np.ndarray) -> MidResult:
     """Measurement-induced disturbance Q = I(rho) - I(Pi(rho)).
 
     Pi dephases the state in the product of the marginal eigenbases; its
     mutual information is the classical mutual information of the joint
     outcome table. Degenerate marginal spectra are resolved with the
     canonical computational-basis rule and flagged on the result.
+    ``state`` is a Kraus factor or a density matrix, as for ``mutual_information``.
     """
-    return _mid(_State(rho, split))
+    return _mid(_state(state))
 
 
 def _mid(state: _Reductions) -> MidResult:
@@ -373,20 +380,19 @@ def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return out
 
 
-def discord(rho: np.ndarray, split: tuple[int, int]) -> DiscordResult:
+def discord(state: np.ndarray) -> DiscordResult:
     """Quantum discord D = I(rho) - max_axis J(axis) in bits.
 
     J(axis) = S(rho_p) - sum_i p_i S(rho_p | outcome i) for a rank-1
     projective measurement of the coin along the Bloch axis (theta, phi).
     The maximization runs a coarse grid scan followed by Nelder-Mead
-    refinement (tolerance 1e-7 on J).
+    refinement (tolerance 1e-7 on J). ``state`` is a Kraus factor or a
+    density matrix, as for ``mutual_information``.
     """
-    return _discord(_State(rho, split))
+    return _discord(_state(state))
 
 
 def _discord(state: _Reductions) -> DiscordResult:
-    if state.split[0] != 2:
-        raise DimensionMismatchError("coin measurement requires a 2-level coin")
     gram = state.coin_gram
 
     nt, nf = _DISCORD_GRID
@@ -417,25 +423,18 @@ def _discord(state: _Reductions) -> DiscordResult:
     )
 
 
-def coin_entropy(rho: np.ndarray, split: tuple[int, int]) -> float:
-    """Entropy in bits of the reduced coin state; in [0, 1] for a qubit coin."""
-    return _State(rho, split).coin_entropy
+def coin_entropy(state: np.ndarray) -> float:
+    """Entropy in bits of the reduced coin state, in [0, 1].
 
-
-def _evolver(mode: EvolutionMode):
-    """The generator of one mode and the state type of what it yields."""
-    if mode == "one_shot":
-        return evolve_one_shot, _FactorState
-    if mode == "stepwise":
-        return evolve_stepwise, _State
-    raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
+    ``state`` is a Kraus factor or a density matrix, as for ``mutual_information``.
+    """
+    return _state(state).coin_entropy
 
 
 def _trace_distances(
     cfg: WalkConfig,
     noise: NoiseModel,
     evolve,
-    state_type,
     td_pair: tuple[float, float, float, float],
 ) -> list[float]:
     """TD of the reduced coin states of two co-evolved walkers at each step.
@@ -443,12 +442,11 @@ def _trace_distances(
     Kept apart from the driver so that both generators, and the states a
     suspended one still holds, are freed before the single walker starts.
     """
-    split = (2, cfg.n_positions)
     d1, e1, d2, e2 = td_pair
     gen1 = evolve(replace(cfg, delta=d1, eta=e1), noise)
     gen2 = evolve(replace(cfg, delta=d2, eta=e2), noise)
     return [
-        trace_distance(state_type(s1, split).coin, state_type(s2, split).coin)
+        trace_distance(_state(s1).coin, _state(s2).coin)
         for (_, s1), (_, s2) in zip(gen1, gen2)
     ]
 
@@ -474,19 +472,20 @@ def witness_series(
     for tag in tags:
         if tag not in WITNESS_TAGS:
             raise ValueError(f"unknown witness {tag!r}, expected one of {WITNESS_TAGS}")
-    evolve, state_type = _evolver(mode)
+    if mode not in ("one_shot", "stepwise"):
+        raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
+    evolve = evolve_one_shot if mode == "one_shot" else evolve_stepwise
     values: dict[str, list[float]] = {tag: [] for tag in tags}
 
     if "TD" in values:
         pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
-        values["TD"] = _trace_distances(cfg, noise, evolve, state_type, pair)
+        values["TD"] = _trace_distances(cfg, noise, evolve, pair)
 
     single = [tag for tag in tags if tag != "TD"]
     if single:
-        split = (2, cfg.n_positions)
         positions = lattice_positions(cfg.steps).astype(float)
         for _, raw in evolve(cfg, noise):
-            state = state_type(raw, split)
+            state = _state(raw)
             for tag in single:
                 if tag == "MI":
                     value = state.mutual_information
@@ -497,7 +496,7 @@ def witness_series(
                 elif tag == "Entropy":
                     value = state.coin_entropy
                 else:  # Variance
-                    probs = position_distribution(raw, cfg.n_positions)
+                    probs = position_distribution(raw)
                     value = distribution_variance(probs, positions)
                 values[tag].append(value)
 

@@ -43,12 +43,7 @@ from nmqwalk.noise import (
 )
 from nmqwalk.qops import partial_trace, von_neumann_entropy
 from nmqwalk.spectral import TimeSeries, disambiguate, fit_mfbf, power_spectrum
-from nmqwalk.walk import (
-    WalkConfig,
-    density_from_amplitudes,
-    dephase_density,
-    evolve_noiseless,
-)
+from nmqwalk.walk import WalkConfig, evolve_noiseless
 from nmqwalk.witness import (
     coin_entropy,
     discord,
@@ -87,22 +82,22 @@ def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
     driven by the walk alone, and a noise part W(D_k(t)[sigma(t)]) -
     W(D_k(t-1)[sigma(t)]), driven by the change of the kernel alone.
     ``values[t]`` is the series value W(rho(t)), the first term of the noise
-    part, so each step costs one witness evaluation.
+    part, so each step costs one witness evaluation. The held state
+    D_k(t-1)[sigma(t)] is measured as its Kraus factor: the kraus_at pair of
+    t-1 applied to sigma(t).
     """
-    split = (2, cfg.n_positions)
     amps = evolve_noiseless(cfg)
     for t in range(after + 1, cfg.steps + 1):
-        k_prev = float(kernel_value(noise, float(t - 1)))
-        held = dephase_density(density_from_amplitudes(amps[t]), k_prev, split[1])
-        yield values[t] - measure(held, split)
+        held = np.einsum("rcd,dj->cjr", kraus_at(noise, float(t - 1)), amps[t])
+        yield values[t] - measure(held)
 
 
-def mid_value(rho, split):
-    return mid(rho, split).value
+def mid_value(state):
+    return mid(state).value
 
 
-def discord_value(rho, split):
-    return discord(rho, split).value
+def discord_value(state):
+    return discord(state).value
 
 
 def random_qubit_states(n, seed):

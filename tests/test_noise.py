@@ -128,9 +128,10 @@ class TestKraus:
         assert out[1, 1] == pytest.approx(rho[1, 1])
         assert out[0, 1] == pytest.approx(rho[0, 1] * k)
 
-    def test_requires_concrete_model(self):
-        with pytest.raises(ValueError):
-            kraus_at(None, 1.0)
+    def test_no_noise_is_the_identity_pair(self):
+        k1, k2 = kraus_at(None, 1.0)
+        np.testing.assert_array_equal(k1, np.eye(2))
+        np.testing.assert_array_equal(k2, np.zeros((2, 2)))
 
 
 class TestKernelProperties:
@@ -144,6 +145,14 @@ class TestKernelProperties:
         # the slack is the rounding allowance kraus_at accepts
         k = kernel_value(noise, t)
         assert abs(k) <= 1.0 + _KERNEL_SLACK
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(noise=MODELS, t=KERNEL_TIMES)
+    # a PLN point where (t gamma + 1) ** 2 rounds differently for a scalar t
+    @example(noise=PlnParams(Gamma=3.110927, gamma=0.50476), t=149.0)
+    def test_scalar_and_array_time_agree(self, noise, t):
+        # the walk evaluates k one t at a time, the Choi scan on a whole grid
+        assert kernel_value(noise, t) == kernel_value(noise, np.array([t]))[0]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(noise=MODELS, t=KERNEL_TIMES)

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 import nmqwalk.noise as noise_mod
 import nmqwalk.walk as walk_mod
-from nmqwalk.exceptions import EdgeAmplitudeError, KernelRangeError, NonInvertibleMapError
+from nmqwalk.exceptions import (
+    DimensionMismatchError,
+    EdgeAmplitudeError,
+    KernelRangeError,
+    NonInvertibleMapError,
+)
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import check_density_matrix
 from nmqwalk.walk import (
@@ -121,7 +126,7 @@ class TestNoiselessEvolution:
 
     def test_symmetric_initial_state_gives_symmetric_distribution(self):
         cfg = WalkConfig(steps=20, eta=math.pi / 2)
-        probs = position_distribution(evolve_noiseless(cfg)[-1])
+        probs = position_distribution(evolve_noiseless(cfg)[-1][..., None])
         np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)
 
 
@@ -206,7 +211,7 @@ class TestNoisyEvolution:
 class TestDistributions:
     def test_probabilities_sum_to_one(self):
         cfg = WalkConfig(steps=25)
-        probs = position_distribution(evolve_noiseless(cfg)[-1])
+        probs = position_distribution(evolve_noiseless(cfg)[-1][..., None])
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_density_and_amplitude_paths_agree(self):
@@ -217,19 +222,25 @@ class TestDistributions:
         factor = dict(evolve_one_shot(cfg, noise))[6]
         for state in (rho, factor):
             np.testing.assert_allclose(
-                position_distribution(amps),
-                position_distribution(state, cfg.n_positions),
-                atol=1e-13,
+                position_distribution(amps[..., None]), position_distribution(state), atol=1e-13
             )
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 7), (5, 5), (3, 7, 2)], ids=["non-square", "odd-square", "qutrit-factor"]
+    )
+    def test_other_shapes_rejected(self, shape):
+        # an amplitude array enters as its rank-1 factor amps[..., None]
+        with pytest.raises(DimensionMismatchError):
+            position_distribution(np.ones(shape))
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)
         positions = lattice_positions(2).astype(float)
         amps = evolve_noiseless(cfg)
-        assert distribution_variance(position_distribution(amps[1]), positions) == (
+        assert distribution_variance(position_distribution(amps[1, ..., None]), positions) == (
             pytest.approx(0.0, abs=1e-14)
         )
-        assert distribution_variance(position_distribution(amps[2]), positions) == (
+        assert distribution_variance(position_distribution(amps[2, ..., None]), positions) == (
             pytest.approx(1.0, abs=1e-12)
         )
 

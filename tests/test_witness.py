@@ -1,12 +1,15 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import dense_one_shot, density_from_factor
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nmqwalk.witness as witness_mod
 from nmqwalk.exceptions import DimensionMismatchError
-from nmqwalk.noise import OunParams, PlnParams, RtnParams, kraus_at
+from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kraus_at
 from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
     WalkConfig,
@@ -67,12 +70,12 @@ def single_state_values(cfg, noise, evolve):
         )
     ]
     for _, rho in evolve(cfg, noise):
-        values["MI"].append(mutual_information(rho, split))
-        values["MID"].append(mid(rho, split).value)
-        values["QD"].append(discord(rho, split).value)
-        values["Entropy"].append(coin_entropy(rho, split))
+        values["MI"].append(mutual_information(rho))
+        values["MID"].append(mid(rho).value)
+        values["QD"].append(discord(rho).value)
+        values["Entropy"].append(coin_entropy(rho))
         values["Variance"].append(
-            distribution_variance(position_distribution(rho, cfg.n_positions), positions)
+            distribution_variance(position_distribution(rho), positions)
         )
     return values
 
@@ -83,6 +86,24 @@ def assert_matches_oracle(values, expected, tag):
         np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0.0, err_msg=tag)
     else:
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12, err_msg=tag)
+
+
+@st.composite
+def one_shot_factors(draw):
+    """A Kraus factor b_r = (K_r (x) I) psi with the kraus_at pair
+    K = (sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3), k in [-1, 1], and a random
+    psi in C^2 (x) C^n, n <= 6."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
+    psi = parts[: 2 * n] + 1j * parts[2 * n :]
+    norm = np.linalg.norm(psi)
+    assume(norm > 1e-3)
+    k = draw(st.floats(-1.0, 1.0))
+    kraus = [math.sqrt((1.0 + k) / 2.0) * np.eye(2), math.sqrt((1.0 - k) / 2.0) * SIGMA_3]
+    return np.einsum("rcd,dj->cjr", kraus, (psi / norm).reshape(2, n))
+
+
+PUBLIC_MEASURES = (mutual_information, mid, discord, coin_entropy)
 
 
 def classical_classical(p):
@@ -120,34 +141,32 @@ class TestMutualInformation:
     def test_product_state_zero(self):
         rng = np.random.default_rng(5)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert mutual_information(rho, (2, 3)) == pytest.approx(0.0, abs=1e-9)
+        assert mutual_information(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state_two_bits(self):
-        assert mutual_information(BELL, (2, 2)) == pytest.approx(2.0, abs=1e-12)
+        assert mutual_information(BELL) == pytest.approx(2.0, abs=1e-12)
 
     def test_noiseless_walk_step_two_maximally_entangled(self):
         cfg = WalkConfig(steps=2)
         rho = dict(dense_one_shot(cfg, None))[2]
-        assert mutual_information(rho, (2, cfg.n_positions)) == pytest.approx(
-            2.0, abs=1e-10
-        )
+        assert mutual_information(rho) == pytest.approx(2.0, abs=1e-10)
 
 
 class TestMid:
     def test_product_state_zero(self):
         rng = np.random.default_rng(7)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert mid(rho, (2, 3)).value == pytest.approx(0.0, abs=1e-9)
+        assert mid(rho).value == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state_one_bit(self):
-        result = mid(BELL, (2, 2))
+        result = mid(BELL)
         assert result.value == pytest.approx(1.0, abs=1e-9)
         assert result.degenerate_marginal  # both marginals are I/2
 
     def test_classical_classical_state_zero(self):
         # table chosen so both marginals are non-degenerate
         rho = classical_classical([[0.35, 0.25], [0.1, 0.3]])
-        result = mid(rho, (2, 2))
+        result = mid(rho)
         assert result.value == pytest.approx(0.0, abs=1e-9)
         assert not result.degenerate_marginal
 
@@ -156,12 +175,8 @@ class TestMid:
         # is always degenerate; only t = 2, where the coin marginal is I/2,
         # has a degenerate eigenvalue inside a support
         cfg = WalkConfig(steps=20)
-        split = (2, cfg.n_positions)
         noise = RtnParams(a=0.05, gamma=0.008)
-        flagged = [
-            t for t, rho in dense_one_shot(cfg, noise)
-            if mid(rho, split).degenerate_marginal
-        ]
+        flagged = [t for t, rho in dense_one_shot(cfg, noise) if mid(rho).degenerate_marginal]
         assert flagged == [2]
 
     def test_gram_route_keeps_the_canonical_basis(self):
@@ -173,15 +188,14 @@ class TestMid:
         amps[0, 1:3] = 0.5
         amps[1, 1:3] = 0.5, -0.5
         factor = np.einsum("rcd,dj->cjr", kraus_at(RtnParams(a=0.9, gamma=0.5), 2.0), amps)
-        split = (2, 5)
-        fast = witness_mod._mid(witness_mod._FactorState(factor, split))
-        dense = mid(density_from_factor(factor), split)
+        fast = mid(factor)
+        dense = mid(density_from_factor(factor))
         assert fast.degenerate_marginal and dense.degenerate_marginal
         assert fast.value == pytest.approx(dense.value, abs=1e-12)
 
     def test_deterministic_under_degeneracy(self):
-        a = mid(BELL, (2, 2)).value
-        b = mid(BELL, (2, 2)).value
+        a = mid(BELL).value
+        b = mid(BELL).value
         assert a == b
 
     def test_pure_walk_states_equal_coin_entropy(self):
@@ -193,9 +207,7 @@ class TestMid:
         split = (2, cfg.n_positions)
         eye = np.eye(cfg.n_positions)
         for t, rho in dense_one_shot(cfg, None):
-            assert mid(rho, split).value == pytest.approx(
-                coin_entropy(rho, split), abs=1e-9
-            ), f"t={t}"
+            assert mid(rho).value == pytest.approx(coin_entropy(rho), abs=1e-9), f"t={t}"
             u, _ = _canonical_eigenbasis(partial_trace(rho, split, "position"))
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10, f"t={t}"
 
@@ -204,14 +216,14 @@ class TestDiscord:
     def test_product_state_zero(self):
         rng = np.random.default_rng(11)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert discord(rho, (2, 3)).value == pytest.approx(0.0, abs=1e-6)
+        assert discord(rho).value == pytest.approx(0.0, abs=1e-6)
 
     def test_classical_classical_state_zero(self):
         rho = classical_classical([[0.4, 0.1], [0.2, 0.3]])
-        assert discord(rho, (2, 2)).value == pytest.approx(0.0, abs=1e-6)
+        assert discord(rho).value == pytest.approx(0.0, abs=1e-6)
 
     def test_bell_state_one_bit(self):
-        result = discord(BELL, (2, 2))
+        result = discord(BELL)
         assert result.value == pytest.approx(1.0, abs=1e-6)
         assert result.classical_correlation == pytest.approx(1.0, abs=1e-6)
 
@@ -219,26 +231,21 @@ class TestDiscord:
         cfg = WalkConfig(steps=8)
         noise = RtnParams(a=0.08, gamma=0.01)
         for t, rho in dense_one_shot(cfg, noise):
-            split = (2, cfg.n_positions)
-            d = discord(rho, split).value
-            m = mid(rho, split).value
+            d = discord(rho).value
+            m = mid(rho).value
             assert -1e-6 <= d <= m + 1e-6
-
-    def test_qutrit_coin_rejected(self):
-        with pytest.raises(DimensionMismatchError):
-            discord(np.eye(6) / 6, (3, 2))
 
 
 class TestScalarWitnesses:
     def test_initial_coin_entropy_zero(self):
         cfg = WalkConfig(steps=3)
         rho = dict(dense_one_shot(cfg, None))[0]
-        assert coin_entropy(rho, (2, cfg.n_positions)) == pytest.approx(0.0, abs=1e-12)
+        assert coin_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_dephased_entangled_coin_fully_mixed(self):
         # killing the coherences of a Bell state leaves the coin at I/2
         dephased = np.diag(np.diag(BELL))
-        assert coin_entropy(dephased, (2, 2)) == pytest.approx(1.0, abs=1e-12)
+        assert coin_entropy(dephased) == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_point_mass(self):
         p = np.zeros(5)
@@ -249,6 +256,29 @@ class TestScalarWitnesses:
         # weights 1/2 at x = -2 and x = 0 on the 5-site lattice [-2..2]
         p = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
         assert distribution_variance(p, lattice_positions(1)) == pytest.approx(1.0)
+
+
+class TestStateForms:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(factor=one_shot_factors())
+    def test_factor_equals_its_density_matrix(self, factor):
+        rho = density_from_factor(factor)
+        assert mutual_information(factor) == pytest.approx(mutual_information(rho), abs=1e-12)
+        assert coin_entropy(factor) == pytest.approx(coin_entropy(rho), abs=1e-12)
+        m = mid(factor).value
+        qd = discord(factor).value
+        assert m == pytest.approx(mid(rho).value, abs=1e-9)
+        assert qd == pytest.approx(discord(rho).value, abs=1e-9)
+        # 0 <= QD <= MID, to the tolerance of the comparisons above
+        assert -1e-9 <= qd <= m + 1e-9
+
+    @pytest.mark.parametrize(
+        "shape", [(5, 5), (3, 4, 2), (2, 6)], ids=["odd-square", "qutrit-factor", "non-square"]
+    )
+    @pytest.mark.parametrize("measure", PUBLIC_MEASURES, ids=lambda f: f.__name__)
+    def test_other_shapes_rejected(self, measure, shape):
+        with pytest.raises(DimensionMismatchError):
+            measure(np.ones(shape))
 
 
 class TestSeries:
