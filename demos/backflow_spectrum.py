@@ -14,6 +14,8 @@ Run:  python demos/backflow_spectrum.py
 
 import math
 
+import numpy as np
+
 from nmqwalk import (
     OunParams,
     RtnParams,
@@ -30,7 +32,7 @@ def analyze(label, noise):
     cfg = WalkConfig(steps=100)
     td = witness_series(cfg, noise, witnesses=("TD",), td_pair=TD_PAIR)["TD"]
     report = disambiguate(
-        TimeSeries(times=td.steps.astype(float), values=td.values),
+        TimeSeries(times=np.arange(len(td), dtype=float), values=td),
         family="exponential",
     )
     a, b, c = report.fit.parameters

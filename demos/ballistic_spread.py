@@ -24,16 +24,16 @@ def main():
 
     free = witness_series(cfg, None, witnesses=("Variance",))["Variance"]
     print("noiseless walk:")
-    print(f"  Var(t=100) = {free.values[-1]:10.2f}")
-    print(f"  log-log slope over t >= 20 = {loglog_slope(free.values):.3f}"
+    print(f"  Var(t=100) = {free[-1]:10.2f}")
+    print(f"  log-log slope over t >= 20 = {loglog_slope(free):.3f}"
           "  (ballistic: 2)")
 
     noisy = witness_series(
         cfg, RtnParams(a=1.0, gamma=7.0), mode="stepwise", witnesses=("Variance",)
     )["Variance"]
     print("strong Markovian telegraph noise, applied every step:")
-    print(f"  Var(t=100) = {noisy.values[-1]:10.2f}")
-    print(f"  log-log slope over t >= 20 = {loglog_slope(noisy.values):.3f}"
+    print(f"  Var(t=100) = {noisy[-1]:10.2f}")
+    print(f"  log-log slope over t >= 20 = {loglog_slope(noisy):.3f}"
           "  (classical diffusion: 1)")
 
 

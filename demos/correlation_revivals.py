@@ -27,7 +27,7 @@ def main():
     cfg = WalkConfig(steps=60)
     for label, noise in SETTINGS:
         found = witness_series(cfg, noise, witnesses=("MI", "MID", "QD", "Entropy"))
-        mi, mid_v, qd, ent = (found[tag].values for tag in ("MI", "MID", "QD", "Entropy"))
+        mi, mid_v, qd, ent = (found[tag] for tag in ("MI", "MID", "QD", "Entropy"))
         print(f"{label}  (T = {cfg.steps})")
         print(f"  final MI / MID / QD : {mi[-1]:.3f} / {mid_v[-1]:.3f} / {qd[-1]:.3f}")
         print(f"  discord <= MID everywhere: {bool(np.all(qd <= mid_v + 1e-6))}")

@@ -72,9 +72,6 @@ from .walk import (
     step_amplitudes,
 )
 from .witness import (
-    DiscordResult,
-    MidResult,
-    WitnessSeries,
     coin_entropy,
     discord,
     mid,
@@ -91,11 +88,9 @@ __all__ = [
     "ConfigError",
     "DimensionMismatchError",
     "DisambiguationReport",
-    "DiscordResult",
     "EdgeAmplitudeError",
     "FitError",
     "KernelRangeError",
-    "MidResult",
     "MonotoneFit",
     "NmqwalkError",
     "NoiseModel",
@@ -108,7 +103,6 @@ __all__ = [
     "Spectrum",
     "TimeSeries",
     "WalkConfig",
-    "WitnessSeries",
     "apply_signed",
     "check_density_matrix",
     "choi_eigenvalues",

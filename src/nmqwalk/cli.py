@@ -291,8 +291,8 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> None:
     found = witness_series(
         cfg.walk, cfg.noise, mode=cfg.mode, witnesses=cfg.witnesses, td_pair=cfg.td_pair
     )
-    for tag, series in found.items():
-        rows = list(zip(series.steps.tolist(), series.values.tolist()))
+    for tag, values in found.items():
+        rows = list(enumerate(values.tolist()))
         _write_csv(out_dir / f"{tag.lower()}.csv", ["step", "value"], rows)
     _write_json(
         out_dir / "metadata.json",

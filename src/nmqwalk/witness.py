@@ -4,7 +4,8 @@ Implements the plotted quantities of the walk experiments: trace distance
 between two co-evolved walkers (on their reduced coin states), quantum
 mutual information, measurement-induced disturbance (MID), quantum
 discord, coin entropy, and position variance. All entropic quantities are
-in bits.
+in bits. Each single-state witness returns its value as a float, and the
+series driver returns one array per witness, indexed by step.
 
 A walk state is either form the walk yields, told apart by its shape, which
 also gives the lattice size n: a one-shot Kraus factor of shape (2, n, 2),
@@ -14,8 +15,10 @@ The series driver and the public single-state functions take either form.
 The driver evolves the walk once for all requested witnesses (plus the two
 trace-distance walkers when TD is requested) and computes each state's
 reductions and entropies once, in a per-state cache shared by every
-witness; states are streamed one step at a time so memory stays flat in
-the walk length. A factor is measured through itself: every spectrum comes
+witness. Witness states are formed one step at a time and dropped after
+use; the one-shot walk still holds the whole (T+1, 2, n) noiseless
+amplitude history of :func:`nmqwalk.walk.evolve_noiseless`, so its memory
+grows with T^2. A factor is measured through itself: every spectrum comes
 from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the Gram matrix of
 the position marginal), the MID outcome table spans the support of the
 position marginal only, and the discord Gram blocks are read off the
@@ -26,7 +29,7 @@ against the dense one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import cached_property
 from typing import Literal
 
@@ -62,42 +65,6 @@ _PROJECTION_TOL = 1e-8
 
 #: (theta, phi) points of the coarse scan that seeds the discord optimizer
 _DISCORD_GRID = (32, 32)
-
-
-@dataclass(frozen=True)
-class WitnessSeries:
-    """One witness evaluated at every step 0..T of a walk experiment."""
-
-    witness: str
-    steps: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class MidResult:
-    """MID value plus a flag marking a degenerate marginal spectrum.
-
-    The flag is set when a marginal has a degenerate eigenvalue inside its
-    support (at or above EIGENVALUE_CUTOFF). There the marginal eigenbasis
-    is not unique; the value is still deterministic thanks to the canonical
-    basis rule (see ``mid``), but comparisons against other conventions may
-    differ. Degeneracy below the cutoff, such as the kernel of a low-rank
-    position marginal, is not flagged: its outcomes have probability zero,
-    so no choice of basis there changes the value.
-    """
-
-    value: float
-    degenerate_marginal: bool
-
-
-@dataclass(frozen=True)
-class DiscordResult:
-    """Discord value and the measurement axis (theta, phi) achieving it."""
-
-    value: float
-    theta: float
-    phi: float
-    classical_correlation: float
 
 
 def _entropy(rho: np.ndarray) -> float:
@@ -159,7 +126,7 @@ class _State(_Reductions):
         return _entropy(self.rho)
 
     @cached_property
-    def position_basis(self) -> tuple[np.ndarray, bool]:
+    def position_basis(self) -> np.ndarray:
         return _canonical_eigenbasis(self.position)
 
     def outcome_table(self, u_c: np.ndarray, u_p: np.ndarray) -> np.ndarray:
@@ -218,7 +185,7 @@ class _FactorState(_Reductions):
         return entropy_of_spectrum(self._position_eigen[0])
 
     @cached_property
-    def position_basis(self) -> tuple[np.ndarray, bool]:
+    def position_basis(self) -> np.ndarray:
         """Canonical eigenbasis of the support of rho_p only.
 
         Outcomes in the null space of rho_p have probability zero, so MID
@@ -269,19 +236,18 @@ def mutual_information(state: np.ndarray) -> float:
     return _state(state).mutual_information
 
 
-def _canonical_eigenbasis(rho: np.ndarray) -> tuple[np.ndarray, bool]:
+def _canonical_eigenbasis(rho: np.ndarray) -> np.ndarray:
     """Marginal eigenbasis made deterministic under degeneracy (see _canonicalize)."""
     return _canonicalize(*np.linalg.eigh(rho))
 
 
-def _canonicalize(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
+def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Eigenbasis ``v`` (columns, eigenvalues ``w`` ascending) made deterministic.
 
     Eigenvalues within DEGENERACY_TOL of their neighbor are grouped; inside
     each group the basis is rebuilt by projecting computational basis
     vectors (in ascending index order) onto the eigenspace and
-    orthonormalizing. Returns (column eigenbasis, whether a degenerate group
-    lies inside the support).
+    orthonormalizing. Returns the column eigenbasis.
 
     A group whose eigenvalues all lie below EIGENVALUE_CUTOFF keeps the
     solver's own vectors: every outcome in it has probability zero, so no
@@ -293,7 +259,6 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
     orthonormal however large the group is.
     """
     n = len(w)
-    degenerate = False
     basis = v.copy()
     start = 0
     while start < n:
@@ -302,7 +267,6 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
             stop += 1
         g = stop - start
         if g > 1 and w[stop - 1] >= EIGENVALUE_CUTOFF:
-            degenerate = True
             span = v[:, start:stop]
             accepted = []
             for c in span.conj():
@@ -320,7 +284,7 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
                         break
             basis[:, start:stop] = span @ np.column_stack(accepted)
         start = stop
-    return basis, degenerate
+    return basis
 
 
 def _classical_mi(table: np.ndarray) -> float:
@@ -335,52 +299,56 @@ def _classical_mi(table: np.ndarray) -> float:
     )
 
 
-def mid(state: np.ndarray) -> MidResult:
-    """Measurement-induced disturbance Q = I(rho) - I(Pi(rho)).
+def mid(state: np.ndarray) -> float:
+    """Measurement-induced disturbance Q = I(rho) - I(Pi(rho)) in bits.
 
     Pi dephases the state in the product of the marginal eigenbases; its
     mutual information is the classical mutual information of the joint
-    outcome table. Degenerate marginal spectra are resolved with the
-    canonical computational-basis rule and flagged on the result.
-    ``state`` is a Kraus factor or a density matrix, as for ``mutual_information``.
+    outcome table. Where a marginal has a degenerate eigenvalue inside its
+    support (at or above EIGENVALUE_CUTOFF), its eigenbasis is not unique.
+    The canonical rule makes the value deterministic: inside each degenerate
+    eigenspace the basis is rebuilt from the projections of the
+    computational basis vectors, in index order. Other conventions may give
+    another value there. Degeneracy below the cutoff, such as the kernel of
+    a low-rank position marginal, needs no rule: its outcomes have
+    probability zero, so no choice of basis there changes the value.
+    ``state`` is a Kraus factor or a density matrix, as for
+    ``mutual_information``.
     """
     return _mid(_state(state))
 
 
-def _mid(state: _Reductions) -> MidResult:
-    u_c, deg_c = _canonical_eigenbasis(state.coin)
-    u_p, deg_p = state.position_basis
-    table = state.outcome_table(u_c, u_p)
-    value = state.mutual_information - _classical_mi(table)
-    return MidResult(value=value, degenerate_marginal=deg_c or deg_p)
+def _mid(state: _Reductions) -> float:
+    table = state.outcome_table(_canonical_eigenbasis(state.coin), state.position_basis)
+    return state.mutual_information - _classical_mi(table)
 
 
 def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
     """sum_i p_i S(rho_p|i) for a batch of coin measurement axes.
 
     axes has shape (n, 2): rows (theta, phi) of the Bloch measurement
-    direction; the two projector outcomes are handled together.
+    direction; the two projector outcomes are handled together. Every
+    positive conditional eigenvalue counts in the entropy: dropping a small
+    one would lower it, raise J above its maximum and let discord read below
+    zero.
     """
     theta = axes[:, 0]
     phi = axes[:, 1]
     m0 = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
     m1 = np.stack([-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)], axis=1)
-    out = np.zeros(len(axes))
-    for m in (m0, m1):
-        # (n, r, r) conditional Gram matrices for this outcome
-        g = np.einsum("nc,nd,cdrs->nrs", m, m.conj(), gram)
-        w = np.linalg.eigvalsh(g)
-        p = np.sum(w, axis=1)
-        w = np.clip(w, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(w > EIGENVALUE_CUTOFF, w * np.log2(w), 0.0)
-        s_unnorm = -np.sum(terms, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out += np.where(p > EIGENVALUE_CUTOFF, s_unnorm + p * np.log2(p), 0.0)
-    return out
+    m = np.concatenate([m0, m1])
+    # (2n, r, r) conditional Gram matrices: outcome 0 of every axis, then outcome 1
+    g = np.einsum("nc,nd,cdrs->nrs", m, m.conj(), gram)
+    w = np.linalg.eigvalsh(g)
+    p = np.sum(w, axis=1)
+    w = np.clip(w, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0.0, w * np.log2(w), 0.0)
+        s = np.where(p > EIGENVALUE_CUTOFF, -np.sum(terms, axis=1) + p * np.log2(p), 0.0)
+    return s[: len(axes)] + s[len(axes) :]
 
 
-def discord(state: np.ndarray) -> DiscordResult:
+def discord(state: np.ndarray) -> float:
     """Quantum discord D = I(rho) - max_axis J(axis) in bits.
 
     J(axis) = S(rho_p) - sum_i p_i S(rho_p | outcome i) for a rank-1
@@ -392,7 +360,7 @@ def discord(state: np.ndarray) -> DiscordResult:
     return _discord(_state(state))
 
 
-def _discord(state: _Reductions) -> DiscordResult:
+def _discord(state: _Reductions) -> float:
     gram = state.coin_gram
 
     nt, nf = _DISCORD_GRID
@@ -408,19 +376,9 @@ def _discord(state: _Reductions) -> DiscordResult:
         method="Nelder-Mead",
         options={"fatol": 1e-7, "xatol": 1e-6},
     )
-    if res.fun <= cond[best]:
-        theta, phi = res.x
-        cond_min = float(res.fun)
-    else:  # pragma: no cover - refinement never worsens the grid optimum
-        theta, phi = axes[best]
-        cond_min = float(cond[best])
-    j_max = state.position_entropy - cond_min
-    return DiscordResult(
-        value=state.mutual_information - j_max,
-        theta=float(theta) % (2.0 * math.pi),
-        phi=float(phi) % (2.0 * math.pi),
-        classical_correlation=j_max,
-    )
+    # refinement never worsens the grid optimum; a NaN refinement keeps it
+    cond_min = min(float(cond[best]), float(res.fun))
+    return state.mutual_information - (state.position_entropy - cond_min)
 
 
 def coin_entropy(state: np.ndarray) -> float:
@@ -457,16 +415,17 @@ def witness_series(
     mode: EvolutionMode = "one_shot",
     witnesses: tuple[str, ...] = ("TD",),
     td_pair: tuple[float, float, float, float] | None = None,
-) -> dict[str, WitnessSeries]:
+) -> dict[str, np.ndarray]:
     """Evaluate each requested witness at every step 0..cfg.steps.
 
-    Returns one series per distinct tag, keyed by tag in request order.
-    All witnesses but TD act on the single walker defined by ``cfg``,
-    evolved once and shared through a per-state cache. TD co-evolves two
-    more walkers, only when requested, whose initial coin states come from
-    ``td_pair`` (radians, default the orthogonal pair psi(+-pi/4, 0)) under
-    the same noise, and compares their reduced coin states; they run before
-    the single walker, so the two passes never hold states at once.
+    Returns one array per distinct tag, keyed by tag in request order,
+    whose entry t is the witness at step t. All witnesses but TD act on the
+    single walker defined by ``cfg``, evolved once and shared through a
+    per-state cache. TD co-evolves two more walkers, only when requested,
+    whose initial coin states come from ``td_pair`` (radians, default the
+    orthogonal pair psi(+-pi/4, 0)) under the same noise, and compares their
+    reduced coin states; they run before the single walker, so the two
+    passes never hold states at once.
     """
     tags = tuple(dict.fromkeys(witnesses))
     for tag in tags:
@@ -481,24 +440,22 @@ def witness_series(
         pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
         values["TD"] = _trace_distances(cfg, noise, evolve, pair)
 
-    single = [tag for tag in tags if tag != "TD"]
+    positions = lattice_positions(cfg.steps).astype(float)
+    # each single-walker witness of a cached state and the array it wraps
+    measures = {
+        "MI": lambda state, raw: state.mutual_information,
+        "MID": lambda state, raw: _mid(state),
+        "QD": lambda state, raw: _discord(state),
+        "Entropy": lambda state, raw: state.coin_entropy,
+        "Variance": lambda state, raw: distribution_variance(
+            position_distribution(raw), positions
+        ),
+    }
+    single = {tag: measures[tag] for tag in tags if tag != "TD"}
     if single:
-        positions = lattice_positions(cfg.steps).astype(float)
         for _, raw in evolve(cfg, noise):
             state = _state(raw)
-            for tag in single:
-                if tag == "MI":
-                    value = state.mutual_information
-                elif tag == "MID":
-                    value = _mid(state).value
-                elif tag == "QD":
-                    value = _discord(state).value
-                elif tag == "Entropy":
-                    value = state.coin_entropy
-                else:  # Variance
-                    probs = position_distribution(raw)
-                    value = distribution_variance(probs, positions)
-                values[tag].append(value)
+            for tag, measure in single.items():
+                values[tag].append(measure(state, raw))
 
-    steps = np.arange(cfg.steps + 1)
-    return {tag: WitnessSeries(tag, steps, np.asarray(v)) for tag, v in values.items()}
+    return {tag: np.asarray(v) for tag, v in values.items()}

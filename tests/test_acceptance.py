@@ -69,8 +69,7 @@ def report(capsys, number: int, label: str, checks: dict[str, bool]) -> None:
 
 def series(noise, *witnesses, td_pair=None, cfg=SPLIT_CFG):
     """Values of each requested witness series, keyed by tag, from one walk."""
-    found = witness_series(cfg, noise, witnesses=witnesses, td_pair=td_pair)
-    return {tag: s.values for tag, s in found.items()}
+    return witness_series(cfg, noise, witnesses=witnesses, td_pair=td_pair)
 
 
 def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
@@ -90,14 +89,6 @@ def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
     for t in range(after + 1, cfg.steps + 1):
         held = np.einsum("rcd,dj->cjr", kraus_at(noise, float(t - 1)), amps[t])
         yield values[t] - measure(held)
-
-
-def mid_value(state):
-    return mid(state).value
-
-
-def discord_value(state):
-    return discord(state).value
 
 
 def random_qubit_states(n, seed):
@@ -279,17 +270,17 @@ def test_criterion_7_correlation_ordering(capsys):
             checks["RTN: MID rises after t=5"] = bool(np.any(np.diff(mid_v[5:]) > 0))
             checks["RTN: QD rises after t=5"] = bool(np.any(np.diff(qd[5:]) > 0))
             checks["RTN: noise-driven MID rise > 1e-6 after t=5"] = any(
-                step > 1e-6 for step in noise_driven_steps(noise, mid_value, mid_v, 5)
+                step > 1e-6 for step in noise_driven_steps(noise, mid, mid_v, 5)
             )
             checks["RTN: noise-driven QD rise > 1e-6 after t=5"] = any(
-                step > 1e-6 for step in noise_driven_steps(noise, discord_value, qd, 5)
+                step > 1e-6 for step in noise_driven_steps(noise, discord, qd, 5)
             )
         else:
             checks[f"{tag}: MID tail has no noise-driven rise > 1e-6"] = (
-                max(noise_driven_steps(noise, mid_value, mid_v, 30)) <= 1e-6
+                max(noise_driven_steps(noise, mid, mid_v, 30)) <= 1e-6
             )
             checks[f"{tag}: QD tail has no noise-driven rise > 1e-6"] = (
-                max(noise_driven_steps(noise, discord_value, qd, 30)) <= 1e-6
+                max(noise_driven_steps(noise, discord, qd, 30)) <= 1e-6
             )
     report(capsys, 7, "MID/discord ordering and revival structure", checks)
 

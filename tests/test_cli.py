@@ -200,6 +200,13 @@ class TestParseConfig:
         table_keys = re.findall(r"^\| `([^`]+)` \|", readme, re.M)
         assert set(table_keys) == schema_keys
 
+    def test_readme_library_tour_runs(self, capsys):
+        readme = README.read_text(encoding="utf-8")
+        (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+        exec(compile(tour, "<README library tour>", "exec"), {})
+        # the tour's first print is the CP verdict its comment gives
+        assert capsys.readouterr().out.splitlines()[0] == "True"
+
     def test_echo_round_trips(self):
         text = (
             '{"walk": {"steps": 7, "eta": 15.0},'

@@ -4,13 +4,16 @@ A name bound by an import in ``src/`` or ``demos/`` must be read somewhere
 in the same module, or, in a package ``__init__``, be listed in
 ``__all__``. ``from __future__`` imports are exempt. A private function,
 class or constant (a leading underscore, not a dunder) defined at module
-level must be read somewhere in the same module.
+level must be read somewhere in the same module. Every name
+``nmqwalk.__all__`` lists must exist in the package.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import nmqwalk
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
@@ -92,3 +95,8 @@ def test_detects_an_unused_private_name():
     tree = ast.parse(source)
     unused = {name for name, _ in private_definitions(tree) if name not in used_names(tree)}
     assert unused == {"_SPARE", "_orphan", "_Orphan"}
+
+
+def test_every_exported_name_exists():
+    missing = [name for name in nmqwalk.__all__ if not hasattr(nmqwalk, name)]
+    assert not missing, f"nmqwalk.__all__ lists names the package does not define: {missing}"

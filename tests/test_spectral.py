@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -18,31 +16,6 @@ def series(values, times=None, weights=None):
     if times is None:
         times = np.arange(len(values), dtype=float)
     return TimeSeries(times=times, values=values, weights=weights)
-
-
-def isotonic_oracle(values, weights):
-    """Exhaustive search over pooled-block partitions (small N only).
-
-    The optimal non-increasing fit is constant on contiguous blocks at the
-    weighted block mean, with block means non-increasing; enumerate every
-    partition into contiguous blocks and keep the feasible minimizer.
-    """
-    n = len(values)
-    best, best_cost = None, np.inf
-    for cuts in itertools.product([0, 1], repeat=n - 1):
-        bounds = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
-        fit = np.empty(n)
-        means = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            m = np.average(values[lo:hi], weights=weights[lo:hi])
-            means.append(m)
-            fit[lo:hi] = m
-        if any(b > a + 1e-12 for a, b in zip(means, means[1:])):
-            continue
-        cost = np.sum(weights * (values - fit) ** 2)
-        if cost < best_cost:
-            best, best_cost = fit, cost
-    return best
 
 
 class TestTimeSeries:
@@ -72,17 +45,6 @@ class TestIsotonicFit:
         rng = np.random.default_rng(13)
         fit = fit_mfbf(series(rng.normal(size=40)), "isotonic")
         assert np.all(np.diff(fit.fitted) <= 1e-12)
-
-    def test_matches_exhaustive_oracle(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            n = int(rng.integers(4, 13))
-            values = rng.normal(size=n)
-            weights = rng.uniform(0.2, 3.0, size=n)
-            s = series(values, weights=weights)
-            fitted = fit_mfbf(s, "isotonic").fitted
-            expected = isotonic_oracle(values, weights)
-            np.testing.assert_allclose(fitted, expected, atol=1e-9)
 
     def test_residual_has_no_monotone_component(self):
         rng = np.random.default_rng(43)

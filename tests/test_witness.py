@@ -71,8 +71,8 @@ def single_state_values(cfg, noise, evolve):
     ]
     for _, rho in evolve(cfg, noise):
         values["MI"].append(mutual_information(rho))
-        values["MID"].append(mid(rho).value)
-        values["QD"].append(discord(rho).value)
+        values["MID"].append(mid(rho))
+        values["QD"].append(discord(rho))
         values["Entropy"].append(coin_entropy(rho))
         values["Variance"].append(
             distribution_variance(position_distribution(rho), positions)
@@ -88,19 +88,22 @@ def assert_matches_oracle(values, expected, tag):
         np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12, err_msg=tag)
 
 
+def kraus_factor(psi, k):
+    """The Kraus factor b_r = (K_r (x) I) psi of a (2, n) amplitude array psi
+    under the kraus_at pair K = (sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3)."""
+    kraus = [math.sqrt((1.0 + k) / 2.0) * np.eye(2), math.sqrt((1.0 - k) / 2.0) * SIGMA_3]
+    return np.einsum("rcd,dj->cjr", kraus, psi)
+
+
 @st.composite
 def one_shot_factors(draw):
-    """A Kraus factor b_r = (K_r (x) I) psi with the kraus_at pair
-    K = (sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3), k in [-1, 1], and a random
-    psi in C^2 (x) C^n, n <= 6."""
+    """A Kraus factor for k in [-1, 1] and a random psi in C^2 (x) C^n, n <= 6."""
     n = draw(st.integers(min_value=1, max_value=6))
     parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
     psi = parts[: 2 * n] + 1j * parts[2 * n :]
     norm = np.linalg.norm(psi)
     assume(norm > 1e-3)
-    k = draw(st.floats(-1.0, 1.0))
-    kraus = [math.sqrt((1.0 + k) / 2.0) * np.eye(2), math.sqrt((1.0 - k) / 2.0) * SIGMA_3]
-    return np.einsum("rcd,dj->cjr", kraus, (psi / norm).reshape(2, n))
+    return kraus_factor((psi / norm).reshape(2, n), draw(st.floats(-1.0, 1.0)))
 
 
 PUBLIC_MEASURES = (mutual_information, mid, discord, coin_entropy)
@@ -156,28 +159,16 @@ class TestMid:
     def test_product_state_zero(self):
         rng = np.random.default_rng(7)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert mid(rho).value == pytest.approx(0.0, abs=1e-9)
+        assert mid(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state_one_bit(self):
-        result = mid(BELL)
-        assert result.value == pytest.approx(1.0, abs=1e-9)
-        assert result.degenerate_marginal  # both marginals are I/2
+        # both marginals are I/2: the canonical basis rule decides
+        assert mid(BELL) == pytest.approx(1.0, abs=1e-9)
 
     def test_classical_classical_state_zero(self):
         # table chosen so both marginals are non-degenerate
         rho = classical_classical([[0.35, 0.25], [0.1, 0.3]])
-        result = mid(rho)
-        assert result.value == pytest.approx(0.0, abs=1e-9)
-        assert not result.degenerate_marginal
-
-    def test_degeneracy_flagged_only_inside_the_support(self):
-        # the position marginal of a walk state has rank <= 2, so its kernel
-        # is always degenerate; only t = 2, where the coin marginal is I/2,
-        # has a degenerate eigenvalue inside a support
-        cfg = WalkConfig(steps=20)
-        noise = RtnParams(a=0.05, gamma=0.008)
-        flagged = [t for t, rho in dense_one_shot(cfg, noise) if mid(rho).degenerate_marginal]
-        assert flagged == [2]
+        assert mid(rho) == pytest.approx(0.0, abs=1e-9)
 
     def test_gram_route_keeps_the_canonical_basis(self):
         # psi = |0>(e1 + e2)/2 + |1>(e1 - e2)/2: the position marginal is I/2
@@ -188,15 +179,10 @@ class TestMid:
         amps[0, 1:3] = 0.5
         amps[1, 1:3] = 0.5, -0.5
         factor = np.einsum("rcd,dj->cjr", kraus_at(RtnParams(a=0.9, gamma=0.5), 2.0), amps)
-        fast = mid(factor)
-        dense = mid(density_from_factor(factor))
-        assert fast.degenerate_marginal and dense.degenerate_marginal
-        assert fast.value == pytest.approx(dense.value, abs=1e-12)
+        assert mid(factor) == pytest.approx(mid(density_from_factor(factor)), abs=1e-12)
 
     def test_deterministic_under_degeneracy(self):
-        a = mid(BELL).value
-        b = mid(BELL).value
-        assert a == b
+        assert mid(BELL) == mid(BELL)
 
     def test_pure_walk_states_equal_coin_entropy(self):
         # Luo's MID of a pure state is its entanglement entropy. The
@@ -207,8 +193,8 @@ class TestMid:
         split = (2, cfg.n_positions)
         eye = np.eye(cfg.n_positions)
         for t, rho in dense_one_shot(cfg, None):
-            assert mid(rho).value == pytest.approx(coin_entropy(rho), abs=1e-9), f"t={t}"
-            u, _ = _canonical_eigenbasis(partial_trace(rho, split, "position"))
+            assert mid(rho) == pytest.approx(coin_entropy(rho), abs=1e-9), f"t={t}"
+            u = _canonical_eigenbasis(partial_trace(rho, split, "position"))
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10, f"t={t}"
 
 
@@ -216,23 +202,32 @@ class TestDiscord:
     def test_product_state_zero(self):
         rng = np.random.default_rng(11)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert discord(rho).value == pytest.approx(0.0, abs=1e-6)
+        assert discord(rho) == pytest.approx(0.0, abs=1e-6)
 
     def test_classical_classical_state_zero(self):
         rho = classical_classical([[0.4, 0.1], [0.2, 0.3]])
-        assert discord(rho).value == pytest.approx(0.0, abs=1e-6)
+        assert discord(rho) == pytest.approx(0.0, abs=1e-6)
+
+    def test_fully_dephased_factor_not_negative(self):
+        # psi = i(0.970 |coin 0, site 1> + 0.243 |coin 1, site 0>) at k = 0 is
+        # classical-classical; dropping its conditional eigenvalues below
+        # 1e-12 from the entropy makes its discord read -2.55e-12
+        psi = np.zeros((2, 2), dtype=complex)
+        psi[0, 1], psi[1, 0] = 0.970j, 0.243j
+        qd = discord(kraus_factor(psi / np.linalg.norm(psi), 0.0))
+        assert qd == pytest.approx(0.0, abs=1e-15)
 
     def test_bell_state_one_bit(self):
-        result = discord(BELL)
-        assert result.value == pytest.approx(1.0, abs=1e-6)
-        assert result.classical_correlation == pytest.approx(1.0, abs=1e-6)
+        assert discord(BELL) == pytest.approx(1.0, abs=1e-6)
+        # the classical correlation J = MI - QD
+        assert mutual_information(BELL) - discord(BELL) == pytest.approx(1.0, abs=1e-6)
 
     def test_bounded_by_mid_on_walk_states(self):
         cfg = WalkConfig(steps=8)
         noise = RtnParams(a=0.08, gamma=0.01)
         for t, rho in dense_one_shot(cfg, noise):
-            d = discord(rho).value
-            m = mid(rho).value
+            d = discord(rho)
+            m = mid(rho)
             assert -1e-6 <= d <= m + 1e-6
 
 
@@ -265,12 +260,12 @@ class TestStateForms:
         rho = density_from_factor(factor)
         assert mutual_information(factor) == pytest.approx(mutual_information(rho), abs=1e-12)
         assert coin_entropy(factor) == pytest.approx(coin_entropy(rho), abs=1e-12)
-        m = mid(factor).value
-        qd = discord(factor).value
-        assert m == pytest.approx(mid(rho).value, abs=1e-9)
-        assert qd == pytest.approx(discord(rho).value, abs=1e-9)
-        # 0 <= QD <= MID, to the tolerance of the comparisons above
-        assert -1e-9 <= qd <= m + 1e-9
+        m = mid(factor)
+        qd = discord(factor)
+        assert m == pytest.approx(mid(rho), abs=1e-9)
+        assert qd == pytest.approx(discord(rho), abs=1e-9)
+        # QD >= 0 up to rounding; QD <= MID to the tolerance of the comparisons above
+        assert -1e-12 <= qd <= m + 1e-9
 
     @pytest.mark.parametrize(
         "shape", [(5, 5), (3, 4, 2), (2, 6)], ids=["odd-square", "qutrit-factor", "non-square"]
@@ -285,23 +280,23 @@ class TestSeries:
     def test_mi_starts_at_zero_and_lengths_match(self):
         cfg = WalkConfig(steps=12)
         s = witness_series(cfg, RtnParams(a=0.9, gamma=0.05), witnesses=("MI",))["MI"]
-        assert len(s.steps) == len(s.values) == 13
-        assert s.values[0] == pytest.approx(0.0, abs=1e-9)
-        assert np.all(s.values >= -1e-9)
+        assert len(s) == 13
+        assert s[0] == pytest.approx(0.0, abs=1e-9)
+        assert np.all(s >= -1e-9)
 
     def test_noiseless_td_non_monotonic_and_bounded(self):
         s = witness_series(WalkConfig(steps=30), None)["TD"]
-        assert np.all((s.values >= -1e-12) & (s.values <= 1 + 1e-12))
-        assert np.any(np.diff(s.values) > 1e-6)
+        assert np.all((s >= -1e-12) & (s <= 1 + 1e-12))
+        assert np.any(np.diff(s) > 1e-6)
 
     def test_td_orthogonal_pair_starts_at_one(self):
         s = witness_series(WalkConfig(steps=4), None, witnesses=("TD",))["TD"]
-        assert s.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert s[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_series_matches_direct(self):
         cfg = WalkConfig(steps=6)
         s = witness_series(cfg, None, witnesses=("Variance",))["Variance"]
-        assert s.values[2] == pytest.approx(1.0, abs=1e-12)
+        assert s[2] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
         "mode, oracle",
@@ -315,14 +310,12 @@ class TestSeries:
         assert list(found) == list(WITNESS_TAGS)
         expected = single_state_values(cfg, noise, oracle)
         for tag in WITNESS_TAGS:
-            assert found[tag].witness == tag
-            np.testing.assert_array_equal(found[tag].steps, np.arange(cfg.steps + 1))
             if mode == "stepwise":
                 # the same dense matrices through the same calls
-                np.testing.assert_array_equal(found[tag].values, expected[tag], err_msg=tag)
+                np.testing.assert_array_equal(found[tag], expected[tag], err_msg=tag)
             else:
                 # rank-2 factor against dense matrices: rounding differs
-                assert_matches_oracle(found[tag].values, expected[tag], tag)
+                assert_matches_oracle(found[tag], expected[tag], tag)
 
     @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
     def test_rank2_one_shot_matches_dense_oracle(self, noise):
@@ -330,7 +323,7 @@ class TestSeries:
         found = witness_series(cfg, noise, witnesses=WITNESS_TAGS)
         expected = single_state_values(cfg, noise, dense_one_shot)
         for tag in WITNESS_TAGS:
-            assert_matches_oracle(found[tag].values, expected[tag], tag)
+            assert_matches_oracle(found[tag], expected[tag], tag)
 
     def test_one_walk_for_all_single_walker_tags(self, monkeypatch):
         calls = []
@@ -351,7 +344,7 @@ class TestSeries:
     def test_repeated_tag_gives_one_series(self):
         found = witness_series(WalkConfig(steps=4), None, witnesses=("MI", "Entropy", "MI"))
         assert list(found) == ["MI", "Entropy"]
-        assert len(found["MI"].values) == 5
+        assert len(found["MI"]) == 5
 
     def test_unknown_witness_rejected(self):
         with pytest.raises(ValueError):
