@@ -20,10 +20,18 @@ use; the one-shot walk still holds the whole (T+1, 2, n) noiseless
 amplitude history of :func:`nmqwalk.walk.evolve_noiseless`, so its memory
 grows with T^2. A factor is measured through itself: every spectrum comes
 from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the Gram matrix of
-the position marginal), the MID outcome table spans the support of the
-position marginal only, and the discord Gram blocks are read off the
-factor, so no (2n)^2 matrix is formed. The tests check the factor path
-against the dense one.
+the position marginal), and the MID outcome table and the discord both
+live on the support of the position marginal, so no (2n)^2 matrix is
+formed. The tests check the factor path against the dense one.
+
+Discord is exact on a factor and searched for on a dense state. The factor
+is its own purification, with the Kraus index as the environment, and the
+position marginal has rank <= 2, so the discord has a closed form from
+Koashi-Winter (PRA 69, 022309, 2004) and Wootters' concurrence (PRL 80,
+2245, 1998); see :func:`discord`. A dense state (stepwise mode, or a dense
+argument to the public functions) runs a grid scan plus Nelder-Mead over
+projective coin measurements instead, and the tests keep that search as
+the oracle of the closed form.
 """
 
 from __future__ import annotations
@@ -63,8 +71,12 @@ DEFAULT_TD_PAIR = (math.pi / 4, 0.0, -math.pi / 4, 0.0)
 
 _PROJECTION_TOL = 1e-8
 
-#: (theta, phi) points of the coarse scan that seeds the discord optimizer
+#: (theta, phi) points of the coarse scan that seeds the dense discord optimizer
 _DISCORD_GRID = (32, 32)
+
+_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
+#: sigma_y (x) sigma_y, the spin flip of Wootters' concurrence
+_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def _entropy(rho: np.ndarray) -> float:
@@ -87,10 +99,10 @@ class _Reductions:
     """Per-state cache shared by the dense and the factor-backed state.
 
     Each quantity is computed on first use and kept, so the witnesses that
-    share it (MI inside MID and discord, S(rho_p) inside discord) read one
+    share it (MI inside MID, the entropies inside discord) read one
     value instead of recomputing it. A subclass provides ``coin``,
     ``position_entropy``, ``joint_entropy``, ``position_basis``,
-    ``outcome_table`` and ``coin_gram``.
+    ``outcome_table`` and ``discord``.
     """
 
     @cached_property
@@ -136,10 +148,14 @@ class _State(_Reductions):
         return np.clip(diag, 0.0, None).reshape(u_c.shape[1], u_p.shape[1])
 
     @cached_property
-    def coin_gram(self) -> np.ndarray:
+    def discord(self) -> float:
+        """Grid scan plus Nelder-Mead over projective coin measurements."""
         w, v = np.linalg.eigh(self.rho)
         keep = w > EIGENVALUE_CUTOFF
-        return _gram_blocks((v[:, keep] * np.sqrt(w[keep])).reshape(*self._dims, -1))
+        gram = _gram_blocks((v[:, keep] * np.sqrt(w[keep])).reshape(*self._dims, -1))
+        return self.mutual_information - (
+            self.position_entropy - _min_conditional_entropy(gram)
+        )
 
 
 class _FactorState(_Reductions):
@@ -202,8 +218,26 @@ class _FactorState(_Reductions):
         return np.sum(np.abs(amps) ** 2, axis=2)
 
     @cached_property
-    def coin_gram(self) -> np.ndarray:
-        return _gram_blocks(self.factor)
+    def discord(self) -> float:
+        """D = S(rho_c) - S(rho) + E_F(rho_pE), exact (see ``discord``).
+
+        The factor compressed onto supp(rho_p), phi[c, k, r] =
+        sum_j conj(u[j, k]) factor[c, j, r], is a pure state of coin, a
+        position qubit and the Kraus index E; a rank-1 rho_p leaves the
+        second position row zero. With F = phi read as 2 x 4 (coin by pE),
+        the concurrence of rho_pE is the difference of the singular values
+        of the symmetric 2 x 2 matrix F (sigma_y (x) sigma_y) F^T.
+        """
+        basis = self.position_basis
+        phi = np.zeros((2, 2, 2), dtype=complex)
+        phi[:, : basis.shape[1]] = np.einsum("jk,cjr->ckr", basis.conj(), self.factor)
+        f = phi.reshape(2, 4)
+        s = np.linalg.svd(f @ _SIGMA_YY @ f.T, compute_uv=False)
+        c = min(max(float(s[0] - s[1]), 0.0), 1.0)
+        # the smaller eigenvalue (1 - sqrt(1 - C^2)) / 2, without cancellation
+        p = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+        e_f = -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+        return self.coin_entropy - self.joint_entropy + e_f
 
 
 def _state(x: np.ndarray) -> _Reductions:
@@ -349,20 +383,30 @@ def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
 
 
 def discord(state: np.ndarray) -> float:
-    """Quantum discord D = I(rho) - max_axis J(axis) in bits.
+    """Quantum discord D = I(rho) - max J in bits, with the coin measured.
 
-    J(axis) = S(rho_p) - sum_i p_i S(rho_p | outcome i) for a rank-1
-    projective measurement of the coin along the Bloch axis (theta, phi).
-    The maximization runs a coarse grid scan followed by Nelder-Mead
-    refinement (tolerance 1e-7 on J). ``state`` is a Kraus factor or a
-    density matrix, as for ``mutual_information``.
+    J = S(rho_p) - sum_i p_i S(rho_p | outcome i) for a measurement of the
+    coin. ``state`` is a Kraus factor or a density matrix, as for
+    ``mutual_information``, and each form has its own method:
+
+    - A Kraus factor is exact. It purifies rho with the Kraus index as the
+      environment E, so Koashi-Winter (PRA 69, 022309, 2004) gives
+      max J = S(rho_p) - E_F(rho_pE) and D = S(rho_c) - S(rho) + E_F(rho_pE).
+      rho_p has rank <= 2, so rho_pE is a two-qubit state on
+      supp(rho_p) (x) E and Wootters' formula (PRL 80, 2245, 1998) gives
+      E_F from its concurrence. Koashi-Winter maximizes over POVMs; rho
+      restricted to C^2 (x) supp(rho_p) is a rank <= 2 two-qubit state, for
+      which projective measurements are optimal (Galve, Giorgi, Zambrini,
+      EPL 96, 40005, 2011), so the value is the projective one.
+    - A density matrix is searched for: J is maximized over rank-1
+      projective measurements along the Bloch axis (theta, phi) by a coarse
+      grid scan followed by Nelder-Mead refinement (tolerance 1e-7 on J).
     """
-    return _discord(_state(state))
+    return _state(state).discord
 
 
-def _discord(state: _Reductions) -> float:
-    gram = state.coin_gram
-
+def _min_conditional_entropy(gram: np.ndarray) -> float:
+    """min over coin axes of sum_i p_i S(rho_p|i), from the Gram blocks of rho."""
     nt, nf = _DISCORD_GRID
     thetas = np.linspace(0.0, math.pi, nt)
     phis = np.linspace(0.0, 2.0 * math.pi, nf, endpoint=False)
@@ -377,8 +421,7 @@ def _discord(state: _Reductions) -> float:
         options={"fatol": 1e-7, "xatol": 1e-6},
     )
     # refinement never worsens the grid optimum; a NaN refinement keeps it
-    cond_min = min(float(cond[best]), float(res.fun))
-    return state.mutual_information - (state.position_entropy - cond_min)
+    return min(float(cond[best]), float(res.fun))
 
 
 def coin_entropy(state: np.ndarray) -> float:
@@ -445,7 +488,7 @@ def witness_series(
     measures = {
         "MI": lambda state, raw: state.mutual_information,
         "MID": lambda state, raw: _mid(state),
-        "QD": lambda state, raw: _discord(state),
+        "QD": lambda state, raw: state.discord,
         "Entropy": lambda state, raw: state.coin_entropy,
         "Variance": lambda state, raw: distribution_variance(
             position_distribution(raw), positions

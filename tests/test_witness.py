@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import dense_one_shot, density_from_factor
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nmqwalk.witness as witness_mod
@@ -15,6 +15,7 @@ from nmqwalk.walk import (
     WalkConfig,
     density_from_amplitudes,
     distribution_variance,
+    evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
     lattice_positions,
@@ -107,6 +108,13 @@ def one_shot_factors(draw):
 
 
 PUBLIC_MEASURES = (mutual_information, mid, discord, coin_entropy)
+
+#: an entangled psi on C^2 (x) C^3, for the fixed edge cases of the factor form
+ENTANGLED_PSI = np.array([[0.5, 0.3j, 0.1], [-0.2, 0.6, 0.4 - 0.2j]])
+ENTANGLED_PSI /= np.linalg.norm(ENTANGLED_PSI)
+#: rho_p of rank 1: a single site, and a coin (x) position product state
+SINGLE_SITE_PSI = np.array([[0.6], [0.8j]])
+PRODUCT_PSI = np.outer([0.6, 0.8j], [0.5, -0.5j, 1 / math.sqrt(2)])
 
 
 def classical_classical(p):
@@ -222,6 +230,13 @@ class TestDiscord:
         # the classical correlation J = MI - QD
         assert mutual_information(BELL) - discord(BELL) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("k", [1.0, -1.0])
+    def test_pure_walk_factors_equal_coin_entropy(self, k):
+        # the discord of a pure state is its entanglement entropy
+        for t, amps in enumerate(evolve_noiseless(WalkConfig(steps=100))):
+            factor = kraus_factor(amps, k)
+            assert discord(factor) == pytest.approx(coin_entropy(factor), abs=1e-12), f"t={t}"
+
     def test_bounded_by_mid_on_walk_states(self):
         cfg = WalkConfig(steps=8)
         noise = RtnParams(a=0.08, gamma=0.01)
@@ -256,14 +271,24 @@ class TestScalarWitnesses:
 class TestStateForms:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(factor=one_shot_factors())
+    @example(factor=kraus_factor(ENTANGLED_PSI, 1.0))
+    @example(factor=kraus_factor(ENTANGLED_PSI, 0.0))
+    @example(factor=kraus_factor(ENTANGLED_PSI, -1.0))
+    @example(factor=kraus_factor(SINGLE_SITE_PSI, 0.3))
+    @example(factor=kraus_factor(PRODUCT_PSI, 0.3))
     def test_factor_equals_its_density_matrix(self, factor):
+        # the factor's discord is the closed form, the dense one the optimizer
         rho = density_from_factor(factor)
         assert mutual_information(factor) == pytest.approx(mutual_information(rho), abs=1e-12)
         assert coin_entropy(factor) == pytest.approx(coin_entropy(rho), abs=1e-12)
         m = mid(factor)
         qd = discord(factor)
+        dense_qd = discord(rho)
         assert m == pytest.approx(mid(rho), abs=1e-9)
-        assert qd == pytest.approx(discord(rho), abs=1e-9)
+        assert qd == pytest.approx(dense_qd, abs=1e-9)
+        # the closed form is the optimum over POVMs; the dense search covers
+        # projective measurements only, so it reads no lower beyond rounding
+        assert dense_qd >= qd - 1e-12
         # QD >= 0 up to rounding; QD <= MID to the tolerance of the comparisons above
         assert -1e-12 <= qd <= m + 1e-9
 
@@ -340,6 +365,28 @@ class TestSeries:
         assert len(calls) == 1
         witness_series(cfg, noise, witnesses=("TD", *single))
         assert len(calls) == 1 + 3
+
+    def test_optimizer_runs_only_on_dense_states(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the discord optimizer ran on a one-shot factor")
+
+        optimizer = witness_mod.minimize
+        monkeypatch.setattr(witness_mod, "minimize", refuse)
+        cfg = WalkConfig(steps=ORACLE_STEPS, delta=0.7, eta=0.3)
+        for noise in ORACLE_NOISES.values():
+            witness_series(cfg, noise, witnesses=("QD",))
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return optimizer(*args, **kwargs)
+
+        monkeypatch.setattr(witness_mod, "minimize", counting)
+        witness_series(
+            WalkConfig(steps=4), OunParams(Gamma=0.1, gamma=0.01), mode="stepwise", witnesses=("QD",)
+        )
+        assert len(calls) == 5
 
     def test_repeated_tag_gives_one_series(self):
         found = witness_series(WalkConfig(steps=4), None, witnesses=("MI", "Entropy", "MI"))
