@@ -50,17 +50,19 @@ class ChoiScanResult:
     non_markovian_by_cp: bool = False
 
 
-def kernel_ratio(noise: NoiseModel, t1: float, t2):
-    """Intermediate-map parameter r = k(t2)/k(t1), elementwise for an array t2.
+def kernel_ratio(noise: NoiseModel, t1, t2):
+    """Intermediate-map parameter r = k(t2)/k(t1), elementwise in t1 and t2.
 
-    Fails if any t2 <= t1, or if k(t1) ~ 0.
+    Fails if any t2 <= t1. The package's one kernel-zero check: raises
+    NonInvertibleMapError naming the first t1 with |k(t1)| <= KERNEL_ZERO_TOL.
     """
-    if np.any(np.asarray(t2) <= t1):
-        raise ValueError(f"need t2 > t1, got t1={t1}, t2={np.min(t2)}")
-    k1 = float(kernel_value(noise, t1))
-    if abs(k1) <= KERNEL_ZERO_TOL:
+    if np.any(np.less_equal(t2, t1)):
+        raise ValueError(f"need t2 > t1, got t2 - t1 = {np.min(np.subtract(t2, t1))}")
+    k1 = kernel_value(noise, t1)
+    zero = np.abs(k1) <= KERNEL_ZERO_TOL
+    if np.any(zero):
         raise NonInvertibleMapError(
-            f"kernel vanishes at t1={t1}; the map from 0 to t1 is not invertible"
+            f"kernel vanishes at t1={np.ravel(t1)[np.argmax(zero)]}; E(t1, 0) has no inverse"
         )
     return kernel_value(noise, t2) / k1
 

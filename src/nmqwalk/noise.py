@@ -83,7 +83,8 @@ def rtn_lambda(p: RtnParams, t):
     """
     t = np.asarray(t, dtype=float)
     g = p.gamma
-    disc = (2.0 * p.a / g) ** 2 - 1.0
+    # a numpy float: an overflow gives inf (so a NaN kernel), not OverflowError
+    disc = np.float64(2.0 * p.a / g) ** 2 - 1.0
     env = np.exp(-g * t)
     if abs(disc) < _CRITICAL_TOL:
         out = env * (1.0 + g * t)
@@ -120,31 +121,38 @@ def pln_p(p: PlnParams, t):
     return out if out.ndim else float(out)
 
 
-def kernel_value(noise: NoiseModel, t) -> float:
-    """Decoherence kernel of any model at time t (1.0 for no noise)."""
+_KERNELS = {RtnParams: rtn_lambda, OunParams: oun_p, PlnParams: pln_p}
+
+
+def kernel_value(noise: NoiseModel, t):
+    """Decoherence kernel of any model at scalar or array t (1.0 for no noise).
+
+    The package's one range check: raises KernelRangeError naming the first
+    t where k is NaN (an overflowing model) or |k| > 1 + _KERNEL_SLACK.
+    """
     if noise is None:
         return 1.0 if np.isscalar(t) else np.ones_like(np.asarray(t, dtype=float))
-    if isinstance(noise, RtnParams):
-        return rtn_lambda(noise, t)
-    if isinstance(noise, OunParams):
-        return oun_p(noise, t)
-    if isinstance(noise, PlnParams):
-        return pln_p(noise, t)
-    raise TypeError(f"unknown noise model {noise!r}")
+    if type(noise) not in _KERNELS:
+        raise TypeError(f"unknown noise model {noise!r}")
+    with np.errstate(all="ignore"):  # a non-finite k is reported below
+        k = _KERNELS[type(noise)](noise, t)
+        bad = ~(np.abs(k) <= 1.0 + _KERNEL_SLACK)  # also flags NaN
+    if np.any(bad):
+        i = np.argmax(bad)
+        raise KernelRangeError(
+            f"kernel value {np.ravel(k)[i]} at t={np.ravel(t)[i]} outside [-1, 1]"
+        )
+    return k
 
 
-def kraus_at(noise: NoiseModel, t: float) -> list[np.ndarray]:
+def kraus_at(noise: NoiseModel, t) -> np.ndarray:
     """Kraus pair of the dephasing map from 0 to t on the coin qubit.
 
     K1 = sqrt((1+k)/2) I and K2 = sqrt((1-k)/2) sigma_3 where k is the
     kernel value at t, so no noise (None, k = 1) gives the pair (I, 0).
+    Shape (*t.shape, 2, 2, 2), the Kraus index first of the last three axes.
     Completeness K1^dag K1 + K2^dag K2 = I is exact up to floating point.
     """
-    k = float(kernel_value(noise, t))
-    if not abs(k) <= 1.0 + _KERNEL_SLACK:  # also rejects NaN
-        raise KernelRangeError(f"kernel value {k} at t={t} outside [-1, 1]")
-    k = min(1.0, max(-1.0, k))
-    k1 = np.sqrt((1.0 + k) / 2.0) * np.eye(2, dtype=complex)
-    k2 = np.sqrt((1.0 - k) / 2.0) * SIGMA_3
-    return [k1, k2]
-
+    k = np.clip(kernel_value(noise, t), -1.0, 1.0)[..., None, None]
+    pair = [np.sqrt((1.0 + k) / 2.0) * np.eye(2), np.sqrt((1.0 - k) / 2.0) * SIGMA_3]
+    return np.stack(pair, axis=-3)

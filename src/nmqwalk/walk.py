@@ -32,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, EdgeAmplitudeError, NonInvertibleMapError
-from .noise import KERNEL_ZERO_TOL, NoiseModel, kernel_value, kraus_at
+from .divisibility import kernel_ratio
+from .exceptions import DimensionMismatchError, EdgeAmplitudeError
+from .noise import NoiseModel, kraus_at
 
 EDGE_AMPLITUDE_TOL = 1e-14
 
@@ -89,11 +90,10 @@ def initial_state(cfg: WalkConfig) -> np.ndarray:
 
 
 def _check_edges(amps: np.ndarray) -> None:
+    """The one edge guard, on amplitudes (2, n) at both lattice ends."""
     edge = max(np.max(np.abs(amps[:, 0])), np.max(np.abs(amps[:, -1])))
     if edge > EDGE_AMPLITUDE_TOL:
-        raise EdgeAmplitudeError(
-            f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}"
-        )
+        raise EdgeAmplitudeError(f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}")
 
 
 def step_amplitudes(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
@@ -139,10 +139,11 @@ def evolve_one_shot(
     the state is ``rho_t = sum_r b_r b_r^dag`` with ``b_r = (K_r (x) I) psi(t)``.
     Without noise the pair is (I, 0). Every such state is a valid density
     matrix: the channel is completely positive for any kernel value in
-    [-1, 1], and a value outside it raises KernelRangeError.
+    [-1, 1]. The kernel range and the edge on t = 0..T raise before any yield.
     """
+    kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
     for t, amps in enumerate(evolve_noiseless(cfg)):
-        yield t, np.einsum("rcd,dj->cjr", kraus_at(noise, float(t)), amps)
+        yield t, np.einsum("rcd,dj->cjr", kraus[t], amps)
 
 
 def _walk_density(rho: np.ndarray, coin: np.ndarray, n_positions: int) -> np.ndarray:
@@ -167,28 +168,17 @@ def evolve_stepwise(
     matrices leave the state space by whole units: for RTN a=0.05,
     gamma=0.008 the minimum eigenvalue is -0.27 at t = 18 and -6.6 at
     t = 60. Such states are neither checked nor reported yet; how to treat
-    them is an open item of ROADMAP.md. Raises NonInvertibleMapError if
-    the kernel vanishes exactly at an intermediate step.
+    them is an open item of ROADMAP.md. One kernel_ratio call checks all T
+    ratios before any yield; the edge guard sees the amplitudes sqrt|rho_ii|.
     """
     np_ = cfg.n_positions
     coin = coin_operator(cfg.coin_angle)
+    ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = density_from_amplitudes(initial_state(cfg))
     yield 0, rho.copy()
-    k_prev = float(kernel_value(noise, 0.0))
-    for t in range(1, cfg.steps + 1):
-        if abs(k_prev) <= KERNEL_ZERO_TOL:
-            raise NonInvertibleMapError(
-                f"kernel vanishes at t={t - 1}; stepwise evolution cannot continue"
-            )
-        k_t = float(kernel_value(noise, float(t)))
-        rho = dephase_density(_walk_density(rho, coin, np_), k_t / k_prev, np_)
-        # both coin populations at both lattice ends
-        edge = float(np.max(np.abs(rho.diagonal()[[0, np_ - 1, np_, -1]])))
-        if edge > EDGE_AMPLITUDE_TOL:
-            raise EdgeAmplitudeError(
-                f"boundary population {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}"
-            )
-        k_prev = k_t
+    for t, r in enumerate(ratios, start=1):
+        rho = dephase_density(_walk_density(rho, coin, np_), r, np_)
+        _check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, np_))
         yield t, rho.copy()
 
 

@@ -434,10 +434,29 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"walk": {"steps": 4, "initial_position": 5}})
         assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
-    @pytest.mark.parametrize("command", ["walk", "witness"])
+    @pytest.mark.parametrize("command", ["walk", "witness", "choi"])
     def test_kernel_out_of_range_is_3(self, tmp_path, monkeypatch, command):
-        # a one-shot kernel past 1 has no Kraus pair
-        monkeypatch.setattr(noise_mod, "kernel_value", lambda noise, t: 1.0 + 1e-9)
+        # a kernel past 1 has no Kraus pair and no CP intermediate map
+        monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.full(np.shape(t), 1.0 + 1e-9))
         doc = {"walk": {"steps": 4}, "noise": {"model": "rtn", "a": 0.9, "gamma": 0.05}}
         cfg = write_config(tmp_path, doc)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("command", ["walk", "witness", "choi"])
+    @pytest.mark.parametrize(
+        "noise, mode",
+        [
+            # (2a/gamma)^2 overflows: every kernel value is NaN
+            ({"model": "rtn", "a": 1e300, "gamma": 1.0}, "one_shot"),
+            ({"model": "rtn", "a": 1e300, "gamma": 1.0}, "stepwise"),
+            # 2a/gamma is inf: every kernel value is NaN
+            ({"model": "rtn", "a": 0.05, "gamma": 1e-320}, "stepwise"),
+        ],
+        ids=["rtn-overflow-one_shot", "rtn-overflow-stepwise", "rtn-nan-stepwise"],
+    )
+    def test_non_finite_kernel_is_3(self, tmp_path, capsys, command, noise, mode):
+        doc = {"walk": {"steps": 5}, "noise": noise, "mode": mode, "witnesses": ["MI"]}
+        cfg = write_config(tmp_path, doc)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "kernel value nan" in err

@@ -66,6 +66,13 @@ class TestKernelRatio:
             kernel_value(noise, 5.0) / kernel_value(noise, 2.0)
         )
 
+    def test_elementwise_in_t1(self):
+        # the stepwise walk takes all its step ratios in one call
+        noise = RtnParams(a=0.9, gamma=0.05)
+        t1 = np.arange(6.0)
+        expected = [kernel_ratio(noise, float(s), s + 1.0) for s in t1]
+        np.testing.assert_array_equal(kernel_ratio(noise, t1, t1 + 1.0), expected)
+
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             kernel_ratio(OunParams(Gamma=1.0, gamma=0.05), 3.0, 3.0)

@@ -42,6 +42,15 @@ MODELS = st.one_of(
 )
 
 
+# every model over the whole positive float range, 5e-324 .. 1e308
+WIDE = st.floats(min_value=5e-324, max_value=1e308)
+WIDE_MODELS = st.one_of(
+    st.builds(RtnParams, a=WIDE, gamma=WIDE),
+    st.builds(OunParams, Gamma=WIDE, gamma=WIDE),
+    st.builds(PlnParams, Gamma=WIDE, gamma=WIDE),
+)
+
+
 class TestRtnKernel:
     def test_starts_at_one(self):
         assert rtn_lambda(RtnParams(a=0.9, gamma=0.05), 0.0) == pytest.approx(1.0)
@@ -151,8 +160,12 @@ class TestKernelProperties:
     # a PLN point where (t gamma + 1) ** 2 rounds differently for a scalar t
     @example(noise=PlnParams(Gamma=3.110927, gamma=0.50476), t=149.0)
     def test_scalar_and_array_time_agree(self, noise, t):
-        # the walk evaluates k one t at a time, the Choi scan on a whole grid
+        # both walk modes and the Choi scan evaluate k on whole grids, which
+        # reach numpy's SIMD loops; the scalar path must agree bit for bit
         assert kernel_value(noise, t) == kernel_value(noise, np.array([t]))[0]
+        grid = np.arange(401.0)
+        scalars = [kernel_value(noise, float(s)) for s in grid]
+        np.testing.assert_array_equal(kernel_value(noise, grid), scalars)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(noise=MODELS, t=KERNEL_TIMES)
@@ -163,9 +176,25 @@ class TestKernelProperties:
 
     @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1.0 - 1e-9, math.nan])
     def test_kraus_rejects_out_of_range_kernel(self, monkeypatch, bad):
-        monkeypatch.setattr(noise_mod, "kernel_value", lambda noise, t: bad)
+        monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.where(t < 3.0, 0.5, bad))
         with pytest.raises(KernelRangeError):
-            kraus_at(RtnParams(a=0.9, gamma=0.05), 1.0)
+            kraus_at(RtnParams(a=0.9, gamma=0.05), 4.0)
+        # on a grid the error names the first bad t
+        with pytest.raises(KernelRangeError, match=r"at t=3\.0 "):
+            kraus_at(RtnParams(a=0.9, gamma=0.05), np.arange(6.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(noise=WIDE_MODELS, t=KERNEL_TIMES)
+    @example(noise=RtnParams(a=1e300, gamma=1.0), t=2.0)
+    @example(noise=RtnParams(a=0.05, gamma=1e-320), t=2.0)
+    def test_kernel_in_range_or_range_error(self, noise, t):
+        # any positive parameters: a valid value or KernelRangeError, never
+        # NaN and never another exception (OverflowError, say)
+        try:
+            k = kernel_value(noise, t)
+        except KernelRangeError:
+            return
+        assert abs(k) <= 1.0 + _KERNEL_SLACK
 
 
 class TestParamsAndDispatch:

@@ -177,13 +177,12 @@ class TestNoisyEvolution:
 
     @pytest.mark.parametrize("k", [1.0 + 1e-9, -1.0 - 1e-9])
     def test_kernel_outside_unit_range_raises(self, monkeypatch, k):
-        # |k| > 1 has no Kraus pair; it must stop the walk, not give NaN columns
-        monkeypatch.setattr(noise_mod, "kernel_value", lambda noise, t: 1.0 if t < 2 else k)
-        gen = evolve_one_shot(WalkConfig(steps=4), self.NOISE)
-        next(gen)
-        next(gen)
-        with pytest.raises(KernelRangeError):
-            next(gen)
+        # |k| > 1 has no Kraus pair; it must stop the walk, not give NaN
+        # columns, and the whole grid is checked before the first state
+        monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.where(t < 2, 1.0, k))
+        for evolve in (evolve_one_shot, evolve_stepwise):
+            with pytest.raises(KernelRangeError, match=r"at t=2\.0 "):
+                next(evolve(WalkConfig(steps=4), self.NOISE))
 
     def test_stepwise_preserves_trace_and_hermiticity(self):
         for t, rho in evolve_stepwise(WalkConfig(steps=8), self.NOISE):
@@ -191,21 +190,43 @@ class TestNoisyEvolution:
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
     def test_stepwise_detects_vanishing_kernel(self, monkeypatch):
-        monkeypatch.setattr(
-            walk_mod, "kernel_value", lambda noise, t: 0.0 if t >= 1 else 1.0
+        # the map into t=1 (kernel hits zero there) exists, the one out of it
+        # does not; the whole grid is checked before the first state
+        monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.where(t >= 1, 0.0, 1.0))
+        with pytest.raises(NonInvertibleMapError, match=r"t1=1\.0;"):
+            next(evolve_stepwise(WalkConfig(steps=4), self.NOISE))
+
+    def test_kernel_evaluated_once_per_walk(self, monkeypatch):
+        calls = {"kraus_at": 0, "kernel": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(walk_mod, "kraus_at", counted("kraus_at", walk_mod.kraus_at))
+        monkeypatch.setitem(
+            noise_mod._KERNELS, RtnParams, counted("kernel", noise_mod._KERNELS[RtnParams])
         )
-        gen = evolve_stepwise(WalkConfig(steps=4), self.NOISE)
-        next(gen)
-        next(gen)  # the map into t=1 (kernel hits zero there) still exists
-        with pytest.raises(NonInvertibleMapError):
-            next(gen)
+        list(evolve_one_shot(WalkConfig(steps=12), self.NOISE))
+        assert calls == {"kraus_at": 1, "kernel": 1}
+        calls["kernel"] = 0
+        list(evolve_stepwise(WalkConfig(steps=12), self.NOISE))
+        assert calls["kernel"] <= 2
 
     @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
     def test_edge_guard_fires_in_both_modes(self, evolve):
-        # started next to the right edge, the coin-1 weight reaches it at t = 3
-        cfg = WalkConfig(steps=4, initial_position=4)
-        with pytest.raises(EdgeAmplitudeError):
-            list(evolve(cfg, self.NOISE))
+        cases = [
+            # started next to the right edge, the coin-1 weight reaches it at t = 3
+            (WalkConfig(steps=4, initial_position=4), self.NOISE),
+            # only an amplitude of 1.4e-14 (a population of 2e-28) reaches the edge
+            (WalkConfig(steps=100, initial_position=10), None),
+        ]
+        for cfg, noise in cases:
+            with pytest.raises(EdgeAmplitudeError):
+                list(evolve(cfg, noise))
 
 
 class TestDistributions:
