@@ -10,13 +10,9 @@ sources.
 """
 
 from .divisibility import (
-    ChoiScanPoint,
     ChoiScanResult,
-    SignedKrausSet,
-    apply_signed,
     choi_eigenvalues,
     cp_divisibility_scan,
-    intermediate_kraus,
     is_cp,
     kernel_ratio,
 )
@@ -41,12 +37,9 @@ from .noise import (
     rtn_lambda,
 )
 from .qops import (
-    check_density_matrix,
     entropy_of_spectrum,
     partial_trace,
-    purity,
     trace_norm,
-    von_neumann_entropy,
 )
 from .spectral import (
     DisambiguationReport,
@@ -62,14 +55,11 @@ from .spectral import (
 )
 from .walk import (
     WalkConfig,
-    coin_operator,
     evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
-    initial_state,
     lattice_positions,
     position_distribution,
-    step_amplitudes,
 )
 from .witness import (
     coin_entropy,
@@ -83,7 +73,6 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChoiScanPoint",
     "ChoiScanResult",
     "ConfigError",
     "DimensionMismatchError",
@@ -99,15 +88,11 @@ __all__ = [
     "Peak",
     "PlnParams",
     "RtnParams",
-    "SignedKrausSet",
     "Spectrum",
     "TimeSeries",
     "WalkConfig",
-    "apply_signed",
-    "check_density_matrix",
     "choi_eigenvalues",
     "coin_entropy",
-    "coin_operator",
     "cp_divisibility_scan",
     "detrend",
     "disambiguate",
@@ -118,8 +103,6 @@ __all__ = [
     "evolve_stepwise",
     "find_peaks",
     "fit_mfbf",
-    "initial_state",
-    "intermediate_kraus",
     "is_cp",
     "kernel_ratio",
     "kernel_value",
@@ -132,11 +115,8 @@ __all__ = [
     "pln_p",
     "position_distribution",
     "power_spectrum",
-    "purity",
     "rtn_lambda",
-    "step_amplitudes",
     "trace_distance",
     "trace_norm",
-    "von_neumann_entropy",
     "witness_series",
 ]

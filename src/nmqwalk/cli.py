@@ -312,10 +312,7 @@ def run_choi_scan(cfg: ExperimentConfig, out_dir: Path) -> None:
     n = int(round((cfg.choi["t2_max"] - t1) / cfg.choi["dt"]))
     grid = t1 + cfg.choi["dt"] * np.arange(1, n + 1)
     result = cp_divisibility_scan(cfg.noise, t1, grid)
-    rows = [
-        (pt.t2, pt.lambda3, pt.lambda4, pt.is_cp, pt.invertible)
-        for pt in result.points
-    ]
+    rows = [(*point, result.invertible) for point in result.points.tolist()]
     _write_csv(
         out_dir / "choi.csv", ["t2", "lambda3", "lambda4", "is_cp", "invertible"], rows
     )

@@ -4,8 +4,14 @@ A dephasing channel with kernel k(t) has the intermediate map E(t2, t1) =
 E(t2, 0) E(t1, 0)^-1, which exists iff k(t1) != 0 and is itself a
 dephasing map with ratio r = k(t2)/k(t1). Its (unnormalized, trace-2) Choi
 matrix built on |00> + |11> has eigenvalues (0, 0, 1 - r, 1 + r); a
-negative one signals a non-completely-positive intermediate map, realized
-by an operator-sum-difference (signed Kraus) representation.
+negative one signals a non-completely-positive intermediate map. Such a
+map is still an operator-sum difference sum_j s_j K_j rho K_j^dag, with
+K+- = sqrt(|1 +- r|/2) diag(1, +-1) and s+- = sign(1 +- r). The walk applies
+it by scaling the coin coherences (``walk.dephase_density``); the tests keep
+the signed-Kraus form as the oracle of that scaling (``tests/conftest.py``).
+
+A scan classifies E(t2, t1) at one t1 only, so it sees only revivals of
+|k| above |k(t1)|; it is not a verdict on the channel.
 
 Note: external conventions often normalize the Choi matrix to trace 1;
 divide eigenvalues by 2 to compare.
@@ -18,36 +24,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NonInvertibleMapError
-from .noise import KERNEL_ZERO_TOL, SIGMA_3, NoiseModel, kernel_value
+from .noise import KERNEL_ZERO_TOL, NoiseModel, kernel_value
 
 CP_EIGENVALUE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SignedKrausSet:
-    """Operators with signs realizing sum_j sign_j K_j rho K_j^dag.
-
-    Satisfies the generalized completeness sum_j sign_j K_j^dag K_j = I;
-    all-plus signs recover the usual operator-sum (CP) form.
-    """
-
-    operators: tuple[np.ndarray, ...]
-    signs: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ChoiScanPoint:
-    t2: float
-    lambda3: float
-    lambda4: float
-    is_cp: bool
-    invertible: bool
+_SCAN_FIELDS = [("t2", float), ("lambda3", float), ("lambda4", float), ("is_cp", bool)]
 
 
 @dataclass(frozen=True)
 class ChoiScanResult:
-    points: tuple[ChoiScanPoint, ...] = field(repr=False)
-    non_markovian_by_cp: bool = False
+    """The Choi spectrum of E(t2, t1) at each grid point, for one t1.
+
+    ``points`` is a structured array with fields ``t2``, ``lambda3``,
+    ``lambda4`` and ``is_cp``, one record per grid point. ``invertible`` is
+    False when k(t1) vanishes, so no intermediate map exists; then every
+    point has NaN eigenvalues and is not CP.
+    """
+
+    points: np.ndarray = field(repr=False)
+    invertible: bool
 
 
 def kernel_ratio(noise: NoiseModel, t1, t2):
@@ -70,33 +64,6 @@ def kernel_ratio(noise: NoiseModel, t1, t2):
 def choi_eigenvalues(r):
     """Eigenvalues (0, 0, 1 - r, 1 + r) of the intermediate Choi matrix."""
     return (0.0, 0.0, 1.0 - r, 1.0 + r)
-
-
-def intermediate_kraus(r: float) -> SignedKrausSet:
-    """Signed Kraus pair of the intermediate map, K+- = sqrt(|1 +- r|/2) diag(1, +-1).
-
-    The sign -1 is attached to whichever operator folds a negative Choi
-    eigenvalue (K- when r > 1, K+ when r < -1); this is the unique
-    assignment under which sum_j sign_j K_j^dag K_j = I.
-    """
-    k_plus = np.sqrt(abs(1.0 + r) / 2.0) * np.eye(2, dtype=complex)
-    k_minus = np.sqrt(abs(1.0 - r) / 2.0) * SIGMA_3
-    sign_plus = -1 if (1.0 + r) < 0 else 1
-    sign_minus = -1 if (1.0 - r) < 0 else 1
-    return SignedKrausSet(operators=(k_plus, k_minus), signs=(sign_plus, sign_minus))
-
-
-def apply_signed(rho: np.ndarray, ks: SignedKrausSet) -> np.ndarray:
-    """sum_j sign_j K_j rho K_j^dag; trace and Hermiticity preserving.
-
-    The output of a non-CP map need not be positive semidefinite, so no
-    density-matrix validation is performed here.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for op, sign in zip(ks.operators, ks.signs):
-        out += sign * (op @ rho @ op.conj().T)
-    return out
 
 
 def is_cp(r):
@@ -126,9 +93,7 @@ def cp_divisibility_scan(
         r = np.full(t2.shape, np.nan)
         invertible = False
     _, _, l3, l4 = choi_eigenvalues(r)
-    cp = is_cp(r)
-    points = tuple(
-        ChoiScanPoint(*row, invertible)
-        for row in zip(t2.tolist(), l3.tolist(), l4.tolist(), cp.tolist())
-    )
-    return ChoiScanResult(points=points, non_markovian_by_cp=invertible and not cp.all())
+    points = np.empty(t2.shape, dtype=_SCAN_FIELDS)
+    for name, column in zip(points.dtype.names, (t2, l3, l4, is_cp(r))):
+        points[name] = column
+    return ChoiScanResult(points=points, invertible=invertible)

@@ -2,8 +2,8 @@
 
 All states live on a bipartite Hilbert space ordered as coin (x) position,
 i.e. the flat index of basis vector |c, x> is ``c * n_positions + x``.
-Entropies are in bits (log base 2) throughout, including the purity
-diagnostics; a maximally mixed qubit has entropy exactly 1.
+Entropies are in bits (log base 2) throughout; a maximally mixed qubit has
+entropy exactly 1.
 """
 
 from __future__ import annotations
@@ -97,9 +97,3 @@ def trace_norm(m: np.ndarray) -> float:
     if is_hermitian(m, tol=1e-13):
         return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr(rho^2)."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(np.real(np.trace(rho @ rho)))

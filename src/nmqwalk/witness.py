@@ -73,6 +73,8 @@ _PROJECTION_TOL = 1e-8
 
 #: (theta, phi) points of the coarse scan that seeds the dense discord optimizer
 _DISCORD_GRID = (32, 32)
+#: coin axes per batch of conditional spectra in the dense discord search
+_AXIS_BLOCK = 64
 
 _SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 #: sigma_y (x) sigma_y, the spin flip of Wootters' concurrence
@@ -411,7 +413,13 @@ def _min_conditional_entropy(gram: np.ndarray) -> float:
     thetas = np.linspace(0.0, math.pi, nt)
     phis = np.linspace(0.0, 2.0 * math.pi, nf, endpoint=False)
     axes = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-    cond = _conditional_entropies(gram, axes)
+    # in blocks, so the batch holds 2 _AXIS_BLOCK r x r matrices for any grid
+    cond = np.concatenate(
+        [
+            _conditional_entropies(gram, axes[i : i + _AXIS_BLOCK])
+            for i in range(0, len(axes), _AXIS_BLOCK)
+        ]
+    )
     best = int(np.argmin(cond))
 
     res = minimize(

@@ -27,13 +27,9 @@ import math
 import time
 
 import numpy as np
+from conftest import apply_kraus, apply_signed, intermediate_kraus, random_qubit_states
 
-from nmqwalk.divisibility import (
-    apply_signed,
-    cp_divisibility_scan,
-    intermediate_kraus,
-    kernel_ratio,
-)
+from nmqwalk.divisibility import cp_divisibility_scan, kernel_ratio
 from nmqwalk.noise import (
     OunParams,
     PlnParams,
@@ -91,17 +87,6 @@ def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
         yield values[t] - measure(held)
 
 
-def random_qubit_states(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    rho = a @ a.conj().transpose(0, 2, 1)
-    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
-
-
-def apply_kraus(rho, ks):
-    return sum(k @ rho @ k.conj().T for k in ks)
-
-
 def test_criterion_1_kraus_completeness(capsys):
     start = time.perf_counter()
     models = [
@@ -130,9 +115,7 @@ def test_criterion_2_cp_divisibility(capsys):
     grid = 1.0 + 0.1 * np.arange(1, 191)
 
     def lambda3(noise):
-        return np.array(
-            [p.lambda3 for p in cp_divisibility_scan(noise, 1.0, grid).points]
-        )
+        return cp_divisibility_scan(noise, 1.0, grid).points["lambda3"]
 
     l3_nm = lambda3(RtnParams(a=0.9, gamma=0.05))
     sign_changes = int(np.sum(np.abs(np.diff(np.sign(l3_nm))) > 0))

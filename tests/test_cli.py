@@ -204,8 +204,8 @@ class TestParseConfig:
         readme = README.read_text(encoding="utf-8")
         (tour,) = re.findall(r"```python\n(.*?)```", readme, re.S)
         exec(compile(tour, "<README library tour>", "exec"), {})
-        # the tour's first print is the CP verdict its comment gives
-        assert capsys.readouterr().out.splitlines()[0] == "True"
+        # the tour's first print is the count of non-CP maps its comment gives
+        assert capsys.readouterr().out.splitlines()[0] == "150"
 
     def test_echo_round_trips(self):
         text = (

@@ -1,23 +1,34 @@
 import numpy as np
 import pytest
-
-from nmqwalk.divisibility import (
+from conftest import (
+    SignedKrausSet,
+    apply_kraus,
     apply_signed,
-    choi_eigenvalues,
-    cp_divisibility_scan,
     intermediate_kraus,
-    is_cp,
-    kernel_ratio,
+    random_qubit_states,
 )
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nmqwalk.divisibility import choi_eigenvalues, cp_divisibility_scan, is_cp, kernel_ratio
 from nmqwalk.exceptions import NonInvertibleMapError
-from nmqwalk.noise import OunParams, RtnParams, kernel_value, kraus_at
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value, kraus_at
+from nmqwalk.walk import dephase_density, density_from_amplitudes
+
+RATES = st.floats(min_value=1e-3, max_value=5.0)
+MODELS = st.one_of(
+    st.builds(RtnParams, a=RATES, gamma=RATES),
+    st.builds(OunParams, Gamma=RATES, gamma=RATES),
+    st.builds(PlnParams, Gamma=RATES, gamma=RATES),
+)
 
 
-def dephase(rho, k):
-    out = rho.copy().astype(complex)
-    out[0, 1] *= k
-    out[1, 0] *= k
-    return out
+@st.composite
+def qubit_states(draw):
+    """A qubit density matrix from a Bloch vector in the closed unit ball."""
+    bloch = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    x, y, z = bloch / max(1.0, float(np.linalg.norm(bloch)))
+    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
 
 
 def intermediate_choi(r):
@@ -30,13 +41,6 @@ def intermediate_choi(r):
     m[0, 0] = m[3, 3] = 1.0
     m[0, 3] = m[3, 0] = r
     return m
-
-
-def random_qubit_states(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
-    rho = a @ a.conj().transpose(0, 2, 1)
-    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
 class TestChoi:
@@ -99,8 +103,17 @@ class TestSignedKraus:
         ks = intermediate_kraus(r)
         for rho in random_qubit_states(20, seed=17):
             np.testing.assert_allclose(
-                apply_signed(rho, ks), dephase(rho, r), atol=1e-13
+                apply_signed(rho, ks), dephase_density(rho, r, 1), atol=1e-13
             )
+        # on a coin (x) position state each K_j acts as K_j (x) I
+        n = 5
+        rng = np.random.default_rng(31)
+        psi = rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)
+        rho = density_from_amplitudes(psi / np.linalg.norm(psi))
+        lifted = SignedKrausSet(tuple(np.kron(op, np.eye(n)) for op in ks.operators), ks.signs)
+        np.testing.assert_allclose(
+            apply_signed(rho, lifted), dephase_density(rho, r, n), atol=1e-13
+        )
 
     def test_signs_follow_negative_choi_eigenvalue(self):
         assert intermediate_kraus(1.5).signs == (1, -1)
@@ -118,14 +131,29 @@ class TestComposition:
             t2 = t1 + float(rng.uniform(0.2, 8.0))
             if abs(kernel_value(noise, t1)) < 1e-3:
                 continue
-            k1a, k1b = kraus_at(noise, t1)
-            rho_t1 = k1a @ rho @ k1a.conj().T + k1b @ rho @ k1b.conj().T
+            rho_t1 = apply_kraus(rho, kraus_at(noise, t1))
             via_intermediate = apply_signed(
                 rho_t1, intermediate_kraus(kernel_ratio(noise, t1, t2))
             )
-            k2a, k2b = kraus_at(noise, t2)
-            direct = k2a @ rho @ k2a.conj().T + k2b @ rho @ k2b.conj().T
+            direct = apply_kraus(rho, kraus_at(noise, t2))
             np.testing.assert_allclose(via_intermediate, direct, atol=1e-10)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        noise=MODELS,
+        t1=st.floats(min_value=0.0, max_value=20.0),
+        dt=st.floats(min_value=1e-3, max_value=20.0),
+        rho=qubit_states(),
+    )
+    def test_composition_for_every_model(self, noise, t1, dt, rho):
+        assume(abs(kernel_value(noise, t1)) > 1e-3)
+        t2 = t1 + dt
+        rho_t1 = apply_kraus(rho, kraus_at(noise, t1))
+        via_intermediate = apply_signed(
+            rho_t1, intermediate_kraus(kernel_ratio(noise, t1, t2))
+        )
+        direct = apply_kraus(rho, kraus_at(noise, t2))
+        np.testing.assert_allclose(via_intermediate, direct, rtol=0, atol=1e-10)
 
 
 class TestScan:
@@ -133,26 +161,32 @@ class TestScan:
 
     def test_rtn_non_markovian_regime_violates_cp(self):
         result = cp_divisibility_scan(RtnParams(a=0.9, gamma=0.05), 1.0, self.GRID)
-        l3 = np.array([p.lambda3 for p in result.points])
-        assert result.non_markovian_by_cp
+        l3 = result.points["lambda3"]
+        assert result.invertible and not result.points["is_cp"].all()
         assert np.any(l3 < 0)
         assert np.sum(np.abs(np.diff(np.sign(l3)))) / 2 >= 2
 
     def test_oun_stays_cp(self):
-        result = cp_divisibility_scan(OunParams(Gamma=1.0, gamma=5.0), 1.0, self.GRID)
-        assert not result.non_markovian_by_cp
-        assert all(p.is_cp and p.invertible for p in result.points)
+        noise = OunParams(Gamma=1.0, gamma=5.0)
+        result = cp_divisibility_scan(noise, 1.0, self.GRID)
+        assert result.invertible and result.points["is_cp"].all()
+        # one record per grid point
+        assert result.points.dtype.names == ("t2", "lambda3", "lambda4", "is_cp")
+        np.testing.assert_array_equal(result.points["t2"], self.GRID)
+        r = kernel_ratio(noise, 1.0, self.GRID)
+        np.testing.assert_array_equal(result.points["lambda3"], 1.0 - r)
+        np.testing.assert_array_equal(result.points["lambda4"], 1.0 + r)
 
     def test_kernel_zero_at_t1_flags_every_point(self, monkeypatch):
         import nmqwalk.divisibility as div
 
         monkeypatch.setattr(div, "kernel_value", lambda noise, t: np.zeros_like(t, dtype=float))
         result = cp_divisibility_scan(RtnParams(a=0.9, gamma=0.05), 1.0, self.GRID)
+        assert not result.invertible
         assert len(result.points) == len(self.GRID)
-        for p in result.points:
-            assert not p.invertible and not p.is_cp
-            assert np.isnan(p.lambda3) and np.isnan(p.lambda4)
-        assert not result.non_markovian_by_cp
+        assert not result.points["is_cp"].any()
+        assert np.isnan(result.points["lambda3"]).all()
+        assert np.isnan(result.points["lambda4"]).all()
 
     @pytest.mark.parametrize("grid", [[1.5, 1.0, 2.0], [0.5], [1.5, 0.9]])
     def test_grid_entry_not_after_t1_rejected(self, grid):

@@ -1,7 +1,7 @@
 """Source hygiene checks that need no linter: every import and private name is used.
 
-A name bound by an import in ``src/`` or ``demos/`` must be read somewhere
-in the same module, or, in a package ``__init__``, be listed in
+A name bound by an import in ``src/``, ``demos/`` or ``tests/`` must be read
+somewhere in the same module, or, in a package ``__init__``, be listed in
 ``__all__``. ``from __future__`` imports are exempt. A private function,
 class or constant (a leading underscore, not a dunder) defined at module
 level must be read somewhere in the same module. Every name
@@ -16,7 +16,9 @@ import pytest
 import nmqwalk
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py")])
+SOURCES = sorted(
+    [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+)
 
 
 def imported_names(tree):

@@ -6,7 +6,6 @@ from nmqwalk.qops import (
     check_density_matrix,
     entropy_of_spectrum,
     partial_trace,
-    purity,
     trace_norm,
     von_neumann_entropy,
 )
@@ -105,7 +104,3 @@ class TestNormsAndSpectra:
         assert trace_norm(m) == pytest.approx(
             np.sum(np.linalg.svd(m, compute_uv=False)), abs=1e-10
         )
-
-    def test_purity_bounds(self):
-        assert purity(np.diag([1.0, 0.0])) == pytest.approx(1.0)
-        assert purity(np.eye(4) / 4) == pytest.approx(0.25)
