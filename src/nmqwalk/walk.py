@@ -18,7 +18,10 @@ two inequivalent ways:
   interleaved with the walk, ``rho(t) = D[k(t)/k(t-1)](W rho(t-1) W^dag)``,
   which requires an invertible kernel and may transiently leave the set
   of physical states when an intermediate map is not completely positive.
-  States are full rank in general and are yielded as dense matrices.
+  States are yielded as dense (2n, 2n) matrices and are supported on the
+  2(t + 1) light-cone rows: coin (x) the sites x0 - t, x0 - t + 2, ...,
+  x0 + t that a walker started at x0 can reach in t steps. They are full
+  rank on that support in general.
 
 Amplitude arrays are shaped (2, n_positions); flat indices follow the
 coin (x) position order of :mod:`nmqwalk.qops`.
@@ -146,15 +149,38 @@ def evolve_one_shot(
         yield t, np.einsum("rcd,dj->cjr", kraus[t], amps)
 
 
-def _walk_density(rho: np.ndarray, coin: np.ndarray, n_positions: int) -> np.ndarray:
-    """W rho W^dag without forming the (2 n_pos)^2 walk matrix."""
-    r = rho.reshape(2, n_positions, 2, n_positions)
-    r = np.einsum("ab,bjck,dc->ajdk", coin, r, coin.conj())
-    out = np.empty_like(r)
+def _light_cone(x0: int, reach: int, n_positions: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.ix_`` index of the coin (x) position block on every other site.
+
+    The sites are x0 - reach, x0 - reach + 2, ..., x0 + reach, counted mod
+    n_positions as ``np.roll`` counts them, coin 0 first, then coin 1. A
+    walker started at x0 can occupy after t steps only the sites of reach t,
+    so rho(t) is zero outside that block.
+    """
+    sites = (x0 + np.arange(-reach, reach + 1, 2)) % n_positions
+    rows = np.concatenate([sites, sites + n_positions])
+    return np.ix_(rows, rows)
+
+
+def _walk_density(rho: np.ndarray, coin: np.ndarray) -> np.ndarray:
+    """W rho W^dag from one light cone to the next, without the walk matrix.
+
+    ``rho`` is the (2m, 2m) block of rho(t - 1) on the m = t + 2 sites of
+    reach t + 1 (its light cone plus an empty site on either side); the
+    result is the (2(m - 1), 2(m - 1)) block of rho(t) on the sites of
+    reach t. Coin |0> moves each walker one site left, coin |1> one right.
+    The empty sites make the shift a slice, and keep m >= 3: on a one-site
+    block einsum takes another inner loop, which rounds differently from
+    the same entries of the full lattice.
+    """
+    m = rho.shape[0] // 2
+    r = np.einsum("ab,bjck,dc->ajdk", coin, rho.reshape(2, m, 2, m), coin.conj())
+    out = np.empty((2, m - 1, 2, m - 1), dtype=r.dtype)
     for a, da in enumerate(_COIN_SHIFT):
         for d, dd in enumerate(_COIN_SHIFT):
-            out[a, :, d, :] = np.roll(np.roll(r[a, :, d, :], da, axis=0), dd, axis=1)
-    return out.reshape(2 * n_positions, 2 * n_positions)
+            i, k = (1 - da) // 2, (1 - dd) // 2
+            out[a, :, d, :] = r[a, i : i + m - 1, d, k : k + m - 1]
+    return out.reshape(2 * (m - 1), 2 * (m - 1))
 
 
 def evolve_stepwise(
@@ -169,15 +195,30 @@ def evolve_stepwise(
     gamma=0.008 the minimum eigenvalue is -0.27 at t = 18 and -6.6 at
     t = 60. Such states are neither checked nor reported yet; how to treat
     them is an open item of ROADMAP.md. One kernel_ratio call checks all T
-    ratios before any yield; the edge guard sees the amplitudes sqrt|rho_ii|.
+    ratios before any yield; the edge guard sees the amplitudes sqrt|rho_ii|
+    on the whole lattice.
+
+    Each step works on the light cone only. rho(t) is zero outside the
+    2(t + 1) rows and columns of the sites x0 - t, x0 - t + 2, ..., x0 + t,
+    so step t reads the block of rho(t - 1) on the sites of parity t - 1 in
+    the periodic window x0 - t - 1 .. x0 + t + 1 (width 2t + 3 <= n), and
+    writes the block of rho(t). Sites count mod n, so a walker that reaches
+    an edge wraps as ``np.roll`` wraps it on the full lattice. Every entry
+    in the light cone is bit for bit that of the full-lattice evolution,
+    and every other entry is zero. The walk keeps one (2n, 2n) buffer and
+    yields a copy of it.
     """
     np_ = cfg.n_positions
+    x0 = cfg.initial_position + cfg.steps + 1
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = density_from_amplitudes(initial_state(cfg))
     yield 0, rho.copy()
     for t, r in enumerate(ratios, start=1):
-        rho = dephase_density(_walk_density(rho, coin, np_), r, np_)
+        window = _light_cone(x0, t + 1, np_)
+        block = _walk_density(rho[window], coin)
+        rho[window] = 0.0
+        rho[_light_cone(x0, t, np_)] = dephase_density(block, r, t + 1)
         _check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, np_))
         yield t, rho.copy()
 

@@ -22,7 +22,11 @@ grows with T^2. A factor is measured through itself: every spectrum comes
 from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the Gram matrix of
 the position marginal), and the MID outcome table and the discord both
 live on the support of the position marginal, so no (2n)^2 matrix is
-formed. The tests check the factor path against the dense one.
+formed. The tests check the factor path against the dense one. A dense
+state is measured on its support, the sites whose rows are not all zero:
+a stepwise state after t steps is a 2(t + 1) x 2(t + 1) matrix on its
+light cone there, whatever the lattice size. Dropping zero rows keeps
+every nonzero eigenvalue, negative ones included.
 
 Discord is exact on a factor and searched for on a dense state. The factor
 is its own purification, with the Kraus index as the environment, and the
@@ -117,11 +121,22 @@ class _Reductions:
 
 
 class _State(_Reductions):
-    """One dense coin (x) position density matrix of shape (2n, 2n)."""
+    """One dense coin (x) position density matrix of shape (2n, 2n).
+
+    The matrix is kept only on its support: the sites where the row of
+    either coin is not identically zero. In a Hermitian matrix a zero row is
+    also a zero column, so the dropped block adds zero eigenvalues and
+    zero-probability outcomes only, and every other eigenvalue, a negative
+    one included, is kept. A stepwise state after t steps keeps its t + 1
+    light-cone sites (see :func:`nmqwalk.walk.evolve_stepwise`).
+    """
 
     def __init__(self, rho: np.ndarray):
-        self.rho = rho
-        self._dims = (2, rho.shape[0] // 2)
+        n = rho.shape[0] // 2
+        sites = np.flatnonzero(rho.any(axis=1).reshape(2, n).any(axis=0))
+        rows = np.concatenate([sites, sites + n])
+        self.rho = rho[np.ix_(rows, rows)]
+        self._dims = (2, sites.size)
 
     @cached_property
     def coin(self) -> np.ndarray:
@@ -154,7 +169,8 @@ class _State(_Reductions):
         """Grid scan plus Nelder-Mead over projective coin measurements."""
         w, v = np.linalg.eigh(self.rho)
         keep = w > EIGENVALUE_CUTOFF
-        gram = _gram_blocks((v[:, keep] * np.sqrt(w[keep])).reshape(*self._dims, -1))
+        factor = v[:, keep] * np.sqrt(w[keep])
+        gram = _gram_blocks(factor.reshape(*self._dims, factor.shape[1]))
         return self.mutual_information - (
             self.position_entropy - _min_conditional_entropy(gram)
         )

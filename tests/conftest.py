@@ -5,6 +5,11 @@ factor. The dense generator below forms the (2 n_positions)^2 density
 matrix from the same amplitudes and kernel the way the library did before
 the factor, so the tests can check the factor-backed path against it.
 
+``walk.evolve_stepwise`` evolves only the light cone of the walker.
+``full_lattice_stepwise`` below is its oracle: every step applies
+W rho W^dag to the whole (2 n_positions)^2 matrix, with ``np.roll`` as the
+shift, then the intermediate dephasing map, then the edge guard.
+
 The intermediate dephasing map E(t2, t1) may be non-CP. The walk applies
 it by scaling the coin coherences (``walk.dephase_density``); the signed
 Kraus pair below is its operator-sum-difference form, the oracle of that
@@ -15,8 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nmqwalk.divisibility import kernel_ratio
 from nmqwalk.noise import SIGMA_3, kernel_value
-from nmqwalk.walk import dephase_density, density_from_amplitudes, evolve_noiseless
+from nmqwalk.walk import (
+    _check_edges,
+    coin_operator,
+    dephase_density,
+    density_from_amplitudes,
+    evolve_noiseless,
+    initial_state,
+)
 
 
 def dense_one_shot(cfg, noise):
@@ -25,6 +38,24 @@ def dense_one_shot(cfg, noise):
         rho = density_from_amplitudes(amps)
         k = float(kernel_value(noise, float(t)))
         yield t, dephase_density(rho, k, cfg.n_positions)
+
+
+def full_lattice_stepwise(cfg, noise):
+    """Yield (t, rho_t) of the stepwise walk, evolved on the whole lattice."""
+    n = cfg.n_positions
+    coin = coin_operator(cfg.coin_angle)
+    ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
+    rho = density_from_amplitudes(initial_state(cfg))
+    yield 0, rho.copy()
+    for t, ratio in enumerate(ratios, start=1):
+        r = np.einsum("ab,bjck,dc->ajdk", coin, rho.reshape(2, n, 2, n), coin.conj())
+        out = np.empty_like(r)
+        for a, da in enumerate((-1, +1)):
+            for d, dd in enumerate((-1, +1)):
+                out[a, :, d, :] = np.roll(np.roll(r[a, :, d, :], da, axis=0), dd, axis=1)
+        rho = dephase_density(out.reshape(2 * n, 2 * n), ratio, n)
+        _check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, n))
+        yield t, rho.copy()
 
 
 def density_from_factor(factor):

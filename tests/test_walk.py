@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_one_shot, density_from_factor
+from conftest import dense_one_shot, density_from_factor, full_lattice_stepwise
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +227,70 @@ class TestNoisyEvolution:
         for cfg, noise in cases:
             with pytest.raises(EdgeAmplitudeError):
                 list(evolve(cfg, noise))
+
+
+#: the noise settings on which the light-cone walk is checked against the
+#: full-lattice loop
+STEPWISE_NOISES = {
+    "none": None,
+    "oun": OunParams(Gamma=0.1, gamma=0.01),
+    "pln": PlnParams(Gamma=0.1, gamma=0.01),
+    "rtn-underdamped": RtnParams(a=0.05, gamma=0.008),
+}
+
+
+def stepwise_run(evolve, cfg, noise):
+    """The states ``evolve`` yields and the edge error that ends it, if any."""
+    states = []
+    try:
+        for t, rho in evolve(cfg, noise):
+            assert t == len(states)
+            states.append(rho)
+    except EdgeAmplitudeError as exc:
+        return states, str(exc)
+    return states, None
+
+
+class TestStepwiseLightCone:
+    @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
+    @pytest.mark.parametrize("x0", [0, 2], ids=["centred", "off-centre"])
+    def test_equals_full_lattice_loop(self, noise, x0):
+        # from x0 = 2 the light cone reaches the right edge at t = 99 with
+        # amplitudes below the guard, which then wrap to the left edge
+        cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=x0)
+        pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
+        for (t, found), (_, expected) in pairs:
+            assert found.shape == expected.shape == (2 * cfg.n_positions,) * 2
+            assert np.array_equal(found, expected), f"t={t}"
+
+    @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
+    @pytest.mark.parametrize(
+        "steps, x0", [(30, -31), (30, 31), (40, 5)], ids=["at-left-edge", "at-right-edge", "off-centre"]
+    )
+    def test_edge_walkers_fail_as_on_full_lattice(self, noise, steps, x0):
+        # the light cone wraps at the lattice ends as np.roll does, so the
+        # guard fires at the same step with the same amplitude
+        cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3, initial_position=x0)
+        found, error = stepwise_run(evolve_stepwise, cfg, noise)
+        expected, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
+        assert expected_error is not None
+        assert error == expected_error
+        assert len(found) == len(expected)
+        for t, (a, b) in enumerate(zip(found, expected)):
+            assert np.array_equal(a, b), f"t={t}"
+
+    def test_yielded_states_are_copies(self):
+        # the walk keeps its own buffer: overwriting a yielded state changes
+        # no later one
+        cfg = WalkConfig(steps=6)
+        pairs = zip(
+            evolve_stepwise(cfg, TestNoisyEvolution.NOISE),
+            full_lattice_stepwise(cfg, TestNoisyEvolution.NOISE),
+            strict=True,
+        )
+        for (t, found), (_, expected) in pairs:
+            assert np.array_equal(found, expected), f"t={t}"
+            found[...] = np.nan
 
 
 class TestDistributions:

@@ -193,10 +193,11 @@ class TestMid:
         assert mid(BELL) == mid(BELL)
 
     def test_pure_walk_states_equal_coin_entropy(self):
-        # Luo's MID of a pure state is its entanglement entropy. The
-        # position marginal has rank <= 2, so on the T = 100 lattice its
-        # kernel is a 201-fold degenerate eigenspace whose rebuilt basis
-        # must stay orthonormal.
+        # Luo's MID of a pure state is its entanglement entropy. mid(rho)
+        # measures rho on its support of t + 1 sites only. The full position
+        # marginal on the T = 100 lattice has rank <= 2, so its kernel is a
+        # 201-fold degenerate eigenspace; the explicit eigenbasis check
+        # below, not mid, covers that its rebuilt basis stays orthonormal.
         cfg = WalkConfig(steps=100)
         split = (2, cfg.n_positions)
         eye = np.eye(cfg.n_positions)
@@ -266,6 +267,75 @@ class TestScalarWitnesses:
         # weights 1/2 at x = -2 and x = 0 on the 5-site lattice [-2..2]
         p = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
         assert distribution_variance(p, lattice_positions(1)) == pytest.approx(1.0)
+
+
+class FullLatticeState(witness_mod._State):
+    """A dense state measured on every site, as before the support compression."""
+
+    def __init__(self, rho):
+        self.rho = rho
+        self._dims = (2, rho.shape[0] // 2)
+
+
+@st.composite
+def hermitian_with_empty_sites(draw):
+    """A random Hermitian (2n, 2n) matrix, a state or indefinite, whose rows
+    and columns vanish on a random set of (coin, site) pairs; a site is
+    empty where they vanish for both coins."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=2 * n, max_size=2 * n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    a = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    if draw(st.booleans()):
+        rho = a @ a.conj().T * np.outer(mask, mask)
+        trace = np.trace(rho).real
+        return rho / trace if trace > 0 else rho
+    return (a + a.conj().T) * np.outer(mask, mask) / (4 * n)
+
+
+#: indefinite on sites 0 and 2 of a three-site lattice, zero on site 1
+INDEFINITE_WITH_EMPTY_SITE = np.zeros((6, 6), dtype=complex)
+INDEFINITE_WITH_EMPTY_SITE[np.ix_([0, 2, 3, 5], [0, 2, 3, 5])] = [
+    [0.6, 0.2j, 0.4, 0.1],
+    [-0.2j, 0.3, 0.0, 0.5],
+    [0.4, 0.0, 0.2, -0.3j],
+    [0.1, 0.5, 0.3j, -0.1],
+]
+
+
+def padded_spectrum(m, dim):
+    """eigvalsh of m with zeros for the rows a compressed matrix dropped."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(m), np.zeros(dim - m.shape[0])]))
+
+
+class TestSupport:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rho=hermitian_with_empty_sites())
+    @example(rho=np.zeros((6, 6)))
+    @example(rho=INDEFINITE_WITH_EMPTY_SITE)
+    def test_compression_keeps_spectra_and_witnesses(self, rho):
+        n = rho.shape[0] // 2
+        state = witness_mod._State(rho)
+        full = FullLatticeState(rho)
+        joint = np.linalg.eigvalsh(rho)
+        for found, expected in [
+            (padded_spectrum(state.rho, 2 * n), joint),
+            (np.linalg.eigvalsh(state.coin), np.linalg.eigvalsh(full.coin)),
+            (padded_spectrum(state.position, n), np.linalg.eigvalsh(full.position)),
+        ]:
+            np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-12)
+        # every negative eigenvalue survives the compression
+        kept = np.linalg.eigvalsh(state.rho)
+        found_min = min(kept.min(initial=np.inf), 0.0 if kept.size < 2 * n else np.inf)
+        assert found_min == pytest.approx(joint[0], abs=1e-12)
+        assert mutual_information(rho) == pytest.approx(full.mutual_information, abs=1e-12)
+        assert mid(rho) == pytest.approx(witness_mod._mid(full), abs=1e-12)
+        assert discord(rho) == pytest.approx(full.discord, abs=1e-9)
+
+    def test_stepwise_states_keep_their_light_cone(self):
+        cfg = WalkConfig(steps=60, delta=0.7, eta=0.3)
+        for t, rho in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
+            assert witness_mod._State(rho)._dims == (2, t + 1), f"t={t}"
 
 
 class TestStateForms:
