@@ -23,12 +23,12 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 from typing import get_args
 
 import numpy as np
 
+from . import __version__
 from .divisibility import cp_divisibility_scan
 from .exceptions import ConfigError, NmqwalkError
 from .noise import NoiseModel, OunParams, PlnParams, RtnParams
@@ -258,13 +258,6 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _package_version() -> str:
-    try:
-        return version("nmqwalk")
-    except PackageNotFoundError:  # pragma: no cover - not installed
-        return "unknown"
-
-
 def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Emit distribution.csv (nonzero rows) and variance.csv.
 
@@ -273,7 +266,7 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     while stepwise noise decoheres the walk itself and slows the spread.
     """
     evolve = evolve_stepwise if cfg.mode == "stepwise" else evolve_one_shot
-    positions = lattice_positions(cfg.walk.steps)
+    positions = lattice_positions(cfg.walk)
     dist_rows = []
     var_rows = []
     for t, state in evolve(cfg.walk, cfg.noise):  # Kraus factor or density matrix
@@ -298,7 +291,7 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> None:
         out_dir / "metadata.json",
         {
             "config": cfg.echo,
-            "artifact_version": _package_version(),
+            "artifact_version": __version__,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         },
     )
@@ -345,11 +338,14 @@ def _read_series_csv(path: Path) -> TimeSeries:
 def run_spectrum(cfg: ExperimentConfig, input_path: Path, out_dir: Path) -> None:
     """Emit fit.csv, residual.csv, spectrum.csv, and peaks.json."""
     series = _read_series_csv(input_path)
-    report = disambiguate(
-        series,
-        family=cfg.spectral["family"],
-        min_prominence=cfg.spectral["min_prominence"],
-    )
+    try:
+        report = disambiguate(
+            series,
+            family=cfg.spectral["family"],
+            min_prominence=cfg.spectral["min_prominence"],
+        )
+    except ValueError as exc:  # too few samples or uneven steps in the input
+        raise ConfigError(f"{input_path}: {exc}") from exc
     _write_csv(
         out_dir / "fit.csv",
         ["step", "value"],

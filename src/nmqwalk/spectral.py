@@ -11,6 +11,10 @@ Frequencies are in cycles per walk step. The one-sided power spectrum is
 normalized so that the total power over all bins equals N times the
 variance of the mean-removed series (interior bins carry the doubled
 two-sided power).
+
+The fit is the package's only use of ``scipy.optimize`` besides the dense
+discord search, and imports it on its first call, so a program that never
+fits a series never loads scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit, isotonic_regression
 
 from .exceptions import FitError
 
@@ -134,6 +137,10 @@ def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
         raise ValueError(f"family must be one of {FIT_FAMILIES}, got {family!r}")
     if len(s.values) < 4:
         raise ValueError(f"need at least 4 samples to fit, got {len(s.values)}")
+    # imported here, not at module level: loading scipy.optimize is most of
+    # the package's start-up, and only the fit needs it
+    from scipy.optimize import curve_fit, isotonic_regression
+
     if family == "isotonic":
         res = isotonic_regression(s.values, weights=s.weights, increasing=False)
         return MonotoneFit(family="isotonic", fitted=np.asarray(res.x, dtype=float))

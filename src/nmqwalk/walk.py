@@ -2,8 +2,11 @@
 
 One step is W = S (C(theta) (x) I): a coin rotation followed by the
 coin-conditioned shift (coin |0> moves one site left, coin |1> one site
-right). The lattice holds 2 (steps + 1) + 1 sites so the walker can never
-wrap; a guard asserts that boundary amplitudes stay below 1e-14.
+right). The lattice holds the sites -h .. h around the origin, with
+h = steps + 1 + |initial_position| (:attr:`WalkConfig.half_width`), so the
+walker's reach x0 - steps .. x0 + steps keeps at least one empty site from
+either end and can never wrap; a guard asserts that boundary amplitudes
+stay below 1e-14.
 
 Noisy evolution applies the dephasing kernel to the coin coherences in
 two inequivalent ways:
@@ -64,17 +67,27 @@ class WalkConfig:
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
         if abs(self.initial_position) > self.steps + 1:
             raise ValueError(
-                f"initial position {self.initial_position} is outside the lattice"
+                f"initial position {self.initial_position} is more than "
+                f"steps + 1 = {self.steps + 1} sites from the origin"
             )
 
     @property
+    def half_width(self) -> int:
+        """Sites either side of the origin: the walker's reach plus one.
+
+        The one place that sizes the lattice; every index, the site labels
+        and the edge guard follow from it.
+        """
+        return self.steps + 1 + abs(self.initial_position)
+
+    @property
     def n_positions(self) -> int:
-        return 2 * (self.steps + 1) + 1
+        return 2 * self.half_width + 1
 
 
-def lattice_positions(steps: int) -> np.ndarray:
-    """Site labels -(steps+1) .. +(steps+1) in flat-index order."""
-    return np.arange(-(steps + 1), steps + 2)
+def lattice_positions(cfg: WalkConfig) -> np.ndarray:
+    """Site labels -half_width .. +half_width in flat-index order."""
+    return np.arange(-cfg.half_width, cfg.half_width + 1)
 
 
 def coin_operator(theta: float) -> np.ndarray:
@@ -86,7 +99,7 @@ def coin_operator(theta: float) -> np.ndarray:
 def initial_state(cfg: WalkConfig) -> np.ndarray:
     """Amplitude array (2, n_positions) of the localized initial state."""
     amps = np.zeros((2, cfg.n_positions), dtype=complex)
-    x0 = cfg.initial_position + cfg.steps + 1
+    x0 = cfg.initial_position + cfg.half_width
     amps[0, x0] = math.cos(cfg.delta)
     amps[1, x0] = np.exp(-1j * cfg.eta) * math.sin(cfg.delta)
     return amps
@@ -202,14 +215,17 @@ def evolve_stepwise(
     2(t + 1) rows and columns of the sites x0 - t, x0 - t + 2, ..., x0 + t,
     so step t reads the block of rho(t - 1) on the sites of parity t - 1 in
     the periodic window x0 - t - 1 .. x0 + t + 1 (width 2t + 3 <= n), and
-    writes the block of rho(t). Sites count mod n, so a walker that reaches
-    an edge wraps as ``np.roll`` wraps it on the full lattice. Every entry
+    writes the block of rho(t). The window stays inside the lattice that
+    :attr:`WalkConfig.half_width` sizes; sites still count mod n, so on a
+    lattice too small for the walk a walker that reaches an edge wraps as
+    ``np.roll`` wraps it on the full lattice, and the edge guard fires at
+    the same step with the same amplitude. Every entry
     in the light cone is bit for bit that of the full-lattice evolution,
     and every other entry is zero. The walk keeps one (2n, 2n) buffer and
     yields a copy of it.
     """
     np_ = cfg.n_positions
-    x0 = cfg.initial_position + cfg.steps + 1
+    x0 = cfg.initial_position + cfg.half_width
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = density_from_amplitudes(initial_state(cfg))

@@ -35,7 +35,9 @@ Koashi-Winter (PRA 69, 022309, 2004) and Wootters' concurrence (PRL 80,
 2245, 1998); see :func:`discord`. A dense state (stepwise mode, or a dense
 argument to the public functions) runs a grid scan plus Nelder-Mead over
 projective coin measurements instead, and the tests keep that search as
-the oracle of the closed form.
+the oracle of the closed form. That search is the one place this module
+uses scipy: :func:`minimize` imports ``scipy.optimize`` when it first runs,
+so every other witness, in either mode, runs without it.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from functools import cached_property
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import DimensionMismatchError
 from .noise import NoiseModel
@@ -423,6 +424,18 @@ def discord(state: np.ndarray) -> float:
     return _state(state).discord
 
 
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    The dense discord search is the only caller, so a program that measures
+    no dense discord never loads ``scipy.optimize``, which is most of the
+    package's start-up time.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
+
+
 def _min_conditional_entropy(gram: np.ndarray) -> float:
     """min over coin axes of sum_i p_i S(rho_p|i), from the Gram blocks of rho."""
     nt, nf = _DISCORD_GRID
@@ -507,7 +520,7 @@ def witness_series(
         pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
         values["TD"] = _trace_distances(cfg, noise, evolve, pair)
 
-    positions = lattice_positions(cfg.steps).astype(float)
+    positions = lattice_positions(cfg).astype(float)
     # each single-walker witness of a cached state and the array it wraps
     measures = {
         "MI": lambda state, raw: state.mutual_information,

@@ -19,10 +19,12 @@ scaling and of the composition E(t2, t1) E(t1, 0) = E(t2, 0).
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 from nmqwalk.divisibility import kernel_ratio
 from nmqwalk.noise import SIGMA_3, kernel_value
 from nmqwalk.walk import (
+    WalkConfig,
     _check_edges,
     coin_operator,
     dephase_density,
@@ -30,6 +32,18 @@ from nmqwalk.walk import (
     evolve_noiseless,
     initial_state,
 )
+
+
+@pytest.fixture
+def origin_lattice(monkeypatch):
+    """Size every lattice as 2(T + 1) + 1 sites around the origin, whatever x0.
+
+    ``WalkConfig.half_width`` widens the lattice by |x0|, so no valid config
+    reaches an edge. On this narrower lattice a walker started off the
+    origin does, which is how the tests reach the edge guard through the
+    walk itself.
+    """
+    monkeypatch.setattr(WalkConfig, "half_width", property(lambda cfg: cfg.steps + 1))
 
 
 def dense_one_shot(cfg, noise):

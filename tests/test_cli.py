@@ -1,19 +1,24 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nmqwalk
 import nmqwalk.noise as noise_mod
 from nmqwalk.cli import main, parse_config
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 # one bad document per way parse_config can refuse a config, with the key
 # its message must name
@@ -263,6 +268,21 @@ class TestWalkCommand:
 
         assert loglog_slope(out_noisy) < loglog_slope(out_free) < 2.1
 
+    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
+    def test_off_origin_start_is_the_origin_walk_shifted(self, tmp_path, mode):
+        noise = {"model": "oun", "Gamma": 0.1, "gamma": 0.01}
+        found = {}
+        for x0 in (0, -1):
+            doc = {"walk": {"steps": 60, "initial_position": x0}, "noise": noise, "mode": mode}
+            cfg = write_config(tmp_path, doc, f"x{x0}.json")
+            out = tmp_path / f"x{x0}"
+            assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
+            _, rows = read_csv(out / "distribution.csv")
+            found[x0] = {(int(t), int(x) - x0): float(p) for t, x, p in rows}
+        assert found[-1].keys() == found[0].keys()
+        for key, p in found[0].items():
+            assert found[-1][key] == pytest.approx(p, rel=1e-11, abs=1e-15), key
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, {"walk": {"steps": 10}})
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -303,6 +323,21 @@ class TestWitnessCommand:
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["config"]["walk"]["steps"] == 8
         assert "generated_at" in meta
+
+    def test_metadata_records_the_package_version(self, tmp_path):
+        cfg = write_config(tmp_path, {"walk": {"steps": 2}, "witnesses": ["Entropy"]})
+        out = tmp_path / "out"
+        assert main(["witness", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["artifact_version"] == nmqwalk.__version__
+        text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10
+            version = re.search(r'^version = "([^"]+)"', text, re.MULTILINE).group(1)
+        else:
+            version = tomllib.loads(text)["project"]["version"]
+        assert nmqwalk.__version__ == version
 
     def test_td_series_has_a_rise(self, tmp_path):
         cfg = write_config(tmp_path, {"walk": {"steps": 20}, "witnesses": ["TD"]})
@@ -401,6 +436,27 @@ class TestSpectrumCommand:
         assert code == 0
         assert json.loads((out / "peaks.json").read_text()) == []
 
+    @pytest.mark.parametrize(
+        "times, reason",
+        [
+            (range(3), "at least 4 samples"),
+            # a witness series of steps: 6 has 7 rows
+            (range(7), "at least 8 samples"),
+            ([0, 1, 2, 3, 5, 6, 7, 8, 9, 10], "uniformly spaced"),
+        ],
+        ids=["3-rows", "7-rows", "uneven-steps"],
+    )
+    def test_short_or_uneven_input_is_2(self, tmp_path, capsys, times, reason):
+        path = tmp_path / "td.csv"
+        rows = [f"{t},{math.exp(-0.1 * t)!r}" for t in times]
+        path.write_text("\n".join(["step,value", *rows]) + "\n")
+        cfg = write_config(tmp_path, {})
+        out = str(tmp_path / "o")
+        code = main(["spectrum", "--config", str(cfg), "--input", str(path), "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and reason in err
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("step,value\n0,1.0\n1,oops\n")
@@ -429,8 +485,9 @@ class TestExitCodes:
         missing = tmp_path / "nope.json"
         assert main(["walk", "--config", str(missing), "--out", str(tmp_path / "o")]) == 4
 
-    def test_numerical_failure_is_3(self, tmp_path):
-        # starting on the lattice boundary trips the edge guard
+    def test_numerical_failure_is_3(self, tmp_path, origin_lattice):
+        # starting on the boundary of a lattice too small for the walk trips
+        # the edge guard
         cfg = write_config(tmp_path, {"walk": {"steps": 4, "initial_position": 5}})
         assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
@@ -460,3 +517,81 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "kernel value nan" in err
+
+
+#: (config, CLI steps, whether scipy ends up loaded) per start-up case; a
+#: step's "{out}" and "{series}" are filled in with paths under tmp_path
+STARTUP_CASES = {
+    "import-and-parse": ({"walk": {"steps": 4}}, [], False),
+    "one-shot-witness": (
+        {
+            "walk": {"steps": 6},
+            "noise": {"model": "rtn", "a": 0.05, "gamma": 0.008},
+            "witnesses": ["MI", "MID", "QD", "Entropy", "TD"],
+        },
+        [["witness", "--out", "{out}"]],
+        False,
+    ),
+    "stepwise-walk-and-witness": (
+        {
+            "walk": {"steps": 6},
+            "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
+            "mode": "stepwise",
+            "witnesses": ["Entropy", "MI"],
+        },
+        [["walk", "--out", "{out}"], ["witness", "--out", "{out}"]],
+        False,
+    ),
+    "choi": (
+        {"noise": {"model": "rtn", "a": 0.9, "gamma": 0.05}, "choi": {"t2_max": 3.0}},
+        [["choi", "--out", "{out}"]],
+        False,
+    ),
+    "stepwise-discord": (
+        {
+            "walk": {"steps": 4},
+            "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
+            "mode": "stepwise",
+            "witnesses": ["QD"],
+        },
+        [["witness", "--out", "{out}"]],
+        True,
+    ),
+    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], True),
+}
+
+#: runs in a fresh interpreter: parse the config, run each CLI step, and
+#: print whether scipy was imported
+STARTUP_PROBE = """
+import json, sys
+from nmqwalk.cli import main, parse_config
+parse_config(open(sys.argv[1], encoding="utf-8").read())
+for argv in json.loads(sys.argv[2]):
+    code = main([*argv, "--config", sys.argv[1]])
+    if code:
+        sys.exit(code)
+print(json.dumps("scipy" in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "doc, steps, loads_scipy", STARTUP_CASES.values(), ids=STARTUP_CASES.keys()
+)
+def test_scipy_loads_only_for_the_fit_and_dense_discord(tmp_path, doc, steps, loads_scipy):
+    series = tmp_path / "series.csv"
+    series.write_text(
+        "step,value\n" + "".join(f"{t},{math.exp(-0.1 * t)!r}\n" for t in range(16))
+    )
+    paths = {"out": str(tmp_path / "out"), "series": str(series)}
+    argvs = [[arg.format(**paths) for arg in argv] for argv in steps]
+    cfg = write_config(tmp_path, doc)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(nmqwalk.__file__).resolve().parents[1]), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, str(cfg), json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) is loads_scipy

@@ -5,7 +5,10 @@ somewhere in the same module, or, in a package ``__init__``, be listed in
 ``__all__``. ``from __future__`` imports are exempt. A private function,
 class or constant (a leading underscore, not a dunder) defined at module
 level must be read somewhere in the same module. Every name
-``nmqwalk.__all__`` lists must exist in the package.
+``nmqwalk.__all__`` lists must exist in the package. No module under
+``src/`` imports scipy when it is itself imported: ``scipy.optimize`` alone
+takes about 0.6 s to load, so it is imported inside the functions that use
+it.
 """
 
 import ast
@@ -16,9 +19,8 @@ import pytest
 import nmqwalk
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(
-    [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-)
+PACKAGE = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = sorted([*PACKAGE, *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def imported_names(tree):
@@ -30,6 +32,29 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 yield alias.asname or alias.name, node.lineno
+
+
+def module_level_imports(tree):
+    """(module, line) of every absolute import that runs when the module is imported.
+
+    Function bodies run only when called, so imports inside them are skipped;
+    class bodies and ``if``/``try`` blocks at module level are not.
+    """
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def scipy_imports(tree):
+    return {(name, line) for name, line in module_level_imports(tree) if name.split(".")[0] == "scipy"}
 
 
 def private_definitions(tree):
@@ -102,3 +127,28 @@ def test_detects_an_unused_private_name():
 def test_every_exported_name_exists():
     missing = [name for name in nmqwalk.__all__ if not hasattr(nmqwalk, name)]
     assert not missing, f"nmqwalk.__all__ lists names the package does not define: {missing}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_module_level_scipy_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [f"{name} (line {line})" for name, line in sorted(scipy_imports(tree))]
+    assert not found, (
+        f"{path.relative_to(ROOT)} imports scipy at module level: {found}; "
+        "import it inside the function that uses it"
+    )
+
+
+def test_detects_a_module_level_scipy_import():
+    source = (
+        "import numpy\nfrom scipy.optimize import minimize\n"
+        "if numpy:\n    import scipy.linalg as sla\n"
+        "def fit():\n    from scipy.optimize import curve_fit\n    return curve_fit\n"
+        "class Solver:\n    import scipy\n"
+        "from .spectral import fit_mfbf\n"
+    )
+    assert scipy_imports(ast.parse(source)) == {
+        ("scipy.optimize", 2),
+        ("scipy.linalg", 4),
+        ("scipy", 9),
+    }

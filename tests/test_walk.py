@@ -115,7 +115,7 @@ class TestNoiselessEvolution:
             np.testing.assert_allclose(amps.reshape(-1), vec, atol=1e-12)
             vec = w @ vec
 
-    def test_edge_guard_fires_when_started_at_boundary(self):
+    def test_edge_guard_fires_when_started_at_boundary(self, origin_lattice):
         cfg = WalkConfig(steps=2, initial_position=3)
         with pytest.raises(EdgeAmplitudeError):
             evolve_noiseless(cfg)
@@ -217,7 +217,7 @@ class TestNoisyEvolution:
         assert calls["kernel"] <= 2
 
     @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
-    def test_edge_guard_fires_in_both_modes(self, evolve):
+    def test_edge_guard_fires_in_both_modes(self, evolve, origin_lattice):
         cases = [
             # started next to the right edge, the coin-1 weight reaches it at t = 3
             (WalkConfig(steps=4, initial_position=4), self.NOISE),
@@ -255,21 +255,32 @@ class TestStepwiseLightCone:
     @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
     @pytest.mark.parametrize("x0", [0, 2], ids=["centred", "off-centre"])
     def test_equals_full_lattice_loop(self, noise, x0):
-        # from x0 = 2 the light cone reaches the right edge at t = 99 with
-        # amplitudes below the guard, which then wrap to the left edge
+        # from x0 = 2 the lattice is two sites wider on either side
         cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=x0)
         pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
         for (t, found), (_, expected) in pairs:
             assert found.shape == expected.shape == (2 * cfg.n_positions,) * 2
             assert np.array_equal(found, expected), f"t={t}"
 
+    def test_wrap_below_the_guard_equals_full_lattice_loop(self, origin_lattice):
+        # on the lattice of 2(T + 1) + 1 sites the light cone from x0 = 2
+        # reaches the right edge at t = 99 with amplitudes below the guard,
+        # which then wrap to the left edge as np.roll wraps them
+        cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=2)
+        noise = STEPWISE_NOISES["oun"]
+        pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
+        for (t, found), (_, expected) in pairs:
+            assert np.array_equal(found, expected), f"t={t}"
+        assert found.diagonal().reshape(2, -1)[:, 0].any(), "nothing wrapped to the left edge"
+
     @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
     @pytest.mark.parametrize(
         "steps, x0", [(30, -31), (30, 31), (40, 5)], ids=["at-left-edge", "at-right-edge", "off-centre"]
     )
-    def test_edge_walkers_fail_as_on_full_lattice(self, noise, steps, x0):
-        # the light cone wraps at the lattice ends as np.roll does, so the
-        # guard fires at the same step with the same amplitude
+    def test_edge_walkers_fail_as_on_full_lattice(self, noise, steps, x0, origin_lattice):
+        # on a lattice too small for the walk the light cone wraps at the
+        # lattice ends as np.roll does, so the guard fires at the same step
+        # with the same amplitude
         cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3, initial_position=x0)
         found, error = stepwise_run(evolve_stepwise, cfg, noise)
         expected, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
@@ -320,7 +331,7 @@ class TestDistributions:
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)
-        positions = lattice_positions(2).astype(float)
+        positions = lattice_positions(cfg).astype(float)
         amps = evolve_noiseless(cfg)
         assert distribution_variance(position_distribution(amps[1, ..., None]), positions) == (
             pytest.approx(0.0, abs=1e-14)
@@ -330,5 +341,43 @@ class TestDistributions:
         )
 
     def test_lattice_positions_span(self):
-        pos = lattice_positions(3)
+        pos = lattice_positions(WalkConfig(steps=3))
         assert pos[0] == -4 and pos[-1] == 4 and len(pos) == 9
+
+    @pytest.mark.parametrize("x0", [-2, 3])
+    def test_lattice_widens_by_the_start_offset(self, x0):
+        cfg = WalkConfig(steps=3, initial_position=x0)
+        pos = lattice_positions(cfg)
+        half = 4 + abs(x0)
+        assert pos[0] == -half and pos[-1] == half and len(pos) == cfg.n_positions
+
+
+#: off-origin starts that the narrower lattice of 2(T + 1) + 1 sites refused
+#: with an EdgeAmplitudeError: (x0, delta, eta), all at T = 60
+OFF_ORIGIN_STARTS = {
+    "left-1-default-coin": (-1, math.pi / 4, 0.0),
+    "right-1": (1, 0.7, 0.3),
+    "right-2": (2, 0.7, 0.3),
+    "left-2": (-2, 0.7, 0.3),
+}
+
+
+class TestOffOriginStart:
+    NOISE = OunParams(Gamma=0.1, gamma=0.01)
+
+    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
+    @pytest.mark.parametrize(
+        "x0, delta, eta", OFF_ORIGIN_STARTS.values(), ids=OFF_ORIGIN_STARTS.keys()
+    )
+    def test_distribution_is_the_origin_one_shifted(self, evolve, x0, delta, eta):
+        cfg = WalkConfig(steps=60, delta=delta, eta=eta, initial_position=x0)
+        origin = WalkConfig(steps=60, delta=delta, eta=eta)
+        shift = lattice_positions(origin) + x0
+        inside = np.isin(lattice_positions(cfg), shift)
+        pairs = zip(evolve(cfg, self.NOISE), evolve(origin, self.NOISE), strict=True)
+        for (t, state), (_, expected) in pairs:
+            probs = position_distribution(state)
+            np.testing.assert_allclose(
+                probs[inside], position_distribution(expected), rtol=0, atol=1e-15, err_msg=f"t={t}"
+            )
+            assert not probs[~inside].any(), f"t={t}"

@@ -60,7 +60,7 @@ def single_state_values(cfg, noise, evolve):
     """Every witness tag at each step, from the public single-state functions
     applied to the dense states that ``evolve`` yields."""
     split = (2, cfg.n_positions)
-    positions = lattice_positions(cfg.steps).astype(float)
+    positions = lattice_positions(cfg).astype(float)
     d1, e1, d2, e2 = DEFAULT_TD_PAIR
     values = {tag: [] for tag in WITNESS_TAGS}
     values["TD"] = [
@@ -261,12 +261,12 @@ class TestScalarWitnesses:
     def test_variance_point_mass(self):
         p = np.zeros(5)
         p[2] = 1.0
-        assert distribution_variance(p, lattice_positions(1)) == 0.0
+        assert distribution_variance(p, lattice_positions(WalkConfig(steps=1))) == 0.0
 
     def test_variance_symmetric_pair(self):
         # weights 1/2 at x = -2 and x = 0 on the 5-site lattice [-2..2]
         p = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
-        assert distribution_variance(p, lattice_positions(1)) == pytest.approx(1.0)
+        assert distribution_variance(p, lattice_positions(WalkConfig(steps=1))) == pytest.approx(1.0)
 
 
 class FullLatticeState(witness_mod._State):
