@@ -269,12 +269,13 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     positions = lattice_positions(cfg.walk)
     dist_rows = []
     var_rows = []
-    for t, state in evolve(cfg.walk, cfg.noise):  # Kraus factor or density matrix
+    for t, state, sites in evolve(cfg.walk, cfg.noise):  # Kraus factor or light-cone block
         probs = position_distribution(state)
-        for x, p in zip(positions, probs):
+        labels = positions[sites]
+        for x, p in zip(labels, probs):
             if p > _PROB_EMIT_TOL:
                 dist_rows.append((t, int(x), p))
-        var_rows.append((t, distribution_variance(probs, positions.astype(float))))
+        var_rows.append((t, distribution_variance(probs, labels.astype(float))))
     _write_csv(out_dir / "distribution.csv", ["step", "x", "probability"], dist_rows)
     _write_csv(out_dir / "variance.csv", ["step", "variance"], var_rows)
 

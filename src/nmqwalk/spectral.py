@@ -125,6 +125,21 @@ def _exponential_init(times: np.ndarray, values: np.ndarray) -> tuple[float, flo
     return a0, b0, c0
 
 
+def _check_fit_input(s: TimeSeries, family: str) -> None:
+    if family not in FIT_FAMILIES:
+        raise ValueError(f"family must be one of {FIT_FAMILIES}, got {family!r}")
+    if len(s.values) < 4:
+        raise ValueError(f"need at least 4 samples to fit, got {len(s.values)}")
+
+
+def _check_spectrum_input(s: TimeSeries) -> None:
+    if len(s.values) < 8:
+        raise ValueError(f"need at least 8 samples, got {len(s.values)}")
+    dt = np.diff(s.times)
+    if np.max(np.abs(dt - dt[0])) > _UNIFORM_SPACING_TOL:
+        raise ValueError("power_spectrum requires uniformly spaced times")
+
+
 def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
     """Monotonically falling best fit of a series.
 
@@ -133,10 +148,7 @@ def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
     exponential family fits a*exp(-b*t) + c with a, b >= 0 by nonlinear
     least squares. Both satisfy g(t_{i+1}) <= g(t_i) by construction.
     """
-    if family not in FIT_FAMILIES:
-        raise ValueError(f"family must be one of {FIT_FAMILIES}, got {family!r}")
-    if len(s.values) < 4:
-        raise ValueError(f"need at least 4 samples to fit, got {len(s.values)}")
+    _check_fit_input(s, family)
     # imported here, not at module level: loading scipy.optimize is most of
     # the package's start-up, and only the fit needs it
     from scipy.optimize import curve_fit, isotonic_regression
@@ -180,12 +192,8 @@ def power_spectrum(s: TimeSeries) -> Spectrum:
     Interior bins carry both DFT halves so the total power equals N times
     the variance of the mean-removed input (a discrete Parseval identity).
     """
+    _check_spectrum_input(s)
     n = len(s.values)
-    if n < 8:
-        raise ValueError(f"need at least 8 samples, got {n}")
-    dt = np.diff(s.times)
-    if np.max(np.abs(dt - dt[0])) > _UNIFORM_SPACING_TOL:
-        raise ValueError("power_spectrum requires uniformly spaced times")
     y = s.values - np.mean(s.values)
     spec = np.abs(np.fft.rfft(y)) ** 2 / n
     scale = np.full(len(spec), 2.0)
@@ -219,7 +227,13 @@ def disambiguate(
     family: str = DEFAULT_FIT_FAMILY,
     min_prominence: float = DEFAULT_MIN_PROMINENCE,
 ) -> DisambiguationReport:
-    """Run fit -> detrend -> spectrum -> peaks and summarize peak strengths."""
+    """Run fit -> detrend -> spectrum -> peaks and summarize peak strengths.
+
+    The series is checked for the fit and then for the spectrum before the
+    fit runs, so a series the spectrum refuses never loads scipy.
+    """
+    _check_fit_input(s, family)
+    _check_spectrum_input(s)
     fit = fit_mfbf(s, family)
     residual = detrend(s, fit)
     spectrum = power_spectrum(residual)

@@ -21,11 +21,14 @@ two inequivalent ways:
   interleaved with the walk, ``rho(t) = D[k(t)/k(t-1)](W rho(t-1) W^dag)``,
   which requires an invertible kernel and may transiently leave the set
   of physical states when an intermediate map is not completely positive.
-  States are yielded as dense (2n, 2n) matrices and are supported on the
-  2(t + 1) light-cone rows: coin (x) the sites x0 - t, x0 - t + 2, ...,
-  x0 + t that a walker started at x0 can reach in t steps. They are full
-  rank on that support in general.
+  rho(t) is zero outside the light cone, coin (x) the t + 1 sites x0 - t,
+  x0 - t + 2, ..., x0 + t that a walker started at x0 can reach in t
+  steps, so the walk holds and yields only that dense
+  (2(t + 1), 2(t + 1)) block. It is full rank in general.
 
+Both generators yield ``(t, state, sites)``: ``sites`` are the lattice
+indices the state's position axis covers, so ``lattice_positions(cfg)[sites]``
+labels its probabilities. A one-shot factor covers the whole lattice.
 Amplitude arrays are shaped (2, n_positions); flat indices follow the
 coin (x) position order of :mod:`nmqwalk.qops`.
 """
@@ -148,31 +151,21 @@ def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 def evolve_one_shot(
     cfg: WalkConfig, noise: NoiseModel
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, b_t) with the full dephasing channel applied at each t.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (t, b_t, sites) with the full dephasing channel applied at each t.
 
     ``b_t`` has shape (2, n_positions, 2) (coin, position, Kraus index), and
     the state is ``rho_t = sum_r b_r b_r^dag`` with ``b_r = (K_r (x) I) psi(t)``.
     Without noise the pair is (I, 0). Every such state is a valid density
     matrix: the channel is completely positive for any kernel value in
     [-1, 1]. The kernel range and the edge on t = 0..T raise before any yield.
+    The factor spans the whole lattice, so ``sites`` is ``arange(n_positions)``,
+    one array shared by every yield.
     """
     kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
+    sites = np.arange(cfg.n_positions)
     for t, amps in enumerate(evolve_noiseless(cfg)):
-        yield t, np.einsum("rcd,dj->cjr", kraus[t], amps)
-
-
-def _light_cone(x0: int, reach: int, n_positions: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.ix_`` index of the coin (x) position block on every other site.
-
-    The sites are x0 - reach, x0 - reach + 2, ..., x0 + reach, counted mod
-    n_positions as ``np.roll`` counts them, coin 0 first, then coin 1. A
-    walker started at x0 can occupy after t steps only the sites of reach t,
-    so rho(t) is zero outside that block.
-    """
-    sites = (x0 + np.arange(-reach, reach + 1, 2)) % n_positions
-    rows = np.concatenate([sites, sites + n_positions])
-    return np.ix_(rows, rows)
+        yield t, np.einsum("rcd,dj->cjr", kraus[t], amps), sites
 
 
 def _walk_density(rho: np.ndarray, coin: np.ndarray) -> np.ndarray:
@@ -198,8 +191,8 @@ def _walk_density(rho: np.ndarray, coin: np.ndarray) -> np.ndarray:
 
 def evolve_stepwise(
     cfg: WalkConfig, noise: NoiseModel
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, rho_t) with intermediate dephasing maps between steps.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (t, rho_t, sites) with intermediate dephasing maps between steps.
 
     The map applied after step t has ratio k(t)/k(t-1) and is not
     completely positive whenever |k| grows between consecutive steps. Near
@@ -208,35 +201,42 @@ def evolve_stepwise(
     gamma=0.008 the minimum eigenvalue is -0.27 at t = 18 and -6.6 at
     t = 60. Such states are neither checked nor reported yet; how to treat
     them is an open item of ROADMAP.md. One kernel_ratio call checks all T
-    ratios before any yield; the edge guard sees the amplitudes sqrt|rho_ii|
-    on the whole lattice.
+    ratios before any yield.
 
-    Each step works on the light cone only. rho(t) is zero outside the
+    The walk holds only its light cone. rho(t) is zero outside the
     2(t + 1) rows and columns of the sites x0 - t, x0 - t + 2, ..., x0 + t,
-    so step t reads the block of rho(t - 1) on the sites of parity t - 1 in
-    the periodic window x0 - t - 1 .. x0 + t + 1 (width 2t + 3 <= n), and
-    writes the block of rho(t). The window stays inside the lattice that
-    :attr:`WalkConfig.half_width` sizes; sites still count mod n, so on a
-    lattice too small for the walk a walker that reaches an edge wraps as
-    ``np.roll`` wraps it on the full lattice, and the edge guard fires at
-    the same step with the same amplitude. Every entry
-    in the light cone is bit for bit that of the full-lattice evolution,
-    and every other entry is zero. The walk keeps one (2n, 2n) buffer and
-    yields a copy of it.
+    so ``rho_t`` is the (2(t + 1), 2(t + 1)) block on those sites, coin 0
+    first, and ``sites`` are their lattice indices in that order, counted
+    mod n as ``np.roll`` counts them; on the lattice that
+    :attr:`WalkConfig.half_width` sizes nothing wraps, so they ascend. Step
+    t pads the block of rho(t - 1) with one empty site on either side, the
+    periodic window x0 - t - 1 .. x0 + t + 1 (width 2t + 3 <= n), and walks
+    and dephases it into the block of rho(t). On a lattice too small for
+    the walk, a walker that reaches an edge thus wraps as ``np.roll`` wraps
+    it on the full lattice, and the edge guard, which sees the amplitudes
+    sqrt|rho_ii| scattered to the whole lattice, fires at the same step
+    with the same amplitude. Embedded at ``sites`` in a zero (2n, 2n)
+    matrix, every block is bit for bit the state of the full-lattice
+    evolution. The next step's padded block is made before the yield, so a
+    caller may overwrite the yielded one.
     """
-    np_ = cfg.n_positions
+    n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
-    rho = density_from_amplitudes(initial_state(cfg))
-    yield 0, rho.copy()
-    for t, r in enumerate(ratios, start=1):
-        window = _light_cone(x0, t + 1, np_)
-        block = _walk_density(rho[window], coin)
-        rho[window] = 0.0
-        rho[_light_cone(x0, t, np_)] = dephase_density(block, r, t + 1)
-        _check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, np_))
-        yield t, rho.copy()
+    rho = density_from_amplitudes(initial_state(cfg)[:, x0])
+    for t in range(cfg.steps + 1):
+        sites = (x0 + np.arange(-t, t + 1, 2)) % n
+        if t:
+            rho = dephase_density(_walk_density(padded, coin), ratios[t - 1], t + 1)
+            amps = np.zeros((2, n))
+            amps[:, sites] = np.sqrt(np.abs(rho.diagonal())).reshape(2, t + 1)
+            _check_edges(amps)
+        m = t + 3
+        padded = np.zeros((2, m, 2, m), dtype=complex)
+        padded[:, 1:-1, :, 1:-1] = rho.reshape(2, t + 1, 2, t + 1)
+        padded = padded.reshape(2 * m, 2 * m)
+        yield t, rho, sites
 
 
 def position_distribution(state: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the Gram matrix of
 the position marginal), and the MID outcome table and the discord both
 live on the support of the position marginal, so no (2n)^2 matrix is
 formed. The tests check the factor path against the dense one. A dense
-state is measured on its support, the sites whose rows are not all zero:
-a stepwise state after t steps is a 2(t + 1) x 2(t + 1) matrix on its
-light cone there, whatever the lattice size. Dropping zero rows keeps
-every nonzero eigenvalue, negative ones included.
+state is measured on its support, the sites whose rows are not all zero.
+The stepwise walk yields each state as its 2(t + 1) x 2(t + 1) light-cone
+block, whatever the lattice size, so that scan reads the block only.
+Dropping zero rows keeps every nonzero eigenvalue, negative ones included.
 
 Discord is exact on a factor and searched for on a dense state. The factor
 is its own purification, with the Kraus index as the environment, and the
@@ -128,8 +128,11 @@ class _State(_Reductions):
     either coin is not identically zero. In a Hermitian matrix a zero row is
     also a zero column, so the dropped block adds zero eigenvalues and
     zero-probability outcomes only, and every other eigenvalue, a negative
-    one included, is kept. A stepwise state after t steps keeps its t + 1
-    light-cone sites (see :func:`nmqwalk.walk.evolve_stepwise`).
+    one included, is kept. A stepwise state after t steps arrives as its
+    light-cone block of t + 1 sites (see :func:`nmqwalk.walk.evolve_stepwise`),
+    so the scan costs O(t^2), not O(n^2); it still drops a site inside the
+    light cone whose rows are exactly zero, which keeps every value the one
+    the whole (2n, 2n) matrix gives.
     """
 
     def __init__(self, rho: np.ndarray):
@@ -485,7 +488,7 @@ def _trace_distances(
     gen2 = evolve(replace(cfg, delta=d2, eta=e2), noise)
     return [
         trace_distance(_state(s1).coin, _state(s2).coin)
-        for (_, s1), (_, s2) in zip(gen1, gen2)
+        for (_, s1, _), (_, s2, _) in zip(gen1, gen2)
     ]
 
 
@@ -521,21 +524,22 @@ def witness_series(
         values["TD"] = _trace_distances(cfg, noise, evolve, pair)
 
     positions = lattice_positions(cfg).astype(float)
-    # each single-walker witness of a cached state and the array it wraps
+    # each single-walker witness of a cached state, the array it wraps and
+    # the lattice sites of that array
     measures = {
-        "MI": lambda state, raw: state.mutual_information,
-        "MID": lambda state, raw: _mid(state),
-        "QD": lambda state, raw: state.discord,
-        "Entropy": lambda state, raw: state.coin_entropy,
-        "Variance": lambda state, raw: distribution_variance(
-            position_distribution(raw), positions
+        "MI": lambda state, raw, sites: state.mutual_information,
+        "MID": lambda state, raw, sites: _mid(state),
+        "QD": lambda state, raw, sites: state.discord,
+        "Entropy": lambda state, raw, sites: state.coin_entropy,
+        "Variance": lambda state, raw, sites: distribution_variance(
+            position_distribution(raw), positions[sites]
         ),
     }
     single = {tag: measures[tag] for tag in tags if tag != "TD"}
     if single:
-        for _, raw in evolve(cfg, noise):
+        for _, raw, sites in evolve(cfg, noise):
             state = _state(raw)
             for tag, measure in single.items():
-                values[tag].append(measure(state, raw))
+                values[tag].append(measure(state, raw, sites))
 
     return {tag: np.asarray(v) for tag, v in values.items()}

@@ -5,10 +5,12 @@ factor. The dense generator below forms the (2 n_positions)^2 density
 matrix from the same amplitudes and kernel the way the library did before
 the factor, so the tests can check the factor-backed path against it.
 
-``walk.evolve_stepwise`` evolves only the light cone of the walker.
-``full_lattice_stepwise`` below is its oracle: every step applies
-W rho W^dag to the whole (2 n_positions)^2 matrix, with ``np.roll`` as the
-shift, then the intermediate dephasing map, then the edge guard.
+``walk.evolve_stepwise`` evolves and yields only the light-cone block of
+the walker, with the lattice sites it covers. ``full_lattice_stepwise``
+below is its oracle: every step applies W rho W^dag to the whole
+(2 n_positions)^2 matrix, with ``np.roll`` as the shift, then the
+intermediate dephasing map, then the edge guard. ``embed`` puts a block
+back on the whole lattice to compare the two.
 
 The intermediate dephasing map E(t2, t1) may be non-CP. The walk applies
 it by scaling the coin coherences (``walk.dephase_density``); the signed
@@ -55,12 +57,16 @@ def dense_one_shot(cfg, noise):
 
 
 def full_lattice_stepwise(cfg, noise):
-    """Yield (t, rho_t) of the stepwise walk, evolved on the whole lattice."""
+    """Yield (t, rho_t, sites) of the stepwise walk, evolved on the whole lattice.
+
+    ``rho_t`` is the whole (2n, 2n) matrix, so ``sites`` is ``arange(n)``.
+    """
     n = cfg.n_positions
+    sites = np.arange(n)
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = density_from_amplitudes(initial_state(cfg))
-    yield 0, rho.copy()
+    yield 0, rho.copy(), sites
     for t, ratio in enumerate(ratios, start=1):
         r = np.einsum("ab,bjck,dc->ajdk", coin, rho.reshape(2, n, 2, n), coin.conj())
         out = np.empty_like(r)
@@ -69,7 +75,15 @@ def full_lattice_stepwise(cfg, noise):
                 out[a, :, d, :] = np.roll(np.roll(r[a, :, d, :], da, axis=0), dd, axis=1)
         rho = dephase_density(out.reshape(2 * n, 2 * n), ratio, n)
         _check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, n))
-        yield t, rho.copy()
+        yield t, rho.copy(), sites
+
+
+def embed(block, sites, n_positions):
+    """The (2 n_positions)^2 matrix that is ``block`` on coin (x) ``sites``, zero elsewhere."""
+    rows = np.concatenate([sites, sites + n_positions])
+    out = np.zeros((2 * n_positions, 2 * n_positions), dtype=block.dtype)
+    out[np.ix_(rows, rows)] = block
+    return out
 
 
 def density_from_factor(factor):

@@ -9,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import full_lattice_stepwise
 
 import nmqwalk
+import nmqwalk.cli as cli_mod
 import nmqwalk.noise as noise_mod
-from nmqwalk.cli import main, parse_config
+from nmqwalk.cli import _PROB_EMIT_TOL, main, parse_config
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
+from nmqwalk.walk import distribution_variance, lattice_positions, position_distribution
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -283,6 +286,40 @@ class TestWalkCommand:
         for key, p in found[0].items():
             assert found[-1][key] == pytest.approx(p, rel=1e-11, abs=1e-15), key
 
+    @pytest.mark.parametrize("x0", [0, -2])
+    def test_stepwise_outputs_match_the_full_lattice_loop(self, tmp_path, monkeypatch, x0):
+        # the rows the full (2n)^2 evolution gives under the same emit rule;
+        # the variances are compared as computed, before the CSV rounds them
+        # to 12 digits
+        written = {}
+
+        def keep_rows(path, header, rows):
+            written[path.name] = rows = list(rows)
+            write_csv(path, header, rows)
+
+        write_csv = cli_mod._write_csv
+        monkeypatch.setattr(cli_mod, "_write_csv", keep_rows)
+        doc = {
+            "walk": {"steps": 30, "delta": 40.0, "eta": 30.0, "initial_position": x0},
+            "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
+            "mode": "stepwise",
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
+        parsed = parse_config(json.dumps(doc))
+        positions = lattice_positions(parsed.walk)
+        dist = ["step,x,probability\n"]
+        variance = []
+        for t, rho, _ in full_lattice_stepwise(parsed.walk, parsed.noise):
+            probs = position_distribution(rho)
+            dist += [f"{t},{x},{p:.12g}\n" for x, p in zip(positions, probs) if p > _PROB_EMIT_TOL]
+            variance.append(distribution_variance(probs, positions.astype(float)))
+        assert (out / "distribution.csv").read_text(encoding="utf-8") == "".join(dist)
+        steps, found = zip(*written["variance.csv"])
+        assert steps == tuple(range(31))
+        np.testing.assert_allclose(found, variance, rtol=1e-12, atol=0.0)
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, {"walk": {"steps": 10}})
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -519,10 +556,12 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "kernel value nan" in err
 
 
-#: (config, CLI steps, whether scipy ends up loaded) per start-up case; a
-#: step's "{out}" and "{series}" are filled in with paths under tmp_path
+#: (config, CLI steps, exit code of the last step, whether scipy ends up
+#: loaded) per start-up case; a step's "{out}" and series paths ("{series}",
+#: "{short}" of 7 rows, "{uneven}" with a missing step) are filled in with
+#: paths under tmp_path
 STARTUP_CASES = {
-    "import-and-parse": ({"walk": {"steps": 4}}, [], False),
+    "import-and-parse": ({"walk": {"steps": 4}}, [], 0, False),
     "one-shot-witness": (
         {
             "walk": {"steps": 6},
@@ -530,6 +569,7 @@ STARTUP_CASES = {
             "witnesses": ["MI", "MID", "QD", "Entropy", "TD"],
         },
         [["witness", "--out", "{out}"]],
+        0,
         False,
     ),
     "stepwise-walk-and-witness": (
@@ -540,11 +580,13 @@ STARTUP_CASES = {
             "witnesses": ["Entropy", "MI"],
         },
         [["walk", "--out", "{out}"], ["witness", "--out", "{out}"]],
+        0,
         False,
     ),
     "choi": (
         {"noise": {"model": "rtn", "a": 0.9, "gamma": 0.05}, "choi": {"t2_max": 3.0}},
         [["choi", "--out", "{out}"]],
+        0,
         False,
     ),
     "stepwise-discord": (
@@ -555,34 +597,47 @@ STARTUP_CASES = {
             "witnesses": ["QD"],
         },
         [["witness", "--out", "{out}"]],
+        0,
         True,
     ),
-    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], True),
+    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], 0, True),
+    # refused before the fit, so the refusal costs no scipy import
+    "spectrum-7-rows": ({}, [["spectrum", "--input", "{short}", "--out", "{out}"]], 2, False),
+    "spectrum-uneven-steps": (
+        {}, [["spectrum", "--input", "{uneven}", "--out", "{out}"]], 2, False
+    ),
 }
 
-#: runs in a fresh interpreter: parse the config, run each CLI step, and
-#: print whether scipy was imported
+#: runs in a fresh interpreter: parse the config, run each CLI step until
+#: one fails, and print its exit code and whether scipy was imported
 STARTUP_PROBE = """
 import json, sys
 from nmqwalk.cli import main, parse_config
 parse_config(open(sys.argv[1], encoding="utf-8").read())
+code = 0
 for argv in json.loads(sys.argv[2]):
     code = main([*argv, "--config", sys.argv[1]])
     if code:
-        sys.exit(code)
-print(json.dumps("scipy" in sys.modules))
+        break
+print(json.dumps([code, "scipy" in sys.modules]))
 """
 
 
 @pytest.mark.parametrize(
-    "doc, steps, loads_scipy", STARTUP_CASES.values(), ids=STARTUP_CASES.keys()
+    "doc, steps, exit_code, loads_scipy", STARTUP_CASES.values(), ids=STARTUP_CASES.keys()
 )
-def test_scipy_loads_only_for_the_fit_and_dense_discord(tmp_path, doc, steps, loads_scipy):
-    series = tmp_path / "series.csv"
-    series.write_text(
-        "step,value\n" + "".join(f"{t},{math.exp(-0.1 * t)!r}\n" for t in range(16))
-    )
-    paths = {"out": str(tmp_path / "out"), "series": str(series)}
+def test_scipy_loads_only_for_the_fit_and_dense_discord(
+    tmp_path, doc, steps, exit_code, loads_scipy
+):
+    paths = {"out": str(tmp_path / "out")}
+    for name, times in [
+        ("series", range(16)),
+        ("short", range(7)),
+        ("uneven", [0, 1, 2, 3, 5, 6, 7, 8, 9, 10]),
+    ]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text("step,value\n" + "".join(f"{t},{math.exp(-0.1 * t)!r}\n" for t in times))
+        paths[name] = str(path)
     argvs = [[arg.format(**paths) for arg in argv] for argv in steps]
     cfg = write_config(tmp_path, doc)
     env = dict(os.environ)
@@ -594,4 +649,4 @@ def test_scipy_loads_only_for_the_fit_and_dense_discord(tmp_path, doc, steps, lo
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) is loads_scipy
+    assert json.loads(proc.stdout) == [exit_code, loads_scipy], proc.stderr

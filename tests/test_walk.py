@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_one_shot, density_from_factor, full_lattice_stepwise
-from hypothesis import given, settings
+from conftest import dense_one_shot, density_from_factor, embed, full_lattice_stepwise
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nmqwalk.noise as noise_mod
@@ -12,6 +12,7 @@ from nmqwalk.exceptions import (
     DimensionMismatchError,
     EdgeAmplitudeError,
     KernelRangeError,
+    NmqwalkError,
     NonInvertibleMapError,
 )
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
@@ -135,15 +136,16 @@ class TestNoisyEvolution:
 
     def test_one_shot_states_are_physical(self):
         cfg = WalkConfig(steps=8)
-        for t, factor in evolve_one_shot(cfg, self.NOISE):
+        for t, factor, sites in evolve_one_shot(cfg, self.NOISE):
             assert factor.shape == (2, cfg.n_positions, 2)
+            assert np.array_equal(sites, np.arange(cfg.n_positions))
             check_density_matrix(density_from_factor(factor))
 
     def test_one_shot_scales_coherence_blocks(self):
         cfg = WalkConfig(steps=5)
         n = cfg.n_positions
-        pure = {t: density_from_factor(b) for t, b in evolve_one_shot(cfg, None)}
-        noisy = {t: density_from_factor(b) for t, b in evolve_one_shot(cfg, self.NOISE)}
+        pure = {t: density_from_factor(b) for t, b, _ in evolve_one_shot(cfg, None)}
+        noisy = {t: density_from_factor(b) for t, b, _ in evolve_one_shot(cfg, self.NOISE)}
         for t in pure:
             k = kernel_value(self.NOISE, float(t))
             np.testing.assert_allclose(
@@ -153,11 +155,13 @@ class TestNoisyEvolution:
 
     def test_stepwise_equals_one_shot_without_noise(self):
         cfg = WalkConfig(steps=10)
-        for (t1, b1), (t2, r2) in zip(
+        for (t1, b1, _), (t2, r2, sites) in zip(
             evolve_one_shot(cfg, None), evolve_stepwise(cfg, None)
         ):
             assert t1 == t2
-            np.testing.assert_allclose(density_from_factor(b1), r2, atol=1e-12)
+            np.testing.assert_allclose(
+                density_from_factor(b1), embed(r2, sites, cfg.n_positions), atol=1e-12
+            )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -170,7 +174,7 @@ class TestNoisyEvolution:
         # sum_r b_r b_r^dag is the dephased pure state D[k](|psi><psi|)
         cfg = WalkConfig(steps=steps, delta=delta, eta=eta)
         amps = evolve_noiseless(cfg)
-        for t, factor in evolve_one_shot(cfg, noise):
+        for t, factor, _ in evolve_one_shot(cfg, noise):
             k = float(kernel_value(noise, float(t)))
             expected = dephase_density(density_from_amplitudes(amps[t]), k, cfg.n_positions)
             np.testing.assert_allclose(density_from_factor(factor), expected, atol=1e-14)
@@ -185,7 +189,7 @@ class TestNoisyEvolution:
                 next(evolve(WalkConfig(steps=4), self.NOISE))
 
     def test_stepwise_preserves_trace_and_hermiticity(self):
-        for t, rho in evolve_stepwise(WalkConfig(steps=8), self.NOISE):
+        for t, rho, _ in evolve_stepwise(WalkConfig(steps=8), self.NOISE):
             assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
 
@@ -239,16 +243,46 @@ STEPWISE_NOISES = {
 }
 
 
+#: the noise models of the light-cone property: no noise, OUN, PLN and RTN on
+#: either side of its critical point 2a/gamma = 1
+LIGHT_CONE_NOISES = st.one_of(
+    st.none(),
+    st.builds(OunParams, Gamma=RATES, gamma=RATES),
+    st.builds(PlnParams, Gamma=RATES, gamma=RATES),
+    RATES.flatmap(
+        lambda g: st.builds(RtnParams, a=st.floats(0.0, 0.45 * g), gamma=st.just(g))
+    ),
+    RATES.flatmap(
+        lambda g: st.builds(RtnParams, a=st.floats(0.55 * g, 2.0), gamma=st.just(g))
+    ),
+)
+
+
+@st.composite
+def light_cone_walks(draw):
+    """A walk of T <= 24 steps from any start x0 in [-T - 1, T + 1]."""
+    steps = draw(st.integers(min_value=0, max_value=24))
+    return WalkConfig(
+        steps=steps,
+        coin_angle=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
+        delta=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
+        eta=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
+        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
+    )
+
+
 def stepwise_run(evolve, cfg, noise):
-    """The states ``evolve`` yields and the edge error that ends it, if any."""
-    states = []
+    """The states ``evolve`` yields, each on the whole lattice, their sites,
+    and the error that ends the walk, if any."""
+    states, sites = [], []
     try:
-        for t, rho in evolve(cfg, noise):
+        for t, state, covered in evolve(cfg, noise):
             assert t == len(states)
-            states.append(rho)
-    except EdgeAmplitudeError as exc:
-        return states, str(exc)
-    return states, None
+            states.append(embed(state, covered, cfg.n_positions))
+            sites.append(covered)
+    except NmqwalkError as exc:
+        return states, sites, f"{type(exc).__name__}: {exc}"
+    return states, sites, None
 
 
 class TestStepwiseLightCone:
@@ -257,10 +291,12 @@ class TestStepwiseLightCone:
     def test_equals_full_lattice_loop(self, noise, x0):
         # from x0 = 2 the lattice is two sites wider on either side
         cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=x0)
+        n = cfg.n_positions
         pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
-        for (t, found), (_, expected) in pairs:
-            assert found.shape == expected.shape == (2 * cfg.n_positions,) * 2
-            assert np.array_equal(found, expected), f"t={t}"
+        for (t, found, sites), (_, expected, _) in pairs:
+            assert found.shape == (2 * (t + 1),) * 2 and expected.shape == (2 * n,) * 2
+            assert np.array_equal(lattice_positions(cfg)[sites], x0 + np.arange(-t, t + 1, 2))
+            assert np.array_equal(embed(found, sites, n), expected), f"t={t}"
 
     def test_wrap_below_the_guard_equals_full_lattice_loop(self, origin_lattice):
         # on the lattice of 2(T + 1) + 1 sites the light cone from x0 = 2
@@ -269,7 +305,8 @@ class TestStepwiseLightCone:
         cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=2)
         noise = STEPWISE_NOISES["oun"]
         pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
-        for (t, found), (_, expected) in pairs:
+        for (t, found, sites), (_, expected, _) in pairs:
+            found = embed(found, sites, cfg.n_positions)
             assert np.array_equal(found, expected), f"t={t}"
         assert found.diagonal().reshape(2, -1)[:, 0].any(), "nothing wrapped to the left edge"
 
@@ -282,26 +319,62 @@ class TestStepwiseLightCone:
         # lattice ends as np.roll does, so the guard fires at the same step
         # with the same amplitude
         cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3, initial_position=x0)
-        found, error = stepwise_run(evolve_stepwise, cfg, noise)
-        expected, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
-        assert expected_error is not None
+        found, _, error = stepwise_run(evolve_stepwise, cfg, noise)
+        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
+        assert expected_error is not None and expected_error.startswith("EdgeAmplitudeError")
         assert error == expected_error
         assert len(found) == len(expected)
         for t, (a, b) in enumerate(zip(found, expected)):
             assert np.array_equal(a, b), f"t={t}"
 
     def test_yielded_states_are_copies(self):
-        # the walk keeps its own buffer: overwriting a yielded state changes
-        # no later one
+        # the walk keeps its own state: overwriting a yielded one changes no
+        # later one
         cfg = WalkConfig(steps=6)
         pairs = zip(
             evolve_stepwise(cfg, TestNoisyEvolution.NOISE),
             full_lattice_stepwise(cfg, TestNoisyEvolution.NOISE),
             strict=True,
         )
-        for (t, found), (_, expected) in pairs:
-            assert np.array_equal(found, expected), f"t={t}"
+        for (t, found, sites), (_, expected, _) in pairs:
+            assert np.array_equal(embed(found, sites, cfg.n_positions), expected), f"t={t}"
             found[...] = np.nan
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=light_cone_walks(), noise=LIGHT_CONE_NOISES)
+    @example(cfg=WalkConfig(steps=24, coin_angle=0.4, initial_position=-25), noise=None)
+    def test_blocks_are_the_full_lattice_states(self, cfg, noise):
+        found, sites, error = stepwise_run(evolve_stepwise, cfg, noise)
+        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
+        assert error == expected_error
+        assert len(found) == len(expected)
+        for t, (a, b) in enumerate(zip(found, expected)):
+            assert np.array_equal(a, b), f"t={t}"
+        # the light-cone sites, in ascending lattice order
+        x0 = cfg.initial_position
+        for t, covered in enumerate(sites):
+            assert np.array_equal(lattice_positions(cfg)[covered], x0 + np.arange(-t, t + 1, 2))
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(cfg=light_cone_walks(), noise=LIGHT_CONE_NOISES)
+    @example(cfg=WalkConfig(steps=12, delta=0.7, initial_position=13), noise=OunParams(0.1, 0.01))
+    @example(
+        cfg=WalkConfig(steps=12, delta=0.7, initial_position=-12), noise=RtnParams(0.05, 0.008)
+    )
+    def test_edge_walkers_fail_as_the_full_lattice_loop(self, cfg, noise, origin_lattice):
+        # the fixture narrows the lattice the same way for every example; a
+        # walker started off the origin reaches one of its edges
+        found, _, error = stepwise_run(evolve_stepwise, cfg, noise)
+        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
+        assert error == expected_error
+        assert len(found) == len(expected)
+        for t, (a, b) in enumerate(zip(found, expected)):
+            assert np.array_equal(a, b), f"t={t}"
 
 
 class TestDistributions:
@@ -315,7 +388,7 @@ class TestDistributions:
         noise = RtnParams(a=0.9, gamma=0.5)
         amps = evolve_noiseless(cfg)[-1]
         rho = dict(dense_one_shot(cfg, noise))[6]
-        factor = dict(evolve_one_shot(cfg, noise))[6]
+        factor = list(evolve_one_shot(cfg, noise))[6][1]
         for state in (rho, factor):
             np.testing.assert_allclose(
                 position_distribution(amps[..., None]), position_distribution(state), atol=1e-13
@@ -362,6 +435,13 @@ OFF_ORIGIN_STARTS = {
 }
 
 
+def lattice_distribution(cfg, state, sites):
+    """Position probabilities of a yielded state on the whole lattice."""
+    probs = np.zeros(cfg.n_positions)
+    probs[sites] = position_distribution(state)
+    return probs
+
+
 class TestOffOriginStart:
     NOISE = OunParams(Gamma=0.1, gamma=0.01)
 
@@ -375,9 +455,10 @@ class TestOffOriginStart:
         shift = lattice_positions(origin) + x0
         inside = np.isin(lattice_positions(cfg), shift)
         pairs = zip(evolve(cfg, self.NOISE), evolve(origin, self.NOISE), strict=True)
-        for (t, state), (_, expected) in pairs:
-            probs = position_distribution(state)
+        for (t, *found), (_, *expected) in pairs:
+            probs = lattice_distribution(cfg, *found)
             np.testing.assert_allclose(
-                probs[inside], position_distribution(expected), rtol=0, atol=1e-15, err_msg=f"t={t}"
+                probs[inside], lattice_distribution(origin, *expected), rtol=0, atol=1e-15,
+                err_msg=f"t={t}",
             )
             assert not probs[~inside].any(), f"t={t}"

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense_one_shot, density_from_factor
+from conftest import dense_one_shot, density_from_factor, embed
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -58,27 +58,35 @@ ORACLE_STEPS = 30
 
 def single_state_values(cfg, noise, evolve):
     """Every witness tag at each step, from the public single-state functions
-    applied to the dense states that ``evolve`` yields."""
-    split = (2, cfg.n_positions)
+    applied to the dense states that ``evolve`` yields with their sites."""
     positions = lattice_positions(cfg).astype(float)
     d1, e1, d2, e2 = DEFAULT_TD_PAIR
     values = {tag: [] for tag in WITNESS_TAGS}
     values["TD"] = [
-        trace_distance(partial_trace(r1, split, "coin"), partial_trace(r2, split, "coin"))
-        for (_, r1), (_, r2) in zip(
+        trace_distance(
+            partial_trace(r1, (2, len(s1)), "coin"), partial_trace(r2, (2, len(s2)), "coin")
+        )
+        for (_, r1, s1), (_, r2, s2) in zip(
             evolve(replace(cfg, delta=d1, eta=e1), noise),
             evolve(replace(cfg, delta=d2, eta=e2), noise),
         )
     ]
-    for _, rho in evolve(cfg, noise):
+    for _, rho, sites in evolve(cfg, noise):
         values["MI"].append(mutual_information(rho))
         values["MID"].append(mid(rho))
         values["QD"].append(discord(rho))
         values["Entropy"].append(coin_entropy(rho))
         values["Variance"].append(
-            distribution_variance(position_distribution(rho), positions)
+            distribution_variance(position_distribution(rho), positions[sites])
         )
     return values
+
+
+def dense_one_shot_states(cfg, noise):
+    """The states of ``dense_one_shot`` with the sites they cover, the whole lattice."""
+    sites = np.arange(cfg.n_positions)
+    for t, rho in dense_one_shot(cfg, noise):
+        yield t, rho, sites
 
 
 def assert_matches_oracle(values, expected, tag):
@@ -333,9 +341,14 @@ class TestSupport:
         assert discord(rho) == pytest.approx(full.discord, abs=1e-9)
 
     def test_stepwise_states_keep_their_light_cone(self):
+        # the yielded block is the support of the state on the whole lattice:
+        # no site of the light cone is empty, and no other site is not
         cfg = WalkConfig(steps=60, delta=0.7, eta=0.3)
-        for t, rho in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
+        for t, rho, sites in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
             assert witness_mod._State(rho)._dims == (2, t + 1), f"t={t}"
+            full = witness_mod._State(embed(rho, sites, cfg.n_positions))
+            assert full._dims == (2, t + 1), f"t={t}"
+            assert np.array_equal(full.rho, rho), f"t={t}"
 
 
 class TestStateForms:
@@ -395,7 +408,7 @@ class TestSeries:
 
     @pytest.mark.parametrize(
         "mode, oracle",
-        [("one_shot", dense_one_shot), ("stepwise", evolve_stepwise)],
+        [("one_shot", dense_one_shot_states), ("stepwise", evolve_stepwise)],
         ids=["one_shot-evolve_one_shot", "stepwise-evolve_stepwise"],
     )
     def test_one_pass_matches_single_state_functions(self, mode, oracle):
@@ -416,7 +429,7 @@ class TestSeries:
     def test_rank2_one_shot_matches_dense_oracle(self, noise):
         cfg = WalkConfig(steps=ORACLE_STEPS, delta=0.7, eta=0.3)
         found = witness_series(cfg, noise, witnesses=WITNESS_TAGS)
-        expected = single_state_values(cfg, noise, dense_one_shot)
+        expected = single_state_values(cfg, noise, dense_one_shot_states)
         for tag in WITNESS_TAGS:
             assert_matches_oracle(found[tag], expected[tag], tag)
 
