@@ -39,7 +39,6 @@ from .noise import (
 from .qops import (
     entropy_of_spectrum,
     partial_trace,
-    trace_norm,
 )
 from .spectral import (
     DisambiguationReport,
@@ -66,7 +65,6 @@ from .witness import (
     discord,
     mid,
     mutual_information,
-    trace_distance,
     witness_series,
 )
 
@@ -116,7 +114,5 @@ __all__ = [
     "position_distribution",
     "power_spectrum",
     "rtn_lambda",
-    "trace_distance",
-    "trace_norm",
     "witness_series",
 ]

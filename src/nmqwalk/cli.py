@@ -298,14 +298,21 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> None:
     )
 
 
+def choi_grid(choi: dict) -> np.ndarray:
+    """The t2 grid t1 + dt, t1 + 2 dt, ... of the Choi scan, ending at t2_max.
+
+    Its last point is the largest t1 + n dt <= t2_max, up to rounding of
+    (t2_max - t1) / dt.
+    """
+    n = math.floor((choi["t2_max"] - choi["t1"]) / choi["dt"] + 1e-9)
+    return choi["t1"] + choi["dt"] * np.arange(1, n + 1)
+
+
 def run_choi_scan(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Emit choi.csv with the intermediate-map Choi spectrum over the grid."""
     if cfg.noise is None:
         raise ConfigError("the choi subcommand requires a concrete noise model")
-    t1 = cfg.choi["t1"]
-    n = int(round((cfg.choi["t2_max"] - t1) / cfg.choi["dt"]))
-    grid = t1 + cfg.choi["dt"] * np.arange(1, n + 1)
-    result = cp_divisibility_scan(cfg.noise, t1, grid)
+    result = cp_divisibility_scan(cfg.noise, cfg.choi["t1"], choi_grid(cfg.choi))
     rows = [(*point, result.invertible) for point in result.points.tolist()]
     _write_csv(
         out_dir / "choi.csv", ["t2", "lambda3", "lambda4", "is_cp", "invertible"], rows

@@ -220,17 +220,35 @@ def evolve_stepwise(
     evolution. The next step's padded block is made before the yield, so a
     caller may overwrite the yielded one.
     """
+    x0 = cfg.initial_position + cfg.half_width
+    yield from _light_cone_blocks(cfg, noise, density_from_amplitudes(initial_state(cfg)[:, x0]))
+
+
+def _light_cone_blocks(
+    cfg: WalkConfig, noise: NoiseModel, start: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """The loop of :func:`evolve_stepwise` from any 2 x 2 start block at x0.
+
+    Every step is complex-linear in the block, so a start ``X = rho1 + i rho2``
+    carries two walkers at once: the Hermitian and anti-Hermitian parts of
+    each yielded block are rho1(t) and i rho2(t). The edge guard reads
+    sqrt max(|Re X_ii|, |Im X_ii|), the larger of the two walkers'
+    populations, so it fires where either walker's guard would and nowhere
+    else. For a Hermitian start that is sqrt|rho_ii|.
+    """
     n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
-    rho = density_from_amplitudes(initial_state(cfg)[:, x0])
+    rho = start
     for t in range(cfg.steps + 1):
         sites = (x0 + np.arange(-t, t + 1, 2)) % n
         if t:
             rho = dephase_density(_walk_density(padded, coin), ratios[t - 1], t + 1)
             amps = np.zeros((2, n))
-            amps[:, sites] = np.sqrt(np.abs(rho.diagonal())).reshape(2, t + 1)
+            diag = rho.diagonal()
+            pops = np.maximum(np.abs(diag.real), np.abs(diag.imag))
+            amps[:, sites] = np.sqrt(pops).reshape(2, t + 1)
             _check_edges(amps)
         m = t + 3
         padded = np.zeros((2, m, 2, m), dtype=complex)

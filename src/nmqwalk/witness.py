@@ -12,8 +12,9 @@ also gives the lattice size n: a one-shot Kraus factor of shape (2, n, 2),
 whose columns ``b_r = (K_r (x) I) psi`` for the :func:`nmqwalk.noise.kraus_at`
 pair give ``rho = sum_r b_r b_r^dag``, or a dense (2n, 2n) density matrix.
 The series driver and the public single-state functions take either form.
-The driver evolves the walk once for all requested witnesses (plus the two
-trace-distance walkers when TD is requested) and computes each state's
+The driver evolves the walk once for all requested witnesses (TD reads its
+two walkers' coin blocks from their noiseless amplitudes, or from one
+stepwise walk that carries both) and computes each state's
 reductions and entropies once, in a per-state cache shared by every
 witness. Witness states are formed one step at a time and dropped after
 use; the one-shot walk still holds the whole (T+1, 2, n) noiseless
@@ -50,19 +51,22 @@ from typing import Literal
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .noise import NoiseModel
+from .noise import NoiseModel, kernel_value
 from .qops import (
     DEGENERACY_TOL,
     EIGENVALUE_CUTOFF,
     entropy_of_spectrum,
     partial_trace,
-    trace_norm,
 )
 from .walk import (
     WalkConfig,
+    _light_cone_blocks,
+    density_from_amplitudes,
     distribution_variance,
+    evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
+    initial_state,
     lattice_positions,
     position_distribution,
 )
@@ -272,17 +276,6 @@ def _state(x: np.ndarray) -> _Reductions:
     raise DimensionMismatchError(f"not a (2, n, 2) factor or (2n, 2n) state: {x.shape}")
 
 
-def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
-    """TD(rho1, rho2) = 1/2 ||rho1 - rho2||_1, in [0, 1] for states."""
-    rho1 = np.asarray(rho1, dtype=complex)
-    rho2 = np.asarray(rho2, dtype=complex)
-    if rho1.shape != rho2.shape:
-        raise DimensionMismatchError(
-            f"state shapes differ: {rho1.shape} vs {rho2.shape}"
-        )
-    return 0.5 * trace_norm(rho1 - rho2)
-
-
 def mutual_information(state: np.ndarray) -> float:
     """I(rho) = S(rho_c) + S(rho_p) - S(rho) in bits.
 
@@ -472,24 +465,47 @@ def coin_entropy(state: np.ndarray) -> float:
     return _state(state).coin_entropy
 
 
+def trace_norm(m: np.ndarray) -> np.ndarray:
+    """||M||_1 = sum |eig M| of each Hermitian matrix in a stack (..., d, d)."""
+    return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+
+
 def _trace_distances(
     cfg: WalkConfig,
     noise: NoiseModel,
-    evolve,
+    mode: EvolutionMode,
     td_pair: tuple[float, float, float, float],
-) -> list[float]:
-    """TD of the reduced coin states of two co-evolved walkers at each step.
+) -> np.ndarray:
+    """TD(t) = 1/2 sum |eig Delta(t)|, Delta = Tr_x(rho1(t) - rho2(t)), at each step.
 
-    Kept apart from the driver so that both generators, and the states a
-    suspended one still holds, are freed before the single walker starts.
+    Both walk modes are linear in the initial state:
+
+    - one-shot: Delta is the difference of the noiseless coin blocks, each
+      walker with its own edge guard, with its coherences scaled by k(t),
+      clipped to [-1, 1] as ``kraus_at`` clips it;
+    - stepwise: one light-cone walk of X = rho1(0) + i rho2(0) carries both
+      walkers. Its coin block is Y = C1 + i C2 with C1, C2 Hermitian, so
+      Delta = C1 - C2 is the Hermitian part of (1 + i) Y.
     """
     d1, e1, d2, e2 = td_pair
-    gen1 = evolve(replace(cfg, delta=d1, eta=e1), noise)
-    gen2 = evolve(replace(cfg, delta=d2, eta=e2), noise)
-    return [
-        trace_distance(_state(s1).coin, _state(s2).coin)
-        for (_, s1, _), (_, s2, _) in zip(gen1, gen2)
-    ]
+    cfgs = replace(cfg, delta=d1, eta=e1), replace(cfg, delta=d2, eta=e2)
+    if mode == "one_shot":
+        k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
+        c1, c2 = (np.einsum("tcx,tdx->tcd", a, a.conj()) for a in map(evolve_noiseless, cfgs))
+        delta = c1 - c2
+        delta[:, 0, 1] *= k
+        delta[:, 1, 0] *= k
+    else:
+        x0 = cfg.initial_position + cfg.half_width
+        rho1, rho2 = (density_from_amplitudes(initial_state(c)[:, x0]) for c in cfgs)
+        y = (1.0 + 1.0j) * np.stack(
+            [
+                partial_trace(block, (2, t + 1), "coin")
+                for t, block, _ in _light_cone_blocks(cfg, noise, rho1 + 1j * rho2)
+            ]
+        )
+        delta = (y + y.conj().swapaxes(1, 2)) / 2.0
+    return 0.5 * trace_norm(delta)
 
 
 def witness_series(
@@ -504,11 +520,11 @@ def witness_series(
     Returns one array per distinct tag, keyed by tag in request order,
     whose entry t is the witness at step t. All witnesses but TD act on the
     single walker defined by ``cfg``, evolved once and shared through a
-    per-state cache. TD co-evolves two more walkers, only when requested,
+    per-state cache. TD compares the reduced coin states of two walkers
     whose initial coin states come from ``td_pair`` (radians, default the
-    orthogonal pair psi(+-pi/4, 0)) under the same noise, and compares their
-    reduced coin states; they run before the single walker, so the two
-    passes never hold states at once.
+    orthogonal pair psi(+-pi/4, 0)) under the same noise. The walk is linear
+    in its initial state, so TD forms no walker state; it runs only when
+    requested, before the single walker.
     """
     tags = tuple(dict.fromkeys(witnesses))
     for tag in tags:
@@ -521,7 +537,7 @@ def witness_series(
 
     if "TD" in values:
         pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
-        values["TD"] = _trace_distances(cfg, noise, evolve, pair)
+        values["TD"] = _trace_distances(cfg, noise, mode, pair)
 
     positions = lattice_positions(cfg).astype(float)
     # each single-walker witness of a cached state, the array it wraps and

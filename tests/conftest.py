@@ -16,15 +16,24 @@ The intermediate dephasing map E(t2, t1) may be non-CP. The walk applies
 it by scaling the coin coherences (``walk.dephase_density``); the signed
 Kraus pair below is its operator-sum-difference form, the oracle of that
 scaling and of the composition E(t2, t1) E(t1, 0) = E(t2, 0).
+
+``witness_series`` takes the trace distance (TD) of two walkers without
+forming either walker's states. ``two_walker_trace_distances`` below is its
+oracle: it evolves each walker on its own and compares their reduced coin
+states through the general ``trace_distance``. The density-matrix check and
+the von Neumann entropy are the oracles of the library's spectra.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from nmqwalk.divisibility import kernel_ratio
-from nmqwalk.noise import SIGMA_3, kernel_value
+from nmqwalk.exceptions import DimensionMismatchError
+from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kernel_value
+from nmqwalk.qops import EIGENVALUE_CUTOFF, partial_trace
 from nmqwalk.walk import (
     WalkConfig,
     _check_edges,
@@ -33,6 +42,26 @@ from nmqwalk.walk import (
     density_from_amplitudes,
     evolve_noiseless,
     initial_state,
+)
+from nmqwalk.witness import DEFAULT_TD_PAIR
+
+HERMITICITY_TOL = 1e-12
+TRACE_TOL = 1e-12
+POSITIVITY_TOL = 1e-10
+
+_RATES = st.floats(min_value=1e-3, max_value=2.0)
+#: noise models for walk properties: no noise, OUN, PLN and RTN on either
+#: side of its critical point 2a/gamma = 1
+SIDED_NOISES = st.one_of(
+    st.none(),
+    st.builds(OunParams, Gamma=_RATES, gamma=_RATES),
+    st.builds(PlnParams, Gamma=_RATES, gamma=_RATES),
+    _RATES.flatmap(
+        lambda g: st.builds(RtnParams, a=st.floats(0.0, 0.45 * g), gamma=st.just(g))
+    ),
+    _RATES.flatmap(
+        lambda g: st.builds(RtnParams, a=st.floats(0.55 * g, 2.0), gamma=st.just(g))
+    ),
 )
 
 
@@ -140,3 +169,86 @@ def apply_signed(rho: np.ndarray, ks: SignedKrausSet) -> np.ndarray:
     for op, sign in zip(ks.operators, ks.signs):
         out += sign * (op @ rho @ op.conj().T)
     return out
+
+
+def dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return m.conj().T
+
+
+def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
+    """Entrywise Hermiticity check, max |M - M^dag| <= tol."""
+    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+
+
+def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Validate a density matrix: Hermitian, unit trace, near-PSD.
+
+    Matrices produced by completely positive evolution must satisfy all
+    three invariants; intermediate non-CP outputs are deliberately *not*
+    routed through this check.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
+    if dim is not None and rho.shape[0] != dim:
+        raise DimensionMismatchError(f"expected dim {dim}, got {rho.shape[0]}")
+    if not is_hermitian(rho):
+        raise ValueError("density matrix is not Hermitian within 1e-12")
+    tr = complex(np.trace(rho))
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {tr!r} differs from 1 beyond 1e-12")
+    wmin = float(np.linalg.eigvalsh(rho)[0])
+    if wmin < -POSITIVITY_TOL:
+        raise ValueError(f"density matrix has eigenvalue {wmin} < -1e-10")
+    return rho
+
+
+def von_neumann_entropy(rho: np.ndarray) -> float:
+    """Entropy -Tr(rho log2 rho) in bits of a validated state; 0*log(0) := 0."""
+    w = np.linalg.eigvalsh(check_density_matrix(rho))
+    w = w[w > EIGENVALUE_CUTOFF]
+    return float(-np.sum(w * np.log2(w)))
+
+
+def trace_norm(m: np.ndarray) -> float:
+    """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"trace_norm needs a square matrix, got {m.shape}")
+    if is_hermitian(m, tol=1e-13):
+        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+
+
+def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
+    """TD(rho1, rho2) = 1/2 ||rho1 - rho2||_1, in [0, 1] for states."""
+    rho1 = np.asarray(rho1, dtype=complex)
+    rho2 = np.asarray(rho2, dtype=complex)
+    if rho1.shape != rho2.shape:
+        raise DimensionMismatchError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
+    return 0.5 * trace_norm(rho1 - rho2)
+
+
+def reduced_coin(state):
+    """Tr_x of a one-shot Kraus factor (2, n, 2) or a dense (2m, 2m) state."""
+    if state.ndim == 3:
+        return np.einsum("cjr,djr->cd", state, state.conj())
+    return partial_trace(state, (2, state.shape[0] // 2), "coin")
+
+
+def two_walker_trace_distances(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
+    """TD series of two walkers, each evolved by ``evolve`` on its own.
+
+    The walkers start in the coin states (delta, eta) of ``td_pair`` and
+    advance in lockstep, so an error either walk raises ends the series at
+    the step where it arises.
+    """
+    d1, e1, d2, e2 = td_pair
+    walks = zip(
+        evolve(replace(cfg, delta=d1, eta=e1), noise),
+        evolve(replace(cfg, delta=d2, eta=e2), noise),
+    )
+    return np.array(
+        [trace_distance(reduced_coin(s1), reduced_coin(s2)) for (_, s1, _), (_, s2, _) in walks]
+    )

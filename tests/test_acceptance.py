@@ -27,7 +27,14 @@ import math
 import time
 
 import numpy as np
-from conftest import apply_kraus, apply_signed, intermediate_kraus, random_qubit_states
+from conftest import (
+    apply_kraus,
+    apply_signed,
+    intermediate_kraus,
+    random_qubit_states,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 from nmqwalk.divisibility import cp_divisibility_scan, kernel_ratio
 from nmqwalk.noise import (
@@ -37,14 +44,13 @@ from nmqwalk.noise import (
     kernel_value,
     kraus_at,
 )
-from nmqwalk.qops import partial_trace, von_neumann_entropy
+from nmqwalk.qops import partial_trace
 from nmqwalk.spectral import TimeSeries, disambiguate, fit_mfbf, power_spectrum
 from nmqwalk.walk import WalkConfig, evolve_noiseless
 from nmqwalk.witness import (
     coin_entropy,
     discord,
     mid,
-    trace_distance,
     witness_series,
 )
 

@@ -419,6 +419,26 @@ class TestChoiCommand:
         cfg = write_config(tmp_path, {})
         assert main(["choi", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "t2_max, dt, rows",
+        [(1.26, 0.1, 2), (1.3, 0.1, 3), (20.0, 0.1, 190), (20.0, 0.01, 1900)],
+        ids=["between-points", "on-a-point", "default", "fine"],
+    )
+    def test_grid_ends_at_t2_max(self, tmp_path, t2_max, dt, rows):
+        # the last point is the last t1 + n dt <= t2_max, up to rounding
+        cfg = write_config(
+            tmp_path,
+            {
+                "noise": {"model": "oun", "Gamma": 1.0, "gamma": 5.0},
+                "choi": {"t1": 1.0, "t2_max": t2_max, "dt": dt},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["choi", "--config", str(cfg), "--out", str(out)]) == 0
+        t2 = [float(r[0]) for r in read_csv(out / "choi.csv")[1]]
+        assert len(t2) == rows
+        assert max(t2) <= t2_max + 1e-12
+
     def test_empty_grid_writes_header_only(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
+from conftest import check_density_matrix, trace_norm, von_neumann_entropy
 
 from nmqwalk.exceptions import DimensionMismatchError
-from nmqwalk.qops import (
-    check_density_matrix,
-    entropy_of_spectrum,
-    partial_trace,
-    trace_norm,
-    von_neumann_entropy,
-)
+from nmqwalk.qops import entropy_of_spectrum, partial_trace
 from nmqwalk.walk import density_from_amplitudes
 
 BELL = density_from_amplitudes(np.array([1, 0, 0, 1]) / np.sqrt(2))

@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_one_shot, density_from_factor, embed, full_lattice_stepwise
+from conftest import (
+    SIDED_NOISES,
+    check_density_matrix,
+    dense_one_shot,
+    density_from_factor,
+    embed,
+    full_lattice_stepwise,
+)
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +23,6 @@ from nmqwalk.exceptions import (
     NonInvertibleMapError,
 )
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
-from nmqwalk.qops import check_density_matrix
 from nmqwalk.walk import (
     WalkConfig,
     coin_operator,
@@ -243,21 +249,6 @@ STEPWISE_NOISES = {
 }
 
 
-#: the noise models of the light-cone property: no noise, OUN, PLN and RTN on
-#: either side of its critical point 2a/gamma = 1
-LIGHT_CONE_NOISES = st.one_of(
-    st.none(),
-    st.builds(OunParams, Gamma=RATES, gamma=RATES),
-    st.builds(PlnParams, Gamma=RATES, gamma=RATES),
-    RATES.flatmap(
-        lambda g: st.builds(RtnParams, a=st.floats(0.0, 0.45 * g), gamma=st.just(g))
-    ),
-    RATES.flatmap(
-        lambda g: st.builds(RtnParams, a=st.floats(0.55 * g, 2.0), gamma=st.just(g))
-    ),
-)
-
-
 @st.composite
 def light_cone_walks(draw):
     """A walk of T <= 24 steps from any start x0 in [-T - 1, T + 1]."""
@@ -341,7 +332,7 @@ class TestStepwiseLightCone:
             found[...] = np.nan
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(cfg=light_cone_walks(), noise=LIGHT_CONE_NOISES)
+    @given(cfg=light_cone_walks(), noise=SIDED_NOISES)
     @example(cfg=WalkConfig(steps=24, coin_angle=0.4, initial_position=-25), noise=None)
     def test_blocks_are_the_full_lattice_states(self, cfg, noise):
         found, sites, error = stepwise_run(evolve_stepwise, cfg, noise)
@@ -361,7 +352,7 @@ class TestStepwiseLightCone:
         derandomize=True,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    @given(cfg=light_cone_walks(), noise=LIGHT_CONE_NOISES)
+    @given(cfg=light_cone_walks(), noise=SIDED_NOISES)
     @example(cfg=WalkConfig(steps=12, delta=0.7, initial_position=13), noise=OunParams(0.1, 0.01))
     @example(
         cfg=WalkConfig(steps=12, delta=0.7, initial_position=-12), noise=RtnParams(0.05, 0.008)

@@ -3,15 +3,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense_one_shot, density_from_factor, embed
+from conftest import (
+    SIDED_NOISES,
+    dense_one_shot,
+    density_from_factor,
+    embed,
+    trace_distance,
+    two_walker_trace_distances,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nmqwalk.walk as walk_mod
 import nmqwalk.witness as witness_mod
-from nmqwalk.exceptions import DimensionMismatchError
+from nmqwalk.exceptions import DimensionMismatchError, NmqwalkError
 from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kraus_at
 from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
+    EDGE_AMPLITUDE_TOL,
     WalkConfig,
     density_from_amplitudes,
     distribution_variance,
@@ -29,7 +38,6 @@ from nmqwalk.witness import (
     discord,
     mid,
     mutual_information,
-    trace_distance,
     witness_series,
 )
 
@@ -60,17 +68,8 @@ def single_state_values(cfg, noise, evolve):
     """Every witness tag at each step, from the public single-state functions
     applied to the dense states that ``evolve`` yields with their sites."""
     positions = lattice_positions(cfg).astype(float)
-    d1, e1, d2, e2 = DEFAULT_TD_PAIR
     values = {tag: [] for tag in WITNESS_TAGS}
-    values["TD"] = [
-        trace_distance(
-            partial_trace(r1, (2, len(s1)), "coin"), partial_trace(r2, (2, len(s2)), "coin")
-        )
-        for (_, r1, s1), (_, r2, s2) in zip(
-            evolve(replace(cfg, delta=d1, eta=e1), noise),
-            evolve(replace(cfg, delta=d2, eta=e2), noise),
-        )
-    ]
+    values["TD"] = two_walker_trace_distances(cfg, noise, evolve)
     for _, rho, sites in evolve(cfg, noise):
         values["MI"].append(mutual_information(rho))
         values["MID"].append(mid(rho))
@@ -418,11 +417,12 @@ class TestSeries:
         assert list(found) == list(WITNESS_TAGS)
         expected = single_state_values(cfg, noise, oracle)
         for tag in WITNESS_TAGS:
-            if mode == "stepwise":
+            if mode == "stepwise" and tag != "TD":
                 # the same dense matrices through the same calls
                 np.testing.assert_array_equal(found[tag], expected[tag], err_msg=tag)
             else:
-                # rank-2 factor against dense matrices: rounding differs
+                # a rank-2 factor against dense matrices, or TD from one
+                # evolution against two walks: rounding differs
                 assert_matches_oracle(found[tag], expected[tag], tag)
 
     @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
@@ -447,7 +447,25 @@ class TestSeries:
         witness_series(cfg, noise, witnesses=single)
         assert len(calls) == 1
         witness_series(cfg, noise, witnesses=("TD", *single))
-        assert len(calls) == 1 + 3
+        assert len(calls) == 1 + 1
+
+    def test_one_light_cone_walk_for_td(self, monkeypatch):
+        # evolve_stepwise runs the same block walk as the TD pair
+        calls = []
+        blocks = walk_mod._light_cone_blocks
+
+        def counting(cfg, noise, start):
+            calls.append(start)
+            return blocks(cfg, noise, start)
+
+        monkeypatch.setattr(walk_mod, "_light_cone_blocks", counting)
+        monkeypatch.setattr(witness_mod, "_light_cone_blocks", counting)
+        cfg = WalkConfig(steps=4)
+        noise = OunParams(Gamma=0.1, gamma=0.01)
+        witness_series(cfg, noise, mode="stepwise", witnesses=("TD",))
+        assert len(calls) == 1
+        witness_series(cfg, noise, mode="stepwise", witnesses=("TD", "Entropy"))
+        assert len(calls) == 1 + 2
 
     def test_optimizer_runs_only_on_dense_states(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -483,3 +501,111 @@ class TestSeries:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             witness_series(WalkConfig(steps=4), None, mode="exact", witnesses=("MI",))
+
+
+#: pairs of initial coin states (delta1, eta1, delta2, eta2) of the TD series
+#: tests: the default orthogonal pair, and the conjugate pair psi(0.7, +-0.3),
+#: whose walkers have equal populations at every step
+TD_PAIRS = {"default": DEFAULT_TD_PAIR, "conjugate": (0.7, 0.3, 0.7, -0.3)}
+TD_ORACLE_WALKS = {"one_shot": evolve_one_shot, "stepwise": evolve_stepwise}
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def td_walks(draw):
+    """A walk of T <= 40 steps from any start x0 in [-T - 1, T + 1]."""
+    steps = draw(st.integers(min_value=0, max_value=40))
+    return WalkConfig(
+        steps=steps,
+        coin_angle=draw(ANGLES),
+        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
+    )
+
+
+def outcome(run):
+    """What ``run()`` returns, or the name of the error type it raises."""
+    try:
+        return run()
+    except NmqwalkError as exc:
+        return type(exc).__name__
+
+
+class TestTraceDistanceSeries:
+    """TD from one evolution against the two-walker oracle."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        cfg=td_walks(),
+        pair=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES),
+        noise=SIDED_NOISES,
+        mode=st.sampled_from(list(TD_ORACLE_WALKS)),
+    )
+    @example(cfg=WalkConfig(steps=40), pair=TD_PAIRS["conjugate"], noise=None, mode="stepwise")
+    @example(
+        cfg=WalkConfig(steps=40), pair=DEFAULT_TD_PAIR, noise=RtnParams(0.05, 0.008), mode="stepwise"
+    )
+    def test_matches_two_walker_oracle(self, cfg, pair, noise, mode):
+        expected = outcome(
+            lambda: two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
+        )
+        found = outcome(
+            lambda: witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        )
+        if isinstance(expected, str):
+            assert found == expected
+        else:
+            assert found.shape == expected.shape
+            assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+    def test_identical_pair_reads_zero(self):
+        # Delta(t) = 0 exactly in one-shot mode; the stepwise block of
+        # X = (1 + i) rho cancels only up to rounding
+        cfg = WalkConfig(steps=20)
+        pair = (0.7, 0.3, 0.7, 0.3)
+        for mode in TD_ORACLE_WALKS:
+            td = witness_series(cfg, RtnParams(0.05, 0.008), mode=mode, td_pair=pair)["TD"]
+            assert np.all(np.abs(td) <= 1e-15), mode
+
+    @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
+    @pytest.mark.parametrize("pair", TD_PAIRS.values(), ids=TD_PAIRS.keys())
+    @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
+    @pytest.mark.parametrize(
+        "steps, x0, coin_angle",
+        [(30, -31, math.pi / 4), (30, 31, math.pi / 4), (40, 5, math.pi / 4), (40, 5, 0.0)],
+        ids=["at-left-edge", "at-right-edge", "off-centre", "off-centre-ballistic"],
+    )
+    def test_edge_walkers_fail_as_the_two_walker_oracle(
+        self, steps, x0, coin_angle, noise, pair, mode, origin_lattice
+    ):
+        # the fixture narrows the lattice so that both walkers reach an edge.
+        # Under the diagonal coin C(0) the real amplitudes of the default pair
+        # keep exactly equal populations, so an evolution of rho1 - rho2 alone
+        # would have an exactly zero diagonal and never meet the guard
+        cfg = WalkConfig(steps=steps, coin_angle=coin_angle, initial_position=x0)
+        expected = outcome(
+            lambda: two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
+        )
+        found = outcome(
+            lambda: witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        )
+        assert expected == "EdgeAmplitudeError"
+        assert found == expected
+
+    @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
+    @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
+    def test_edge_guard_reads_each_walker_on_its_own(self, noise, mode, origin_lattice):
+        # at T = 30 both walkers of the conjugate pair reach the right edge,
+        # and only there, with one amplitude a just under the guard's bound.
+        # The stepwise block X = rho1 + i rho2 has X_ii = (1 + i) a^2 there, so
+        # a guard on sqrt|X_ii| = 2^(1/4) a would fire where neither walker does
+        cfg = WalkConfig(steps=30, coin_angle=1.2286, initial_position=1)
+        pair = TD_PAIRS["conjugate"]
+        edges = [
+            np.max(np.abs(evolve_noiseless(replace(cfg, delta=d, eta=e))[-1, :, -1]))
+            for d, e in (pair[:2], pair[2:])
+        ]
+        assert edges[0] == pytest.approx(edges[1], rel=1e-12)
+        assert 2**-0.25 < edges[0] / EDGE_AMPLITUDE_TOL < 1
+        expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
+        found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
