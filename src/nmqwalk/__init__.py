@@ -54,7 +54,6 @@ from .spectral import (
 )
 from .walk import (
     WalkConfig,
-    evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
     lattice_positions,
@@ -96,7 +95,6 @@ __all__ = [
     "disambiguate",
     "discord",
     "entropy_of_spectrum",
-    "evolve_noiseless",
     "evolve_one_shot",
     "evolve_stepwise",
     "find_peaks",

@@ -23,6 +23,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import get_args
 
@@ -236,20 +237,20 @@ def parse_config(text: str) -> ExperimentConfig:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.12g}"
+#: how a bool is written in a data file, indexed by the bool
+_FLAGS = ("false", "true")
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], fmt: str, rows) -> None:
+    """Write the header line, then ``fmt % row`` for each row tuple, LF-terminated.
+
+    ``fmt`` has one field per column: ``%d`` for an integer, ``%.12g`` for a
+    float and ``%s`` for a bool given as its ``_FLAGS`` word.
+    """
+    line = fmt + "\n"
     with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _write_json(path: Path, payload) -> None:
@@ -272,12 +273,13 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     for t, state, sites in evolve(cfg.walk, cfg.noise):  # Kraus factor or light-cone block
         probs = position_distribution(state)
         labels = positions[sites]
-        for x, p in zip(labels, probs):
-            if p > _PROB_EMIT_TOL:
-                dist_rows.append((t, int(x), p))
+        emit = probs > _PROB_EMIT_TOL
+        dist_rows += zip(repeat(t), labels[emit].tolist(), probs[emit].tolist())
         var_rows.append((t, distribution_variance(probs, labels.astype(float))))
-    _write_csv(out_dir / "distribution.csv", ["step", "x", "probability"], dist_rows)
-    _write_csv(out_dir / "variance.csv", ["step", "variance"], var_rows)
+    _write_csv(
+        out_dir / "distribution.csv", ["step", "x", "probability"], "%d,%d,%.12g", dist_rows
+    )
+    _write_csv(out_dir / "variance.csv", ["step", "variance"], "%d,%.12g", var_rows)
 
 
 def run_witness(cfg: ExperimentConfig, out_dir: Path) -> None:
@@ -286,8 +288,8 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> None:
         cfg.walk, cfg.noise, mode=cfg.mode, witnesses=cfg.witnesses, td_pair=cfg.td_pair
     )
     for tag, values in found.items():
-        rows = list(enumerate(values.tolist()))
-        _write_csv(out_dir / f"{tag.lower()}.csv", ["step", "value"], rows)
+        rows = enumerate(values.tolist())
+        _write_csv(out_dir / f"{tag.lower()}.csv", ["step", "value"], "%d,%.12g", rows)
     _write_json(
         out_dir / "metadata.json",
         {
@@ -313,9 +315,13 @@ def run_choi_scan(cfg: ExperimentConfig, out_dir: Path) -> None:
     if cfg.noise is None:
         raise ConfigError("the choi subcommand requires a concrete noise model")
     result = cp_divisibility_scan(cfg.noise, cfg.choi["t1"], choi_grid(cfg.choi))
-    rows = [(*point, result.invertible) for point in result.points.tolist()]
+    invertible = _FLAGS[result.invertible]
+    rows = [(t2, l3, l4, _FLAGS[cp], invertible) for t2, l3, l4, cp in result.points.tolist()]
     _write_csv(
-        out_dir / "choi.csv", ["t2", "lambda3", "lambda4", "is_cp", "invertible"], rows
+        out_dir / "choi.csv",
+        ["t2", "lambda3", "lambda4", "is_cp", "invertible"],
+        "%.12g,%.12g,%.12g,%s,%s",
+        rows,
     )
 
 
@@ -357,16 +363,19 @@ def run_spectrum(cfg: ExperimentConfig, input_path: Path, out_dir: Path) -> None
     _write_csv(
         out_dir / "fit.csv",
         ["step", "value"],
+        "%.12g,%.12g",
         zip(series.times.tolist(), report.fit.fitted.tolist()),
     )
     _write_csv(
         out_dir / "residual.csv",
         ["step", "value"],
+        "%.12g,%.12g",
         zip(report.residual.times.tolist(), report.residual.values.tolist()),
     )
     _write_csv(
         out_dir / "spectrum.csv",
         ["frequency", "power"],
+        "%.12g,%.12g",
         zip(report.spectrum.frequencies.tolist(), report.spectrum.power.tolist()),
     )
     top = report.peaks[0].power if report.peaks else 1.0

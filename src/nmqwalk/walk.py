@@ -30,7 +30,9 @@ Both generators yield ``(t, state, sites)``: ``sites`` are the lattice
 indices the state's position axis covers, so ``lattice_positions(cfg)[sites]``
 labels its probabilities. A one-shot factor covers the whole lattice.
 Amplitude arrays are shaped (2, n_positions); flat indices follow the
-coin (x) position order of :mod:`nmqwalk.qops`.
+coin (x) position order of :mod:`nmqwalk.qops`. The noiseless amplitudes
+behind the one-shot states come from one streaming walk that carries k
+walkers at once and holds only its current step.
 """
 
 from __future__ import annotations
@@ -68,6 +70,10 @@ class WalkConfig:
     def __post_init__(self):
         if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
+        for name in ("coin_angle", "delta", "eta"):
+            angle = getattr(self, name)
+            if not math.isfinite(angle):
+                raise ValueError(f"{name} must be a finite angle, got {angle!r}")
         if abs(self.initial_position) > self.steps + 1:
             raise ValueError(
                 f"initial position {self.initial_position} is more than "
@@ -99,40 +105,45 @@ def coin_operator(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def initial_state(cfg: WalkConfig) -> np.ndarray:
-    """Amplitude array (2, n_positions) of the localized initial state."""
-    amps = np.zeros((2, cfg.n_positions), dtype=complex)
-    x0 = cfg.initial_position + cfg.half_width
-    amps[0, x0] = math.cos(cfg.delta)
-    amps[1, x0] = np.exp(-1j * cfg.eta) * math.sin(cfg.delta)
-    return amps
+def _coin_vector(delta: float, eta: float) -> np.ndarray:
+    """The coin state cos(delta) |0> + e^{-i eta} sin(delta) |1>."""
+    return np.array([math.cos(delta), np.exp(-1j * eta) * math.sin(delta)])
 
 
 def _check_edges(amps: np.ndarray) -> None:
-    """The one edge guard, on amplitudes (2, n) at both lattice ends."""
-    edge = max(np.max(np.abs(amps[:, 0])), np.max(np.abs(amps[:, -1])))
+    """The one edge guard, on amplitudes (..., 2, n) at both lattice ends."""
+    edge = np.max(np.abs(amps[..., :: amps.shape[-1] - 1]))
     if edge > EDGE_AMPLITUDE_TOL:
         raise EdgeAmplitudeError(f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}")
 
 
-def step_amplitudes(amps: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """One walk step W on an amplitude array: coin rotation, then shift."""
-    rotated = coin @ amps
-    out = np.empty_like(rotated)
-    for c, d in enumerate(_COIN_SHIFT):
-        out[c] = np.roll(rotated[c], d)
-    _check_edges(out)
-    return out
+def _noiseless_steps(cfg: WalkConfig, coins: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield the noiseless amplitudes (k, 2, n_positions) of k walkers at t = 0..T.
 
-
-def evolve_noiseless(cfg: WalkConfig) -> np.ndarray:
-    """All noiseless amplitude arrays, shape (steps + 1, 2, n_positions)."""
+    All k walkers start at x0, walker w with the coin state ``coins[w]``.
+    A step is one batched ``coin @ amps``, then the shift by slices: coin
+    |0> moves one site left and coin |1> one site right, and the entry
+    pushed past a lattice end wraps to the other end, as ``np.roll`` wraps
+    it. The edge guard reads both end columns of every walker from t = 1
+    on, so it fires at the step where the first walker reaches an edge.
+    Each yield is a fresh array and the walk keeps only the last one, so
+    memory is O(k n) for any T; the next step reads the yielded array, so a
+    caller must not write to it.
+    """
+    x0 = cfg.initial_position + cfg.half_width
     coin = coin_operator(cfg.coin_angle)
-    out = np.empty((cfg.steps + 1, 2, cfg.n_positions), dtype=complex)
-    out[0] = initial_state(cfg)
-    for t in range(1, cfg.steps + 1):
-        out[t] = step_amplitudes(out[t - 1], coin)
-    return out
+    amps = np.zeros((len(coins), 2, cfg.n_positions), dtype=complex)
+    amps[:, :, x0] = coins
+    yield amps
+    for _ in range(cfg.steps):
+        rotated = coin @ amps
+        amps = np.empty_like(rotated)
+        amps[:, 0, :-1] = rotated[:, 0, 1:]
+        amps[:, 0, -1] = rotated[:, 0, 0]
+        amps[:, 1, 1:] = rotated[:, 1, :-1]
+        amps[:, 1, 0] = rotated[:, 1, -1]
+        _check_edges(amps)
+        yield amps
 
 
 def dephase_density(rho: np.ndarray, k: float, n_positions: int) -> np.ndarray:
@@ -158,14 +169,17 @@ def evolve_one_shot(
     the state is ``rho_t = sum_r b_r b_r^dag`` with ``b_r = (K_r (x) I) psi(t)``.
     Without noise the pair is (I, 0). Every such state is a valid density
     matrix: the channel is completely positive for any kernel value in
-    [-1, 1]. The kernel range and the edge on t = 0..T raise before any yield.
-    The factor spans the whole lattice, so ``sites`` is ``arange(n_positions)``,
+    [-1, 1]. The kernel range on t = 0..T raises before any yield; the edge
+    guard raises at the step where the walker reaches an edge. The walk
+    streams psi(t) and holds no history, so memory is O(n) for any T. The
+    factor spans the whole lattice, so ``sites`` is ``arange(n_positions)``,
     one array shared by every yield.
     """
     kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
     sites = np.arange(cfg.n_positions)
-    for t, amps in enumerate(evolve_noiseless(cfg)):
-        yield t, np.einsum("rcd,dj->cjr", kraus[t], amps), sites
+    coins = _coin_vector(cfg.delta, cfg.eta)[None]
+    for t, amps in enumerate(_noiseless_steps(cfg, coins)):
+        yield t, np.einsum("rcd,dj->cjr", kraus[t], amps[0]), sites
 
 
 def _walk_density(rho: np.ndarray, coin: np.ndarray) -> np.ndarray:
@@ -220,8 +234,8 @@ def evolve_stepwise(
     evolution. The next step's padded block is made before the yield, so a
     caller may overwrite the yielded one.
     """
-    x0 = cfg.initial_position + cfg.half_width
-    yield from _light_cone_blocks(cfg, noise, density_from_amplitudes(initial_state(cfg)[:, x0]))
+    start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
+    yield from _light_cone_blocks(cfg, noise, start)
 
 
 def _light_cone_blocks(

@@ -13,17 +13,17 @@ whose columns ``b_r = (K_r (x) I) psi`` for the :func:`nmqwalk.noise.kraus_at`
 pair give ``rho = sum_r b_r b_r^dag``, or a dense (2n, 2n) density matrix.
 The series driver and the public single-state functions take either form.
 The driver evolves the walk once for all requested witnesses (TD reads its
-two walkers' coin blocks from their noiseless amplitudes, or from one
-stepwise walk that carries both) and computes each state's
+two walkers' coin blocks from one noiseless walk that carries both, or
+from one stepwise walk that carries both) and computes each state's
 reductions and entropies once, in a per-state cache shared by every
 witness. Witness states are formed one step at a time and dropped after
-use; the one-shot walk still holds the whole (T+1, 2, n) noiseless
-amplitude history of :func:`nmqwalk.walk.evolve_noiseless`, so its memory
-grows with T^2. A factor is measured through itself: every spectrum comes
-from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the Gram matrix of
-the position marginal), and the MID outcome table and the discord both
-live on the support of the position marginal, so no (2n)^2 matrix is
-formed. The tests check the factor path against the dense one. A dense
+use, and the noiseless walks stream their amplitudes one step at a time
+too, so a one-shot series holds O(n) amplitudes whatever T (the T + 1
+values of each series aside). A factor is measured through itself: every
+spectrum comes from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the
+Gram matrix of the position marginal), and the MID outcome table and the
+discord both live on the support of the position marginal, so no (2n)^2
+matrix is formed. The tests check the factor path against the dense one. A dense
 state is measured on its support, the sites whose rows are not all zero.
 The stepwise walk yields each state as its 2(t + 1) x 2(t + 1) light-cone
 block, whatever the lattice size, so that scan reads the block only.
@@ -44,7 +44,6 @@ so every other witness, in either mode, runs without it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from functools import cached_property
 from typing import Literal
 
@@ -60,13 +59,13 @@ from .qops import (
 )
 from .walk import (
     WalkConfig,
+    _coin_vector,
     _light_cone_blocks,
+    _noiseless_steps,
     density_from_amplitudes,
     distribution_variance,
-    evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
-    initial_state,
     lattice_positions,
     position_distribution,
 )
@@ -480,24 +479,26 @@ def _trace_distances(
 
     Both walk modes are linear in the initial state:
 
-    - one-shot: Delta is the difference of the noiseless coin blocks, each
-      walker with its own edge guard, with its coherences scaled by k(t),
+    - one-shot: one noiseless walk carries both walkers, and Delta is the
+      difference of their coin blocks, with its coherences scaled by k(t),
       clipped to [-1, 1] as ``kraus_at`` clips it;
     - stepwise: one light-cone walk of X = rho1(0) + i rho2(0) carries both
       walkers. Its coin block is Y = C1 + i C2 with C1, C2 Hermitian, so
       Delta = C1 - C2 is the Hermitian part of (1 + i) Y.
     """
-    d1, e1, d2, e2 = td_pair
-    cfgs = replace(cfg, delta=d1, eta=e1), replace(cfg, delta=d2, eta=e2)
+    coins = _coin_vector(*td_pair[:2]), _coin_vector(*td_pair[2:])
     if mode == "one_shot":
         k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
-        c1, c2 = (np.einsum("tcx,tdx->tcd", a, a.conj()) for a in map(evolve_noiseless, cfgs))
-        delta = c1 - c2
+        delta = np.stack(
+            [
+                np.subtract(*np.einsum("wcx,wdx->wcd", amps, amps.conj()))
+                for amps in _noiseless_steps(cfg, np.stack(coins))
+            ]
+        )
         delta[:, 0, 1] *= k
         delta[:, 1, 0] *= k
     else:
-        x0 = cfg.initial_position + cfg.half_width
-        rho1, rho2 = (density_from_amplitudes(initial_state(c)[:, x0]) for c in cfgs)
+        rho1, rho2 = map(density_from_amplitudes, coins)
         y = (1.0 + 1.0j) * np.stack(
             [
                 partial_trace(block, (2, t + 1), "coin")

@@ -1,5 +1,11 @@
 """Oracles and helpers shared by the test modules.
 
+``walk._noiseless_steps`` streams the noiseless amplitudes of k walkers at
+once, shifting by slices. ``evolve_noiseless`` below is its oracle: one
+walker, the whole (T + 1, 2, n_positions) history, ``np.roll`` as the shift
+and a guard on each end column of its own, the way the library walked
+before the stream.
+
 ``walk.evolve_one_shot`` yields each one-shot state as its rank-2 Kraus
 factor. The dense generator below forms the (2 n_positions)^2 density
 matrix from the same amplitudes and kernel the way the library did before
@@ -24,6 +30,7 @@ states through the general ``trace_distance``. The density-matrix check and
 the von Neumann entropy are the oracles of the library's spectra.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,17 +38,15 @@ import pytest
 from hypothesis import strategies as st
 
 from nmqwalk.divisibility import kernel_ratio
-from nmqwalk.exceptions import DimensionMismatchError
+from nmqwalk.exceptions import DimensionMismatchError, EdgeAmplitudeError
 from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import EIGENVALUE_CUTOFF, partial_trace
 from nmqwalk.walk import (
+    EDGE_AMPLITUDE_TOL,
     WalkConfig,
-    _check_edges,
     coin_operator,
     dephase_density,
     density_from_amplitudes,
-    evolve_noiseless,
-    initial_state,
 )
 from nmqwalk.witness import DEFAULT_TD_PAIR
 
@@ -77,6 +82,42 @@ def origin_lattice(monkeypatch):
     monkeypatch.setattr(WalkConfig, "half_width", property(lambda cfg: cfg.steps + 1))
 
 
+def initial_state(cfg):
+    """Amplitude array (2, n_positions) of the localized initial state."""
+    amps = np.zeros((2, cfg.n_positions), dtype=complex)
+    x0 = cfg.initial_position + cfg.half_width
+    amps[0, x0] = math.cos(cfg.delta)
+    amps[1, x0] = np.exp(-1j * cfg.eta) * math.sin(cfg.delta)
+    return amps
+
+
+def check_edges(amps):
+    """The edge guard on amplitudes (2, n), one lattice end at a time."""
+    edge = max(np.max(np.abs(amps[:, 0])), np.max(np.abs(amps[:, -1])))
+    if edge > EDGE_AMPLITUDE_TOL:
+        raise EdgeAmplitudeError(f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}")
+
+
+def step_amplitudes(amps, coin):
+    """One walk step W on an amplitude array: coin rotation, then np.roll shift."""
+    rotated = coin @ amps
+    out = np.empty_like(rotated)
+    for c, d in enumerate((-1, +1)):
+        out[c] = np.roll(rotated[c], d)
+    check_edges(out)
+    return out
+
+
+def evolve_noiseless(cfg):
+    """All noiseless amplitude arrays of one walker, shape (steps + 1, 2, n_positions)."""
+    coin = coin_operator(cfg.coin_angle)
+    out = np.empty((cfg.steps + 1, 2, cfg.n_positions), dtype=complex)
+    out[0] = initial_state(cfg)
+    for t in range(1, cfg.steps + 1):
+        out[t] = step_amplitudes(out[t - 1], coin)
+    return out
+
+
 def dense_one_shot(cfg, noise):
     """Yield (t, rho_t) with the full dephasing channel applied at each t."""
     for t, amps in enumerate(evolve_noiseless(cfg)):
@@ -103,7 +144,7 @@ def full_lattice_stepwise(cfg, noise):
             for d, dd in enumerate((-1, +1)):
                 out[a, :, d, :] = np.roll(np.roll(r[a, :, d, :], da, axis=0), dd, axis=1)
         rho = dephase_density(out.reshape(2 * n, 2 * n), ratio, n)
-        _check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, n))
+        check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, n))
         yield t, rho.copy(), sites
 
 

@@ -30,6 +30,7 @@ import numpy as np
 from conftest import (
     apply_kraus,
     apply_signed,
+    evolve_noiseless,
     intermediate_kraus,
     random_qubit_states,
     trace_distance,
@@ -46,7 +47,7 @@ from nmqwalk.noise import (
 )
 from nmqwalk.qops import partial_trace
 from nmqwalk.spectral import TimeSeries, disambiguate, fit_mfbf, power_spectrum
-from nmqwalk.walk import WalkConfig, evolve_noiseless
+from nmqwalk.walk import WalkConfig
 from nmqwalk.witness import (
     coin_entropy,
     discord,

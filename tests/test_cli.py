@@ -14,7 +14,8 @@ from conftest import full_lattice_stepwise
 import nmqwalk
 import nmqwalk.cli as cli_mod
 import nmqwalk.noise as noise_mod
-from nmqwalk.cli import _PROB_EMIT_TOL, main, parse_config
+from nmqwalk.cli import _PROB_EMIT_TOL, choi_grid, main, parse_config
+from nmqwalk.divisibility import cp_divisibility_scan
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
 from nmqwalk.walk import distribution_variance, lattice_positions, position_distribution
@@ -92,6 +93,66 @@ def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return path
+
+
+def csv_writer_oracle(path, header, rows):
+    """The data-file writer the format strings replaced: ``csv.writer``, one call per value.
+
+    A bool is written as true/false, an integer as itself and any other
+    number to 12 significant digits.
+    """
+
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return f"{float(value):.12g}"
+
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+class TestCsvFormat:
+    # signed zero, subnormal-range, large and inexact floats, an integer
+    # past 2^53, numpy scalars, and the non-finite values a witness can reach
+    ROWS = [
+        (0, -0.0, 1e-300),
+        (np.int64(7), 1e16, 0.1),
+        (2**53 + 1, np.float64(-2.5e-17), math.nan),
+        (np.int64(-3), math.inf, np.float64(1 / 3)),
+        (12, 123456789012.5, -math.inf),
+    ]
+
+    def test_format_string_matches_csv_writer(self, tmp_path):
+        header = ["step", "a", "b"]
+        cli_mod._write_csv(tmp_path / "new.csv", header, "%d,%.12g,%.12g", self.ROWS)
+        csv_writer_oracle(tmp_path / "old.csv", header, self.ROWS)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "noise, choi",
+        [
+            ({"model": "rtn", "a": 0.9, "gamma": 0.05}, {"t1": 1.0, "t2_max": 20.0, "dt": 0.1}),
+            # |k(20)| = e^-49.5 counts as a kernel zero: NaN rows, all flags false
+            ({"model": "oun", "Gamma": 5.0, "gamma": 5.0}, {"t1": 20.0, "t2_max": 21.0, "dt": 0.1}),
+        ],
+        ids=["cp-and-not-cp", "non-invertible"],
+    )
+    def test_choi_flags_match_csv_writer(self, tmp_path, noise, choi):
+        doc = {"noise": noise, "choi": choi}
+        out = tmp_path / "out"
+        assert main(["choi", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        parsed = parse_config(json.dumps(doc))
+        result = cp_divisibility_scan(parsed.noise, choi["t1"], choi_grid(choi))
+        rows = [(*point, result.invertible) for point in result.points.tolist()]
+        header = ["t2", "lambda3", "lambda4", "is_cp", "invertible"]
+        csv_writer_oracle(tmp_path / "old.csv", header, rows)
+        assert (out / "choi.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert {r[3] for r in rows} == ({True, False} if result.invertible else {False})
 
 
 class TestParseConfig:
@@ -293,9 +354,9 @@ class TestWalkCommand:
         # to 12 digits
         written = {}
 
-        def keep_rows(path, header, rows):
+        def keep_rows(path, header, fmt, rows):
             written[path.name] = rows = list(rows)
-            write_csv(path, header, rows)
+            write_csv(path, header, fmt, rows)
 
         write_csv = cli_mod._write_csv
         monkeypatch.setattr(cli_mod, "_write_csv", keep_rows)

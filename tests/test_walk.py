@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from conftest import (
     dense_one_shot,
     density_from_factor,
     embed,
+    evolve_noiseless,
     full_lattice_stepwise,
+    initial_state,
+    step_amplitudes,
 )
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -29,10 +33,8 @@ from nmqwalk.walk import (
     dephase_density,
     density_from_amplitudes,
     distribution_variance,
-    evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
-    initial_state,
     lattice_positions,
     position_distribution,
 )
@@ -44,6 +46,12 @@ NOISES = st.one_of(
     st.builds(OunParams, Gamma=RATES, gamma=RATES),
     st.builds(PlnParams, Gamma=RATES, gamma=RATES),
 )
+
+
+def noiseless_history(cfg):
+    """The amplitudes (T + 1, 2, n_positions) the streaming walk yields for cfg's walker."""
+    coins = walk_mod._coin_vector(cfg.delta, cfg.eta)[None]
+    return np.stack([amps[0] for amps in walk_mod._noiseless_steps(cfg, coins)])
 
 
 def shift_operator(n_positions: int) -> np.ndarray:
@@ -100,7 +108,7 @@ class TestNoiselessEvolution:
     def test_two_step_oracle(self):
         # from (|0> + |1>)/sqrt(2) at the origin: (|0>|-2> + |1>|0>)/sqrt(2)
         cfg = WalkConfig(steps=2)
-        amps = evolve_noiseless(cfg)[2]
+        amps = noiseless_history(cfg)[2]
         center = cfg.steps + 1
         expected = np.zeros((2, cfg.n_positions), dtype=complex)
         expected[0, center - 2] = 1 / np.sqrt(2)
@@ -108,7 +116,7 @@ class TestNoiselessEvolution:
         np.testing.assert_allclose(amps, expected, atol=1e-14)
 
     def test_norm_preserved(self):
-        amps = evolve_noiseless(WalkConfig(steps=30))
+        amps = noiseless_history(WalkConfig(steps=30))
         norms = np.sum(np.abs(amps) ** 2, axis=(1, 2))
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -118,22 +126,31 @@ class TestNoiselessEvolution:
             coin_operator(cfg.coin_angle), np.eye(cfg.n_positions)
         )
         vec = initial_state(cfg).reshape(-1)
-        for t, amps in enumerate(evolve_noiseless(cfg)):
+        for t, amps in enumerate(noiseless_history(cfg)):
             np.testing.assert_allclose(amps.reshape(-1), vec, atol=1e-12)
             vec = w @ vec
 
     def test_edge_guard_fires_when_started_at_boundary(self, origin_lattice):
         cfg = WalkConfig(steps=2, initial_position=3)
         with pytest.raises(EdgeAmplitudeError):
-            evolve_noiseless(cfg)
+            noiseless_history(cfg)
 
     def test_initial_position_outside_lattice_rejected(self):
         with pytest.raises(ValueError):
             WalkConfig(steps=2, initial_position=4)
 
+    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["coin_angle", "delta", "eta"])
+    def test_non_finite_angle_rejected(self, field, value, evolve):
+        # unchecked, a NaN angle yields NaN states without an error, and an
+        # infinite one fails inside math.cos with no field named
+        with pytest.raises(ValueError, match=f"^{field} must be a finite angle"):
+            list(evolve(WalkConfig(steps=5, **{field: value}), None))
+
     def test_symmetric_initial_state_gives_symmetric_distribution(self):
         cfg = WalkConfig(steps=20, eta=math.pi / 2)
-        probs = position_distribution(evolve_noiseless(cfg)[-1][..., None])
+        probs = position_distribution(noiseless_history(cfg)[-1][..., None])
         np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)
 
 
@@ -237,6 +254,94 @@ class TestNoisyEvolution:
         for cfg, noise in cases:
             with pytest.raises(EdgeAmplitudeError):
                 list(evolve(cfg, noise))
+
+
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def batched_walks(draw):
+    """A walk of T <= 40 steps from any x0 in [-T - 1, T + 1], and 1 to 3 (delta, eta) starts."""
+    steps = draw(st.integers(min_value=0, max_value=40))
+    cfg = WalkConfig(
+        steps=steps,
+        coin_angle=draw(ANGLES),
+        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
+    )
+    return cfg, draw(st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=3))
+
+
+def stream_run(cfg, starts):
+    """Every (k, 2, n) step the streaming walk yields for the k starts, and
+    whether its edge guard ended the walk."""
+    coins = np.array([walk_mod._coin_vector(d, e) for d, e in starts])
+    found = []
+    try:
+        for amps in walk_mod._noiseless_steps(cfg, coins):
+            assert amps.shape == (len(starts), 2, cfg.n_positions)
+            found.append(amps.copy())
+    except EdgeAmplitudeError:
+        return found, True
+    return found, False
+
+
+def roll_oracle_run(cfg):
+    """The roll oracle's amplitudes of cfg's walker, up to the step its guard fires."""
+    coin = coin_operator(cfg.coin_angle)
+    found = [initial_state(cfg)]
+    try:
+        for _ in range(cfg.steps):
+            found.append(step_amplitudes(found[-1], coin))
+    except EdgeAmplitudeError:
+        return found, True
+    return found, False
+
+
+def assert_stream_is_roll_oracle(cfg, starts):
+    """Each walker of the stream equals its own roll walk bit for bit, and the
+    stream ends at the first step where one of those walks fires its guard.
+    Returns whether the guard fired."""
+    found, fired = stream_run(cfg, starts)
+    runs = [roll_oracle_run(replace(cfg, delta=d, eta=e)) for d, e in starts]
+    assert len(found) == min(len(amps) for amps, _ in runs)
+    assert fired == any(f for _, f in runs)
+    for w, (expected, _) in enumerate(runs):
+        for t, amps in enumerate(found):
+            assert np.array_equal(amps[w], expected[t]), f"walker {w}, t={t}"
+    return fired
+
+
+class TestNoiselessStream:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(walk=batched_walks())
+    def test_steps_equal_roll_oracle(self, walk):
+        # the default lattice keeps one empty site past the walker's reach
+        assert not assert_stream_is_roll_oracle(*walk)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(walk=batched_walks())
+    # coin C(0) does not mix coin states: only the second walker reaches an
+    # edge, at t = 6
+    @example(
+        walk=(WalkConfig(steps=10, coin_angle=0.0, initial_position=5), [(0.0, 0.0), (1.5, 0.0)])
+    )
+    def test_edge_guard_fires_as_roll_oracle(self, walk, origin_lattice):
+        assert_stream_is_roll_oracle(*walk)
+
+    def test_wrap_below_the_guard_equals_roll_oracle(self, origin_lattice):
+        # from x0 = 2 on the lattice of 2(T + 1) + 1 sites an amplitude below
+        # the guard reaches the right edge at t = 99 and wraps to the left
+        # edge at t = 100, as np.roll wraps it
+        cfg = WalkConfig(steps=100, initial_position=2)
+        starts = [(0.7, 0.3), (math.pi / 4, 0.0)]
+        assert not assert_stream_is_roll_oracle(cfg, starts)
+        last = stream_run(cfg, starts)[0][-1]
+        assert last[:, 1, 0].all(), "nothing wrapped to the left edge"
 
 
 #: the noise settings on which the light-cone walk is checked against the

@@ -8,6 +8,7 @@ from conftest import (
     dense_one_shot,
     density_from_factor,
     embed,
+    evolve_noiseless,
     trace_distance,
     two_walker_trace_distances,
 )
@@ -24,7 +25,6 @@ from nmqwalk.walk import (
     WalkConfig,
     density_from_amplitudes,
     distribution_variance,
-    evolve_noiseless,
     evolve_one_shot,
     evolve_stepwise,
     lattice_positions,
@@ -448,6 +448,20 @@ class TestSeries:
         assert len(calls) == 1
         witness_series(cfg, noise, witnesses=("TD", *single))
         assert len(calls) == 1 + 1
+
+    def test_two_noiseless_walks_for_all_tags(self, monkeypatch):
+        # one batched walk carries the TD pair, one the single walker
+        calls = []
+        steps = walk_mod._noiseless_steps
+
+        def counting(cfg, coins):
+            calls.append(len(coins))
+            return steps(cfg, coins)
+
+        monkeypatch.setattr(walk_mod, "_noiseless_steps", counting)
+        monkeypatch.setattr(witness_mod, "_noiseless_steps", counting)
+        witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=WITNESS_TAGS)
+        assert sorted(calls) == [1, 2]
 
     def test_one_light_cone_walk_for_td(self, monkeypatch):
         # evolve_stepwise runs the same block walk as the TD pair
