@@ -6,9 +6,10 @@ dephasing map with ratio r = k(t2)/k(t1). Its (unnormalized, trace-2) Choi
 matrix built on |00> + |11> has eigenvalues (0, 0, 1 - r, 1 + r); a
 negative one signals a non-completely-positive intermediate map. Such a
 map is still an operator-sum difference sum_j s_j K_j rho K_j^dag, with
-K+- = sqrt(|1 +- r|/2) diag(1, +-1) and s+- = sign(1 +- r). The walk applies
-it by scaling the coin coherences (``walk.dephase_density``); the tests keep
-the signed-Kraus form as the oracle of that scaling (``tests/conftest.py``).
+K+- = sqrt(|1 +- r|/2) diag(1, +-1) and s+- = sign(1 +- r). The stepwise
+walk applies it by scaling the coin coherences of each new light-cone block;
+the tests keep that scaling on a whole matrix (``dephase_density``) and the
+signed-Kraus form as its oracles (``tests/conftest.py``).
 
 A scan classifies E(t2, t1) at one t1 only, so it sees only revivals of
 |k| above |k(t1)|; it is not a verdict on the channel.

@@ -5,8 +5,9 @@ coin-conditioned shift (coin |0> moves one site left, coin |1> one site
 right). The lattice holds the sites -h .. h around the origin, with
 h = steps + 1 + |initial_position| (:attr:`WalkConfig.half_width`), so the
 walker's reach x0 - steps .. x0 + steps keeps at least one empty site from
-either end and can never wrap; a guard asserts that boundary amplitudes
-stay below 1e-14.
+either end and can never wrap. On a lattice too small for the walk a guard
+asserts that boundary amplitudes stay below 1e-14; it runs only from the
+first step at which the walker can reach an end.
 
 Noisy evolution applies the dephasing kernel to the coin coherences in
 two inequivalent ways:
@@ -48,10 +49,6 @@ from .exceptions import DimensionMismatchError, EdgeAmplitudeError
 from .noise import NoiseModel, kraus_at
 
 EDGE_AMPLITUDE_TOL = 1e-14
-
-#: position displacement per step, indexed by coin basis state
-_COIN_SHIFT = (-1, +1)
-
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -124,34 +121,32 @@ def _noiseless_steps(cfg: WalkConfig, coins: np.ndarray) -> Iterator[np.ndarray]
     A step is one batched ``coin @ amps``, then the shift by slices: coin
     |0> moves one site left and coin |1> one site right, and the entry
     pushed past a lattice end wraps to the other end, as ``np.roll`` wraps
-    it. The edge guard reads both end columns of every walker from t = 1
-    on, so it fires at the step where the first walker reaches an edge.
+    it. The edge guard reads both end columns of every walker from the
+    first step at which the walk can reach one, min(x0, n - 1 - x0) as a
+    lattice index (at least 1), so it fires at the step where the first
+    walker reaches an edge. Before that step both columns are exact zeros,
+    and on the lattice that :attr:`WalkConfig.half_width` sizes it is
+    T + 1, so a valid walk never runs the guard.
     Each yield is a fresh array and the walk keeps only the last one, so
     memory is O(k n) for any T; the next step reads the yielded array, so a
     caller must not write to it.
     """
     x0 = cfg.initial_position + cfg.half_width
+    reach = min(x0, cfg.n_positions - 1 - x0)
     coin = coin_operator(cfg.coin_angle)
     amps = np.zeros((len(coins), 2, cfg.n_positions), dtype=complex)
     amps[:, :, x0] = coins
     yield amps
-    for _ in range(cfg.steps):
+    for t in range(1, cfg.steps + 1):
         rotated = coin @ amps
         amps = np.empty_like(rotated)
         amps[:, 0, :-1] = rotated[:, 0, 1:]
         amps[:, 0, -1] = rotated[:, 0, 0]
         amps[:, 1, 1:] = rotated[:, 1, :-1]
         amps[:, 1, 0] = rotated[:, 1, -1]
-        _check_edges(amps)
+        if t >= reach:
+            _check_edges(amps)
         yield amps
-
-
-def dephase_density(rho: np.ndarray, k: float, n_positions: int) -> np.ndarray:
-    """Multiply the coin-coherence blocks of a coin (x) position state by k."""
-    out = rho.copy()
-    out[:n_positions, n_positions:] *= k
-    out[n_positions:, :n_positions] *= k
-    return out
 
 
 def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
@@ -182,27 +177,6 @@ def evolve_one_shot(
         yield t, np.einsum("rcd,dj->cjr", kraus[t], amps[0]), sites
 
 
-def _walk_density(rho: np.ndarray, coin: np.ndarray) -> np.ndarray:
-    """W rho W^dag from one light cone to the next, without the walk matrix.
-
-    ``rho`` is the (2m, 2m) block of rho(t - 1) on the m = t + 2 sites of
-    reach t + 1 (its light cone plus an empty site on either side); the
-    result is the (2(m - 1), 2(m - 1)) block of rho(t) on the sites of
-    reach t. Coin |0> moves each walker one site left, coin |1> one right.
-    The empty sites make the shift a slice, and keep m >= 3: on a one-site
-    block einsum takes another inner loop, which rounds differently from
-    the same entries of the full lattice.
-    """
-    m = rho.shape[0] // 2
-    r = np.einsum("ab,bjck,dc->ajdk", coin, rho.reshape(2, m, 2, m), coin.conj())
-    out = np.empty((2, m - 1, 2, m - 1), dtype=r.dtype)
-    for a, da in enumerate(_COIN_SHIFT):
-        for d, dd in enumerate(_COIN_SHIFT):
-            i, k = (1 - da) // 2, (1 - dd) // 2
-            out[a, :, d, :] = r[a, i : i + m - 1, d, k : k + m - 1]
-    return out.reshape(2 * (m - 1), 2 * (m - 1))
-
-
 def evolve_stepwise(
     cfg: WalkConfig, noise: NoiseModel
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -222,20 +196,61 @@ def evolve_stepwise(
     so ``rho_t`` is the (2(t + 1), 2(t + 1)) block on those sites, coin 0
     first, and ``sites`` are their lattice indices in that order, counted
     mod n as ``np.roll`` counts them; on the lattice that
-    :attr:`WalkConfig.half_width` sizes nothing wraps, so they ascend. Step
-    t pads the block of rho(t - 1) with one empty site on either side, the
-    periodic window x0 - t - 1 .. x0 + t + 1 (width 2t + 3 <= n), and walks
-    and dephases it into the block of rho(t). On a lattice too small for
-    the walk, a walker that reaches an edge thus wraps as ``np.roll`` wraps
-    it on the full lattice, and the edge guard, which sees the amplitudes
-    sqrt|rho_ii| scattered to the whole lattice, fires at the same step
-    with the same amplitude. Embedded at ``sites`` in a zero (2n, 2n)
-    matrix, every block is bit for bit the state of the full-lattice
-    evolution. The next step's padded block is made before the yield, so a
-    caller may overwrite the yielded one.
+    :attr:`WalkConfig.half_width` sizes nothing wraps, so they ascend. Each
+    step forms four coin-weighted sums of the last block's coin blocks and
+    copies them into the next light cone (see :func:`_walk_block`), with no
+    padding, in the order and rounding of the full-lattice ``einsum``. So,
+    embedded at ``sites`` in a zero (2n, 2n) matrix, every block is bit for
+    bit the state of the full-lattice evolution. On a lattice too small for
+    the walk, a walker that reaches an edge wraps as ``np.roll`` wraps it
+    there, and the edge guard, which sees the amplitudes sqrt|rho_ii|
+    scattered to the whole lattice, fires at the same step with the same
+    amplitude. The guard runs from the first step at which the light cone
+    can touch an end column, min(x0, n - 1 - x0) as a lattice index; before
+    it those columns are exact zeros, and on the lattice that
+    ``half_width`` sizes that step is T + 1, past the walk. Each yield is a
+    copy, so a caller may overwrite it.
     """
     start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
     yield from _light_cone_blocks(cfg, noise, start)
+
+
+def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
+    """D[ratio](W rho W^dag) from the light cone of m sites to that of m + 1.
+
+    ``rho`` is the (2m, 2m) block of rho(t - 1) and ``coin`` the real coin
+    matrix C. Coin block (a, d) of W rho W^dag before the shift is
+    sum_{b, c} C[a, b] rho_bc C[d, c], formed and added as
+    ``einsum("ab,bjck,dc->ajdk", ...)`` forms and adds it on the whole
+    lattice: b outer, c inner, each product (C[a, b] rho_bc) C[d, c], summed
+    left to right. The real coin entries multiply the float view of the
+    complex blocks, which rounds as the complex product with a zero
+    imaginary part does, up to the sign of a zero. Coin 0 moves left and
+    coin 1 right, so the sum lands at ``out[a, a:a + m, d, d:d + m]`` of the
+    next cone, and the coin coherences (a != d) are then scaled by
+    ``ratio``, the intermediate dephasing map. Each C[a, b] rho_bc serves
+    both d. The sums run in contiguous (m, 2m) float buffers and are copied
+    into the cone once; adding into its strided rows directly is slower,
+    as numpy then loops over them row by row.
+    """
+    m = rho.shape[0] // 2
+    parts = rho.reshape(2, m, 2, m).view(float)
+    out = np.zeros((2, m + 1, 2, m + 1), dtype=complex)
+    dest = out.view(float)
+    row, term, *acc = np.empty((4, m, 2 * m))
+    for a in range(2):
+        for b, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            np.multiply(parts[b, :, c], coin[a, b], out=row)
+            for d in range(2):
+                if b or c:
+                    np.multiply(row, coin[d, c], out=term)
+                    acc[d] += term
+                else:
+                    np.multiply(row, coin[d, c], out=acc[d])
+        acc[1 - a] *= ratio
+        for d in range(2):
+            dest[a, a : a + m, d, 2 * d : 2 * (d + m)] = acc[d]
+    return out.reshape(2 * (m + 1), 2 * (m + 1))
 
 
 def _light_cone_blocks(
@@ -248,27 +263,26 @@ def _light_cone_blocks(
     each yielded block are rho1(t) and i rho2(t). The edge guard reads
     sqrt max(|Re X_ii|, |Im X_ii|), the larger of the two walkers'
     populations, so it fires where either walker's guard would and nowhere
-    else. For a Hermitian start that is sqrt|rho_ii|.
+    else. For a Hermitian start that is sqrt|rho_ii|. The walk steps its
+    own block and yields a copy of it.
     """
     n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width
-    coin = coin_operator(cfg.coin_angle)
+    reach = min(x0, n - 1 - x0)
+    coin = coin_operator(cfg.coin_angle).real
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = start
     for t in range(cfg.steps + 1):
         sites = (x0 + np.arange(-t, t + 1, 2)) % n
         if t:
-            rho = dephase_density(_walk_density(padded, coin), ratios[t - 1], t + 1)
-            amps = np.zeros((2, n))
-            diag = rho.diagonal()
-            pops = np.maximum(np.abs(diag.real), np.abs(diag.imag))
-            amps[:, sites] = np.sqrt(pops).reshape(2, t + 1)
-            _check_edges(amps)
-        m = t + 3
-        padded = np.zeros((2, m, 2, m), dtype=complex)
-        padded[:, 1:-1, :, 1:-1] = rho.reshape(2, t + 1, 2, t + 1)
-        padded = padded.reshape(2 * m, 2 * m)
-        yield t, rho, sites
+            rho = _walk_block(rho, coin, ratios[t - 1])
+            if t >= reach:
+                amps = np.zeros((2, n))
+                diag = rho.diagonal()
+                pops = np.maximum(np.abs(diag.real), np.abs(diag.imag))
+                amps[:, sites] = np.sqrt(pops).reshape(2, t + 1)
+                _check_edges(amps)
+        yield t, rho.copy(), sites
 
 
 def position_distribution(state: np.ndarray) -> np.ndarray:

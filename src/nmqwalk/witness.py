@@ -135,14 +135,17 @@ class _State(_Reductions):
     light-cone block of t + 1 sites (see :func:`nmqwalk.walk.evolve_stepwise`),
     so the scan costs O(t^2), not O(n^2); it still drops a site inside the
     light cone whose rows are exactly zero, which keeps every value the one
-    the whole (2n, 2n) matrix gives.
+    the whole (2n, 2n) matrix gives. When every site is in the support, the
+    matrix is kept as it came, with no copy.
     """
 
     def __init__(self, rho: np.ndarray):
         n = rho.shape[0] // 2
         sites = np.flatnonzero(rho.any(axis=1).reshape(2, n).any(axis=0))
-        rows = np.concatenate([sites, sites + n])
-        self.rho = rho[np.ix_(rows, rows)]
+        if sites.size < n:
+            rows = np.concatenate([sites, sites + n])
+            rho = rho[np.ix_(rows, rows)]
+        self.rho = rho
         self._dims = (2, sites.size)
 
     @cached_property
@@ -523,9 +526,10 @@ def witness_series(
     single walker defined by ``cfg``, evolved once and shared through a
     per-state cache. TD compares the reduced coin states of two walkers
     whose initial coin states come from ``td_pair`` (radians, default the
-    orthogonal pair psi(+-pi/4, 0)) under the same noise. The walk is linear
-    in its initial state, so TD forms no walker state; it runs only when
-    requested, before the single walker.
+    orthogonal pair psi(+-pi/4, 0)) under the same noise; a ``td_pair`` of
+    another length, or with a NaN or infinite angle, raises ``ValueError``.
+    The walk is linear in its initial state, so TD forms no walker state;
+    it runs only when requested, before the single walker.
     """
     tags = tuple(dict.fromkeys(witnesses))
     for tag in tags:
@@ -533,11 +537,13 @@ def witness_series(
             raise ValueError(f"unknown witness {tag!r}, expected one of {WITNESS_TAGS}")
     if mode not in ("one_shot", "stepwise"):
         raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
+    pair = DEFAULT_TD_PAIR if td_pair is None else tuple(td_pair)
+    if len(pair) != 4 or not all(math.isfinite(angle) for angle in pair):
+        raise ValueError(f"td_pair must be four finite angles, got {td_pair!r}")
     evolve = evolve_one_shot if mode == "one_shot" else evolve_stepwise
     values: dict[str, list[float]] = {tag: [] for tag in tags}
 
     if "TD" in values:
-        pair = td_pair if td_pair is not None else DEFAULT_TD_PAIR
         values["TD"] = _trace_distances(cfg, noise, mode, pair)
 
     positions = lattice_positions(cfg).astype(float)

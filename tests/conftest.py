@@ -19,9 +19,11 @@ intermediate dephasing map, then the edge guard. ``embed`` puts a block
 back on the whole lattice to compare the two.
 
 The intermediate dephasing map E(t2, t1) may be non-CP. The walk applies
-it by scaling the coin coherences (``walk.dephase_density``); the signed
-Kraus pair below is its operator-sum-difference form, the oracle of that
-scaling and of the composition E(t2, t1) E(t1, 0) = E(t2, 0).
+it by scaling the coin coherences of each new light-cone block as it forms
+it. ``dephase_density`` below is that scaling on a whole coin (x) position
+matrix, the oracle the full-lattice loop applies after each step; the
+signed Kraus pair below is its operator-sum-difference form, the oracle of
+that scaling and of the composition E(t2, t1) E(t1, 0) = E(t2, 0).
 
 ``witness_series`` takes the trace distance (TD) of two walkers without
 forming either walker's states. ``two_walker_trace_distances`` below is its
@@ -45,7 +47,6 @@ from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
     WalkConfig,
     coin_operator,
-    dephase_density,
     density_from_amplitudes,
 )
 from nmqwalk.witness import DEFAULT_TD_PAIR
@@ -118,6 +119,14 @@ def evolve_noiseless(cfg):
     return out
 
 
+def dephase_density(rho, k, n_positions):
+    """Multiply the coin-coherence blocks of a coin (x) position state by k."""
+    out = rho.copy()
+    out[:n_positions, n_positions:] *= k
+    out[n_positions:, :n_positions] *= k
+    return out
+
+
 def dense_one_shot(cfg, noise):
     """Yield (t, rho_t) with the full dephasing channel applied at each t."""
     for t, amps in enumerate(evolve_noiseless(cfg)):
@@ -126,16 +135,26 @@ def dense_one_shot(cfg, noise):
         yield t, dephase_density(rho, k, cfg.n_positions)
 
 
-def full_lattice_stepwise(cfg, noise):
+def full_lattice_stepwise(cfg, noise, start=None):
     """Yield (t, rho_t, sites) of the stepwise walk, evolved on the whole lattice.
 
     ``rho_t`` is the whole (2n, 2n) matrix, so ``sites`` is ``arange(n)``.
+    The walk starts from the 2 x 2 coin block ``start`` at x0, by default
+    the density matrix of cfg's initial coin state; the block may be any
+    complex matrix, such as the X = rho1 + i rho2 of two walkers. The guard
+    reads sqrt|rho_ii|.
     """
     n = cfg.n_positions
     sites = np.arange(n)
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
-    rho = density_from_amplitudes(initial_state(cfg))
+    if start is None:
+        rho = density_from_amplitudes(initial_state(cfg))
+    else:
+        x0 = cfg.initial_position + cfg.half_width
+        rho = np.zeros((2, n, 2, n), dtype=complex)
+        rho[:, x0, :, x0] = start
+        rho = rho.reshape(2 * n, 2 * n)
     yield 0, rho.copy(), sites
     for t, ratio in enumerate(ratios, start=1):
         r = np.einsum("ab,bjck,dc->ajdk", coin, rho.reshape(2, n, 2, n), coin.conj())

@@ -4,6 +4,7 @@ from conftest import (
     SignedKrausSet,
     apply_kraus,
     apply_signed,
+    dephase_density,
     intermediate_kraus,
     random_qubit_states,
 )
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from nmqwalk.divisibility import choi_eigenvalues, cp_divisibility_scan, is_cp, kernel_ratio
 from nmqwalk.exceptions import NonInvertibleMapError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value, kraus_at
-from nmqwalk.walk import dephase_density, density_from_amplitudes
+from nmqwalk.walk import density_from_amplitudes
 
 RATES = st.floats(min_value=1e-3, max_value=5.0)
 MODELS = st.one_of(

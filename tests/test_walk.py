@@ -8,6 +8,7 @@ from conftest import (
     check_density_matrix,
     dense_one_shot,
     density_from_factor,
+    dephase_density,
     embed,
     evolve_noiseless,
     full_lattice_stepwise,
@@ -30,7 +31,6 @@ from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.walk import (
     WalkConfig,
     coin_operator,
-    dephase_density,
     density_from_amplitudes,
     distribution_variance,
     evolve_one_shot,
@@ -38,6 +38,7 @@ from nmqwalk.walk import (
     lattice_positions,
     position_distribution,
 )
+from nmqwalk.witness import WITNESS_TAGS, witness_series
 
 RATES = st.floats(min_value=1e-3, max_value=2.0)
 NOISES = st.one_of(
@@ -471,6 +472,81 @@ class TestStepwiseLightCone:
         assert len(found) == len(expected)
         for t, (a, b) in enumerate(zip(found, expected)):
             assert np.array_equal(a, b), f"t={t}"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        cfg=light_cone_walks(),
+        pair=st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 4),
+        noise=SIDED_NOISES,
+    )
+    @example(
+        cfg=WalkConfig(steps=24, coin_angle=-2.5, initial_position=25),
+        pair=(0.7, 0.3, -0.8, 1.0),
+        noise=None,
+    )
+    def test_two_walker_blocks_are_the_full_lattice_states(self, cfg, pair, noise):
+        # the non-Hermitian start X = rho1 + i rho2 of the stepwise TD walk
+        rho1, rho2 = (
+            density_from_amplitudes(walk_mod._coin_vector(*angles))
+            for angles in (pair[:2], pair[2:])
+        )
+        start = rho1 + 1j * rho2
+        found, _, error = stepwise_run(
+            lambda cfg, noise: walk_mod._light_cone_blocks(cfg, noise, start), cfg, noise
+        )
+        expected, _, expected_error = stepwise_run(
+            lambda cfg, noise: full_lattice_stepwise(cfg, noise, start), cfg, noise
+        )
+        assert error == expected_error
+        assert len(found) == len(expected)
+        for t, (a, b) in enumerate(zip(found, expected)):
+            assert np.array_equal(a, b), f"t={t}"
+
+
+def guard_steps(walk):
+    """The steps of ``walk``, a generator of (t, ...), at which the edge
+    guard runs, up to the end of the walk or the guard's error."""
+    steps, last = [], [-1]
+    check = walk_mod._check_edges
+
+    def counting(amps):
+        steps.append(last[0] + 1)
+        check(amps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk_mod, "_check_edges", counting)
+        try:
+            for t, *_ in walk:
+                last[0] = t
+        except EdgeAmplitudeError:
+            pass
+    return steps
+
+
+class TestEdgeGuardSteps:
+    """The guard runs only from the first step at which the walk can reach
+    an end column."""
+
+    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
+    @pytest.mark.parametrize("x0", [-7, 0, 4])
+    def test_valid_walks_never_run_the_guard(self, monkeypatch, mode, x0):
+        calls = []
+        monkeypatch.setattr(walk_mod, "_check_edges", calls.append)
+        cfg = WalkConfig(steps=6, delta=0.7, eta=0.3, initial_position=x0)
+        witness_series(cfg, OunParams(Gamma=0.1, gamma=0.01), mode=mode, witnesses=WITNESS_TAGS)
+        assert calls == []
+
+    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
+    @pytest.mark.parametrize(
+        "x0, reach", [(3, 8), (-5, 6), (-11, 1), (11, 1)], ids=["right", "left", "at-left", "at-right"]
+    )
+    def test_first_call_is_at_reach(self, evolve, x0, reach, origin_lattice):
+        # on 2(T + 1) + 1 = 23 sites the start's lattice index is x0 + 11;
+        # reach is min(x0 + 11, 11 - x0), and at least 1 since step 0 has no
+        # guard
+        cfg = WalkConfig(steps=10, delta=0.7, eta=0.3, initial_position=x0)
+        steps = guard_steps(evolve(cfg, OunParams(Gamma=0.1, gamma=0.01)))
+        assert steps and steps == list(range(reach, reach + len(steps)))
 
 
 class TestDistributions:

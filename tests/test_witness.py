@@ -571,6 +571,24 @@ class TestTraceDistanceSeries:
             assert found.shape == expected.shape
             assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
+    @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            (math.nan, 0.0, 0.0, 0.0),
+            (math.inf, 0.0, 0.0, 0.0),
+            (0.0, 0.0, -math.inf, 0.0),
+            (0.1, 0.2, 0.3),
+            (0.1, 0.2, 0.3, 0.4, 0.5),
+        ],
+        ids=["nan", "inf", "minus-inf", "three", "five"],
+    )
+    def test_bad_pair_rejected(self, pair, mode):
+        # a NaN angle used to give an all-NaN series, an infinite one a bare
+        # "math domain error", and a fifth entry was ignored
+        with pytest.raises(ValueError, match="td_pair"):
+            witness_series(WalkConfig(steps=4), None, mode=mode, td_pair=pair)
+
     def test_identical_pair_reads_zero(self):
         # Delta(t) = 0 exactly in one-shot mode; the stepwise block of
         # X = (1 + i) rho cancels only up to rounding
