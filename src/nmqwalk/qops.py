@@ -40,8 +40,8 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
 
 
 def entropy_of_spectrum(w: np.ndarray) -> float:
-    """Entropy in bits of a probability vector (eigenvalue list)."""
+    """Entropy in bits of a probability vector (eigenvalue list); +0.0 when pure."""
     w = np.asarray(w, dtype=float)
     w = w[w > EIGENVALUE_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+    return float(-np.sum(w * np.log2(w)) + 0.0)
 

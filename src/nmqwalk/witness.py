@@ -7,38 +7,44 @@ discord, coin entropy, and position variance. All entropic quantities are
 in bits. Each single-state witness returns its value as a float, and the
 series driver returns one array per witness, indexed by step.
 
-A walk state is either form the walk yields, told apart by its shape, which
-also gives the lattice size n: a one-shot Kraus factor of shape (2, n, 2),
-whose columns ``b_r = (K_r (x) I) psi`` for the :func:`nmqwalk.noise.kraus_at`
-pair give ``rho = sum_r b_r b_r^dag``, or a dense (2n, 2n) density matrix.
-The series driver and the public single-state functions take either form.
-The driver evolves the walk once for all requested witnesses (TD reads its
-two walkers' coin blocks from one noiseless walk that carries both, or
-from one stepwise walk that carries both) and computes each state's
-reductions and entropies once, in a per-state cache shared by every
-witness. Witness states are formed one step at a time and dropped after
-use, and the noiseless walks stream their amplitudes one step at a time
-too, so a one-shot series holds O(n) amplitudes whatever T (the T + 1
-values of each series aside). A factor is measured through itself: every
-spectrum comes from a 2 x 2 matrix (B^dag B for S(rho), the coin block, the
-Gram matrix of the position marginal), and the MID outcome table and the
-discord both live on the support of the position marginal, so no (2n)^2
-matrix is formed. The tests check the factor path against the dense one. A dense
-state is measured on its support, the sites whose rows are not all zero.
-The stepwise walk yields each state as its 2(t + 1) x 2(t + 1) light-cone
-block, whatever the lattice size, so that scan reads the block only.
-Dropping zero rows keeps every nonzero eigenvalue, negative ones included.
+A one-shot state is rho(t) = D_k(t)[|psi(t)><psi(t)|], the noiseless walk
+state with its coin coherences scaled by the kernel value k(t). Each of its
+witnesses is a closed form in k(t) and the noiseless coin block
+C(t) = Tr_x |psi(t)><psi(t)|, a 2 x 2 matrix:
 
-Discord is exact on a factor and searched for on a dense state. The factor
-is its own purification, with the Kraus index as the environment, and the
-position marginal has rank <= 2, so the discord has a closed form from
-Koashi-Winter (PRA 69, 022309, 2004) and Wootters' concurrence (PRL 80,
-2245, 1998); see :func:`discord`. A dense state (stepwise mode, or a dense
-argument to the public functions) runs a grid scan plus Nelder-Mead over
-projective coin measurements instead, and the tests keep that search as
-the oracle of the closed form. That search is the one place this module
-uses scipy: :func:`minimize` imports ``scipy.optimize`` when it first runs,
-so every other witness, in either mode, runs without it.
+- rho_c is C with its off-diagonal entries scaled by k, and rho_p has the
+  nonzero spectrum of C (Schmidt);
+- rho = B B^dag, with B the Kraus columns b_r = (K_r (x) I) psi of the
+  ``kraus_at`` pair, so S(rho) is the entropy of the 2 x 2 matrix
+  B^dag B = [[(1+k)/2, q], [q, (1-k)/2]], q = sqrt(1 - k^2) (C_00 - C_11) / 2;
+- MI = S(rho_c) + S(C) - S(rho), and the discord is S(rho_c) - S(rho)
+  (see :func:`discord`);
+- MID's outcome table is P(a, p) = sum_r |sum_c conj(v_a[c]) K_r[c] F[p, c]|^2,
+  with v_a the eigenbasis of rho_c and F[p, c] = <u_p|psi_c> for the
+  eigenbasis u_p of rho_p, which is sqrt(w_p) conj(u[c, p]) for the
+  eigensystem (w, u) of the Gram matrix conj(C) of the coin slices psi_c;
+- TD is half the trace norm of the difference of two walkers' blocks, with
+  the coherences scaled by k.
+
+So one noiseless walk carries the walker of ``cfg`` and, when TD is asked,
+the two walkers of ``td_pair``. Per step the series driver keeps each
+walker's coin block (and the variance, when asked), and computes every tag
+once after the walk with batched 2 x 2 linear algebra, holding O(n)
+amplitudes and a (T + 1, walkers, 2, 2) stack. Only MID can need the
+amplitudes: where rho_p is degenerate inside its support, its canonical
+basis (see :func:`mid`) lives on the lattice, so the walk builds that step's
+frame F while it holds the step. The public single-state functions read a
+one-shot (2, n, 2) Kraus factor back as psi and k and measure it the same
+way, as a stack of one.
+
+A dense (2n, 2n) density matrix (a stepwise light-cone block, or a dense
+argument to the public functions) is measured through a per-state cache
+that every witness shares, on its support, the sites whose rows are not
+all zero, which keeps every nonzero eigenvalue, negative ones included.
+Its discord is a grid scan plus Nelder-Mead over projective coin
+measurements, the one place this module uses scipy: :func:`minimize`
+imports ``scipy.optimize`` when it first runs, so every other witness, in
+either mode, runs without it.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from .walk import (
     _noiseless_steps,
     density_from_amplitudes,
     distribution_variance,
-    evolve_one_shot,
     evolve_stepwise,
     lattice_positions,
     position_distribution,
@@ -84,14 +89,16 @@ _DISCORD_GRID = (32, 32)
 #: coin axes per batch of conditional spectra in the dense discord search
 _AXIS_BLOCK = 64
 
-_SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-#: sigma_y (x) sigma_y, the spin flip of Wootters' concurrence
-_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
 
 def _entropy(rho: np.ndarray) -> float:
     """Entropy in bits from the spectrum; tolerant of tiny negative parts."""
     return entropy_of_spectrum(np.linalg.eigvalsh(rho))
+
+
+def _entropies(w: np.ndarray) -> np.ndarray:
+    """``entropy_of_spectrum`` of each spectrum in a stack (..., d)."""
+    w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)
+    return -np.sum(w * np.log2(w), axis=-1) + 0.0
 
 
 def _gram_blocks(factor: np.ndarray) -> np.ndarray:
@@ -105,30 +112,12 @@ def _gram_blocks(factor: np.ndarray) -> np.ndarray:
     return np.einsum("cjr,djs->cdrs", factor.conj(), factor)
 
 
-class _Reductions:
-    """Per-state cache shared by the dense and the factor-backed state.
-
-    Each quantity is computed on first use and kept, so the witnesses that
-    share it (MI inside MID, the entropies inside discord) read one
-    value instead of recomputing it. A subclass provides ``coin``,
-    ``position_entropy``, ``joint_entropy``, ``position_basis``,
-    ``outcome_table`` and ``discord``.
-    """
-
-    @cached_property
-    def coin_entropy(self) -> float:
-        return _entropy(self.coin)
-
-    @cached_property
-    def mutual_information(self) -> float:
-        return self.coin_entropy + self.position_entropy - self.joint_entropy
-
-
-class _State(_Reductions):
+class _State:
     """One dense coin (x) position density matrix of shape (2n, 2n).
 
-    The matrix is kept only on its support: the sites where the row of
-    either coin is not identically zero. In a Hermitian matrix a zero row is
+    Each quantity is computed on first use and kept for every witness that
+    shares it. The matrix is kept only on its support: the sites where the
+    row of either coin is not identically zero. In a Hermitian matrix a zero row is
     also a zero column, so the dropped block adds zero eigenvalues and
     zero-probability outcomes only, and every other eigenvalue, a negative
     one included, is kept. A stepwise state after t steps arrives as its
@@ -157,6 +146,10 @@ class _State(_Reductions):
         return partial_trace(self.rho, self._dims, "position")
 
     @cached_property
+    def coin_entropy(self) -> float:
+        return _entropy(self.coin)
+
+    @cached_property
     def position_entropy(self) -> float:
         return _entropy(self.position)
 
@@ -165,14 +158,8 @@ class _State(_Reductions):
         return _entropy(self.rho)
 
     @cached_property
-    def position_basis(self) -> np.ndarray:
-        return _canonical_eigenbasis(self.position)
-
-    def outcome_table(self, u_c: np.ndarray, u_p: np.ndarray) -> np.ndarray:
-        """Joint probabilities of the product-basis outcomes (columns of u_c, u_p)."""
-        u = np.kron(u_c, u_p)
-        diag = np.real(np.sum(u.conj() * (self.rho @ u), axis=0))
-        return np.clip(diag, 0.0, None).reshape(u_c.shape[1], u_p.shape[1])
+    def mutual_information(self) -> float:
+        return self.coin_entropy + self.position_entropy - self.joint_entropy
 
     @cached_property
     def discord(self) -> float:
@@ -186,95 +173,93 @@ class _State(_Reductions):
         )
 
 
-class _FactorState(_Reductions):
-    """A one-shot state rho = sum_r b_r b_r^dag, held as its Kraus factor.
+def _near_degenerate(block: np.ndarray) -> bool:
+    """Whether the eigenvalue gap of a 2 x 2 block is below twice DEGENERACY_TOL."""
+    diff = (block[0, 0] - block[1, 1]).real
+    return diff * diff + 4.0 * abs(block[0, 1]) ** 2 < (2.0 * DEGENERACY_TOL) ** 2
 
-    ``factor`` has shape (2, n, 2): coin, position, Kraus index (see
-    :func:`nmqwalk.walk.evolve_one_shot`). Every spectrum is taken from a
-    2 x 2 matrix, so no (2n)^2 state is ever formed.
+
+def _position_frame(psi: np.ndarray) -> np.ndarray:
+    """F[p, c] = <u_p|psi_c> for the canonical eigenbasis u_p of Tr_c |psi><psi|.
+
+    With a = psi^T (n x 2), the eigenvectors of a a^dag on its support are
+    a u / sqrt(w) for the eigensystem of the Gram matrix a^dag a. The null
+    space gets no basis: its outcomes have probability zero (Luo, PRA 77,
+    022301, 2008). A rank-1 marginal leaves row 1 zero.
     """
-
-    def __init__(self, factor: np.ndarray):
-        self.factor = factor
-
-    @cached_property
-    def coin(self) -> np.ndarray:
-        return np.einsum("cjr,djr->cd", self.factor, self.factor.conj())
-
-    @cached_property
-    def joint_entropy(self) -> float:
-        # rho = B B^dag has the nonzero spectrum of B^dag B
-        b = self.factor.reshape(-1, self.factor.shape[-1])
-        return _entropy(b.conj().T @ b)
-
-    @cached_property
-    def _position_eigen(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, a u): the Gram spectrum of rho_p and its eigenvectors times a.
-
-        Both Kraus operators are multiples of coin unitaries (I and sigma_3),
-        so either column alone carries the position marginal,
-        rho_p = Tr_c(b_r b_r^dag) / |b_r|^2 = a a^dag with a = b_r / |b_r| read
-        as a d_p x 2 matrix whose columns are the coin slices psi_c. Its
-        nonzero spectrum is that of the Gram matrix a^dag a = <psi_c|psi_c'>.
-        The heavier column is used.
-        """
-        weights = np.sum(np.abs(self.factor) ** 2, axis=(0, 1))
-        r = int(np.argmax(weights))
-        a = self.factor[:, :, r].T / math.sqrt(weights[r])
-        w, u = np.linalg.eigh(a.conj().T @ a)
-        return w, a @ u
-
-    @cached_property
-    def position_entropy(self) -> float:
-        return entropy_of_spectrum(self._position_eigen[0])
-
-    @cached_property
-    def position_basis(self) -> np.ndarray:
-        """Canonical eigenbasis of the support of rho_p only.
-
-        Outcomes in the null space of rho_p have probability zero, so MID
-        needs no basis there (Luo, PRA 77, 022301, 2008).
-        """
-        w, au = self._position_eigen
-        keep = w > EIGENVALUE_CUTOFF
-        return _canonicalize(w[keep], au[:, keep] / np.sqrt(w[keep]))
-
-    def outcome_table(self, u_c: np.ndarray, u_p: np.ndarray) -> np.ndarray:
-        """Joint probabilities of the product-basis outcomes (columns of u_c, u_p)."""
-        amps = np.einsum("ca,cjr->ajr", u_c.conj(), self.factor)
-        amps = np.einsum("jp,ajr->apr", u_p.conj(), amps)
-        return np.sum(np.abs(amps) ** 2, axis=2)
-
-    @cached_property
-    def discord(self) -> float:
-        """D = S(rho_c) - S(rho) + E_F(rho_pE), exact (see ``discord``).
-
-        The factor compressed onto supp(rho_p), phi[c, k, r] =
-        sum_j conj(u[j, k]) factor[c, j, r], is a pure state of coin, a
-        position qubit and the Kraus index E; a rank-1 rho_p leaves the
-        second position row zero. With F = phi read as 2 x 4 (coin by pE),
-        the concurrence of rho_pE is the difference of the singular values
-        of the symmetric 2 x 2 matrix F (sigma_y (x) sigma_y) F^T.
-        """
-        basis = self.position_basis
-        phi = np.zeros((2, 2, 2), dtype=complex)
-        phi[:, : basis.shape[1]] = np.einsum("jk,cjr->ckr", basis.conj(), self.factor)
-        f = phi.reshape(2, 4)
-        s = np.linalg.svd(f @ _SIGMA_YY @ f.T, compute_uv=False)
-        c = min(max(float(s[0] - s[1]), 0.0), 1.0)
-        # the smaller eigenvalue (1 - sqrt(1 - C^2)) / 2, without cancellation
-        p = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
-        e_f = -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
-        return self.coin_entropy - self.joint_entropy + e_f
+    a = psi.T
+    w, u = np.linalg.eigh(a.conj().T @ a)
+    keep = w > EIGENVALUE_CUTOFF
+    basis = _canonicalize(w[keep], (a @ u[:, keep]) / np.sqrt(w[keep]))
+    frame = np.zeros((2, 2), dtype=complex)
+    frame[: basis.shape[1]] = basis.conj().T @ a
+    return frame
 
 
-def _state(x: np.ndarray) -> _Reductions:
-    """A (2, n, 2) Kraus factor or a (2n, 2n) density matrix, by its shape."""
+def _one_shot_witnesses(blocks: np.ndarray, k: np.ndarray, frames: dict, tags) -> dict:
+    """Entropy, MI, QD, and MID when asked, of D_k(|psi><psi|) for each row.
+
+    ``blocks`` are the noiseless coin blocks C (m, 2, 2) and ``k`` the kernel
+    values (m,) in [-1, 1], by the closed forms of the module docstring. MID
+    needs the :func:`_position_frame` of each row that may be degenerate.
+    """
+    rho_c = blocks.copy()
+    rho_c[:, 0, 1] *= k
+    rho_c[:, 1, 0] *= k
+    w_c, v_c = np.linalg.eigh(rho_c)
+    s_c = _entropies(w_c)
+    out = {"Entropy": s_c}
+    # K[m, c, r], the diagonals of the kraus_at pair sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3
+    plus, minus = np.sqrt((1.0 + k) / 2.0), np.sqrt((1.0 - k) / 2.0)
+    kraus = np.stack([np.stack([plus, minus], -1), np.stack([plus, -minus], -1)], -2)
+    populations = np.diagonal(blocks, axis1=1, axis2=2).real
+    joint = np.einsum("mcr,mcs,mc->mrs", kraus, kraus, populations)  # B^dag B
+    s_joint = _entropies(np.linalg.eigvalsh(joint))
+    out["QD"] = s_c - s_joint
+    w_p, u_p = np.linalg.eigh(blocks.conj())
+    out["MI"] = s_c + _entropies(w_p) - s_joint
+    if "MID" in tags:
+        w_p = np.where(w_p > EIGENVALUE_CUTOFF, w_p, 0.0)
+        frame = np.sqrt(w_p)[:, :, None] * u_p.conj().swapaxes(1, 2)
+        for row, f in frames.items():
+            frame[row] = f
+        degenerate = (w_c[:, 1] - w_c[:, 0] < DEGENERACY_TOL) & (w_c[:, 1] >= EIGENVALUE_CUTOFF)
+        for row in np.flatnonzero(degenerate):
+            v_c[row] = _canonicalize(w_c[row], v_c[row])
+        amps = np.einsum("mca,mcr,mpc->mapr", v_c.conj(), kraus, frame)
+        out["MID"] = out["MI"] - _classical_mi(np.sum(np.abs(amps) ** 2, axis=-1), _entropies)
+    return out
+
+
+#: each witness of a dense state, read from its per-state cache
+_DENSE_WITNESSES = {
+    "MI": lambda state: state.mutual_information,
+    "MID": lambda state: _mid(state),
+    "QD": lambda state: state.discord,
+    "Entropy": lambda state: state.coin_entropy,
+}
+
+
+def _measure(x: np.ndarray, tag: str) -> float:
+    """Witness ``tag`` of a (2, n, 2) Kraus factor or a (2n, 2n) density matrix.
+
+    A factor's columns b_r = (K_r (x) I) psi for the ``kraus_at`` pair give
+    k = |b_0|^2 - |b_1|^2, and psi is the heavier column over its Kraus
+    operator; it is measured as a one-shot stack of one.
+    """
     x = np.asarray(x, dtype=complex)
     if x.ndim == 3 and x.shape[0] == x.shape[2] == 2:
-        return _FactorState(x)
+        weights = np.sum(np.abs(x) ** 2, axis=(0, 1))
+        r = int(np.argmax(weights))
+        psi = x[:, :, r] / math.sqrt(weights[r])
+        if r:
+            psi[1] *= -1.0
+        blocks = np.einsum("cx,dx->cd", psi, psi.conj())[None]
+        k = np.clip(weights[:1] - weights[1:], -1.0, 1.0)
+        frames = {0: _position_frame(psi)} if tag == "MID" and _near_degenerate(blocks[0]) else {}
+        return float(_one_shot_witnesses(blocks, k, frames, (tag,))[tag][0])
     if x.ndim == 2 and x.shape[0] == x.shape[1] and x.shape[0] % 2 == 0:
-        return _State(x)
+        return _DENSE_WITNESSES[tag](_State(x))
     raise DimensionMismatchError(f"not a (2, n, 2) factor or (2n, 2n) state: {x.shape}")
 
 
@@ -284,7 +269,7 @@ def mutual_information(state: np.ndarray) -> float:
     ``state`` is a (2, n, 2) Kraus factor, ``b_r = (K_r (x) I) psi`` for the
     ``kraus_at`` pair, or a (2n, 2n) density matrix.
     """
-    return _state(state).mutual_information
+    return _measure(state, "MI")
 
 
 def _canonical_eigenbasis(rho: np.ndarray) -> np.ndarray:
@@ -338,15 +323,15 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _classical_mi(table: np.ndarray) -> float:
-    """Mutual information in bits of a joint probability table."""
-    table = np.asarray(table, dtype=float)
-    pa = table.sum(axis=1)
-    pb = table.sum(axis=0)
+def _classical_mi(table: np.ndarray, entropy=entropy_of_spectrum):
+    """Mutual information in bits of a joint probability table (a, b).
+
+    With ``entropy=_entropies``, of each table in a stack (..., a, b).
+    """
     return (
-        entropy_of_spectrum(pa)
-        + entropy_of_spectrum(pb)
-        - entropy_of_spectrum(table.reshape(-1))
+        entropy(table.sum(axis=-1))
+        + entropy(table.sum(axis=-2))
+        - entropy(table.reshape(*table.shape[:-2], -1))
     )
 
 
@@ -366,12 +351,14 @@ def mid(state: np.ndarray) -> float:
     ``state`` is a Kraus factor or a density matrix, as for
     ``mutual_information``.
     """
-    return _mid(_state(state))
+    return _measure(state, "MID")
 
 
-def _mid(state: _Reductions) -> float:
-    table = state.outcome_table(_canonical_eigenbasis(state.coin), state.position_basis)
-    return state.mutual_information - _classical_mi(table)
+def _mid(state: _State) -> float:
+    # the probabilities of the product-basis outcomes, coin outcome first
+    u = np.kron(_canonical_eigenbasis(state.coin), _canonical_eigenbasis(state.position))
+    table = np.clip(np.real(np.sum(u.conj() * (state.rho @ u), axis=0)), 0.0, None)
+    return state.mutual_information - _classical_mi(table.reshape(2, -1))
 
 
 def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -406,20 +393,19 @@ def discord(state: np.ndarray) -> float:
     coin. ``state`` is a Kraus factor or a density matrix, as for
     ``mutual_information``, and each form has its own method:
 
-    - A Kraus factor is exact. It purifies rho with the Kraus index as the
-      environment E, so Koashi-Winter (PRA 69, 022309, 2004) gives
-      max J = S(rho_p) - E_F(rho_pE) and D = S(rho_c) - S(rho) + E_F(rho_pE).
-      rho_p has rank <= 2, so rho_pE is a two-qubit state on
-      supp(rho_p) (x) E and Wootters' formula (PRL 80, 2245, 1998) gives
-      E_F from its concurrence. Koashi-Winter maximizes over POVMs; rho
-      restricted to C^2 (x) supp(rho_p) is a rank <= 2 two-qubit state, for
-      which projective measurements are optimal (Galve, Giorgi, Zambrini,
-      EPL 96, 40005, 2011), so the value is the projective one.
+    - A Kraus factor is exact: D = S(rho_c) - S(rho). The factor purifies
+      rho with the Kraus index as the environment E, so Koashi-Winter (PRA
+      69, 022309, 2004) gives max J = S(rho_p) - E_F(rho_pE) over POVMs. On
+      supp(rho_p) (x) E the purification is F[c, (p, r)] = A[c, p] K_r[c],
+      A[c, p] = <u_p|psi_c>, so Wootters' matrix (PRL 80, 2245, 1998)
+      F (sigma_y (x) sigma_y) F^T = sqrt(1 - k^2) det A sigma_x has two equal
+      singular values: the concurrence and E_F are 0. Measuring the coin in
+      its own basis leaves pure position states and attains that maximum.
     - A density matrix is searched for: J is maximized over rank-1
       projective measurements along the Bloch axis (theta, phi) by a coarse
       grid scan followed by Nelder-Mead refinement (tolerance 1e-7 on J).
     """
-    return _state(state).discord
+    return _measure(state, "QD")
 
 
 def minimize(*args, **kwargs):
@@ -464,7 +450,7 @@ def coin_entropy(state: np.ndarray) -> float:
 
     ``state`` is a Kraus factor or a density matrix, as for ``mutual_information``.
     """
-    return _state(state).coin_entropy
+    return _measure(state, "Entropy")
 
 
 def trace_norm(m: np.ndarray) -> np.ndarray:
@@ -472,44 +458,57 @@ def trace_norm(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
-def _trace_distances(
-    cfg: WalkConfig,
-    noise: NoiseModel,
-    mode: EvolutionMode,
-    td_pair: tuple[float, float, float, float],
-) -> np.ndarray:
-    """TD(t) = 1/2 sum |eig Delta(t)|, Delta = Tr_x(rho1(t) - rho2(t)), at each step.
+def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: tuple) -> dict:
+    """Every requested one-shot witness from one noiseless walk (see the module docstring).
 
-    Both walk modes are linear in the initial state:
-
-    - one-shot: one noiseless walk carries both walkers, and Delta is the
-      difference of their coin blocks, with its coherences scaled by k(t),
-      clipped to [-1, 1] as ``kraus_at`` clips it;
-    - stepwise: one light-cone walk of X = rho1(0) + i rho2(0) carries both
-      walkers. Its coin block is Y = C1 + i C2 with C1, C2 Hermitian, so
-      Delta = C1 - C2 is the Hermitian part of (1 + i) Y.
+    The walk carries the walker of ``cfg`` when a single-walker tag is
+    asked, then the two ``td_pair`` walkers when TD is. The kernel range
+    raises before the walk, k is clipped to [-1, 1] as ``kraus_at`` clips
+    it, and the edge guard raises where the first walker reaches an edge.
     """
-    coins = _coin_vector(*td_pair[:2]), _coin_vector(*td_pair[2:])
-    if mode == "one_shot":
-        k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
-        delta = np.stack(
-            [
-                np.subtract(*np.einsum("wcx,wdx->wcd", amps, amps.conj()))
-                for amps in _noiseless_steps(cfg, np.stack(coins))
-            ]
-        )
+    k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
+    single = bool(set(tags) - {"TD"})
+    coins = [_coin_vector(cfg.delta, cfg.eta)] if single else []
+    if "TD" in tags:
+        coins += [_coin_vector(*td_pair[:2]), _coin_vector(*td_pair[2:])]
+    positions = lattice_positions(cfg).astype(float)
+    blocks, frames, variance = [], {}, []
+    for t, amps in enumerate(_noiseless_steps(cfg, np.stack(coins))):
+        step = np.einsum("wcx,wdx->wcd", amps, amps.conj())
+        blocks.append(step)
+        if "MID" in tags and _near_degenerate(step[0]):
+            frames[t] = _position_frame(amps[0])
+        if "Variance" in tags:
+            probs = position_distribution(amps[0, :, :, None])
+            variance.append(distribution_variance(probs, positions))
+    blocks = np.stack(blocks)
+
+    values = {"Variance": np.asarray(variance)}
+    if "TD" in tags:
+        delta = blocks[:, -2] - blocks[:, -1]
         delta[:, 0, 1] *= k
         delta[:, 1, 0] *= k
-    else:
-        rho1, rho2 = map(density_from_amplitudes, coins)
-        y = (1.0 + 1.0j) * np.stack(
-            [
-                partial_trace(block, (2, t + 1), "coin")
-                for t, block, _ in _light_cone_blocks(cfg, noise, rho1 + 1j * rho2)
-            ]
-        )
-        delta = (y + y.conj().swapaxes(1, 2)) / 2.0
-    return 0.5 * trace_norm(delta)
+        values["TD"] = 0.5 * trace_norm(delta)
+    if single:
+        values.update(_one_shot_witnesses(blocks[:, 0], k, frames, tags))
+    return {tag: values[tag] for tag in tags}
+
+
+def _stepwise_trace_distances(cfg: WalkConfig, noise: NoiseModel, td_pair: tuple) -> np.ndarray:
+    """Stepwise TD(t) = 1/2 ||Tr_x(rho1(t) - rho2(t))||_1 from one light-cone walk.
+
+    The walk is linear, so X = rho1(0) + i rho2(0) carries both walkers: its
+    coin block is Y = C1 + i C2, and C1 - C2 is the Hermitian part of (1 + i) Y.
+    """
+    rho1 = density_from_amplitudes(_coin_vector(*td_pair[:2]))
+    rho2 = density_from_amplitudes(_coin_vector(*td_pair[2:]))
+    y = (1.0 + 1.0j) * np.stack(
+        [
+            partial_trace(block, (2, t + 1), "coin")
+            for t, block, _ in _light_cone_blocks(cfg, noise, rho1 + 1j * rho2)
+        ]
+    )
+    return 0.5 * trace_norm((y + y.conj().swapaxes(1, 2)) / 2.0)
 
 
 def witness_series(
@@ -523,13 +522,14 @@ def witness_series(
 
     Returns one array per distinct tag, keyed by tag in request order,
     whose entry t is the witness at step t. All witnesses but TD act on the
-    single walker defined by ``cfg``, evolved once and shared through a
-    per-state cache. TD compares the reduced coin states of two walkers
-    whose initial coin states come from ``td_pair`` (radians, default the
-    orthogonal pair psi(+-pi/4, 0)) under the same noise; a ``td_pair`` of
-    another length, or with a NaN or infinite angle, raises ``ValueError``.
-    The walk is linear in its initial state, so TD forms no walker state;
-    it runs only when requested, before the single walker.
+    single walker defined by ``cfg``. TD compares the reduced coin states of
+    two walkers whose initial coin states come from ``td_pair`` (radians,
+    default the orthogonal pair psi(+-pi/4, 0)) under the same noise; a
+    ``td_pair`` of another length, or with a NaN or infinite angle, raises
+    ``ValueError``. The walk is linear in its initial state, so TD forms no
+    walker state. In one-shot mode one noiseless walk feeds every tag; in
+    stepwise mode TD runs its own light-cone walk before the single
+    walker's, whose states are measured through one per-state cache.
     """
     tags = tuple(dict.fromkeys(witnesses))
     for tag in tags:
@@ -540,29 +540,23 @@ def witness_series(
     pair = DEFAULT_TD_PAIR if td_pair is None else tuple(td_pair)
     if len(pair) != 4 or not all(math.isfinite(angle) for angle in pair):
         raise ValueError(f"td_pair must be four finite angles, got {td_pair!r}")
-    evolve = evolve_one_shot if mode == "one_shot" else evolve_stepwise
+    if not tags:
+        return {}
+    if mode == "one_shot":
+        return _one_shot_series(cfg, noise, tags, pair)
+
     values: dict[str, list[float]] = {tag: [] for tag in tags}
-
     if "TD" in values:
-        values["TD"] = _trace_distances(cfg, noise, mode, pair)
-
-    positions = lattice_positions(cfg).astype(float)
-    # each single-walker witness of a cached state, the array it wraps and
-    # the lattice sites of that array
-    measures = {
-        "MI": lambda state, raw, sites: state.mutual_information,
-        "MID": lambda state, raw, sites: _mid(state),
-        "QD": lambda state, raw, sites: state.discord,
-        "Entropy": lambda state, raw, sites: state.coin_entropy,
-        "Variance": lambda state, raw, sites: distribution_variance(
-            position_distribution(raw), positions[sites]
-        ),
-    }
-    single = {tag: measures[tag] for tag in tags if tag != "TD"}
+        values["TD"] = _stepwise_trace_distances(cfg, noise, pair)
+    single = [tag for tag in tags if tag != "TD"]
     if single:
-        for _, raw, sites in evolve(cfg, noise):
-            state = _state(raw)
-            for tag, measure in single.items():
-                values[tag].append(measure(state, raw, sites))
-
+        positions = lattice_positions(cfg).astype(float)
+        for _, rho, sites in evolve_stepwise(cfg, noise):
+            state = _State(rho)
+            for tag in single:
+                if tag == "Variance":
+                    probs = position_distribution(rho)
+                    values[tag].append(distribution_variance(probs, positions[sites]))
+                else:
+                    values[tag].append(_DENSE_WITNESSES[tag](state))
     return {tag: np.asarray(v) for tag, v in values.items()}

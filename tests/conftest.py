@@ -6,10 +6,15 @@ walker, the whole (T + 1, 2, n_positions) history, ``np.roll`` as the shift
 and a guard on each end column of its own, the way the library walked
 before the stream.
 
-``walk.evolve_one_shot`` yields each one-shot state as its rank-2 Kraus
-factor. The dense generator below forms the (2 n_positions)^2 density
-matrix from the same amplitudes and kernel the way the library did before
-the factor, so the tests can check the factor-backed path against it.
+``witness_series`` computes every one-shot witness from the walk's 2 x 2
+coin blocks and the kernel values, and ``walk.evolve_one_shot`` yields each
+one-shot state as its rank-2 Kraus factor. The dense generator below forms
+the (2 n_positions)^2 density matrix from the same amplitudes and kernel
+the way the library did before the factor, so the tests can check both
+against it. ``koashi_winter_discord`` is the oracle of the one-shot
+discord S(rho_c) - S(rho): the Koashi-Winter relation with Wootters'
+concurrence of rho_pE, computed on the factor as the library did before
+the closed form.
 
 ``walk.evolve_stepwise`` evolves and yields only the light-cone block of
 the walker, with the lattice sites it covers. ``full_lattice_stepwise``
@@ -54,6 +59,8 @@ from nmqwalk.witness import DEFAULT_TD_PAIR
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
+
+SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 _RATES = st.floats(min_value=1e-3, max_value=2.0)
 #: noise models for walk properties: no noise, OUN, PLN and RTN on either
@@ -127,11 +134,15 @@ def dephase_density(rho, k, n_positions):
     return out
 
 
-def dense_one_shot(cfg, noise):
-    """Yield (t, rho_t) with the full dephasing channel applied at each t."""
+def dense_one_shot(cfg, noise, kernel=None):
+    """Yield (t, rho_t) with the full dephasing channel applied at each t.
+
+    The kernel value at step t is ``kernel[t]`` when a sequence is given,
+    else that of ``noise``.
+    """
     for t, amps in enumerate(evolve_noiseless(cfg)):
         rho = density_from_amplitudes(amps)
-        k = float(kernel_value(noise, float(t)))
+        k = float(kernel_value(noise, float(t))) if kernel is None else kernel[t]
         yield t, dephase_density(rho, k, cfg.n_positions)
 
 
@@ -179,6 +190,45 @@ def density_from_factor(factor):
     """sum_r b_r b_r^dag of a one-shot Kraus factor of shape (2, n, 2)."""
     b = np.asarray(factor).reshape(-1, factor.shape[-1])
     return b @ b.conj().T
+
+
+def rho_pe_concurrence(factor):
+    """Wootters' concurrence of rho_pE for a one-shot Kraus factor (2, n, 2).
+
+    The factor purifies rho with the Kraus index as the environment E.
+    Compressed onto an orthonormal basis u of supp(rho_p), which has at most
+    two vectors, phi[c, p, r] = sum_j conj(u[j, p]) factor[c, j, r] is a pure
+    state of the coin, a position qubit and E. Read as the 2 x 4 matrix F
+    (coin by pE), the concurrence of rho_pE is the difference of the
+    singular values of the symmetric 2 x 2 matrix F (sigma_y (x) sigma_y) F^T
+    (Wootters, PRL 80, 2245, 1998).
+    """
+    n = factor.shape[1]
+    w, u = np.linalg.eigh(partial_trace(density_from_factor(factor), (2, n), "position"))
+    basis = u[:, w > EIGENVALUE_CUTOFF]
+    assert basis.shape[1] <= 2
+    phi = np.zeros((2, 2, 2), dtype=complex)
+    phi[:, : basis.shape[1]] = np.einsum("jp,cjr->cpr", basis.conj(), factor)
+    f = phi.reshape(2, 4)
+    s = np.linalg.svd(f @ np.kron(SIGMA_Y, SIGMA_Y) @ f.T, compute_uv=False)
+    return float(s[0] - s[1])
+
+
+def koashi_winter_discord(factor):
+    """D = S(rho_c) - S(rho) + E_F(rho_pE) of a one-shot Kraus factor (2, n, 2).
+
+    Koashi-Winter (PRA 69, 022309, 2004) with the Kraus index as the
+    purifying environment; E_F from Wootters' concurrence.
+    """
+    c = min(max(rho_pe_concurrence(factor), 0.0), 1.0)
+    # the smaller eigenvalue (1 - sqrt(1 - C^2)) / 2, without cancellation
+    p = c * c / (2.0 * (1.0 + math.sqrt(1.0 - c * c)))
+    e_f = -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+    return (
+        von_neumann_entropy(reduced_coin(factor))
+        - von_neumann_entropy(density_from_factor(factor))
+        + e_f
+    )
 
 
 def random_qubit_states(n, seed):

@@ -41,6 +41,15 @@ class TestEntropy:
             von_neumann_entropy(rho), abs=1e-12
         )
 
+    def test_pure_spectrum_prints_zero(self):
+        # negating the empty sum gave -0.0, which the data files printed as -0
+        assert "%.12g" % entropy_of_spectrum([1.0, 0.0]) == "0"
+        assert "%.12g" % entropy_of_spectrum([]) == "0"
+
+    def test_non_physical_spectrum_is_not_clamped(self):
+        # the weight 2 of a spectrum that leaves the state space reads -2 bits
+        assert entropy_of_spectrum([2.0, -1.0]) == -2.0
+
 
 class TestPartialTrace:
     def test_bell_marginals_maximally_mixed(self):

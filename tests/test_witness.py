@@ -9,6 +9,8 @@ from conftest import (
     density_from_factor,
     embed,
     evolve_noiseless,
+    koashi_winter_discord,
+    rho_pe_concurrence,
     trace_distance,
     two_walker_trace_distances,
 )
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 import nmqwalk.walk as walk_mod
 import nmqwalk.witness as witness_mod
 from nmqwalk.exceptions import DimensionMismatchError, NmqwalkError
-from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kraus_at
+from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kernel_value, kraus_at
 from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
@@ -64,12 +66,12 @@ ORACLE_NOISES = {
 ORACLE_STEPS = 30
 
 
-def single_state_values(cfg, noise, evolve):
+def single_state_values(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
     """Every witness tag at each step, from the public single-state functions
     applied to the dense states that ``evolve`` yields with their sites."""
     positions = lattice_positions(cfg).astype(float)
     values = {tag: [] for tag in WITNESS_TAGS}
-    values["TD"] = two_walker_trace_distances(cfg, noise, evolve)
+    values["TD"] = two_walker_trace_distances(cfg, noise, evolve, td_pair)
     for _, rho, sites in evolve(cfg, noise):
         values["MI"].append(mutual_information(rho))
         values["MID"].append(mid(rho))
@@ -122,6 +124,11 @@ ENTANGLED_PSI /= np.linalg.norm(ENTANGLED_PSI)
 #: rho_p of rank 1: a single site, and a coin (x) position product state
 SINGLE_SITE_PSI = np.array([[0.6], [0.8j]])
 PRODUCT_PSI = np.outer([0.6, 0.8j], [0.5, -0.5j, 1 / math.sqrt(2)])
+#: psi = (|0>|e0> + |1>(1e-10 |e0> + |e1>)) / sqrt(2): both marginals are I/2
+#: up to coherences of 5e-11, inside DEGENERACY_TOL, where the eigensolver
+#: finds the vectors (e0 +- e1)/sqrt(2) and only the canonical basis e0, e1
+#: gives the value of the canonical rule
+NEAR_BELL_PSI = np.array([[1.0, 0.0], [1e-10, 1.0]]) / math.sqrt(2.0)
 
 
 def classical_classical(p):
@@ -196,6 +203,24 @@ class TestMid:
         factor = np.einsum("rcd,dj->cjr", kraus_at(RtnParams(a=0.9, gamma=0.5), 2.0), amps)
         assert mid(factor) == pytest.approx(mid(density_from_factor(factor)), abs=1e-12)
 
+    def test_series_keeps_the_canonical_basis(self, monkeypatch):
+        # the series loop meets the psi of the Gram-route test above at
+        # every step of a walk on 5 sites, so it must build each step's
+        # canonical position frame from the amplitudes it holds; a walk from
+        # one site reaches such a step rarely, with exactly equal coin
+        # populations and zero coin coherence
+        amps = np.zeros((1, 2, 5), dtype=complex)
+        amps[0, 0, 1:3] = 0.5
+        amps[0, 1, 1:3] = 0.5, -0.5
+        monkeypatch.setattr(witness_mod, "_noiseless_steps", lambda cfg, coins: iter([amps, amps]))
+        noise = RtnParams(a=0.9, gamma=0.5)
+        found = witness_series(WalkConfig(steps=1), noise, witnesses=("MID",))["MID"]
+        expected = [
+            mid(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps[0])))
+            for t in (0.0, 1.0)
+        ]
+        np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-12)
+
     def test_deterministic_under_degeneracy(self):
         assert mid(BELL) == mid(BELL)
 
@@ -232,6 +257,18 @@ class TestDiscord:
         psi[0, 1], psi[1, 0] = 0.970j, 0.243j
         qd = discord(kraus_factor(psi / np.linalg.norm(psi), 0.0))
         assert qd == pytest.approx(0.0, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(factor=one_shot_factors())
+    @example(factor=kraus_factor(ENTANGLED_PSI, 0.3))
+    @example(factor=kraus_factor(ENTANGLED_PSI, -1.0))
+    @example(factor=kraus_factor(SINGLE_SITE_PSI, 0.3))
+    @example(factor=kraus_factor(PRODUCT_PSI, 0.3))
+    def test_one_shot_closed_form_is_koashi_winter(self, factor):
+        # rho_pE of a one-shot state is never entangled, so the Koashi-Winter
+        # discord S(rho_c) - S(rho) + E_F(rho_pE) loses its E_F term
+        assert rho_pe_concurrence(factor) <= 1e-12
+        assert discord(factor) == pytest.approx(koashi_winter_discord(factor), abs=1e-12)
 
     def test_bell_state_one_bit(self):
         assert discord(BELL) == pytest.approx(1.0, abs=1e-6)
@@ -358,6 +395,7 @@ class TestStateForms:
     @example(factor=kraus_factor(ENTANGLED_PSI, -1.0))
     @example(factor=kraus_factor(SINGLE_SITE_PSI, 0.3))
     @example(factor=kraus_factor(PRODUCT_PSI, 0.3))
+    @example(factor=kraus_factor(NEAR_BELL_PSI, 0.3))
     def test_factor_equals_its_density_matrix(self, factor):
         # the factor's discord is the closed form, the dense one the optimizer
         rho = density_from_factor(factor)
@@ -381,6 +419,34 @@ class TestStateForms:
     def test_other_shapes_rejected(self, measure, shape):
         with pytest.raises(DimensionMismatchError):
             measure(np.ones(shape))
+
+
+#: pairs of initial coin states (delta1, eta1, delta2, eta2) of the TD series
+#: tests: the default orthogonal pair, and the conjugate pair psi(0.7, +-0.3),
+#: whose walkers have equal populations at every step
+TD_PAIRS = {"default": DEFAULT_TD_PAIR, "conjugate": (0.7, 0.3, 0.7, -0.3)}
+TD_ORACLE_WALKS = {"one_shot": evolve_one_shot, "stepwise": evolve_stepwise}
+ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
+
+
+@st.composite
+def one_shot_walks(draw):
+    """A walk of T <= 8 steps from any x0 in [-T - 1, T + 1], with any coin
+    and start, and its kernel: a noise model, or T + 1 values in [-1, 1] that
+    often hit -1, 0 and 1."""
+    steps = draw(st.integers(min_value=0, max_value=8))
+    cfg = WalkConfig(
+        steps=steps,
+        coin_angle=draw(ANGLES),
+        delta=draw(ANGLES),
+        eta=draw(ANGLES),
+        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
+    )
+    values = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
+    kernel = draw(
+        st.one_of(SIDED_NOISES, st.lists(values, min_size=steps + 1, max_size=steps + 1))
+    )
+    return cfg, kernel
 
 
 class TestSeries:
@@ -433,24 +499,18 @@ class TestSeries:
         for tag in WITNESS_TAGS:
             assert_matches_oracle(found[tag], expected[tag], tag)
 
-    def test_one_walk_for_all_single_walker_tags(self, monkeypatch):
-        calls = []
-
-        def counting(cfg, noise):
-            calls.append(cfg)
-            return evolve_one_shot(cfg, noise)
-
-        monkeypatch.setattr(witness_mod, "evolve_one_shot", counting)
-        cfg = WalkConfig(steps=4)
-        noise = RtnParams(a=0.08, gamma=0.01)
-        single = tuple(tag for tag in WITNESS_TAGS if tag != "TD")
-        witness_series(cfg, noise, witnesses=single)
-        assert len(calls) == 1
-        witness_series(cfg, noise, witnesses=("TD", *single))
-        assert len(calls) == 1 + 1
-
-    def test_two_noiseless_walks_for_all_tags(self, monkeypatch):
-        # one batched walk carries the TD pair, one the single walker
+    @pytest.mark.parametrize(
+        "tags, walkers",
+        [
+            (tuple(tag for tag in WITNESS_TAGS if tag != "TD"), 1),
+            (("TD",), 2),
+            (WITNESS_TAGS, 3),
+        ],
+        ids=["single-walker", "td", "all"],
+    )
+    def test_one_noiseless_walk_for_all_tags(self, monkeypatch, tags, walkers):
+        # one batched walk carries the single walker and the TD pair; no
+        # one-shot state is formed
         calls = []
         steps = walk_mod._noiseless_steps
 
@@ -458,10 +518,70 @@ class TestSeries:
             calls.append(len(coins))
             return steps(cfg, coins)
 
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness_series formed one-shot states")
+
         monkeypatch.setattr(walk_mod, "_noiseless_steps", counting)
         monkeypatch.setattr(witness_mod, "_noiseless_steps", counting)
-        witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=WITNESS_TAGS)
-        assert sorted(calls) == [1, 2]
+        monkeypatch.setattr(walk_mod, "evolve_one_shot", refuse)
+        witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=tags)
+        assert calls == [walkers]
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(walk=one_shot_walks(), pair=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
+    @example(walk=(WalkConfig(steps=0, delta=0.7, eta=0.3), None), pair=DEFAULT_TD_PAIR)
+    @example(
+        walk=(WalkConfig(steps=3, delta=math.pi / 4, eta=-math.pi / 2), RtnParams(0.05, 0.008)),
+        pair=DEFAULT_TD_PAIR,
+    )
+    @example(
+        walk=(WalkConfig(steps=6, delta=0.7, eta=0.3), RtnParams(a=0.5, gamma=0.05)),
+        pair=TD_PAIRS["conjugate"],
+    )
+    @example(walk=(WalkConfig(steps=4, delta=0.7, eta=0.3), [1.0, -1.0, 0.0, -1.0, 1.0]), pair=DEFAULT_TD_PAIR)
+    @example(walk=(WalkConfig(steps=5, delta=0.7, eta=0.3), None), pair=DEFAULT_TD_PAIR)
+    @example(
+        walk=(WalkConfig(steps=5, delta=0.7, eta=0.3, initial_position=-6), OunParams(0.1, 0.01)),
+        pair=DEFAULT_TD_PAIR,
+    )
+    def test_batched_one_shot_matches_dense_oracle(self, walk, pair):
+        # every tag of the batched 2 x 2 series against dense matrices measured
+        # one at a time; the k sequence reaches +-1 and 0, and RTN(0.5, 0.05)
+        # crosses zero between t = 1 and t = 2
+        cfg, kernel = walk
+        if isinstance(kernel, list):
+            ks = np.array(kernel)
+        else:
+            ks = np.clip(kernel_value(kernel, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
+        sites = np.arange(cfg.n_positions)
+
+        def oracle(c, _):
+            for t, rho in dense_one_shot(c, None, ks):
+                yield t, rho, sites
+
+        expected = single_state_values(cfg, None, oracle, pair)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(witness_mod, "kernel_value", lambda noise, t: ks)
+            found = witness_series(cfg, None, witnesses=WITNESS_TAGS, td_pair=pair)
+        for tag in WITNESS_TAGS:
+            assert found[tag].shape == (cfg.steps + 1,), tag
+            if tag == "Variance":
+                # the variance rounds on the scale of <x^2>, up to half_width^2,
+                # so a zero variance off the origin reads ~1e-32 in one path
+                np.testing.assert_allclose(
+                    found[tag], expected[tag], rtol=1e-12, atol=1e-12 * cfg.half_width**2
+                )
+            else:
+                assert_matches_oracle(found[tag], expected[tag], tag)
+
+    def test_pure_entropy_prints_zero(self):
+        # a pure coin has entropy +0.0, never -0.0, in every path
+        cfg = WalkConfig(steps=2, delta=0.0)
+        for mode in ("one_shot", "stepwise"):
+            for tag, values in witness_series(
+                cfg, OunParams(0.1, 0.01), mode=mode, witnesses=("Entropy", "MI")
+            ).items():
+                assert "%.12g" % values[0] == "0", (mode, tag)
 
     def test_one_light_cone_walk_for_td(self, monkeypatch):
         # evolve_stepwise runs the same block walk as the TD pair
@@ -517,12 +637,6 @@ class TestSeries:
             witness_series(WalkConfig(steps=4), None, mode="exact", witnesses=("MI",))
 
 
-#: pairs of initial coin states (delta1, eta1, delta2, eta2) of the TD series
-#: tests: the default orthogonal pair, and the conjugate pair psi(0.7, +-0.3),
-#: whose walkers have equal populations at every step
-TD_PAIRS = {"default": DEFAULT_TD_PAIR, "conjugate": (0.7, 0.3, 0.7, -0.3)}
-TD_ORACLE_WALKS = {"one_shot": evolve_one_shot, "stepwise": evolve_stepwise}
-ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
 @st.composite
