@@ -31,9 +31,16 @@ Both generators yield ``(t, state, sites)``: ``sites`` are the lattice
 indices the state's position axis covers, so ``lattice_positions(cfg)[sites]``
 labels its probabilities. A one-shot factor covers the whole lattice.
 Amplitude arrays are shaped (2, n_positions); flat indices follow the
-coin (x) position order of :mod:`nmqwalk.qops`. The noiseless amplitudes
-behind the one-shot states come from one streaming walk that carries k
-walkers at once and holds only its current step.
+coin (x) position order of :mod:`nmqwalk.qops`.
+
+One-shot mode walks the basis pair: the two noiseless walks psi_0 and
+psi_1 started from coin |0> or |1> at x0. C(theta) and the shift are real,
+so both are real, and they are walked in real arithmetic on the t + 1
+light-cone sites only, holding only the current step. The walk is linear,
+so the walker started from the coin state (alpha, beta) is
+alpha psi_0 + beta psi_1; :func:`evolve_one_shot` forms it from the pair,
+and the witnesses read every walker from the pair's Gram matrix (see
+:mod:`nmqwalk.witness`).
 """
 
 from __future__ import annotations
@@ -114,39 +121,54 @@ def _check_edges(amps: np.ndarray) -> None:
         raise EdgeAmplitudeError(f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}")
 
 
-def _noiseless_steps(cfg: WalkConfig, coins: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield the noiseless amplitudes (k, 2, n_positions) of k walkers at t = 0..T.
+def _basis_walks(
+    cfg: WalkConfig, coins: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (t, a, sites): the two noiseless basis walks on the light cone.
 
-    All k walkers start at x0, walker w with the coin state ``coins[w]``.
-    A step is one batched ``coin @ amps``, then the shift by slices: coin
-    |0> moves one site left and coin |1> one site right, and the entry
-    pushed past a lattice end wraps to the other end, as ``np.roll`` wraps
-    it. The edge guard reads both end columns of every walker from the
-    first step at which the walk can reach one, min(x0, n - 1 - x0) as a
-    lattice index (at least 1), so it fires at the step where the first
-    walker reaches an edge. Before that step both columns are exact zeros,
-    and on the lattice that :attr:`WalkConfig.half_width` sizes it is
-    T + 1, so a valid walk never runs the guard.
-    Each yield is a fresh array and the walk keeps only the last one, so
-    memory is O(k n) for any T; the next step reads the yielded array, so a
-    caller must not write to it.
+    ``a[c, i, j]`` is the real amplitude at coin c and site ``sites[j]`` of
+    the walk psi_i started from the coin basis state |i> at x0, so ``a`` has
+    shape (2, 2, t + 1). C(theta) and the shift are real, so both walks are
+    real, and the walk is linear, so the walker started from the coin state
+    v is sum_i v_i psi_i. The sites are x0 - t, x0 - t + 2, ..., x0 + t as
+    lattice indices mod n, as in :func:`_light_cone_blocks`. A step is one
+    real product ``coin @ a`` over both walks and every site, then the
+    shift: coin 0 lands one cone index left of coin 1. The product rounds
+    as the complex ``coin @ amps`` of the ``np.roll`` walk does from the
+    exact |0> or |1>, whose imaginary parts stay zero, so, scattered to the
+    whole lattice, each basis walk is bit for bit that walk, and on a
+    lattice too small for the walk it wraps at the ends as that walk does.
+    (An elementwise C[c, 0] a[0] + C[c, 1] a[1] would round the sum on its
+    own where the BLAS product fuses it, and differ by an ulp.)
+
+    The edge guard reads the walkers ``coins[w] @ psi``, one per row of
+    ``coins``, scattered to the whole lattice, and never the basis walks:
+    those can reach an end steps before any walker does. It runs from the
+    first step at which the cone can touch an end column, min(x0, n - 1 - x0)
+    as a lattice index (at least 1); on the lattice that
+    :attr:`WalkConfig.half_width` sizes that step is T + 1, so a valid walk
+    never pays for it. Each yield is a fresh array and the walk keeps only
+    the last one, so memory is O(t) for any T; the next step reads the
+    yielded array, so a caller must not write to it.
     """
+    n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width
-    reach = min(x0, cfg.n_positions - 1 - x0)
-    coin = coin_operator(cfg.coin_angle)
-    amps = np.zeros((len(coins), 2, cfg.n_positions), dtype=complex)
-    amps[:, :, x0] = coins
-    yield amps
+    reach = min(x0, n - 1 - x0)
+    coin = coin_operator(cfg.coin_angle).real
+    a = np.eye(2)[:, :, None]
+    yield 0, a, np.array([x0])
     for t in range(1, cfg.steps + 1):
-        rotated = coin @ amps
-        amps = np.empty_like(rotated)
-        amps[:, 0, :-1] = rotated[:, 0, 1:]
-        amps[:, 0, -1] = rotated[:, 0, 0]
-        amps[:, 1, 1:] = rotated[:, 1, :-1]
-        amps[:, 1, 0] = rotated[:, 1, -1]
+        rotated = (coin @ a.reshape(2, -1)).reshape(2, 2, t)
+        a = np.zeros((2, 2, t + 1))
+        a[0, :, :t] = rotated[0]
+        a[1, :, 1:] = rotated[1]
+        sites = np.arange(x0 - t, x0 + t + 1, 2)
         if t >= reach:
+            sites %= n
+            amps = np.zeros((len(coins), 2, n), dtype=complex)
+            amps[:, :, sites] = np.einsum("wi,cij->wcj", coins, a)
             _check_edges(amps)
-        yield amps
+        yield t, a, sites
 
 
 def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
@@ -165,16 +187,19 @@ def evolve_one_shot(
     Without noise the pair is (I, 0). Every such state is a valid density
     matrix: the channel is completely positive for any kernel value in
     [-1, 1]. The kernel range on t = 0..T raises before any yield; the edge
-    guard raises at the step where the walker reaches an edge. The walk
-    streams psi(t) and holds no history, so memory is O(n) for any T. The
-    factor spans the whole lattice, so ``sites`` is ``arange(n_positions)``,
-    one array shared by every yield.
+    guard raises at the step where the walker reaches an edge. psi(t) is
+    alpha psi_0(t) + beta psi_1(t) of the basis pair that
+    :func:`_basis_walks` streams, so memory is O(n) for any T. The factor
+    spans the whole lattice, so ``sites`` is ``arange(n_positions)``, one
+    array shared by every yield.
     """
     kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
-    sites = np.arange(cfg.n_positions)
-    coins = _coin_vector(cfg.delta, cfg.eta)[None]
-    for t, amps in enumerate(_noiseless_steps(cfg, coins)):
-        yield t, np.einsum("rcd,dj->cjr", kraus[t], amps[0]), sites
+    lattice = np.arange(cfg.n_positions)
+    coin = _coin_vector(cfg.delta, cfg.eta)
+    for t, a, sites in _basis_walks(cfg, coin[None]):
+        psi = np.zeros((2, cfg.n_positions), dtype=complex)
+        psi[:, sites] = np.einsum("i,cix->cx", coin, a)
+        yield t, np.einsum("rcd,dj->cjr", kraus[t], psi), lattice
 
 
 def evolve_stepwise(

@@ -26,16 +26,23 @@ C(t) = Tr_x |psi(t)><psi(t)|, a 2 x 2 matrix:
 - TD is half the trace norm of the difference of two walkers' blocks, with
   the coherences scaled by k.
 
-So one noiseless walk carries the walker of ``cfg`` and, when TD is asked,
-the two walkers of ``td_pair``. Per step the series driver keeps each
-walker's coin block (and the variance, when asked), and computes every tag
-once after the walk with batched 2 x 2 linear algebra, holding O(n)
-amplitudes and a (T + 1, walkers, 2, 2) stack. Only MID can need the
-amplitudes: where rho_p is degenerate inside its support, its canonical
-basis (see :func:`mid`) lives on the lattice, so the walk builds that step's
-frame F while it holds the step. The public single-state functions read a
-one-shot (2, n, 2) Kraus factor back as psi and k and measure it the same
-way, as a stack of one.
+C(t) is bilinear in the initial coin state, so one walk of the basis pair
+gives it for every walker: with psi_0 and psi_1 the real noiseless walks
+from coin |0> and |1> (:func:`nmqwalk.walk._basis_walks`, on the t + 1
+light-cone sites) and A their (4, t + 1) amplitudes, rows (coin, basis
+walk), the Gram matrix L_t = A A^T is the one-shot coin map, and the walker
+started from the coin state v has C(t) = sum_ij v_i conj(v_j) L_t[:, i, :, j].
+So the series driver walks the basis pair once for the walker of ``cfg``
+and, when TD is asked, the two walkers of ``td_pair``; per step it keeps
+the 4 x 4 L_t (and, for the variance, the position moments of A), and after
+the walk reads every walker's block in one batched contraction and computes
+every tag once with batched 2 x 2 linear algebra, holding O(t) amplitudes
+and a (T + 1) stack of small matrices. Only MID can need the amplitudes:
+where rho_p is degenerate inside its support, its canonical basis (see
+:func:`mid`) lives on the lattice, so at such a step the walk forms the
+walker's amplitudes and its frame F while it holds the basis pair. The
+public single-state functions read a one-shot (2, n, 2) Kraus factor back
+as psi and k and measure it the same way, as a stack of one.
 
 A dense (2n, 2n) density matrix (a stepwise light-cone block, or a dense
 argument to the public functions) is measured through a per-state cache
@@ -65,9 +72,9 @@ from .qops import (
 )
 from .walk import (
     WalkConfig,
+    _basis_walks,
     _coin_vector,
     _light_cone_blocks,
-    _noiseless_steps,
     density_from_amplitudes,
     distribution_variance,
     evolve_stepwise,
@@ -173,10 +180,13 @@ class _State:
         )
 
 
-def _near_degenerate(block: np.ndarray) -> bool:
-    """Whether the eigenvalue gap of a 2 x 2 block is below twice DEGENERACY_TOL."""
-    diff = (block[0, 0] - block[1, 1]).real
-    return diff * diff + 4.0 * abs(block[0, 1]) ** 2 < (2.0 * DEGENERACY_TOL) ** 2
+def _near_degenerate(diff: float, coherence: complex) -> bool:
+    """Whether a 2 x 2 Hermitian block has an eigenvalue gap below twice DEGENERACY_TOL.
+
+    ``diff`` is the difference of its diagonal entries and ``coherence`` its
+    off-diagonal entry; the gap is sqrt(diff^2 + 4 |coherence|^2).
+    """
+    return diff * diff + 4.0 * abs(coherence) ** 2 < (2.0 * DEGENERACY_TOL) ** 2
 
 
 def _position_frame(psi: np.ndarray) -> np.ndarray:
@@ -256,7 +266,9 @@ def _measure(x: np.ndarray, tag: str) -> float:
             psi[1] *= -1.0
         blocks = np.einsum("cx,dx->cd", psi, psi.conj())[None]
         k = np.clip(weights[:1] - weights[1:], -1.0, 1.0)
-        frames = {0: _position_frame(psi)} if tag == "MID" and _near_degenerate(blocks[0]) else {}
+        block = blocks[0]
+        degenerate = _near_degenerate((block[0, 0] - block[1, 1]).real, block[0, 1])
+        frames = {0: _position_frame(psi)} if tag == "MID" and degenerate else {}
         return float(_one_shot_witnesses(blocks, k, frames, (tag,))[tag][0])
     if x.ndim == 2 and x.shape[0] == x.shape[1] and x.shape[0] % 2 == 0:
         return _DENSE_WITNESSES[tag](_State(x))
@@ -458,32 +470,73 @@ def trace_norm(m: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
 
 
-def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: tuple) -> dict:
-    """Every requested one-shot witness from one noiseless walk (see the module docstring).
+def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
+    """Each walker's noiseless coin block C_w(t), t = 0..T, from one walk of the basis pair.
 
-    The walk carries the walker of ``cfg`` when a single-walker tag is
-    asked, then the two ``td_pair`` walkers when TD is. The kernel range
-    raises before the walk, k is clipped to [-1, 1] as ``kraus_at`` clips
-    it, and the edge guard raises where the first walker reaches an edge.
+    Per step the walk keeps the real Gram matrix L_t = A A^T of the basis
+    pair's amplitudes A (4, t + 1), rows (coin c, basis walk i): the one-shot
+    coin map, L_t[c, i, d, j] = sum_x psi_i(t)[c, x] psi_j(t)[d, x]. The walk
+    is linear, so after it one batched contraction gives every walker's
+    block, C_w(t) = sum_ij v_i conj(v_j) L_t[:, i, :, j] for v = coins[w].
+    The edge guard reads the walkers, so it raises where the first of them
+    reaches an edge.
+
+    Returns the (T + 1, walkers, 2, 2) blocks, the position variance of the
+    first walker when ``tags`` asks for it (else None), and that walker's
+    MID frames. For the variance A also carries the rows A diag(x), x the
+    sites' offsets from x0, on which the variance does not depend and which
+    keep its moments O(t^2); the first walker's coin-diagonal sums of
+    A diag(x) A^T and A diag(x^2) A^T are its <x> and <x^2>. For MID, where
+    the first walker's block is near degenerate, its canonical position
+    frame is built from its amplitudes while the walk holds them.
+    """
+    weights = np.einsum("wi,wj->wij", coins, coins.conj())  # v_w v_w^dag
+    (p00, p01), (p10, p11) = weights[0].tolist()
+    groups = 2 if "Variance" in tags else 1
+    offsets = (lattice_positions(cfg) - cfg.initial_position).astype(float)
+    grams, frames = [], {}
+    for t, a, sites in _basis_walks(cfg, coins):
+        rows = np.concatenate((a, a * offsets[sites])) if groups == 2 else a
+        rows = rows.reshape(-1, a.shape[-1])
+        gram = np.dot(rows, rows.T)
+        grams.append(gram)
+        if "MID" in tags:
+            # the first walker's block from L_t, in scalars: a batched
+            # contraction per step would cost more than the rest of the step
+            (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
+                gram[:4, :4].tolist()
+            )
+            diff = (p00 * (g00 - g22) + p11 * (g11 - g33) + 2.0 * p01 * (g01 - g23)).real
+            if _near_degenerate(diff, p00 * g02 + p01 * g03 + p10 * g12 + p11 * g13):
+                psi = np.zeros((2, cfg.n_positions), dtype=complex)
+                psi[:, sites] = np.einsum("i,cix->cx", coins[0], a)
+                frames[t] = _position_frame(psi)
+    grams = np.stack(grams).reshape(-1, groups, 2, 2, groups, 2, 2)
+    blocks = np.einsum("wij,tcidj->twcd", weights, grams[:, 0, :, :, 0])
+    variance = None
+    if groups == 2:
+        mean, square = (
+            np.einsum("ij,tcicj->t", weights[0], grams[:, 1, :, :, g]).real for g in (0, 1)
+        )
+        variance = square - mean * mean
+    return blocks, variance, frames
+
+
+def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: tuple) -> dict:
+    """Every requested one-shot witness from one basis walk (see the module docstring).
+
+    The walkers are the one of ``cfg`` when a single-walker tag is asked,
+    then the two ``td_pair`` walkers when TD is. The kernel range raises
+    before the walk, and k is clipped to [-1, 1] as ``kraus_at`` clips it.
     """
     k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
     single = bool(set(tags) - {"TD"})
     coins = [_coin_vector(cfg.delta, cfg.eta)] if single else []
     if "TD" in tags:
         coins += [_coin_vector(*td_pair[:2]), _coin_vector(*td_pair[2:])]
-    positions = lattice_positions(cfg).astype(float)
-    blocks, frames, variance = [], {}, []
-    for t, amps in enumerate(_noiseless_steps(cfg, np.stack(coins))):
-        step = np.einsum("wcx,wdx->wcd", amps, amps.conj())
-        blocks.append(step)
-        if "MID" in tags and _near_degenerate(step[0]):
-            frames[t] = _position_frame(amps[0])
-        if "Variance" in tags:
-            probs = position_distribution(amps[0, :, :, None])
-            variance.append(distribution_variance(probs, positions))
-    blocks = np.stack(blocks)
+    blocks, variance, frames = _one_shot_blocks(cfg, np.stack(coins), tags)
 
-    values = {"Variance": np.asarray(variance)}
+    values = {"Variance": variance}
     if "TD" in tags:
         delta = blocks[:, -2] - blocks[:, -1]
         delta[:, 0, 1] *= k
@@ -527,8 +580,8 @@ def witness_series(
     default the orthogonal pair psi(+-pi/4, 0)) under the same noise; a
     ``td_pair`` of another length, or with a NaN or infinite angle, raises
     ``ValueError``. The walk is linear in its initial state, so TD forms no
-    walker state. In one-shot mode one noiseless walk feeds every tag; in
-    stepwise mode TD runs its own light-cone walk before the single
+    walker state. In one-shot mode one walk of the basis pair feeds every
+    tag; in stepwise mode TD runs its own light-cone walk before the single
     walker's, whose states are measured through one per-state cache.
     """
     tags = tuple(dict.fromkeys(witnesses))

@@ -1,14 +1,18 @@
 """Oracles and helpers shared by the test modules.
 
-``walk._noiseless_steps`` streams the noiseless amplitudes of k walkers at
-once, shifting by slices. ``evolve_noiseless`` below is its oracle: one
-walker, the whole (T + 1, 2, n_positions) history, ``np.roll`` as the shift
-and a guard on each end column of its own, the way the library walked
-before the stream.
+One-shot mode walks the basis pair: ``walk._basis_walks`` streams the two
+real noiseless walks psi_0 and psi_1 from coin |0> and |1> on the light
+cone, and every walker is v_0 psi_0 + v_1 psi_1. ``evolve_noiseless`` below
+is its oracle: one walker, the whole (T + 1, 2, n_positions) history,
+``np.roll`` as the shift and a guard on each end column of its own, the way
+the library walked before the stream. Started from the exact |0> or |1>
+(``basis_start``), it is bit for bit a basis walk; a walker's own walk
+rounds apart from the sum of the basis walks by an ulp or so.
 
-``witness_series`` computes every one-shot witness from the walk's 2 x 2
-coin blocks and the kernel values, and ``walk.evolve_one_shot`` yields each
-one-shot state as its rank-2 Kraus factor. The dense generator below forms
+``witness_series`` computes every one-shot witness from the walkers' 2 x 2
+coin blocks, read from the Gram matrix of the basis pair, and the kernel
+values, and ``walk.evolve_one_shot`` yields each one-shot state as its
+rank-2 Kraus factor. The dense generator below forms
 the (2 n_positions)^2 density matrix from the same amplitudes and kernel
 the way the library did before the factor, so the tests can check both
 against it. ``koashi_winter_discord`` is the oracle of the one-shot
@@ -106,21 +110,34 @@ def check_edges(amps):
         raise EdgeAmplitudeError(f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}")
 
 
-def step_amplitudes(amps, coin):
-    """One walk step W on an amplitude array: coin rotation, then np.roll shift."""
+def step_amplitudes(amps, coin, guard=True):
+    """One walk step W on an amplitude array: coin rotation, then np.roll
+    shift, then the edge guard unless ``guard`` is False."""
     rotated = coin @ amps
     out = np.empty_like(rotated)
     for c, d in enumerate((-1, +1)):
         out[c] = np.roll(rotated[c], d)
-    check_edges(out)
+    if guard:
+        check_edges(out)
     return out
 
 
-def evolve_noiseless(cfg):
-    """All noiseless amplitude arrays of one walker, shape (steps + 1, 2, n_positions)."""
+def basis_start(cfg, i):
+    """The exact amplitude array (2, n_positions) of the coin basis state |i> at x0."""
+    amps = np.zeros((2, cfg.n_positions), dtype=complex)
+    amps[i, cfg.initial_position + cfg.half_width] = 1.0
+    return amps
+
+
+def evolve_noiseless(cfg, start=None):
+    """All noiseless amplitude arrays of one walker, shape (steps + 1, 2, n_positions).
+
+    The walker starts from the amplitude array ``start``, by default cfg's
+    initial state.
+    """
     coin = coin_operator(cfg.coin_angle)
     out = np.empty((cfg.steps + 1, 2, cfg.n_positions), dtype=complex)
-    out[0] = initial_state(cfg)
+    out[0] = initial_state(cfg) if start is None else start
     for t in range(1, cfg.steps + 1):
         out[t] = step_amplitudes(out[t - 1], coin)
     return out

@@ -299,6 +299,9 @@ def test_criterion_8_purity_revival(capsys):
 
 
 def exhaustive_isotonic(values, weights):
+    """The weighted least-squares fit, constant on blocks of consecutive
+    points whose means do not rise by more than 1e-12 from block to block,
+    over every one of the 2^(n - 1) partitions into blocks."""
     import itertools
 
     n = len(values)
@@ -319,10 +322,47 @@ def exhaustive_isotonic(values, weights):
     return best
 
 
+def dynamic_isotonic(values, weights):
+    """The fit of ``exhaustive_isotonic`` in O(n^3) time, over the same partitions.
+
+    The partitions are feasible exactly when each pair of consecutive blocks
+    is, so the cheapest feasible partition of points 0 .. hi - 1 whose last
+    block is lo .. hi - 1 extends the cheapest one of 0 .. lo - 1 whose last
+    block that block may follow. Block means are formed as the exhaustive
+    search forms them.
+    """
+    n = len(values)
+    mean, cost = {}, {}
+    for lo in range(n):
+        for hi in range(lo + 1, n + 1):
+            mean[lo, hi] = np.average(values[lo:hi], weights=weights[lo:hi])
+            cost[lo, hi] = np.sum(weights[lo:hi] * (values[lo:hi] - mean[lo, hi]) ** 2)
+    # (least cost, start of the block before) of 0 .. hi - 1 ending in block lo .. hi - 1
+    best = {(0, hi): (cost[0, hi], None) for hi in range(1, n + 1)}
+    for hi in range(2, n + 1):
+        for lo in range(1, hi):
+            options = [
+                (best[p, lo][0], p)
+                for p in range(lo)
+                if (p, lo) in best and not mean[lo, hi] > mean[p, lo] + 1e-12
+            ]
+            if options:
+                c, p = min(options)
+                best[lo, hi] = (c + cost[lo, hi], p)
+    _, lo = min((best[lo, n][0], lo) for lo in range(n) if (lo, n) in best)
+    fit, hi = np.empty(n), n
+    while lo is not None:
+        fit[lo:hi] = mean[lo, hi]
+        lo, hi = best[lo, hi][1], lo
+    return fit
+
+
 def test_criterion_9_oracle_suites(capsys):
     rng = np.random.default_rng(211)
 
-    worst_iso = 0.0
+    # the dynamic program is the oracle of every fit; it is checked against
+    # the exhaustive search wherever that costs at most 2^7 partitions
+    worst_iso = worst_dynamic = 0.0
     for _ in range(200):
         n = int(rng.integers(4, 13))
         values = rng.normal(size=n)
@@ -330,9 +370,13 @@ def test_criterion_9_oracle_suites(capsys):
         fitted = fit_mfbf(
             TimeSeries(np.arange(n, dtype=float), values, weights), "isotonic"
         ).fitted
-        worst_iso = max(
-            worst_iso, float(np.max(np.abs(fitted - exhaustive_isotonic(values, weights))))
-        )
+        expected = dynamic_isotonic(values, weights)
+        worst_iso = max(worst_iso, float(np.max(np.abs(fitted - expected))))
+        if n <= 8:
+            worst_dynamic = max(
+                worst_dynamic,
+                float(np.max(np.abs(expected - exhaustive_isotonic(values, weights)))),
+            )
 
     worst_parseval = 0.0
     for n in (16, 33, 101, 128):
@@ -365,7 +409,8 @@ def test_criterion_9_oracle_suites(capsys):
         9,
         "independent oracles: isotonic, Parseval, TD contraction, analytic values",
         {
-            "isotonic matches exhaustive search <= 1e-9": worst_iso <= 1e-9,
+            "isotonic matches the exact dynamic program <= 1e-9": worst_iso <= 1e-9,
+            "dynamic program matches exhaustive search (n <= 8) <= 1e-9": worst_dynamic <= 1e-9,
             "Parseval identity <= 1e-9": worst_parseval <= 1e-9,
             "TD contraction violation <= 1e-10": worst_contraction <= 1e-10,
             "analytic examples": analytic,

@@ -594,6 +594,41 @@ class TestSpectrumCommand:
         assert "line 3" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once per process; a second run of each
+        # command writes the same bytes, and each failure keeps its exit code
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        doc = {
+            "walk": {"steps": 12, "delta": 40.0, "eta": 30.0},
+            "noise": {"model": "rtn", "a": 0.05, "gamma": 0.008},
+            "witnesses": ["TD", "MI", "MID", "QD", "Entropy", "Variance"],
+            "choi": {"t1": 1.0, "t2_max": 3.0, "dt": 0.5},
+        }
+        cfg = write_config(tmp_path, doc)
+        bad = write_config(tmp_path, {"mode": "retrocausal"}, name="bad.json")
+        missing = tmp_path / "nope.json"
+        runs = []
+        for run in range(2):
+            out = tmp_path / f"run{run}"
+            for command in ("walk", "witness", "choi"):
+                assert main([command, "--config", str(cfg), "--out", str(out / command)]) == 0
+            assert main(["walk", "--config", str(bad), "--out", str(out / "bad")]) == 2
+            assert main(["walk", "--config", str(missing), "--out", str(out / "bad")]) == 4
+            with pytest.raises(SystemExit) as exc:
+                main(["walk", "--no-such-option"])
+            assert exc.value.code == 2
+            runs.append({f"{f.parent.name}/{f.name}": f.read_bytes() for f in out.glob("*/*.csv")})
+        assert sorted(runs[0]) == sorted(
+            ["walk/distribution.csv", "walk/variance.csv", "choi/choi.csv"]
+            + [f"witness/{tag.lower()}.csv" for tag in doc["witnesses"]]
+        )
+        assert runs[0] == runs[1]
+        monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.full(np.shape(t), 2.0))
+        for _ in range(2):
+            assert main(["witness", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
 class TestExitCodes:
     def test_schema_error_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "retrocausal"})

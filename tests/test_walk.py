@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import (
     SIDED_NOISES,
+    basis_start,
     check_density_matrix,
     dense_one_shot,
     density_from_factor,
@@ -50,9 +51,10 @@ NOISES = st.one_of(
 
 
 def noiseless_history(cfg):
-    """The amplitudes (T + 1, 2, n_positions) the streaming walk yields for cfg's walker."""
-    coins = walk_mod._coin_vector(cfg.delta, cfg.eta)[None]
-    return np.stack([amps[0] for amps in walk_mod._noiseless_steps(cfg, coins)])
+    """The amplitudes (T + 1, 2, n_positions) of cfg's walker, as the one-shot
+    walk forms them from the basis pair: without noise the Kraus pair is
+    (I, 0), so the first Kraus column of each factor is psi(t)."""
+    return np.stack([factor[..., 0] for _, factor, _ in evolve_one_shot(cfg, None)])
 
 
 def shift_operator(n_positions: int) -> np.ndarray:
@@ -272,43 +274,62 @@ def batched_walks(draw):
     return cfg, draw(st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=3))
 
 
+#: how far a walker sum_i v_i psi_i of the basis walks may lie from its own
+#: np.roll walk: the two round apart by an ulp or so per entry, and 1.1e-15
+#: was the largest gap on 400 random walks of T <= 100
+WALKER_TOL = 4e-15
+
+
 def stream_run(cfg, starts):
-    """Every (k, 2, n) step the streaming walk yields for the k starts, and
-    whether its edge guard ended the walk."""
+    """Every step of the basis walks that guard the walkers ``starts``, each
+    as (2 basis, 2 coin, n_positions) on the whole lattice, and whether the
+    edge guard ended the walk."""
     coins = np.array([walk_mod._coin_vector(d, e) for d, e in starts])
     found = []
     try:
-        for amps in walk_mod._noiseless_steps(cfg, coins):
-            assert amps.shape == (len(starts), 2, cfg.n_positions)
-            found.append(amps.copy())
+        for t, a, sites in walk_mod._basis_walks(cfg, coins):
+            assert a.shape == (2, 2, t + 1) and a.dtype == float
+            basis = np.zeros((2, 2, cfg.n_positions))
+            basis[:, :, sites] = a.swapaxes(0, 1)
+            found.append(basis)
     except EdgeAmplitudeError:
         return found, True
     return found, False
 
 
-def roll_oracle_run(cfg):
-    """The roll oracle's amplitudes of cfg's walker, up to the step its guard fires."""
+def roll_oracle_run(cfg, start=None, guard=True):
+    """The roll oracle's amplitudes from ``start`` (default cfg's walker), up
+    to the step its guard fires, or all T + 1 steps without the guard."""
     coin = coin_operator(cfg.coin_angle)
-    found = [initial_state(cfg)]
+    found = [initial_state(cfg) if start is None else start]
     try:
         for _ in range(cfg.steps):
-            found.append(step_amplitudes(found[-1], coin))
+            found.append(step_amplitudes(found[-1], coin, guard))
     except EdgeAmplitudeError:
         return found, True
     return found, False
 
 
 def assert_stream_is_roll_oracle(cfg, starts):
-    """Each walker of the stream equals its own roll walk bit for bit, and the
-    stream ends at the first step where one of those walks fires its guard.
-    Returns whether the guard fired."""
+    """The basis walks equal the roll walks of the exact |0> and |1> bit for
+    bit, each walker sum_i v_i psi_i equals its own roll walk to WALKER_TOL,
+    and the stream ends at the first step where one of the walkers' roll
+    walks fires its guard. Returns whether the guard fired."""
     found, fired = stream_run(cfg, starts)
     runs = [roll_oracle_run(replace(cfg, delta=d, eta=e)) for d, e in starts]
     assert len(found) == min(len(amps) for amps, _ in runs)
     assert fired == any(f for _, f in runs)
-    for w, (expected, _) in enumerate(runs):
-        for t, amps in enumerate(found):
-            assert np.array_equal(amps[w], expected[t]), f"walker {w}, t={t}"
+    for i in range(2):
+        expected, _ = roll_oracle_run(cfg, basis_start(cfg, i), guard=False)
+        for t, basis in enumerate(found):
+            assert np.array_equal(basis[i], expected[t]), f"basis walk {i}, t={t}"
+    for w, (d, e) in enumerate(starts):
+        coin = walk_mod._coin_vector(d, e)
+        for t, basis in enumerate(found):
+            np.testing.assert_allclose(
+                np.einsum("i,icx->cx", coin, basis), runs[w][0][t], rtol=0, atol=WALKER_TOL,
+                err_msg=f"walker {w}, t={t}",
+            )
     return fired
 
 
@@ -331,8 +352,20 @@ class TestNoiselessStream:
     @example(
         walk=(WalkConfig(steps=10, coin_angle=0.0, initial_position=5), [(0.0, 0.0), (1.5, 0.0)])
     )
+    # the default walker under the Hadamard coin first reaches the right
+    # edge at t = 4, with amplitude 0.354; the basis walk psi_1 reaches it
+    # at t = 2, so a guard on the basis walks would fire two steps early
+    @example(walk=(WalkConfig(steps=8, initial_position=7), [(math.pi / 4, 0.0)]))
     def test_edge_guard_fires_as_roll_oracle(self, walk, origin_lattice):
         assert_stream_is_roll_oracle(*walk)
+
+    def test_guard_reads_the_walkers(self, origin_lattice):
+        # the second @example above, spelled out
+        cfg = WalkConfig(steps=8, initial_position=7)
+        assert len(roll_oracle_run(cfg, basis_start(cfg, 1))[0]) == 2
+        with pytest.raises(EdgeAmplitudeError, match="3.536e-01"):
+            for t, *_ in evolve_one_shot(cfg, None):
+                assert t < 4
 
     def test_wrap_below_the_guard_equals_roll_oracle(self, origin_lattice):
         # from x0 = 2 on the lattice of 2(T + 1) + 1 sites an amplitude below
@@ -343,6 +376,18 @@ class TestNoiselessStream:
         assert not assert_stream_is_roll_oracle(cfg, starts)
         last = stream_run(cfg, starts)[0][-1]
         assert last[:, 1, 0].all(), "nothing wrapped to the left edge"
+
+    def test_one_shot_walks_the_basis_pair_once(self, monkeypatch):
+        calls = []
+        walks = walk_mod._basis_walks
+
+        def counting(cfg, coins):
+            calls.append(len(coins))
+            return walks(cfg, coins)
+
+        monkeypatch.setattr(walk_mod, "_basis_walks", counting)
+        list(evolve_one_shot(WalkConfig(steps=4), OunParams(Gamma=0.1, gamma=0.01)))
+        assert calls == [1]
 
 
 #: the noise settings on which the light-cone walk is checked against the

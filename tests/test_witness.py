@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import (
     SIDED_NOISES,
+    basis_start,
     dense_one_shot,
     density_from_factor,
     embed,
@@ -208,15 +209,18 @@ class TestMid:
         # every step of a walk on 5 sites, so it must build each step's
         # canonical position frame from the amplitudes it holds; a walk from
         # one site reaches such a step rarely, with exactly equal coin
-        # populations and zero coin coherence
-        amps = np.zeros((1, 2, 5), dtype=complex)
-        amps[0, 0, 1:3] = 0.5
-        amps[0, 1, 1:3] = 0.5, -0.5
-        monkeypatch.setattr(witness_mod, "_noiseless_steps", lambda cfg, coins: iter([amps, amps]))
+        # populations and zero coin coherence. psi enters as the basis walk
+        # psi_0, which is the walker itself for the coin |0> (delta = 0)
+        amps = np.zeros((2, 5))
+        amps[0, 1:3] = 0.5
+        amps[1, 1:3] = 0.5, -0.5
+        basis = np.stack([amps, np.zeros((2, 5))], axis=1)  # (coin, basis walk, site)
+        steps = [(t, basis, np.arange(5)) for t in (0, 1)]
+        monkeypatch.setattr(witness_mod, "_basis_walks", lambda cfg, coins: iter(steps))
         noise = RtnParams(a=0.9, gamma=0.5)
-        found = witness_series(WalkConfig(steps=1), noise, witnesses=("MID",))["MID"]
+        found = witness_series(WalkConfig(steps=1, delta=0.0), noise, witnesses=("MID",))["MID"]
         expected = [
-            mid(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps[0])))
+            mid(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps)))
             for t in (0.0, 1.0)
         ]
         np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-12)
@@ -509,20 +513,20 @@ class TestSeries:
         ids=["single-walker", "td", "all"],
     )
     def test_one_noiseless_walk_for_all_tags(self, monkeypatch, tags, walkers):
-        # one batched walk carries the single walker and the TD pair; no
-        # one-shot state is formed
+        # one walk of the basis pair feeds the single walker and the TD pair,
+        # and its edge guard reads those walkers; no one-shot state is formed
         calls = []
-        steps = walk_mod._noiseless_steps
+        walks = walk_mod._basis_walks
 
         def counting(cfg, coins):
             calls.append(len(coins))
-            return steps(cfg, coins)
+            return walks(cfg, coins)
 
         def refuse(*args, **kwargs):
             raise AssertionError("witness_series formed one-shot states")
 
-        monkeypatch.setattr(walk_mod, "_noiseless_steps", counting)
-        monkeypatch.setattr(witness_mod, "_noiseless_steps", counting)
+        monkeypatch.setattr(walk_mod, "_basis_walks", counting)
+        monkeypatch.setattr(witness_mod, "_basis_walks", counting)
         monkeypatch.setattr(walk_mod, "evolve_one_shot", refuse)
         witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=tags)
         assert calls == [walkers]
@@ -648,6 +652,48 @@ def td_walks(draw):
         coin_angle=draw(ANGLES),
         initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
     )
+
+
+class TestCoinMap:
+    """Every walker's noiseless coin block from the Gram matrix of one walk of
+    the basis pair, the one-shot coin map L_t."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(cfg=td_walks(), starts=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=4))
+    @example(cfg=WalkConfig(steps=40, coin_angle=0.6, initial_position=-41), starts=[(0.7, 0.3)])
+    def test_blocks_equal_the_roll_oracle_blocks(self, cfg, starts):
+        # v^T L_t conj(v) against the block of v_0 psi_0 + v_1 psi_1 for the
+        # roll walks psi_i of the exact |0> and |1>, to 1e-15. A walker's own
+        # roll walk rounds apart from that sum by up to a few 1e-16 per
+        # amplitude (WALKER_TOL in test_walk.py), so its block is held to 4e-15
+        coins = np.array([walk_mod._coin_vector(d, e) for d, e in starts])
+        blocks = witness_mod._one_shot_blocks(cfg, coins, ())[0]
+        assert blocks.shape == (cfg.steps + 1, len(starts), 2, 2)
+        psi = [evolve_noiseless(cfg, basis_start(cfg, i)) for i in range(2)]
+        for w, (d, e) in enumerate(starts):
+            for amps, tol in (
+                (coins[w, 0] * psi[0] + coins[w, 1] * psi[1], 1e-15),
+                (evolve_noiseless(replace(cfg, delta=d, eta=e)), 4e-15),
+            ):
+                expected = np.einsum("tcx,tdx->tcd", amps, amps.conj())
+                np.testing.assert_allclose(blocks[:, w], expected, rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
+    def test_one_walk_gives_td_for_every_pair(self, noise):
+        # one basis walk reads eight random pairs; each pair's two walkers
+        # evolved on their own are the oracle
+        cfg = WalkConfig(steps=ORACLE_STEPS, coin_angle=0.6, initial_position=3)
+        pairs = np.random.default_rng(20).uniform(-math.pi, math.pi, size=(8, 4))
+        coins = np.array([walk_mod._coin_vector(*half) for half in pairs.reshape(16, 2)])
+        blocks = witness_mod._one_shot_blocks(cfg, coins, ())[0]
+        k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
+        delta = blocks[:, 0::2] - blocks[:, 1::2]
+        delta[:, :, 0, 1] *= k[:, None]
+        delta[:, :, 1, 0] *= k[:, None]
+        for p, pair in enumerate(pairs):
+            found = [trace_distance(d, np.zeros((2, 2))) for d in delta[:, p]]
+            expected = two_walker_trace_distances(cfg, noise, evolve_one_shot, tuple(pair))
+            assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
 def outcome(run):
