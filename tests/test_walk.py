@@ -359,14 +359,6 @@ class TestNoiselessStream:
     def test_edge_guard_fires_as_roll_oracle(self, walk, origin_lattice):
         assert_stream_is_roll_oracle(*walk)
 
-    def test_guard_reads_the_walkers(self, origin_lattice):
-        # the second @example above, spelled out
-        cfg = WalkConfig(steps=8, initial_position=7)
-        assert len(roll_oracle_run(cfg, basis_start(cfg, 1))[0]) == 2
-        with pytest.raises(EdgeAmplitudeError, match="3.536e-01"):
-            for t, *_ in evolve_one_shot(cfg, None):
-                assert t < 4
-
     def test_wrap_below_the_guard_equals_roll_oracle(self, origin_lattice):
         # from x0 = 2 on the lattice of 2(T + 1) + 1 sites an amplitude below
         # the guard reaches the right edge at t = 99 and wraps to the left
