@@ -7,15 +7,12 @@ detecting memory effects: CP-divisibility of the intermediate dynamical
 maps, information-backflow witnesses (trace distance, mutual information,
 MID, discord, coin entropy), and spectral disambiguation of the backflow
 sources.
+
+``__all__`` holds what the command line and the demos call; the building
+blocks behind it are importable from their modules.
 """
 
-from .divisibility import (
-    ChoiScanResult,
-    choi_eigenvalues,
-    cp_divisibility_scan,
-    is_cp,
-    kernel_ratio,
-)
+from .divisibility import ChoiScanResult, cp_divisibility_scan
 from .exceptions import (
     ConfigError,
     DimensionMismatchError,
@@ -25,32 +22,14 @@ from .exceptions import (
     NmqwalkError,
     NonInvertibleMapError,
 )
-from .noise import (
-    NoiseModel,
-    OunParams,
-    PlnParams,
-    RtnParams,
-    kernel_value,
-    kraus_at,
-    oun_p,
-    pln_p,
-    rtn_lambda,
-)
-from .qops import (
-    entropy_of_spectrum,
-    partial_trace,
-)
+from .noise import NoiseModel, OunParams, PlnParams, RtnParams
 from .spectral import (
     DisambiguationReport,
     MonotoneFit,
     Peak,
     Spectrum,
     TimeSeries,
-    detrend,
     disambiguate,
-    find_peaks,
-    fit_mfbf,
-    power_spectrum,
 )
 from .walk import (
     WalkConfig,
@@ -59,13 +38,7 @@ from .walk import (
     lattice_positions,
     position_distribution,
 )
-from .witness import (
-    coin_entropy,
-    discord,
-    mid,
-    mutual_information,
-    witness_series,
-)
+from .witness import witness_series
 
 __version__ = "0.1.0"
 
@@ -88,29 +61,11 @@ __all__ = [
     "Spectrum",
     "TimeSeries",
     "WalkConfig",
-    "choi_eigenvalues",
-    "coin_entropy",
     "cp_divisibility_scan",
-    "detrend",
     "disambiguate",
-    "discord",
-    "entropy_of_spectrum",
     "evolve_one_shot",
     "evolve_stepwise",
-    "find_peaks",
-    "fit_mfbf",
-    "is_cp",
-    "kernel_ratio",
-    "kernel_value",
-    "kraus_at",
     "lattice_positions",
-    "mid",
-    "mutual_information",
-    "oun_p",
-    "partial_trace",
-    "pln_p",
     "position_distribution",
-    "power_spectrum",
-    "rtn_lambda",
     "witness_series",
 ]

@@ -39,9 +39,12 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarr
     raise ValueError(f"keep must be 'coin' or 'position', got {keep!r}")
 
 
-def entropy_of_spectrum(w: np.ndarray) -> float:
-    """Entropy in bits of a probability vector (eigenvalue list); +0.0 when pure."""
+def entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each probability vector (eigenvalue list) in a stack (..., d).
+
+    Entries at or below EIGENVALUE_CUTOFF count as zero; a pure spectrum gives +0.0.
+    """
     w = np.asarray(w, dtype=float)
-    w = w[w > EIGENVALUE_CUTOFF]
-    return float(-np.sum(w * np.log2(w)) + 0.0)
+    w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)
+    return -np.sum(w * np.log2(w), axis=-1) + 0.0
 

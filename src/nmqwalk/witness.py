@@ -4,8 +4,8 @@ Implements the plotted quantities of the walk experiments: trace distance
 between two co-evolved walkers (on their reduced coin states), quantum
 mutual information, measurement-induced disturbance (MID), quantum
 discord, coin entropy, and position variance. All entropic quantities are
-in bits. Each single-state witness returns its value as a float, and the
-series driver returns one array per witness, indexed by step.
+in bits. The series driver :func:`witness_series` is the one entry point: it
+returns one array per witness, indexed by step.
 
 A one-shot state is rho(t) = D_k(t)[|psi(t)><psi(t)|], the noiseless walk
 state with its coin coherences scaled by the kernel value k(t). Each of its
@@ -18,7 +18,7 @@ C(t) = Tr_x |psi(t)><psi(t)|, a 2 x 2 matrix:
   ``kraus_at`` pair, so S(rho) is the entropy of the 2 x 2 matrix
   B^dag B = [[(1+k)/2, q], [q, (1-k)/2]], q = sqrt(1 - k^2) (C_00 - C_11) / 2;
 - MI = S(rho_c) + S(C) - S(rho), and the discord is S(rho_c) - S(rho)
-  (see :func:`discord`);
+  (see :func:`_one_shot_witnesses`);
 - MID's outcome table is P(a, p) = sum_r |sum_c conj(v_a[c]) K_r[c] F[p, c]|^2,
   with v_a the eigenbasis of rho_c and F[p, c] = <u_p|psi_c> for the
   eigenbasis u_p of rho_p, which is sqrt(w_p) conj(u[c, p]) for the
@@ -39,19 +39,16 @@ the walk reads every walker's block in one batched contraction and computes
 every tag once with batched 2 x 2 linear algebra, holding O(t) amplitudes
 and a (T + 1) stack of small matrices. Only MID can need the amplitudes:
 where rho_p is degenerate inside its support, its canonical basis (see
-:func:`mid`) lives on the lattice, so at such a step the walk forms the
-walker's amplitudes and its frame F while it holds the basis pair. The
-public single-state functions read a one-shot (2, n, 2) Kraus factor back
-as psi and k and measure it the same way, as a stack of one.
+:func:`_mid`) lives on the lattice, so at such a step the walk forms the
+walker's amplitudes and its frame F while it holds the basis pair.
 
-A dense (2n, 2n) density matrix (a stepwise light-cone block, or a dense
-argument to the public functions) is measured through a per-state cache
-that every witness shares, on its support, the sites whose rows are not
-all zero, which keeps every nonzero eigenvalue, negative ones included.
-Its discord is a grid scan plus Nelder-Mead over projective coin
-measurements, the one place this module uses scipy: :func:`minimize`
-imports ``scipy.optimize`` when it first runs, so every other witness, in
-either mode, runs without it.
+A stepwise state, a dense (2n, 2n) light-cone block, is measured through
+a per-state cache that every witness shares, on its support, the sites
+whose rows are not all zero, which keeps every nonzero eigenvalue,
+negative ones included. Its discord is a grid scan plus Nelder-Mead over
+projective coin measurements, the one place this module uses scipy:
+:func:`minimize` imports ``scipy.optimize`` when it first runs, so every
+other witness, in either mode, runs without it.
 """
 
 from __future__ import annotations
@@ -62,7 +59,6 @@ from typing import Literal
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
 from .noise import NoiseModel, kernel_value
 from .qops import (
     DEGENERACY_TOL,
@@ -95,17 +91,6 @@ _PROJECTION_TOL = 1e-8
 _DISCORD_GRID = (32, 32)
 #: coin axes per batch of conditional spectra in the dense discord search
 _AXIS_BLOCK = 64
-
-
-def _entropy(rho: np.ndarray) -> float:
-    """Entropy in bits from the spectrum; tolerant of tiny negative parts."""
-    return entropy_of_spectrum(np.linalg.eigvalsh(rho))
-
-
-def _entropies(w: np.ndarray) -> np.ndarray:
-    """``entropy_of_spectrum`` of each spectrum in a stack (..., d)."""
-    w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)
-    return -np.sum(w * np.log2(w), axis=-1) + 0.0
 
 
 def _gram_blocks(factor: np.ndarray) -> np.ndarray:
@@ -154,15 +139,15 @@ class _State:
 
     @cached_property
     def coin_entropy(self) -> float:
-        return _entropy(self.coin)
+        return entropy_of_spectrum(np.linalg.eigvalsh(self.coin))
 
     @cached_property
     def position_entropy(self) -> float:
-        return _entropy(self.position)
+        return entropy_of_spectrum(np.linalg.eigvalsh(self.position))
 
     @cached_property
     def joint_entropy(self) -> float:
-        return _entropy(self.rho)
+        return entropy_of_spectrum(np.linalg.eigvalsh(self.rho))
 
     @cached_property
     def mutual_information(self) -> float:
@@ -170,7 +155,12 @@ class _State:
 
     @cached_property
     def discord(self) -> float:
-        """Grid scan plus Nelder-Mead over projective coin measurements."""
+        """Quantum discord D = I(rho) - max J in bits, with the coin measured.
+
+        J = S(rho_p) - sum_i p_i S(rho_p | outcome i) is maximized over rank-1
+        projective measurements along the Bloch axis (theta, phi) by a coarse
+        grid scan followed by Nelder-Mead refinement (tolerance 1e-7 on J).
+        """
         w, v = np.linalg.eigh(self.rho)
         keep = w > EIGENVALUE_CUTOFF
         factor = v[:, keep] * np.sqrt(w[keep])
@@ -212,22 +202,33 @@ def _one_shot_witnesses(blocks: np.ndarray, k: np.ndarray, frames: dict, tags) -
     ``blocks`` are the noiseless coin blocks C (m, 2, 2) and ``k`` the kernel
     values (m,) in [-1, 1], by the closed forms of the module docstring. MID
     needs the :func:`_position_frame` of each row that may be degenerate.
+
+    The discord D = I(rho) - max J, with J = S(rho_p) - sum_i p_i S(rho_p|i)
+    for a measurement of the coin, is exactly S(rho_c) - S(rho). The Kraus
+    columns purify rho with the Kraus index as the environment E, so
+    Koashi-Winter (PRA 69, 022309, 2004) gives max J = S(rho_p) - E_F(rho_pE)
+    over POVMs. On supp(rho_p) (x) E the purification is
+    F[c, (p, r)] = A[c, p] K_r[c], A[c, p] = <u_p|psi_c>, so Wootters' matrix
+    (PRL 80, 2245, 1998) F (sigma_y (x) sigma_y) F^T = sqrt(1 - k^2) det A sigma_x
+    has two equal singular values: the concurrence and E_F are 0. Measuring
+    the coin in its own basis leaves pure position states and attains that
+    maximum.
     """
     rho_c = blocks.copy()
     rho_c[:, 0, 1] *= k
     rho_c[:, 1, 0] *= k
     w_c, v_c = np.linalg.eigh(rho_c)
-    s_c = _entropies(w_c)
+    s_c = entropy_of_spectrum(w_c)
     out = {"Entropy": s_c}
     # K[m, c, r], the diagonals of the kraus_at pair sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3
     plus, minus = np.sqrt((1.0 + k) / 2.0), np.sqrt((1.0 - k) / 2.0)
     kraus = np.stack([np.stack([plus, minus], -1), np.stack([plus, -minus], -1)], -2)
     populations = np.diagonal(blocks, axis1=1, axis2=2).real
     joint = np.einsum("mcr,mcs,mc->mrs", kraus, kraus, populations)  # B^dag B
-    s_joint = _entropies(np.linalg.eigvalsh(joint))
+    s_joint = entropy_of_spectrum(np.linalg.eigvalsh(joint))
     out["QD"] = s_c - s_joint
     w_p, u_p = np.linalg.eigh(blocks.conj())
-    out["MI"] = s_c + _entropies(w_p) - s_joint
+    out["MI"] = s_c + entropy_of_spectrum(w_p) - s_joint
     if "MID" in tags:
         w_p = np.where(w_p > EIGENVALUE_CUTOFF, w_p, 0.0)
         frame = np.sqrt(w_p)[:, :, None] * u_p.conj().swapaxes(1, 2)
@@ -237,7 +238,7 @@ def _one_shot_witnesses(blocks: np.ndarray, k: np.ndarray, frames: dict, tags) -
         for row in np.flatnonzero(degenerate):
             v_c[row] = _canonicalize(w_c[row], v_c[row])
         amps = np.einsum("mca,mcr,mpc->mapr", v_c.conj(), kraus, frame)
-        out["MID"] = out["MI"] - _classical_mi(np.sum(np.abs(amps) ** 2, axis=-1), _entropies)
+        out["MID"] = out["MI"] - _classical_mi(np.sum(np.abs(amps) ** 2, axis=-1))
     return out
 
 
@@ -248,40 +249,6 @@ _DENSE_WITNESSES = {
     "QD": lambda state: state.discord,
     "Entropy": lambda state: state.coin_entropy,
 }
-
-
-def _measure(x: np.ndarray, tag: str) -> float:
-    """Witness ``tag`` of a (2, n, 2) Kraus factor or a (2n, 2n) density matrix.
-
-    A factor's columns b_r = (K_r (x) I) psi for the ``kraus_at`` pair give
-    k = |b_0|^2 - |b_1|^2, and psi is the heavier column over its Kraus
-    operator; it is measured as a one-shot stack of one.
-    """
-    x = np.asarray(x, dtype=complex)
-    if x.ndim == 3 and x.shape[0] == x.shape[2] == 2:
-        weights = np.sum(np.abs(x) ** 2, axis=(0, 1))
-        r = int(np.argmax(weights))
-        psi = x[:, :, r] / math.sqrt(weights[r])
-        if r:
-            psi[1] *= -1.0
-        blocks = np.einsum("cx,dx->cd", psi, psi.conj())[None]
-        k = np.clip(weights[:1] - weights[1:], -1.0, 1.0)
-        block = blocks[0]
-        degenerate = _near_degenerate((block[0, 0] - block[1, 1]).real, block[0, 1])
-        frames = {0: _position_frame(psi)} if tag == "MID" and degenerate else {}
-        return float(_one_shot_witnesses(blocks, k, frames, (tag,))[tag][0])
-    if x.ndim == 2 and x.shape[0] == x.shape[1] and x.shape[0] % 2 == 0:
-        return _DENSE_WITNESSES[tag](_State(x))
-    raise DimensionMismatchError(f"not a (2, n, 2) factor or (2n, 2n) state: {x.shape}")
-
-
-def mutual_information(state: np.ndarray) -> float:
-    """I(rho) = S(rho_c) + S(rho_p) - S(rho) in bits.
-
-    ``state`` is a (2, n, 2) Kraus factor, ``b_r = (K_r (x) I) psi`` for the
-    ``kraus_at`` pair, or a (2n, 2n) density matrix.
-    """
-    return _measure(state, "MI")
 
 
 def _canonical_eigenbasis(rho: np.ndarray) -> np.ndarray:
@@ -335,38 +302,25 @@ def _canonicalize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _classical_mi(table: np.ndarray, entropy=entropy_of_spectrum):
-    """Mutual information in bits of a joint probability table (a, b).
-
-    With ``entropy=_entropies``, of each table in a stack (..., a, b).
-    """
+def _classical_mi(table: np.ndarray):
+    """Mutual information in bits of each joint probability table (a, b) in a stack (..., a, b)."""
     return (
-        entropy(table.sum(axis=-1))
-        + entropy(table.sum(axis=-2))
-        - entropy(table.reshape(*table.shape[:-2], -1))
+        entropy_of_spectrum(table.sum(axis=-1))
+        + entropy_of_spectrum(table.sum(axis=-2))
+        - entropy_of_spectrum(table.reshape(*table.shape[:-2], -1))
     )
 
 
-def mid(state: np.ndarray) -> float:
-    """Measurement-induced disturbance Q = I(rho) - I(Pi(rho)) in bits.
+def _mid(state: _State) -> float:
+    """Measurement-induced disturbance Q = I(rho) - I(Pi(rho)) in bits (Luo, PRA 77, 022301, 2008).
 
     Pi dephases the state in the product of the marginal eigenbases; its
     mutual information is the classical mutual information of the joint
     outcome table. Where a marginal has a degenerate eigenvalue inside its
-    support (at or above EIGENVALUE_CUTOFF), its eigenbasis is not unique.
-    The canonical rule makes the value deterministic: inside each degenerate
-    eigenspace the basis is rebuilt from the projections of the
-    computational basis vectors, in index order. Other conventions may give
-    another value there. Degeneracy below the cutoff, such as the kernel of
-    a low-rank position marginal, needs no rule: its outcomes have
-    probability zero, so no choice of basis there changes the value.
-    ``state`` is a Kraus factor or a density matrix, as for
-    ``mutual_information``.
+    support (at or above EIGENVALUE_CUTOFF), its eigenbasis is not unique,
+    and the canonical rule of :func:`_canonicalize` makes the value
+    deterministic. Other conventions may give another value there.
     """
-    return _measure(state, "MID")
-
-
-def _mid(state: _State) -> float:
     # the probabilities of the product-basis outcomes, coin outcome first
     u = np.kron(_canonical_eigenbasis(state.coin), _canonical_eigenbasis(state.position))
     table = np.clip(np.real(np.sum(u.conj() * (state.rho @ u), axis=0)), 0.0, None)
@@ -396,28 +350,6 @@ def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
         terms = np.where(w > 0.0, w * np.log2(w), 0.0)
         s = np.where(p > EIGENVALUE_CUTOFF, -np.sum(terms, axis=1) + p * np.log2(p), 0.0)
     return s[: len(axes)] + s[len(axes) :]
-
-
-def discord(state: np.ndarray) -> float:
-    """Quantum discord D = I(rho) - max J in bits, with the coin measured.
-
-    J = S(rho_p) - sum_i p_i S(rho_p | outcome i) for a measurement of the
-    coin. ``state`` is a Kraus factor or a density matrix, as for
-    ``mutual_information``, and each form has its own method:
-
-    - A Kraus factor is exact: D = S(rho_c) - S(rho). The factor purifies
-      rho with the Kraus index as the environment E, so Koashi-Winter (PRA
-      69, 022309, 2004) gives max J = S(rho_p) - E_F(rho_pE) over POVMs. On
-      supp(rho_p) (x) E the purification is F[c, (p, r)] = A[c, p] K_r[c],
-      A[c, p] = <u_p|psi_c>, so Wootters' matrix (PRL 80, 2245, 1998)
-      F (sigma_y (x) sigma_y) F^T = sqrt(1 - k^2) det A sigma_x has two equal
-      singular values: the concurrence and E_F are 0. Measuring the coin in
-      its own basis leaves pure position states and attains that maximum.
-    - A density matrix is searched for: J is maximized over rank-1
-      projective measurements along the Bloch axis (theta, phi) by a coarse
-      grid scan followed by Nelder-Mead refinement (tolerance 1e-7 on J).
-    """
-    return _measure(state, "QD")
 
 
 def minimize(*args, **kwargs):
@@ -455,14 +387,6 @@ def _min_conditional_entropy(gram: np.ndarray) -> float:
     )
     # refinement never worsens the grid optimum; a NaN refinement keeps it
     return min(float(cond[best]), float(res.fun))
-
-
-def coin_entropy(state: np.ndarray) -> float:
-    """Entropy in bits of the reduced coin state, in [0, 1].
-
-    ``state`` is a Kraus factor or a density matrix, as for ``mutual_information``.
-    """
-    return _measure(state, "Entropy")
 
 
 def trace_norm(m: np.ndarray) -> np.ndarray:

@@ -18,7 +18,9 @@ the way the library did before the factor, so the tests can check both
 against it. ``koashi_winter_discord`` is the oracle of the one-shot
 discord S(rho_c) - S(rho): the Koashi-Winter relation with Wootters'
 concurrence of rho_pE, computed on the factor as the library did before
-the closed form.
+the closed form. ``one_shot_witnesses`` measures any stack of one-shot
+states D_k(|psi><psi|) through the closed forms the series runs, from psi
+and k themselves.
 
 ``walk.evolve_stepwise`` evolves and yields only the light-cone block of
 the walker, with the lattice sites it covers. ``full_lattice_stepwise``
@@ -58,7 +60,12 @@ from nmqwalk.walk import (
     coin_operator,
     density_from_amplitudes,
 )
-from nmqwalk.witness import DEFAULT_TD_PAIR
+from nmqwalk.witness import (
+    DEFAULT_TD_PAIR,
+    _near_degenerate,
+    _one_shot_witnesses,
+    _position_frame,
+)
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -207,6 +214,23 @@ def density_from_factor(factor):
     """sum_r b_r b_r^dag of a one-shot Kraus factor of shape (2, n, 2)."""
     b = np.asarray(factor).reshape(-1, factor.shape[-1])
     return b @ b.conj().T
+
+
+def one_shot_witnesses(psi, k, tags=("MI", "MID", "QD", "Entropy")):
+    """Entropy, MI, QD and MID of D_k(|psi><psi|) for each amplitude array
+    psi (m, 2, n) and kernel value k (m,), one row each.
+
+    The blocks are psi psi^dag, and each near-degenerate block gets the
+    canonical position frame of its psi, as the series gives it.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    blocks = np.einsum("mcx,mdx->mcd", psi, psi.conj())
+    frames = {
+        row: _position_frame(psi[row])
+        for row, c in enumerate(blocks)
+        if _near_degenerate((c[0, 0] - c[1, 1]).real, c[0, 1])
+    }
+    return _one_shot_witnesses(blocks, np.asarray(k, dtype=float), frames, tags)
 
 
 def rho_pe_concurrence(factor):

@@ -32,6 +32,7 @@ from conftest import (
     apply_signed,
     evolve_noiseless,
     intermediate_kraus,
+    one_shot_witnesses,
     random_qubit_states,
     trace_distance,
     von_neumann_entropy,
@@ -48,12 +49,7 @@ from nmqwalk.noise import (
 from nmqwalk.qops import partial_trace
 from nmqwalk.spectral import TimeSeries, disambiguate, fit_mfbf, power_spectrum
 from nmqwalk.walk import WalkConfig
-from nmqwalk.witness import (
-    coin_entropy,
-    discord,
-    mid,
-    witness_series,
-)
+from nmqwalk.witness import witness_series
 
 T_STEPS = 100
 SPLIT_CFG = WalkConfig(steps=T_STEPS)
@@ -75,8 +71,8 @@ def series(noise, *witnesses, td_pair=None, cfg=SPLIT_CFG):
     return witness_series(cfg, noise, witnesses=witnesses, td_pair=td_pair)
 
 
-def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
-    """Yield the noise part of the steps t = after+1 .. T of a one-shot series.
+def noise_driven_steps(noise, tag, values, after, cfg=SPLIT_CFG):
+    """The noise part of the steps t = after+1 .. T of a one-shot series.
 
     In one-shot mode rho(t) = D_k(t)[sigma(t)], with sigma(t) the noiseless
     state. The step W(rho(t)) - W(rho(t-1)) of a witness W splits exactly
@@ -84,14 +80,14 @@ def noise_driven_steps(noise, measure, values, after, cfg=SPLIT_CFG):
     driven by the walk alone, and a noise part W(D_k(t)[sigma(t)]) -
     W(D_k(t-1)[sigma(t)]), driven by the change of the kernel alone.
     ``values[t]`` is the series value W(rho(t)), the first term of the noise
-    part, so each step costs one witness evaluation. The held state
-    D_k(t-1)[sigma(t)] is measured as its Kraus factor: the kraus_at pair of
-    t-1 applied to sigma(t).
+    part. The held states D_k(t-1)[sigma(t)], the noiseless states of steps
+    after+1 .. T with the kernel values of the steps before them, are
+    measured in one stack, as ``witness_series`` measures its own.
     """
-    amps = evolve_noiseless(cfg)
-    for t in range(after + 1, cfg.steps + 1):
-        held = np.einsum("rcd,dj->cjr", kraus_at(noise, float(t - 1)), amps[t])
-        yield values[t] - measure(held)
+    steps = np.arange(after + 1, cfg.steps + 1)
+    k = np.clip(kernel_value(noise, steps - 1.0), -1.0, 1.0)
+    held = one_shot_witnesses(evolve_noiseless(cfg)[steps], k, (tag,))[tag]
+    return values[steps] - held
 
 
 def test_criterion_1_kraus_completeness(capsys):
@@ -260,17 +256,17 @@ def test_criterion_7_correlation_ordering(capsys):
             checks["RTN: MID rises after t=5"] = bool(np.any(np.diff(mid_v[5:]) > 0))
             checks["RTN: QD rises after t=5"] = bool(np.any(np.diff(qd[5:]) > 0))
             checks["RTN: noise-driven MID rise > 1e-6 after t=5"] = any(
-                step > 1e-6 for step in noise_driven_steps(noise, mid, mid_v, 5)
+                step > 1e-6 for step in noise_driven_steps(noise, "MID", mid_v, 5)
             )
             checks["RTN: noise-driven QD rise > 1e-6 after t=5"] = any(
-                step > 1e-6 for step in noise_driven_steps(noise, discord, qd, 5)
+                step > 1e-6 for step in noise_driven_steps(noise, "QD", qd, 5)
             )
         else:
             checks[f"{tag}: MID tail has no noise-driven rise > 1e-6"] = (
-                max(noise_driven_steps(noise, mid, mid_v, 30)) <= 1e-6
+                max(noise_driven_steps(noise, "MID", mid_v, 30)) <= 1e-6
             )
             checks[f"{tag}: QD tail has no noise-driven rise > 1e-6"] = (
-                max(noise_driven_steps(noise, discord, qd, 30)) <= 1e-6
+                max(noise_driven_steps(noise, "QD", qd, 30)) <= 1e-6
             )
     report(capsys, 7, "MID/discord ordering and revival structure", checks)
 
@@ -284,7 +280,7 @@ def test_criterion_8_purity_revival(capsys):
         ),
         "RTN: noise-driven entropy drop < -1e-9 after t=10": any(
             step < -1e-9
-            for step in noise_driven_steps(rtn, coin_entropy, ent_rtn, 10)
+            for step in noise_driven_steps(rtn, "Entropy", ent_rtn, 10)
         ),
     }
     for tag, noise in (
@@ -293,7 +289,7 @@ def test_criterion_8_purity_revival(capsys):
     ):
         ent = series(noise, "Entropy")["Entropy"]
         checks[f"{tag}: entropy tail has no noise-driven drop below -1e-9"] = (
-            min(noise_driven_steps(noise, coin_entropy, ent, 30)) >= -1e-9
+            min(noise_driven_steps(noise, "Entropy", ent, 30)) >= -1e-9
         )
     report(capsys, 8, "temporary purity increase only under RTN", checks)
 

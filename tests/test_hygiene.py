@@ -5,13 +5,16 @@ somewhere in the same module, or, in a package ``__init__``, be listed in
 ``__all__``. ``from __future__`` imports are exempt. A private function,
 class or constant (a leading underscore, not a dunder) defined at module
 level must be read somewhere in the same module. Every name
-``nmqwalk.__all__`` lists must exist in the package. No module under
+``nmqwalk.__all__`` lists must exist in the package, and every function it
+lists must be imported by the command line (``cli.py``) or a demo: the
+public surface is what they call. No module under
 ``src/`` imports scipy when it is itself imported: ``scipy.optimize`` alone
 takes about 0.6 s to load, so it is imported inside the functions that use
 it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,8 @@ import nmqwalk
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+#: the callers the public surface is for
+CLIENTS = sorted([ROOT / "src" / "nmqwalk" / "cli.py", *(ROOT / "demos").glob("*.py")])
 
 
 def imported_names(tree):
@@ -51,6 +56,17 @@ def module_level_imports(tree):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             yield node.module, node.lineno
         stack.extend(ast.iter_child_nodes(node))
+
+
+def package_imports(tree):
+    """Names a module imports from ``nmqwalk``, or from inside it by a relative import."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "nmqwalk")
+        for alias in node.names
+    }
 
 
 def scipy_imports(tree):
@@ -127,6 +143,29 @@ def test_detects_an_unused_private_name():
 def test_every_exported_name_exists():
     missing = [name for name in nmqwalk.__all__ if not hasattr(nmqwalk, name)]
     assert not missing, f"nmqwalk.__all__ lists names the package does not define: {missing}"
+
+
+def test_every_exported_function_has_a_client():
+    imported = set().union(
+        *(package_imports(ast.parse(path.read_text(encoding="utf-8"))) for path in CLIENTS)
+    )
+    unused = [
+        name
+        for name in nmqwalk.__all__
+        if inspect.isfunction(getattr(nmqwalk, name)) and name not in imported
+    ]
+    assert not unused, (
+        f"nmqwalk.__all__ lists functions neither cli.py nor a demo imports: {unused}"
+    )
+
+
+def test_detects_a_package_import():
+    source = (
+        "import nmqwalk\nfrom json import dumps\nfrom nmqwalk import witness_series\n"
+        "from nmqwalk.walk import WalkConfig as Config\nfrom .spectral import disambiguate\n"
+        "from nmqwalker import walk\n"
+    )
+    assert package_imports(ast.parse(source)) == {"witness_series", "WalkConfig", "disambiguate"}
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))

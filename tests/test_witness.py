@@ -11,6 +11,7 @@ from conftest import (
     embed,
     evolve_noiseless,
     koashi_winter_discord,
+    one_shot_witnesses,
     rho_pe_concurrence,
     trace_distance,
     two_walker_trace_distances,
@@ -37,10 +38,8 @@ from nmqwalk.witness import (
     DEFAULT_TD_PAIR,
     WITNESS_TAGS,
     _canonical_eigenbasis,
-    coin_entropy,
-    discord,
-    mid,
-    mutual_information,
+    _mid,
+    _State,
     witness_series,
 )
 
@@ -68,16 +67,17 @@ ORACLE_STEPS = 30
 
 
 def single_state_values(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
-    """Every witness tag at each step, from the public single-state functions
-    applied to the dense states that ``evolve`` yields with their sites."""
+    """Every witness tag at each step, from the per-state cache of each dense
+    state that ``evolve`` yields with its sites, measured one at a time."""
     positions = lattice_positions(cfg).astype(float)
     values = {tag: [] for tag in WITNESS_TAGS}
     values["TD"] = two_walker_trace_distances(cfg, noise, evolve, td_pair)
     for _, rho, sites in evolve(cfg, noise):
-        values["MI"].append(mutual_information(rho))
-        values["MID"].append(mid(rho))
-        values["QD"].append(discord(rho))
-        values["Entropy"].append(coin_entropy(rho))
+        state = _State(rho)
+        values["MI"].append(state.mutual_information)
+        values["MID"].append(_mid(state))
+        values["QD"].append(state.discord)
+        values["Entropy"].append(state.coin_entropy)
         values["Variance"].append(
             distribution_variance(position_distribution(rho), positions[sites])
         )
@@ -106,18 +106,20 @@ def kraus_factor(psi, k):
     return np.einsum("rcd,dj->cjr", kraus, psi)
 
 
+def one_shot_values(psi, k):
+    """The witnesses of the one one-shot state D_k(|psi><psi|), by tag."""
+    return {tag: float(v[0]) for tag, v in one_shot_witnesses([psi], [k]).items()}
+
+
 @st.composite
-def one_shot_factors(draw):
-    """A Kraus factor for k in [-1, 1] and a random psi in C^2 (x) C^n, n <= 6."""
+def one_shot_states(draw):
+    """(psi, k) for k in [-1, 1] and a random psi in C^2 (x) C^n, n <= 6."""
     n = draw(st.integers(min_value=1, max_value=6))
     parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4 * n, max_size=4 * n)))
     psi = parts[: 2 * n] + 1j * parts[2 * n :]
     norm = np.linalg.norm(psi)
     assume(norm > 1e-3)
-    return kraus_factor((psi / norm).reshape(2, n), draw(st.floats(-1.0, 1.0)))
-
-
-PUBLIC_MEASURES = (mutual_information, mid, discord, coin_entropy)
+    return (psi / norm).reshape(2, n), draw(st.floats(-1.0, 1.0))
 
 #: an entangled psi on C^2 (x) C^3, for the fixed edge cases of the factor form
 ENTANGLED_PSI = np.array([[0.5, 0.3j, 0.1], [-0.2, 0.6, 0.4 - 0.2j]])
@@ -167,31 +169,31 @@ class TestMutualInformation:
     def test_product_state_zero(self):
         rng = np.random.default_rng(5)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert mutual_information(rho) == pytest.approx(0.0, abs=1e-9)
+        assert _State(rho).mutual_information == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state_two_bits(self):
-        assert mutual_information(BELL) == pytest.approx(2.0, abs=1e-12)
+        assert _State(BELL).mutual_information == pytest.approx(2.0, abs=1e-12)
 
     def test_noiseless_walk_step_two_maximally_entangled(self):
         cfg = WalkConfig(steps=2)
         rho = dict(dense_one_shot(cfg, None))[2]
-        assert mutual_information(rho) == pytest.approx(2.0, abs=1e-10)
+        assert _State(rho).mutual_information == pytest.approx(2.0, abs=1e-10)
 
 
 class TestMid:
     def test_product_state_zero(self):
         rng = np.random.default_rng(7)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert mid(rho) == pytest.approx(0.0, abs=1e-9)
+        assert _mid(_State(rho)) == pytest.approx(0.0, abs=1e-9)
 
     def test_bell_state_one_bit(self):
         # both marginals are I/2: the canonical basis rule decides
-        assert mid(BELL) == pytest.approx(1.0, abs=1e-9)
+        assert _mid(_State(BELL)) == pytest.approx(1.0, abs=1e-9)
 
     def test_classical_classical_state_zero(self):
         # table chosen so both marginals are non-degenerate
         rho = classical_classical([[0.35, 0.25], [0.1, 0.3]])
-        assert mid(rho) == pytest.approx(0.0, abs=1e-9)
+        assert _mid(_State(rho)) == pytest.approx(0.0, abs=1e-9)
 
     def test_gram_route_keeps_the_canonical_basis(self):
         # psi = |0>(e1 + e2)/2 + |1>(e1 - e2)/2: the position marginal is I/2
@@ -201,8 +203,10 @@ class TestMid:
         amps = np.zeros((2, 5), dtype=complex)
         amps[0, 1:3] = 0.5
         amps[1, 1:3] = 0.5, -0.5
-        factor = np.einsum("rcd,dj->cjr", kraus_at(RtnParams(a=0.9, gamma=0.5), 2.0), amps)
-        assert mid(factor) == pytest.approx(mid(density_from_factor(factor)), abs=1e-12)
+        noise = RtnParams(a=0.9, gamma=0.5)
+        factor = np.einsum("rcd,dj->cjr", kraus_at(noise, 2.0), amps)
+        found = one_shot_values(amps, kernel_value(noise, 2.0))["MID"]
+        assert found == pytest.approx(_mid(_State(density_from_factor(factor))), abs=1e-12)
 
     def test_series_keeps_the_canonical_basis(self, monkeypatch):
         # the series loop meets the psi of the Gram-route test above at
@@ -220,25 +224,26 @@ class TestMid:
         noise = RtnParams(a=0.9, gamma=0.5)
         found = witness_series(WalkConfig(steps=1, delta=0.0), noise, witnesses=("MID",))["MID"]
         expected = [
-            mid(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps)))
+            _mid(_State(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps))))
             for t in (0.0, 1.0)
         ]
         np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-12)
 
     def test_deterministic_under_degeneracy(self):
-        assert mid(BELL) == mid(BELL)
+        assert _mid(_State(BELL)) == _mid(_State(BELL))
 
     def test_pure_walk_states_equal_coin_entropy(self):
-        # Luo's MID of a pure state is its entanglement entropy. mid(rho)
-        # measures rho on its support of t + 1 sites only. The full position
-        # marginal on the T = 100 lattice has rank <= 2, so its kernel is a
-        # 201-fold degenerate eigenspace; the explicit eigenbasis check
-        # below, not mid, covers that its rebuilt basis stays orthonormal.
+        # Luo's MID of a pure state is its entanglement entropy. _State keeps
+        # rho on its support of t + 1 sites only. The full position marginal
+        # on the T = 100 lattice has rank <= 2, so its kernel is a 201-fold
+        # degenerate eigenspace; the explicit eigenbasis check below, not
+        # _mid, covers that its rebuilt basis stays orthonormal.
         cfg = WalkConfig(steps=100)
         split = (2, cfg.n_positions)
         eye = np.eye(cfg.n_positions)
         for t, rho in dense_one_shot(cfg, None):
-            assert mid(rho) == pytest.approx(coin_entropy(rho), abs=1e-9), f"t={t}"
+            state = _State(rho)
+            assert _mid(state) == pytest.approx(state.coin_entropy, abs=1e-9), f"t={t}"
             u = _canonical_eigenbasis(partial_trace(rho, split, "position"))
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10, f"t={t}"
 
@@ -247,11 +252,11 @@ class TestDiscord:
     def test_product_state_zero(self):
         rng = np.random.default_rng(11)
         rho = np.kron(random_density(rng, 2), random_density(rng, 3))
-        assert discord(rho) == pytest.approx(0.0, abs=1e-6)
+        assert _State(rho).discord == pytest.approx(0.0, abs=1e-6)
 
     def test_classical_classical_state_zero(self):
         rho = classical_classical([[0.4, 0.1], [0.2, 0.3]])
-        assert discord(rho) == pytest.approx(0.0, abs=1e-6)
+        assert _State(rho).discord == pytest.approx(0.0, abs=1e-6)
 
     def test_fully_dephased_factor_not_negative(self):
         # psi = i(0.970 |coin 0, site 1> + 0.243 |coin 1, site 0>) at k = 0 is
@@ -259,52 +264,54 @@ class TestDiscord:
         # 1e-12 from the entropy makes its discord read -2.55e-12
         psi = np.zeros((2, 2), dtype=complex)
         psi[0, 1], psi[1, 0] = 0.970j, 0.243j
-        qd = discord(kraus_factor(psi / np.linalg.norm(psi), 0.0))
+        qd = one_shot_values(psi / np.linalg.norm(psi), 0.0)["QD"]
         assert qd == pytest.approx(0.0, abs=1e-15)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(factor=one_shot_factors())
-    @example(factor=kraus_factor(ENTANGLED_PSI, 0.3))
-    @example(factor=kraus_factor(ENTANGLED_PSI, -1.0))
-    @example(factor=kraus_factor(SINGLE_SITE_PSI, 0.3))
-    @example(factor=kraus_factor(PRODUCT_PSI, 0.3))
-    def test_one_shot_closed_form_is_koashi_winter(self, factor):
+    @given(state=one_shot_states())
+    @example(state=(ENTANGLED_PSI, 0.3))
+    @example(state=(ENTANGLED_PSI, -1.0))
+    @example(state=(SINGLE_SITE_PSI, 0.3))
+    @example(state=(PRODUCT_PSI, 0.3))
+    def test_one_shot_closed_form_is_koashi_winter(self, state):
         # rho_pE of a one-shot state is never entangled, so the Koashi-Winter
         # discord S(rho_c) - S(rho) + E_F(rho_pE) loses its E_F term
+        factor = kraus_factor(*state)
         assert rho_pe_concurrence(factor) <= 1e-12
-        assert discord(factor) == pytest.approx(koashi_winter_discord(factor), abs=1e-12)
+        qd = one_shot_values(*state)["QD"]
+        assert qd == pytest.approx(koashi_winter_discord(factor), abs=1e-12)
 
     def test_bell_state_one_bit(self):
-        assert discord(BELL) == pytest.approx(1.0, abs=1e-6)
+        state = _State(BELL)
+        assert state.discord == pytest.approx(1.0, abs=1e-6)
         # the classical correlation J = MI - QD
-        assert mutual_information(BELL) - discord(BELL) == pytest.approx(1.0, abs=1e-6)
+        assert state.mutual_information - state.discord == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("k", [1.0, -1.0])
     def test_pure_walk_factors_equal_coin_entropy(self, k):
         # the discord of a pure state is its entanglement entropy
-        for t, amps in enumerate(evolve_noiseless(WalkConfig(steps=100))):
-            factor = kraus_factor(amps, k)
-            assert discord(factor) == pytest.approx(coin_entropy(factor), abs=1e-12), f"t={t}"
+        amps = evolve_noiseless(WalkConfig(steps=100))
+        found = one_shot_witnesses(amps, np.full(len(amps), k))
+        np.testing.assert_allclose(found["QD"], found["Entropy"], rtol=0.0, atol=1e-12)
 
     def test_bounded_by_mid_on_walk_states(self):
         cfg = WalkConfig(steps=8)
         noise = RtnParams(a=0.08, gamma=0.01)
         for t, rho in dense_one_shot(cfg, noise):
-            d = discord(rho)
-            m = mid(rho)
-            assert -1e-6 <= d <= m + 1e-6
+            state = _State(rho)
+            assert -1e-6 <= state.discord <= _mid(state) + 1e-6
 
 
 class TestScalarWitnesses:
     def test_initial_coin_entropy_zero(self):
         cfg = WalkConfig(steps=3)
         rho = dict(dense_one_shot(cfg, None))[0]
-        assert coin_entropy(rho) == pytest.approx(0.0, abs=1e-12)
+        assert _State(rho).coin_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_dephased_entangled_coin_fully_mixed(self):
         # killing the coherences of a Bell state leaves the coin at I/2
         dephased = np.diag(np.diag(BELL))
-        assert coin_entropy(dephased) == pytest.approx(1.0, abs=1e-12)
+        assert _State(dephased).coin_entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_point_mass(self):
         p = np.zeros(5)
@@ -317,7 +324,7 @@ class TestScalarWitnesses:
         assert distribution_variance(p, lattice_positions(WalkConfig(steps=1))) == pytest.approx(1.0)
 
 
-class FullLatticeState(witness_mod._State):
+class FullLatticeState(_State):
     """A dense state measured on every site, as before the support compression."""
 
     def __init__(self, rho):
@@ -363,7 +370,7 @@ class TestSupport:
     @example(rho=INDEFINITE_WITH_EMPTY_SITE)
     def test_compression_keeps_spectra_and_witnesses(self, rho):
         n = rho.shape[0] // 2
-        state = witness_mod._State(rho)
+        state = _State(rho)
         full = FullLatticeState(rho)
         joint = np.linalg.eigvalsh(rho)
         for found, expected in [
@@ -376,53 +383,45 @@ class TestSupport:
         kept = np.linalg.eigvalsh(state.rho)
         found_min = min(kept.min(initial=np.inf), 0.0 if kept.size < 2 * n else np.inf)
         assert found_min == pytest.approx(joint[0], abs=1e-12)
-        assert mutual_information(rho) == pytest.approx(full.mutual_information, abs=1e-12)
-        assert mid(rho) == pytest.approx(witness_mod._mid(full), abs=1e-12)
-        assert discord(rho) == pytest.approx(full.discord, abs=1e-9)
+        assert state.mutual_information == pytest.approx(full.mutual_information, abs=1e-12)
+        assert _mid(state) == pytest.approx(_mid(full), abs=1e-12)
+        assert state.discord == pytest.approx(full.discord, abs=1e-9)
 
     def test_stepwise_states_keep_their_light_cone(self):
         # the yielded block is the support of the state on the whole lattice:
         # no site of the light cone is empty, and no other site is not
         cfg = WalkConfig(steps=60, delta=0.7, eta=0.3)
         for t, rho, sites in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
-            assert witness_mod._State(rho)._dims == (2, t + 1), f"t={t}"
-            full = witness_mod._State(embed(rho, sites, cfg.n_positions))
+            assert _State(rho)._dims == (2, t + 1), f"t={t}"
+            full = _State(embed(rho, sites, cfg.n_positions))
             assert full._dims == (2, t + 1), f"t={t}"
             assert np.array_equal(full.rho, rho), f"t={t}"
 
 
 class TestStateForms:
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(factor=one_shot_factors())
-    @example(factor=kraus_factor(ENTANGLED_PSI, 1.0))
-    @example(factor=kraus_factor(ENTANGLED_PSI, 0.0))
-    @example(factor=kraus_factor(ENTANGLED_PSI, -1.0))
-    @example(factor=kraus_factor(SINGLE_SITE_PSI, 0.3))
-    @example(factor=kraus_factor(PRODUCT_PSI, 0.3))
-    @example(factor=kraus_factor(NEAR_BELL_PSI, 0.3))
-    def test_factor_equals_its_density_matrix(self, factor):
-        # the factor's discord is the closed form, the dense one the optimizer
-        rho = density_from_factor(factor)
-        assert mutual_information(factor) == pytest.approx(mutual_information(rho), abs=1e-12)
-        assert coin_entropy(factor) == pytest.approx(coin_entropy(rho), abs=1e-12)
-        m = mid(factor)
-        qd = discord(factor)
-        dense_qd = discord(rho)
-        assert m == pytest.approx(mid(rho), abs=1e-9)
-        assert qd == pytest.approx(dense_qd, abs=1e-9)
+    @given(state=one_shot_states())
+    @example(state=(ENTANGLED_PSI, 1.0))
+    @example(state=(ENTANGLED_PSI, 0.0))
+    @example(state=(ENTANGLED_PSI, -1.0))
+    @example(state=(SINGLE_SITE_PSI, 0.3))
+    @example(state=(PRODUCT_PSI, 0.3))
+    @example(state=(NEAR_BELL_PSI, 0.3))
+    def test_factor_equals_its_density_matrix(self, state):
+        # the closed forms of D_k(|psi><psi|) against the dense matrix of its
+        # Kraus factor; the closed-form discord against the optimizer
+        found = one_shot_values(*state)
+        dense = _State(density_from_factor(kraus_factor(*state)))
+        assert found["MI"] == pytest.approx(dense.mutual_information, abs=1e-12)
+        assert found["Entropy"] == pytest.approx(dense.coin_entropy, abs=1e-12)
+        m, qd = found["MID"], found["QD"]
+        assert m == pytest.approx(_mid(dense), abs=1e-9)
+        assert qd == pytest.approx(dense.discord, abs=1e-9)
         # the closed form is the optimum over POVMs; the dense search covers
         # projective measurements only, so it reads no lower beyond rounding
-        assert dense_qd >= qd - 1e-12
+        assert dense.discord >= qd - 1e-12
         # QD >= 0 up to rounding; QD <= MID to the tolerance of the comparisons above
         assert -1e-12 <= qd <= m + 1e-9
-
-    @pytest.mark.parametrize(
-        "shape", [(5, 5), (3, 4, 2), (2, 6)], ids=["odd-square", "qutrit-factor", "non-square"]
-    )
-    @pytest.mark.parametrize("measure", PUBLIC_MEASURES, ids=lambda f: f.__name__)
-    def test_other_shapes_rejected(self, measure, shape):
-        with pytest.raises(DimensionMismatchError):
-            measure(np.ones(shape))
 
 
 #: pairs of initial coin states (delta1, eta1, delta2, eta2) of the TD series
