@@ -22,7 +22,7 @@ class EdgeAmplitudeError(NmqwalkError, RuntimeError):
 
 
 class FitError(NmqwalkError, RuntimeError):
-    """Nonlinear fit failed to converge."""
+    """A fit overflowed: its error or a parameter is not finite."""
 
 
 class ConfigError(NmqwalkError, ValueError):

@@ -12,13 +12,15 @@ normalized so that the total power over all bins equals N times the
 variance of the mean-removed series (interior bins carry the doubled
 two-sided power).
 
-The fit is the package's only use of ``scipy.optimize`` besides the dense
-discord search, and imports it on its first call, so a program that never
-fits a series never loads scipy.
+Both MFBF families are exact weighted least-squares fits in numpy alone:
+the isotonic family by pool-adjacent-violators, the exponential family by
+variable projection, a closed form for (a, c) and a search over the rate b
+(see :func:`fit_mfbf`). So the spectral step never loads scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +31,17 @@ FIT_FAMILIES = ("isotonic", "exponential")
 DEFAULT_FIT_FAMILY = "exponential"
 #: peaks below this fraction of the largest power are dropped
 DEFAULT_MIN_PROMINENCE = 0.05
-_MAX_FIT_EVALS = 10_000
+#: the log-spaced bracket over the exponential rate b: its points, and its
+#: ends as b*(t_last - t0) and b*(t_1 - t0)
+_RATE_GRID = 128
+_RATE_FLOOR = 1e-15
+_RATE_CEILING = 40.0
+#: relative SSE differences below which neighbouring grid points count as level
+_LEVEL_TOL = 1e-12
+#: golden-section stop on the bracket of log b, a relative tolerance in b
+_RATE_TOL = 1e-12
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_TINY = np.finfo(float).tiny
 _UNIFORM_SPACING_TOL = 1e-9
 
 
@@ -107,22 +119,114 @@ class DisambiguationReport:
     peak_power_ratio: float | None
 
 
-def _exp_model(t, a, b, c):
-    return a * np.exp(-b * t) + c
+def _projected_fits(rates, tau, centred, mass):
+    """Weighted SSE, amplitude and centred basis of the best a*exp(-b*tau) + c per rate.
+
+    ``rates`` is one rate b or an array of them; ``mass`` is the weights
+    scaled to sum to 1, so the SSE comes out divided by the weight sum.
+    For a fixed b the model is linear in (a, c). In the basis
+    psi = exp(-b*tau) - 1, taken by ``expm1`` so that it stays exact as
+    b -> 0, centred on its weighted mean, the 2 x 2 weighted normal
+    equations give a = <psi, y> / <psi, psi> against the centred values y,
+    and c from the means. A negative a is set to 0, with c the weighted
+    mean: the best non-increasing fit of that rate. b = 0 gives psi = 0,
+    the same answer. The SSE is summed from the residuals, not from the
+    normal equations, so it keeps its relative precision at a close fit.
+    """
+    psi = np.expm1(np.multiply.outer(-rates, tau))
+    psi -= np.dot(psi, mass)[..., None]
+    cov = np.dot(psi, mass * centred)
+    amplitude = np.maximum(cov, 0.0) / np.maximum(np.dot(psi**2, mass), _TINY)
+    sse = np.dot((centred - amplitude[..., None] * psi) ** 2, mass)
+    return sse, amplitude, psi
 
 
-def _exponential_init(times: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
-    """Starting point from log-linear regression of (values - min)."""
-    c0 = float(np.min(values))
-    shifted = values - c0
-    mask = shifted > 1e-12
-    if np.count_nonzero(mask) >= 2:
-        slope, intercept = np.polyfit(times[mask], np.log(shifted[mask]), 1)
-        a0 = float(np.exp(intercept))
-        b0 = max(float(-slope), 0.0)
-    else:
-        a0, b0 = max(float(np.ptp(values)), 1e-12), 0.0
-    return a0, b0, c0
+def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
+    """(f(x), x) at the least value f takes on its evaluations in [lo, hi].
+
+    Golden-section search, stopped when the bracket is narrower than
+    ``_RATE_TOL``.
+    """
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    best = min((f1, x1), (f2, x2))
+    while hi - lo > _RATE_TOL:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = f(x1)
+            best = min(best, (f1, x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = f(x2)
+            best = min(best, (f2, x2))
+    return best
+
+
+def _fit_exponential(s: TimeSeries) -> MonotoneFit:
+    """a*exp(-b*t) + c with a, b >= 0 by variable projection (see ``fit_mfbf``)."""
+    t0 = s.times[0]
+    tau = s.times - t0
+    mass = s.weights / np.sum(s.weights)
+    mean = float(np.dot(mass, s.values))
+    centred = s.values - mean
+    # from rates at which psi is a straight line to within rounding, to
+    # rates at which it has fallen below rounding one step after t0
+    grid = np.geomspace(_RATE_FLOOR / tau[-1], _RATE_CEILING / tau[1], _RATE_GRID)
+    sse = _projected_fits(np.concatenate(([0.0], grid)), tau, centred, mass)[0]
+    best, sse = (sse[0], 0.0), sse[1:]
+    # refined in log b: the best grid point, and every grid point below both
+    # neighbours by more than rounding, as the basin of least SSE need not
+    # hold the best grid point
+    padded = np.concatenate(([np.inf], sse, [np.inf]))
+    margin = _LEVEL_TOL * sse
+    basins = (sse < padded[:-2] - margin) & (sse < padded[2:] - margin)
+    basins[np.argmin(sse)] = True
+    log_grid = np.log(grid)
+
+    def sse_at(log_rate):
+        return _projected_fits(math.exp(log_rate), tau, centred, mass)[0]
+
+    for i in np.flatnonzero(basins):
+        found, log_rate = _golden_section(
+            sse_at, log_grid[max(i - 1, 0)], log_grid[min(i + 1, _RATE_GRID - 1)]
+        )
+        best = min(best, (sse[i], grid[i]), (found, math.exp(log_rate)))
+    rate = best[1]
+    sse, amplitude, psi = _projected_fits(rate, tau, centred, mass)
+    # in tau the fit is mean + amplitude*psi, so c = mean - a*<exp(-b*tau)>,
+    # and in t, a = amplitude*exp(b*t0)
+    scale = np.exp(rate * t0)
+    offset = mean - amplitude * float(np.dot(mass, np.exp(-rate * tau)))
+    parameters = (float(amplitude * scale), float(rate), float(offset))
+    fitted = mean + amplitude * psi
+    if not (np.isfinite(sse) and 0.0 < scale < np.inf and np.all(np.isfinite(parameters))):
+        raise FitError(
+            f"exponential fit overflows: SSE {sse}, (a, b, c) = {parameters} with "
+            f"exp(b*t0) = {scale}"
+        )
+    return MonotoneFit(family="exponential", fitted=fitted, parameters=parameters)
+
+
+def _fit_isotonic(s: TimeSeries) -> MonotoneFit:
+    """The weighted least-squares non-increasing fit by pool-adjacent-violators.
+
+    Each point opens a block; while the block before it has a mean no
+    larger, the two pool into one with their weighted mean. O(n).
+    """
+    sums, totals, counts = [], [], []
+    for y, w in zip((s.values * s.weights).tolist(), s.weights.tolist()):
+        count = 1
+        while sums and sums[-1] / totals[-1] <= y / w:
+            y += sums.pop()
+            w += totals.pop()
+            count += counts.pop()
+        sums.append(y)
+        totals.append(w)
+        counts.append(count)
+    fitted = np.repeat(np.array(sums) / np.array(totals), counts)
+    return MonotoneFit(family="isotonic", fitted=fitted)
 
 
 def _check_fit_input(s: TimeSeries, family: str) -> None:
@@ -141,40 +245,27 @@ def _check_spectrum_input(s: TimeSeries) -> None:
 
 
 def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
-    """Monotonically falling best fit of a series.
+    """Monotonically falling best fit of a series, by weighted least squares.
 
-    The isotonic family solves the weighted least-squares problem under
-    non-increasing constraints exactly (pool-adjacent-violators); the
-    exponential family fits a*exp(-b*t) + c with a, b >= 0 by nonlinear
-    least squares. Both satisfy g(t_{i+1}) <= g(t_i) by construction.
+    The isotonic family is the exact non-increasing fit, by
+    pool-adjacent-violators (Best & Chakravarti, Math. Programming 47, 425,
+    1990). The exponential family fits a*exp(-b*t) + c with a, b >= 0 by
+    variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): for a fixed b the best (a, c) is a closed form, so the fit is a
+    search over b alone. The weighted SSE is evaluated at b = 0 and on a
+    log-spaced bracket of b in one ``expm1``, and golden-section search
+    refines the best point of each basin the bracket finds to a relative
+    1e-12 in b. The fit runs in t - t0, t0 the first time, and a is
+    converted back as a*exp(b*t0). Both families satisfy
+    g(t_{i+1}) <= g(t_i) by construction. An exponential fit whose SSE or
+    parameters are not finite, or whose exp(b*t0) overflows or underflows,
+    raises ``FitError``; there is no fallback fit.
     """
     _check_fit_input(s, family)
-    # imported here, not at module level: loading scipy.optimize is most of
-    # the package's start-up, and only the fit needs it
-    from scipy.optimize import curve_fit, isotonic_regression
-
     if family == "isotonic":
-        res = isotonic_regression(s.values, weights=s.weights, increasing=False)
-        return MonotoneFit(family="isotonic", fitted=np.asarray(res.x, dtype=float))
-    p0 = _exponential_init(s.times, s.values)
-    try:
-        popt, _ = curve_fit(
-            _exp_model,
-            s.times,
-            s.values,
-            p0=p0,
-            sigma=1.0 / np.sqrt(s.weights),
-            bounds=([0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf]),
-            maxfev=_MAX_FIT_EVALS,
-        )
-    except RuntimeError as exc:
-        raise FitError(f"exponential fit did not converge: {exc}") from exc
-    a, b, c = (float(x) for x in popt)
-    return MonotoneFit(
-        family="exponential",
-        fitted=_exp_model(s.times, a, b, c),
-        parameters=(a, b, c),
-    )
+        return _fit_isotonic(s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _fit_exponential(s)
 
 
 def detrend(s: TimeSeries, fit: MonotoneFit) -> TimeSeries:

@@ -450,11 +450,14 @@ def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: t
     """Every requested one-shot witness from one basis walk (see the module docstring).
 
     The walkers are the one of ``cfg`` when a single-walker tag is asked,
-    then the two ``td_pair`` walkers when TD is. The kernel range raises
-    before the walk, and k is clipped to [-1, 1] as ``kraus_at`` clips it.
+    then the two ``td_pair`` walkers when TD is. The closed forms run only
+    when an entropic tag is asked: Variance reads the walk alone. The
+    kernel range raises before the walk, and k is clipped to [-1, 1] as
+    ``kraus_at`` clips it.
     """
     k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
     single = bool(set(tags) - {"TD"})
+    entropic = bool(set(tags) - {"TD", "Variance"})
     coins = [_coin_vector(cfg.delta, cfg.eta)] if single else []
     if "TD" in tags:
         coins += [_coin_vector(*td_pair[:2]), _coin_vector(*td_pair[2:])]
@@ -466,7 +469,7 @@ def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: t
         delta[:, 0, 1] *= k
         delta[:, 1, 0] *= k
         values["TD"] = 0.5 * trace_norm(delta)
-    if single:
+    if entropic:
         values.update(_one_shot_witnesses(blocks[:, 0], k, frames, tags))
     return {tag: values[tag] for tag in tags}
 

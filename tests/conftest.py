@@ -41,6 +41,11 @@ forming either walker's states. ``two_walker_trace_distances`` below is its
 oracle: it evolves each walker on its own and compares their reduced coin
 states through the general ``trace_distance``. The density-matrix check and
 the von Neumann entropy are the oracles of the library's spectra.
+
+``spectral.fit_mfbf`` fits a*exp(-b*t) + c by variable projection, a
+global search over b. ``curve_fit_exponential`` below is its oracle: scipy's
+bounded nonlinear least squares, a local search from a log-linear start.
+The exact fit must reach at least as low a ``weighted_sse``.
 """
 
 import math
@@ -49,11 +54,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from nmqwalk.divisibility import kernel_ratio
 from nmqwalk.exceptions import DimensionMismatchError, EdgeAmplitudeError
 from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import EIGENVALUE_CUTOFF, partial_trace
+from nmqwalk.spectral import TimeSeries
 from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
     WalkConfig,
@@ -403,3 +410,38 @@ def two_walker_trace_distances(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
     return np.array(
         [trace_distance(reduced_coin(s1), reduced_coin(s2)) for (_, s1, _), (_, s2, _) in walks]
     )
+
+
+def _exp_model(t, a, b, c):
+    return a * np.exp(-b * t) + c
+
+
+def curve_fit_exponential(s: TimeSeries) -> np.ndarray:
+    """The fitted values of a*exp(-b*t) + c, a, b >= 0, by ``curve_fit``.
+
+    The start is a log-linear regression of the values less their minimum,
+    or (ptp, 0, min) when fewer than two of them are positive.
+    """
+    c0 = float(np.min(s.values))
+    shifted = s.values - c0
+    mask = shifted > 1e-12
+    if np.count_nonzero(mask) >= 2:
+        slope, intercept = np.polyfit(s.times[mask], np.log(shifted[mask]), 1)
+        start = (float(np.exp(intercept)), max(float(-slope), 0.0), c0)
+    else:
+        start = (max(float(np.ptp(s.values)), 1e-12), 0.0, c0)
+    popt, _ = curve_fit(
+        _exp_model,
+        s.times,
+        s.values,
+        p0=start,
+        sigma=1.0 / np.sqrt(s.weights),
+        bounds=([0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf]),
+        maxfev=10_000,
+    )
+    return _exp_model(s.times, *popt)
+
+
+def weighted_sse(s: TimeSeries, fitted: np.ndarray) -> float:
+    """sum_i w_i (y_i - g_i)^2 of a fit g of the series."""
+    return float(np.sum(s.weights * (s.values - fitted) ** 2))

@@ -716,8 +716,14 @@ STARTUP_CASES = {
         0,
         True,
     ),
-    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], 0, True),
-    # refused before the fit, so the refusal costs no scipy import
+    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], 0, False),
+    "spectrum-isotonic": (
+        {"spectral": {"family": "isotonic"}},
+        [["spectrum", "--input", "{series}", "--out", "{out}"]],
+        0,
+        False,
+    ),
+    # refused before the fit
     "spectrum-7-rows": ({}, [["spectrum", "--input", "{short}", "--out", "{out}"]], 2, False),
     "spectrum-uneven-steps": (
         {}, [["spectrum", "--input", "{uneven}", "--out", "{out}"]], 2, False
@@ -742,7 +748,7 @@ print(json.dumps([code, "scipy" in sys.modules]))
 @pytest.mark.parametrize(
     "doc, steps, exit_code, loads_scipy", STARTUP_CASES.values(), ids=STARTUP_CASES.keys()
 )
-def test_scipy_loads_only_for_the_fit_and_dense_discord(
+def test_scipy_loads_only_for_the_dense_discord(
     tmp_path, doc, steps, exit_code, loads_scipy
 ):
     paths = {"out": str(tmp_path / "out")}

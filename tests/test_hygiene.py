@@ -9,8 +9,8 @@ level must be read somewhere in the same module. Every name
 lists must be imported by the command line (``cli.py``) or a demo: the
 public surface is what they call. No module under
 ``src/`` imports scipy when it is itself imported: ``scipy.optimize`` alone
-takes about 0.6 s to load, so it is imported inside the functions that use
-it.
+takes about 0.6 s to load. The one scipy import in ``src/`` is the one
+inside ``witness.minimize``, which only the dense discord search calls.
 """
 
 import ast
@@ -71,6 +71,28 @@ def package_imports(tree):
 
 def scipy_imports(tree):
     return {(name, line) for name, line in module_level_imports(tree) if name.split(".")[0] == "scipy"}
+
+
+def scipy_import_sites(tree):
+    """(enclosing function or None, module, line) of every scipy import, at any depth."""
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                modules = [child.module]
+            else:
+                modules = []
+            for module in modules:
+                if module.split(".")[0] == "scipy":
+                    yield function, module, child.lineno
+            yield from visit(child, function)
+
+    return set(visit(tree, None))
 
 
 def private_definitions(tree):
@@ -190,4 +212,32 @@ def test_detects_a_module_level_scipy_import():
         ("scipy.optimize", 2),
         ("scipy.linalg", 4),
         ("scipy", 9),
+    }
+
+
+def test_scipy_is_imported_only_for_the_dense_discord():
+    sites = {
+        (path.relative_to(ROOT / "src").as_posix(), function, module): line
+        for path in PACKAGE
+        for function, module, line in scipy_import_sites(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert set(sites) == {("nmqwalk/witness.py", "minimize", "scipy.optimize")}, (
+        f"scipy imports in src/, (file, function, module) -> line: {sites}; "
+        "only witness.minimize may import scipy"
+    )
+
+
+def test_detects_every_scipy_import_site():
+    source = (
+        "import numpy\nfrom scipy.optimize import minimize\n"
+        "def fit():\n    from scipy.optimize import curve_fit\n"
+        "    def inner():\n        import scipy.linalg as sla\n    return curve_fit\n"
+        "class Solver:\n    import scipy\n"
+        "from .spectral import fit_mfbf\n"
+    )
+    assert scipy_import_sites(ast.parse(source)) == {
+        (None, "scipy.optimize", 2),
+        ("fit", "scipy.optimize", 4),
+        ("inner", "scipy.linalg", 6),
+        (None, "scipy", 9),
     }

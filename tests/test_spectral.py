@@ -1,6 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import curve_fit_exponential, weighted_sse
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
+from nmqwalk.cli import _read_series_csv, main
+from nmqwalk.exceptions import FitError
 from nmqwalk.spectral import (
     TimeSeries,
     detrend,
@@ -10,12 +18,33 @@ from nmqwalk.spectral import (
     power_spectrum,
 )
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+#: the exact exponential fit may exceed the SSE of ``curve_fit`` by this much, relative
+SSE_MARGIN = 1e-12
+
 
 def series(values, times=None, weights=None):
     values = np.asarray(values, dtype=float)
     if times is None:
         times = np.arange(len(values), dtype=float)
     return TimeSeries(times=times, values=values, weights=weights)
+
+
+T60, T100, T128 = (np.arange(n, dtype=float) for n in (60, 100, 128))
+#: every series this module fits with the exponential family
+EXPONENTIAL_SERIES = {
+    "decay": series(np.exp(-0.1 * T100), times=T100),
+    "noisy-decay": series(
+        np.exp(-0.05 * T60) + 0.02 * np.random.default_rng(3).normal(size=60), times=T60
+    ),
+    "tone-on-decay": series(np.exp(-0.05 * T128) + 0.1 * np.cos(2 * np.pi * 0.25 * T128), times=T128),
+    "two-tones-on-decay": series(
+        np.exp(-0.05 * T128)
+        + 0.1 * np.cos(2 * np.pi * 0.25 * T128)
+        + 0.05 * np.cos(2 * np.pi * 0.03125 * T128),
+        times=T128,
+    ),
+}
 
 
 class TestTimeSeries:
@@ -46,6 +75,22 @@ class TestIsotonicFit:
         fit = fit_mfbf(series(rng.normal(size=40)), "isotonic")
         assert np.all(np.diff(fit.fitted) <= 1e-12)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        levels=st.lists(st.integers(-3, 3), min_size=4, max_size=40),
+        scale=st.floats(1e-3, 10.0),
+        data=st.data(),
+    )
+    def test_matches_scipy(self, levels, scale, data):
+        # integer levels make ties, within a block and between blocks
+        weights = np.array(
+            data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(levels), max_size=len(levels)))
+        )
+        values = scale * np.array(levels, dtype=float)
+        fitted = fit_mfbf(series(values, weights=weights), "isotonic").fitted
+        expected = isotonic_regression(values, weights=weights, increasing=False).x
+        assert np.max(np.abs(fitted - expected)) <= 1e-12
+
     def test_residual_has_no_monotone_component(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -59,19 +104,66 @@ class TestIsotonicFit:
 
 class TestExponentialFit:
     def test_recovers_decay_rate(self):
-        t = np.arange(100, dtype=float)
-        fit = fit_mfbf(series(np.exp(-0.1 * t), times=t), "exponential")
+        fit = fit_mfbf(EXPONENTIAL_SERIES["decay"], "exponential")
         a, b, c = fit.parameters
         assert b == pytest.approx(0.1, abs=1e-6)
         assert a == pytest.approx(1.0, abs=1e-6)
         assert c == pytest.approx(0.0, abs=1e-6)
 
     def test_fit_is_non_increasing(self):
-        rng = np.random.default_rng(3)
-        t = np.arange(60, dtype=float)
-        values = np.exp(-0.05 * t) + 0.02 * rng.normal(size=60)
-        fit = fit_mfbf(series(values, times=t), "exponential")
+        fit = fit_mfbf(EXPONENTIAL_SERIES["noisy-decay"], "exponential")
         assert np.all(np.diff(fit.fitted) <= 1e-12)
+
+    @pytest.mark.parametrize("name", EXPONENTIAL_SERIES)
+    def test_never_loses_to_curve_fit(self, name):
+        s = EXPONENTIAL_SERIES[name]
+        found = weighted_sse(s, fit_mfbf(s, "exponential").fitted)
+        assert found <= weighted_sse(s, curve_fit_exponential(s)) * (1 + SSE_MARGIN)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_never_loses_to_curve_fit_on_backflow(self, tmp_path, seed):
+        # the TD series the benchmark's backflow workload fits
+        config = str(GOLDEN / f"backflow-{seed}" / "config.json")
+        assert main(["witness", "--config", config, "--out", str(tmp_path)]) == 0
+        s = _read_series_csv(tmp_path / "td.csv")
+        found = weighted_sse(s, fit_mfbf(s, "exponential").fitted)
+        assert found <= weighted_sse(s, curve_fit_exponential(s)) * (1 + SSE_MARGIN)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        a=st.floats(0.0, 5.0),
+        b=st.floats(0.0, 2.0),
+        c=st.floats(-3.0, 3.0),
+        noise=st.floats(1e-3, 1.0),
+        t0=st.floats(-10.0, 10.0).filter(lambda t0: abs(t0) >= 1e-3),
+        n=st.integers(8, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_loses_to_curve_fit_on_noisy_decays(self, a, b, c, noise, t0, n, seed):
+        rng = np.random.default_rng(seed)
+        times = t0 + np.arange(n, dtype=float)
+        values = a * np.exp(-b * (times - t0)) + c + noise * rng.normal(size=n)
+        s = series(values, times=times, weights=rng.uniform(0.2, 3.0, size=n))
+        fit = fit_mfbf(s, "exponential")
+        assert np.all(np.diff(fit.fitted) <= 0.0)
+        assert weighted_sse(s, fit.fitted) <= weighted_sse(s, curve_fit_exponential(s)) * (
+            1 + SSE_MARGIN
+        )
+
+    @pytest.mark.parametrize(
+        "times, values",
+        [
+            # the best rate drops the first point below rounding one step
+            # later, so a*exp(-b*t) overflows at t0 = 1000
+            (1000.0 + np.arange(16.0), np.r_[1.0, np.zeros(15)] + 1e-3 * np.cos(np.arange(16.0))),
+            # the squared residuals overflow
+            (np.arange(16.0), 1e200 * np.cos(np.arange(16.0))),
+        ],
+        ids=["parameters", "sse"],
+    )
+    def test_overflow_raises(self, times, values):
+        with pytest.raises(FitError):
+            fit_mfbf(series(values, times=times), "exponential")
 
     def test_needs_four_samples(self):
         with pytest.raises(ValueError):
@@ -94,11 +186,9 @@ class TestDetrend:
         np.testing.assert_allclose(residual.values, 0.0, atol=1e-12)
 
     def test_recovers_oscillation_under_exponential_trend(self):
-        t = np.arange(128, dtype=float)
-        tone = 0.1 * np.cos(2 * np.pi * 0.25 * t)
-        s = series(np.exp(-0.05 * t) + tone, times=t)
+        s = EXPONENTIAL_SERIES["tone-on-decay"]
         residual = detrend(s, fit_mfbf(s, "exponential"))
-        assert np.max(np.abs(residual.values - tone)) <= 0.02
+        assert np.max(np.abs(residual.values - 0.1 * np.cos(2 * np.pi * 0.25 * T128))) <= 0.02
 
     def test_length_mismatch_rejected(self):
         s = series([3.0, 2.0, 1.0, 0.5])
@@ -185,13 +275,7 @@ class TestFindPeaks:
 
 class TestDisambiguate:
     def test_two_tone_report(self):
-        t = np.arange(128, dtype=float)
-        y = (
-            np.exp(-0.05 * t)
-            + 0.1 * np.cos(2 * np.pi * 0.25 * t)
-            + 0.05 * np.cos(2 * np.pi * 0.03125 * t)
-        )
-        report = disambiguate(series(y, times=t), family="exponential")
+        report = disambiguate(EXPONENTIAL_SERIES["two-tones-on-decay"], family="exponential")
         freqs = sorted(round(p.frequency, 6) for p in report.peaks)
         assert freqs == [0.03125, 0.25]
         assert report.peak_power_ratio == pytest.approx(

@@ -530,6 +530,22 @@ class TestSeries:
         witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=tags)
         assert calls == [walkers]
 
+    @pytest.mark.parametrize("tags", [("Variance",), ("TD", "Variance")], ids=["variance", "td-variance"])
+    def test_variance_and_td_skip_the_closed_forms(self, monkeypatch, tags):
+        # neither tag reads an entropy, so the closed forms never run, and
+        # each series is the one a run that also asks for every entropic tag gives
+        cfg, noise = WalkConfig(steps=12, delta=0.7, eta=0.3), RtnParams(a=0.08, gamma=0.01)
+        expected = witness_series(cfg, noise, witnesses=WITNESS_TAGS)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness_series ran the one-shot closed forms")
+
+        monkeypatch.setattr(witness_mod, "_one_shot_witnesses", refuse)
+        found = witness_series(cfg, noise, witnesses=tags)
+        assert list(found) == list(tags)
+        for tag in tags:
+            np.testing.assert_array_equal(found[tag], expected[tag])
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(walk=one_shot_walks(), pair=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES))
     @example(walk=(WalkConfig(steps=0, delta=0.7, eta=0.3), None), pair=DEFAULT_TD_PAIR)
