@@ -21,6 +21,7 @@ variable projection, a closed form for (a, c) and a search over the rate b
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,7 @@ _LEVEL_TOL = 1e-12
 #: golden-section stop on the bracket of log b, a relative tolerance in b
 _RATE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_TINY = np.finfo(float).tiny
+_TINY = sys.float_info.min
 _UNIFORM_SPACING_TOL = 1e-9
 
 

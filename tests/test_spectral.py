@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import curve_fit_exponential, weighted_sse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
 
@@ -45,6 +45,12 @@ EXPONENTIAL_SERIES = {
         times=T128,
     ),
 }
+
+
+def assert_never_loses_to_curve_fit(s, fit):
+    assert weighted_sse(s, fit.fitted) <= weighted_sse(s, curve_fit_exponential(s)) * (
+        1 + SSE_MARGIN
+    )
 
 
 class TestTimeSeries:
@@ -117,8 +123,7 @@ class TestExponentialFit:
     @pytest.mark.parametrize("name", EXPONENTIAL_SERIES)
     def test_never_loses_to_curve_fit(self, name):
         s = EXPONENTIAL_SERIES[name]
-        found = weighted_sse(s, fit_mfbf(s, "exponential").fitted)
-        assert found <= weighted_sse(s, curve_fit_exponential(s)) * (1 + SSE_MARGIN)
+        assert_never_loses_to_curve_fit(s, fit_mfbf(s, "exponential"))
 
     @pytest.mark.parametrize("seed", range(1, 11))
     def test_never_loses_to_curve_fit_on_backflow(self, tmp_path, seed):
@@ -126,8 +131,7 @@ class TestExponentialFit:
         config = str(GOLDEN / f"backflow-{seed}" / "config.json")
         assert main(["witness", "--config", config, "--out", str(tmp_path)]) == 0
         s = _read_series_csv(tmp_path / "td.csv")
-        found = weighted_sse(s, fit_mfbf(s, "exponential").fitted)
-        assert found <= weighted_sse(s, curve_fit_exponential(s)) * (1 + SSE_MARGIN)
+        assert_never_loses_to_curve_fit(s, fit_mfbf(s, "exponential"))
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -139,6 +143,9 @@ class TestExponentialFit:
         n=st.integers(8, 80),
         seed=st.integers(0, 2**32 - 1),
     )
+    # the best grid point lies on the large-b plateau, the least SSE in an
+    # interior basin
+    @example(a=2.0703125, b=1.2421875, c=0.0, noise=0.69921875, t0=1.0, n=69, seed=152179)
     def test_never_loses_to_curve_fit_on_noisy_decays(self, a, b, c, noise, t0, n, seed):
         rng = np.random.default_rng(seed)
         times = t0 + np.arange(n, dtype=float)
@@ -146,15 +153,13 @@ class TestExponentialFit:
         s = series(values, times=times, weights=rng.uniform(0.2, 3.0, size=n))
         fit = fit_mfbf(s, "exponential")
         assert np.all(np.diff(fit.fitted) <= 0.0)
-        assert weighted_sse(s, fit.fitted) <= weighted_sse(s, curve_fit_exponential(s)) * (
-            1 + SSE_MARGIN
-        )
+        assert_never_loses_to_curve_fit(s, fit)
 
     @pytest.mark.parametrize(
         "times, values",
         [
-            # the best rate drops the first point below rounding one step
-            # later, so a*exp(-b*t) overflows at t0 = 1000
+            # a steep drop after the first point: the best rate is 7.4, and
+            # a = amplitude*exp(b*t0) overflows at t0 = 1000
             (1000.0 + np.arange(16.0), np.r_[1.0, np.zeros(15)] + 1e-3 * np.cos(np.arange(16.0))),
             # the squared residuals overflow
             (np.arange(16.0), 1e200 * np.cos(np.arange(16.0))),
