@@ -37,7 +37,7 @@ def analyze(label, noise):
     )
     a, b, c = report.fit.parameters
     print(f"{label}:")
-    print(f"  MFBF trend: {a:.3f} * exp(-{b:.4f} t) + {c:.3f}")
+    print(f"  MFBF trend: {a:.3f} * exp(-{b:.4f} (t - {report.fit.t0:g})) + {c:.3f}")
     if not report.peaks:
         print("  no prominent peaks in the detrended spectrum")
     for peak in report.peaks:

@@ -31,13 +31,7 @@ from .spectral import (
     TimeSeries,
     disambiguate,
 )
-from .walk import (
-    WalkConfig,
-    evolve_one_shot,
-    evolve_stepwise,
-    lattice_positions,
-    position_distribution,
-)
+from .walk import WalkConfig, lattice_positions
 from .witness import witness_series
 
 __version__ = "0.1.0"
@@ -63,9 +57,6 @@ __all__ = [
     "WalkConfig",
     "cp_divisibility_scan",
     "disambiguate",
-    "evolve_one_shot",
-    "evolve_stepwise",
     "lattice_positions",
-    "position_distribution",
     "witness_series",
 ]

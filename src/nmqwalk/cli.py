@@ -41,15 +41,8 @@ from .spectral import (
     TimeSeries,
     disambiguate,
 )
-from .walk import (
-    WalkConfig,
-    distribution_variance,
-    evolve_one_shot,
-    evolve_stepwise,
-    lattice_positions,
-    position_distribution,
-)
-from .witness import DEFAULT_TD_PAIR, WITNESS_TAGS, EvolutionMode, witness_series
+from .walk import EvolutionMode, WalkConfig, distribution_variance, lattice_positions, populations
+from .witness import DEFAULT_TD_PAIR, WITNESS_TAGS, witness_series
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,15 +257,14 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Emit distribution.csv (nonzero rows) and variance.csv.
 
     The evolution mode matters here: one-shot dephasing acts on the coin
-    after the unitary walk and leaves position probabilities untouched,
-    while stepwise noise decoheres the walk itself and slows the spread.
+    after the unitary walk and leaves position probabilities untouched, so
+    they are the noiseless walk's, while stepwise noise decoheres the walk
+    itself and slows the spread. Either way only the light cone is read.
     """
-    evolve = evolve_stepwise if cfg.mode == "stepwise" else evolve_one_shot
     positions = lattice_positions(cfg.walk)
     dist_rows = []
     var_rows = []
-    for t, state, sites in evolve(cfg.walk, cfg.noise):  # Kraus factor or light-cone block
-        probs = position_distribution(state)
+    for t, sites, probs in populations(cfg.walk, cfg.noise, cfg.mode):
         labels = positions[sites]
         emit = probs > _PROB_EMIT_TOL
         dist_rows += zip(repeat(t), labels[emit].tolist(), probs[emit].tolist())

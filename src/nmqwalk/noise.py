@@ -15,8 +15,6 @@ import numpy as np
 
 from .exceptions import KernelRangeError
 
-SIGMA_3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
-
 #: |k(t)| at or below this is a kernel zero: the map from 0 to t has no inverse
 KERNEL_ZERO_TOL = 1e-14
 
@@ -143,16 +141,3 @@ def kernel_value(noise: NoiseModel, t):
             f"kernel value {np.ravel(k)[i]} at t={np.ravel(t)[i]} outside [-1, 1]"
         )
     return k
-
-
-def kraus_at(noise: NoiseModel, t) -> np.ndarray:
-    """Kraus pair of the dephasing map from 0 to t on the coin qubit.
-
-    K1 = sqrt((1+k)/2) I and K2 = sqrt((1-k)/2) sigma_3 where k is the
-    kernel value at t, so no noise (None, k = 1) gives the pair (I, 0).
-    Shape (*t.shape, 2, 2, 2), the Kraus index first of the last three axes.
-    Completeness K1^dag K1 + K2^dag K2 = I is exact up to floating point.
-    """
-    k = np.clip(kernel_value(noise, t), -1.0, 1.0)[..., None, None]
-    pair = [np.sqrt((1.0 + k) / 2.0) * np.eye(2), np.sqrt((1.0 - k) / 2.0) * SIGMA_3]
-    return np.stack(pair, axis=-3)

@@ -83,12 +83,14 @@ class MonotoneFit:
     """Non-increasing fit g(t) of a time series.
 
     ``parameters`` is (amplitude, rate, offset) for the exponential family
-    a*exp(-b*t) + c, and None for the isotonic family.
+    a*exp(-b*(t - t0)) + c, with ``t0`` the series' first time; both are
+    None for the isotonic family.
     """
 
     family: str
     fitted: np.ndarray
     parameters: tuple[float, float, float] | None = None
+    t0: float | None = None
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _fit_exponential(s: TimeSeries) -> MonotoneFit:
-    """a*exp(-b*t) + c with a, b >= 0 by variable projection (see ``fit_mfbf``)."""
+    """a*exp(-b*(t - t0)) + c with a, b >= 0 by variable projection (see ``fit_mfbf``)."""
     t0 = s.times[0]
     tau = s.times - t0
     mass = s.weights / np.sum(s.weights)
@@ -196,18 +198,13 @@ def _fit_exponential(s: TimeSeries) -> MonotoneFit:
         best = min(best, (sse[i], grid[i]), (found, math.exp(log_rate)))
     rate = best[1]
     sse, amplitude, psi = _projected_fits(rate, tau, centred, mass)
-    # in tau the fit is mean + amplitude*psi, so c = mean - a*<exp(-b*tau)>,
-    # and in t, a = amplitude*exp(b*t0)
-    scale = np.exp(rate * t0)
+    # in tau the fit is mean + amplitude*psi, so c = mean - a*<exp(-b*tau)>
     offset = mean - amplitude * float(np.dot(mass, np.exp(-rate * tau)))
-    parameters = (float(amplitude * scale), float(rate), float(offset))
+    parameters = (float(amplitude), float(rate), float(offset))
     fitted = mean + amplitude * psi
-    if not (np.isfinite(sse) and 0.0 < scale < np.inf and np.all(np.isfinite(parameters))):
-        raise FitError(
-            f"exponential fit overflows: SSE {sse}, (a, b, c) = {parameters} with "
-            f"exp(b*t0) = {scale}"
-        )
-    return MonotoneFit(family="exponential", fitted=fitted, parameters=parameters)
+    if not (np.isfinite(sse) and np.all(np.isfinite(parameters))):
+        raise FitError(f"exponential fit overflows: SSE {sse}, (a, b, c) = {parameters}")
+    return MonotoneFit(family="exponential", fitted=fitted, parameters=parameters, t0=float(t0))
 
 
 def _fit_isotonic(s: TimeSeries) -> MonotoneFit:
@@ -250,16 +247,16 @@ def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
 
     The isotonic family is the exact non-increasing fit, by
     pool-adjacent-violators (Best & Chakravarti, Math. Programming 47, 425,
-    1990). The exponential family fits a*exp(-b*t) + c with a, b >= 0 by
-    variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-    1973): for a fixed b the best (a, c) is a closed form, so the fit is a
-    search over b alone. The weighted SSE is evaluated at b = 0 and on a
-    log-spaced bracket of b in one ``expm1``, and golden-section search
-    refines the best point of each basin the bracket finds to a relative
-    1e-12 in b. The fit runs in t - t0, t0 the first time, and a is
-    converted back as a*exp(b*t0). Both families satisfy
-    g(t_{i+1}) <= g(t_i) by construction. An exponential fit whose SSE or
-    parameters are not finite, or whose exp(b*t0) overflows or underflows,
+    1990). The exponential family fits a*exp(-b*(t - t0)) + c, t0 the first
+    time, with a, b >= 0 by variable projection (Golub & Pereyra, SIAM J.
+    Numer. Anal. 10, 413, 1973): for a fixed b the best (a, c) is a closed
+    form, so the fit is a search over b alone. The weighted SSE is
+    evaluated at b = 0 and on a log-spaced bracket of b in one ``expm1``,
+    and golden-section search refines the best point of each basin the
+    bracket finds to a relative 1e-12 in b. t0 is kept in
+    ``MonotoneFit.t0``, so the parameters stay finite however far from 0
+    the times start. Both families satisfy g(t_{i+1}) <= g(t_i) by
+    construction. An exponential fit whose SSE or parameters are not finite
     raises ``FitError``; there is no fallback fit.
     """
     _check_fit_input(s, family)
@@ -322,7 +319,7 @@ def disambiguate(
     """Run fit -> detrend -> spectrum -> peaks and summarize peak strengths.
 
     The series is checked for the fit and then for the spectrum before the
-    fit runs, so a series the spectrum refuses never loads scipy.
+    fit runs, so a series the spectrum refuses is never fitted.
     """
     _check_fit_input(s, family)
     _check_spectrum_input(s)

@@ -13,11 +13,10 @@ Noisy evolution applies the dephasing kernel to the coin coherences in
 two inequivalent ways:
 
 * one-shot -- the full channel acts once on the noiseless state at each
-  readout time, ``rho(t) = D[k(t)](W^t rho_0 W^dag t)``. The state is a
-  dephased pure state of rank <= 2, so it is yielded as its Kraus factor
-  ``b`` of shape (2, n_positions, 2): column ``b[..., r] = (K_r (x) I) psi(t)``
-  for the Kraus pair of :func:`nmqwalk.noise.kraus_at`, and
-  ``rho(t) = sum_r b_r b_r^dag``;
+  readout time, ``rho(t) = D[k(t)](W^t rho_0 W^dag t)``. It acts on the
+  coin alone and keeps the coin populations, so the position populations
+  are the noiseless walker's |psi(t)|^2 under any kernel, and the
+  witnesses read the rest from the coin block (see :mod:`nmqwalk.witness`);
 * stepwise -- the intermediate map between consecutive steps is
   interleaved with the walk, ``rho(t) = D[k(t)/k(t-1)](W rho(t-1) W^dag)``,
   which requires an invertible kernel and may transiently leave the set
@@ -27,19 +26,19 @@ two inequivalent ways:
   steps, so the walk holds and yields only that dense
   (2(t + 1), 2(t + 1)) block. It is full rank in general.
 
-Both generators yield ``(t, state, sites)``: ``sites`` are the lattice
-indices the state's position axis covers, so ``lattice_positions(cfg)[sites]``
-labels its probabilities. A one-shot factor covers the whole lattice.
-Amplitude arrays are shaped (2, n_positions); flat indices follow the
-coin (x) position order of :mod:`nmqwalk.qops`.
+:func:`populations` yields ``(t, sites, probs)`` in either mode and
+:func:`evolve_stepwise` yields ``(t, rho_t, sites)``: ``sites`` are the
+lattice indices of the light cone, so ``lattice_positions(cfg)[sites]``
+labels the probabilities. Amplitude arrays are shaped (2, n_positions);
+flat indices follow the coin (x) position order of :mod:`nmqwalk.qops`.
 
 One-shot mode walks the basis pair: the two noiseless walks psi_0 and
 psi_1 started from coin |0> or |1> at x0. C(theta) and the shift are real,
 so both are real, and they are walked in real arithmetic on the t + 1
 light-cone sites only, holding only the current step. The walk is linear,
 so the walker started from the coin state (alpha, beta) is
-alpha psi_0 + beta psi_1; :func:`evolve_one_shot` forms it from the pair,
-and the witnesses read every walker from the pair's Gram matrix (see
+alpha psi_0 + beta psi_1; :func:`populations` reads it from the pair, and
+the witnesses read every walker from the pair's Gram matrix (see
 :mod:`nmqwalk.witness`).
 """
 
@@ -48,14 +47,17 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .divisibility import kernel_ratio
-from .exceptions import DimensionMismatchError, EdgeAmplitudeError
-from .noise import NoiseModel, kraus_at
+from .exceptions import EdgeAmplitudeError
+from .noise import NoiseModel, kernel_value
 
 EDGE_AMPLITUDE_TOL = 1e-14
+EvolutionMode = Literal["one_shot", "stepwise"]
+
 
 @dataclass(frozen=True)
 class WalkConfig:
@@ -177,31 +179,6 @@ def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
     return np.outer(flat, flat.conj())
 
 
-def evolve_one_shot(
-    cfg: WalkConfig, noise: NoiseModel
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (t, b_t, sites) with the full dephasing channel applied at each t.
-
-    ``b_t`` has shape (2, n_positions, 2) (coin, position, Kraus index), and
-    the state is ``rho_t = sum_r b_r b_r^dag`` with ``b_r = (K_r (x) I) psi(t)``.
-    Without noise the pair is (I, 0). Every such state is a valid density
-    matrix: the channel is completely positive for any kernel value in
-    [-1, 1]. The kernel range on t = 0..T raises before any yield; the edge
-    guard raises at the step where the walker reaches an edge. psi(t) is
-    alpha psi_0(t) + beta psi_1(t) of the basis pair that
-    :func:`_basis_walks` streams, so memory is O(n) for any T. The factor
-    spans the whole lattice, so ``sites`` is ``arange(n_positions)``, one
-    array shared by every yield.
-    """
-    kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
-    lattice = np.arange(cfg.n_positions)
-    coin = _coin_vector(cfg.delta, cfg.eta)
-    for t, a, sites in _basis_walks(cfg, coin[None]):
-        psi = np.zeros((2, cfg.n_positions), dtype=complex)
-        psi[:, sites] = np.einsum("i,cix->cx", coin, a)
-        yield t, np.einsum("rcd,dj->cjr", kraus[t], psi), lattice
-
-
 def evolve_stepwise(
     cfg: WalkConfig, noise: NoiseModel
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -237,7 +214,8 @@ def evolve_stepwise(
     copy, so a caller may overwrite it.
     """
     start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-    yield from _light_cone_blocks(cfg, noise, start)
+    for t, rho, sites in _light_cone_blocks(cfg, noise, start):
+        yield t, rho.copy(), sites
 
 
 def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
@@ -288,8 +266,9 @@ def _light_cone_blocks(
     each yielded block are rho1(t) and i rho2(t). The edge guard reads
     sqrt max(|Re X_ii|, |Im X_ii|), the larger of the two walkers'
     populations, so it fires where either walker's guard would and nowhere
-    else. For a Hermitian start that is sqrt|rho_ii|. The walk steps its
-    own block and yields a copy of it.
+    else. For a Hermitian start that is sqrt|rho_ii|. Each step forms a new
+    block and yields it, not a copy; the next step reads it, so a caller
+    must not write to it.
     """
     n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width
@@ -307,23 +286,42 @@ def _light_cone_blocks(
                 pops = np.maximum(np.abs(diag.real), np.abs(diag.imag))
                 amps[:, sites] = np.sqrt(pops).reshape(2, t + 1)
                 _check_edges(amps)
-        yield t, rho.copy(), sites
+        yield t, rho, sites
 
 
-def position_distribution(state: np.ndarray) -> np.ndarray:
-    """Position probabilities of a (2, n, r) factor or a (2n, 2n) density matrix.
+def _cone_populations(block: np.ndarray) -> np.ndarray:
+    """Position populations of a (2m, 2m) light-cone block: its diagonal's coin halves summed."""
+    diag = block.diagonal().real
+    m = len(diag) // 2
+    return diag[:m] + diag[m:]
 
-    A factor gives rho = sum_r b_r b_r^dag: r = 2 for the one-shot Kraus
-    factor, r = 1 for an amplitude array passed as ``amps[..., None]``.
+
+def populations(
+    cfg: WalkConfig, noise: NoiseModel, mode: EvolutionMode
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (t, sites, probs): the walker's position populations on its light cone.
+
+    ``probs[j]`` is the population of lattice index ``sites[j]``. One-shot
+    dephasing keeps the coin populations, so under any kernel they are the
+    noiseless walker's, |sum_i v_i psi_i(t)|^2 summed over the coin, from
+    the basis walks of :func:`_basis_walks`. The kernel is evaluated once
+    on t = 0..T before the walk, for its range check alone. Stepwise, they
+    are read from the diagonal of each light-cone block of
+    :func:`_light_cone_blocks`, which is not copied. In both modes the
+    edge guard reads the walker.
     """
-    state = np.asarray(state)
-    if state.ndim == 3 and state.shape[0] == 2:
-        return np.sum(np.abs(state) ** 2, axis=(0, 2))
-    if state.ndim != 2 or state.shape[0] != state.shape[1] or state.shape[0] % 2:
-        raise DimensionMismatchError(f"not a (2, n, r) factor or (2n, 2n) state: {state.shape}")
-    diag = np.real(np.diag(state))
-    n = len(diag) // 2
-    return diag[:n] + diag[n:]
+    if mode == "stepwise":
+        start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
+        for t, rho, sites in _light_cone_blocks(cfg, noise, start):
+            yield t, sites, _cone_populations(rho)
+    elif mode == "one_shot":
+        kernel_value(noise, np.arange(cfg.steps + 1.0))
+        coin = _coin_vector(cfg.delta, cfg.eta)
+        for t, a, sites in _basis_walks(cfg, coin[None]):
+            psi = np.einsum("i,cix->cx", coin, a)
+            yield t, sites, np.sum(np.abs(psi) ** 2, axis=0)
+    else:
+        raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
 
 
 def distribution_variance(probs: np.ndarray, positions: np.ndarray) -> float:

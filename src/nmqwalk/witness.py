@@ -15,7 +15,8 @@ C(t) = Tr_x |psi(t)><psi(t)|, a 2 x 2 matrix:
 - rho_c is C with its off-diagonal entries scaled by k, and rho_p has the
   nonzero spectrum of C (Schmidt);
 - rho = B B^dag, with B the Kraus columns b_r = (K_r (x) I) psi of the
-  ``kraus_at`` pair, so S(rho) is the entropy of the 2 x 2 matrix
+  dephasing pair K = (sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3), so S(rho) is
+  the entropy of the 2 x 2 matrix
   B^dag B = [[(1+k)/2, q], [q, (1-k)/2]], q = sqrt(1 - k^2) (C_00 - C_11) / 2;
 - MI = S(rho_c) + S(C) - S(rho), and the discord is S(rho_c) - S(rho)
   (see :func:`_one_shot_witnesses`);
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Literal
 
 import numpy as np
 
@@ -67,19 +67,19 @@ from .qops import (
     partial_trace,
 )
 from .walk import (
+    EvolutionMode,
     WalkConfig,
     _basis_walks,
     _coin_vector,
+    _cone_populations,
     _light_cone_blocks,
     density_from_amplitudes,
     distribution_variance,
     evolve_stepwise,
     lattice_positions,
-    position_distribution,
 )
 
 WITNESS_TAGS = ("TD", "MI", "MID", "QD", "Entropy", "Variance")
-EvolutionMode = Literal["one_shot", "stepwise"]
 
 #: default pair of initial coin states for the trace-distance witness,
 #: (delta1, eta1, delta2, eta2) in radians: the orthogonal pair psi(+-pi/4, 0)
@@ -220,7 +220,7 @@ def _one_shot_witnesses(blocks: np.ndarray, k: np.ndarray, frames: dict, tags) -
     w_c, v_c = np.linalg.eigh(rho_c)
     s_c = entropy_of_spectrum(w_c)
     out = {"Entropy": s_c}
-    # K[m, c, r], the diagonals of the kraus_at pair sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3
+    # K[m, c, r], the diagonals of the dephasing pair sqrt((1+k)/2) I, sqrt((1-k)/2) sigma_3
     plus, minus = np.sqrt((1.0 + k) / 2.0), np.sqrt((1.0 - k) / 2.0)
     kraus = np.stack([np.stack([plus, minus], -1), np.stack([plus, -minus], -1)], -2)
     populations = np.diagonal(blocks, axis1=1, axis2=2).real
@@ -452,8 +452,8 @@ def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: t
     The walkers are the one of ``cfg`` when a single-walker tag is asked,
     then the two ``td_pair`` walkers when TD is. The closed forms run only
     when an entropic tag is asked: Variance reads the walk alone. The
-    kernel range raises before the walk, and k is clipped to [-1, 1] as
-    ``kraus_at`` clips it.
+    kernel range raises before the walk, and k is clipped to [-1, 1], inside
+    which the dephasing pair is real.
     """
     k = np.clip(kernel_value(noise, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
     single = bool(set(tags) - {"TD"})
@@ -535,7 +535,7 @@ def witness_series(
             state = _State(rho)
             for tag in single:
                 if tag == "Variance":
-                    probs = position_distribution(rho)
+                    probs = _cone_populations(rho)
                     values[tag].append(distribution_variance(probs, positions[sites]))
                 else:
                     values[tag].append(_DENSE_WITNESSES[tag](state))

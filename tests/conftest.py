@@ -11,16 +11,18 @@ rounds apart from the sum of the basis walks by an ulp or so.
 
 ``witness_series`` computes every one-shot witness from the walkers' 2 x 2
 coin blocks, read from the Gram matrix of the basis pair, and the kernel
-values, and ``walk.evolve_one_shot`` yields each one-shot state as its
-rank-2 Kraus factor. The dense generator below forms
-the (2 n_positions)^2 density matrix from the same amplitudes and kernel
-the way the library did before the factor, so the tests can check both
-against it. ``koashi_winter_discord`` is the oracle of the one-shot
-discord S(rho_c) - S(rho): the Koashi-Winter relation with Wootters'
-concurrence of rho_pE, computed on the factor as the library did before
-the closed form. ``one_shot_witnesses`` measures any stack of one-shot
-states D_k(|psi><psi|) through the closed forms the series runs, from psi
-and k themselves.
+values, and ``walk.populations`` reads the one-shot position populations
+from the noiseless walker alone. Two generators below form each one-shot
+state from the roll oracle's amplitudes and the kernel: ``dense_one_shot``
+as the (2 n_positions)^2 density matrix, and ``one_shot_factors`` as the
+rank-2 Kraus factor of the ``kraus_at`` pair, the form the library yielded
+before it read the witnesses and the populations without any state.
+``koashi_winter_discord`` is the oracle of the one-shot discord
+S(rho_c) - S(rho): the Koashi-Winter relation with Wootters' concurrence
+of rho_pE, computed on the factor as the library did before the closed
+form. ``one_shot_witnesses`` measures any stack of one-shot states
+D_k(|psi><psi|) through the closed forms the series runs, from psi and k
+themselves.
 
 ``walk.evolve_stepwise`` evolves and yields only the light-cone block of
 the walker, with the lattice sites it covers. ``full_lattice_stepwise``
@@ -58,7 +60,7 @@ from scipy.optimize import curve_fit
 
 from nmqwalk.divisibility import kernel_ratio
 from nmqwalk.exceptions import DimensionMismatchError, EdgeAmplitudeError
-from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kernel_value
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import EIGENVALUE_CUTOFF, partial_trace
 from nmqwalk.spectral import TimeSeries
 from nmqwalk.walk import (
@@ -78,6 +80,7 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 
+SIGMA_3 = np.diag([1.0 + 0.0j, -1.0 + 0.0j])
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
 
 _RATES = st.floats(min_value=1e-3, max_value=2.0)
@@ -157,6 +160,20 @@ def evolve_noiseless(cfg, start=None):
     return out
 
 
+def kraus_at(noise, t):
+    """Kraus pair of the one-shot dephasing map from 0 to t on the coin qubit.
+
+    K1 = sqrt((1+k)/2) I and K2 = sqrt((1-k)/2) sigma_3 where k is the
+    kernel value at t, so no noise (None, k = 1) gives the pair (I, 0).
+    Shape (*t.shape, 2, 2, 2), the Kraus index first of the last three axes.
+    ``kernel_value`` checks the range, so an out-of-range k raises
+    KernelRangeError, and k is clipped to [-1, 1] against its rounding slack.
+    """
+    k = np.clip(kernel_value(noise, t), -1.0, 1.0)[..., None, None]
+    pair = [np.sqrt((1.0 + k) / 2.0) * np.eye(2), np.sqrt((1.0 - k) / 2.0) * SIGMA_3]
+    return np.stack(pair, axis=-3)
+
+
 def dephase_density(rho, k, n_positions):
     """Multiply the coin-coherence blocks of a coin (x) position state by k."""
     out = rho.copy()
@@ -175,6 +192,26 @@ def dense_one_shot(cfg, noise, kernel=None):
         rho = density_from_amplitudes(amps)
         k = float(kernel_value(noise, float(t))) if kernel is None else kernel[t]
         yield t, dephase_density(rho, k, cfg.n_positions)
+
+
+def one_shot_factors(cfg, noise):
+    """Yield (t, b_t, sites) with the full dephasing channel applied at each t.
+
+    ``b_t`` has shape (2, n_positions, 2) (coin, position, Kraus index): the
+    columns b_r = (K_r (x) I) psi(t) for the ``kraus_at`` pair and the roll
+    oracle's psi(t), so rho_t = sum_r b_r b_r^dag. The factor covers the
+    whole lattice, so ``sites`` is ``arange(n_positions)``. The kernel range
+    and the edge guard raise before the first yield.
+    """
+    kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
+    sites = np.arange(cfg.n_positions)
+    for t, psi in enumerate(evolve_noiseless(cfg)):
+        yield t, np.einsum("rcd,dj->cjr", kraus[t], psi), sites
+
+
+def dense_populations(rho):
+    """Position populations of a coin (x) position matrix: its diagonal's coin halves summed."""
+    return rho.diagonal().real.reshape(2, -1).sum(axis=0)
 
 
 def full_lattice_stepwise(cfg, noise, start=None):

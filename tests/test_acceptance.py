@@ -32,6 +32,7 @@ from conftest import (
     apply_signed,
     evolve_noiseless,
     intermediate_kraus,
+    kraus_at,
     one_shot_witnesses,
     random_qubit_states,
     trace_distance,
@@ -39,13 +40,7 @@ from conftest import (
 )
 
 from nmqwalk.divisibility import cp_divisibility_scan, kernel_ratio
-from nmqwalk.noise import (
-    OunParams,
-    PlnParams,
-    RtnParams,
-    kernel_value,
-    kraus_at,
-)
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import partial_trace
 from nmqwalk.spectral import TimeSeries, disambiguate, fit_mfbf, power_spectrum
 from nmqwalk.walk import WalkConfig

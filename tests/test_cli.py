@@ -5,20 +5,23 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import full_lattice_stepwise
+from conftest import SIDED_NOISES, dense_one_shot, dense_populations, full_lattice_stepwise
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nmqwalk
 import nmqwalk.cli as cli_mod
 import nmqwalk.noise as noise_mod
-from nmqwalk.cli import _PROB_EMIT_TOL, choi_grid, main, parse_config
+from nmqwalk.cli import _NOISE_MODELS, _PROB_EMIT_TOL, choi_grid, main, parse_config
 from nmqwalk.divisibility import cp_divisibility_scan
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
-from nmqwalk.walk import distribution_variance, lattice_positions, position_distribution
+from nmqwalk.walk import distribution_variance, lattice_positions, populations
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -290,6 +293,20 @@ class TestParseConfig:
         assert again.echo == cfg.echo
 
 
+@st.composite
+def one_shot_walk_docs(draw):
+    """The ``walk`` section of a walk of T <= 40 steps from any x0 in [-T - 1, T + 1]."""
+    steps = draw(st.integers(min_value=0, max_value=40))
+    angles = st.floats(min_value=-180.0, max_value=180.0)
+    return {
+        "steps": steps,
+        "coin_angle": draw(angles),
+        "delta": draw(angles),
+        "eta": draw(angles),
+        "initial_position": draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
+    }
+
+
 class TestWalkCommand:
     def test_outputs_and_known_values(self, tmp_path):
         cfg = write_config(tmp_path, {"walk": {"steps": 6}})
@@ -373,13 +390,41 @@ class TestWalkCommand:
         dist = ["step,x,probability\n"]
         variance = []
         for t, rho, _ in full_lattice_stepwise(parsed.walk, parsed.noise):
-            probs = position_distribution(rho)
+            probs = dense_populations(rho)
             dist += [f"{t},{x},{p:.12g}\n" for x, p in zip(positions, probs) if p > _PROB_EMIT_TOL]
             variance.append(distribution_variance(probs, positions.astype(float)))
         assert (out / "distribution.csv").read_text(encoding="utf-8") == "".join(dist)
         steps, found = zip(*written["variance.csv"])
         assert steps == tuple(range(31))
         np.testing.assert_allclose(found, variance, rtol=1e-12, atol=0.0)
+
+    @settings(
+        max_examples=30,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(walk=one_shot_walk_docs(), noise=SIDED_NOISES)
+    def test_one_shot_noise_moves_no_population(self, tmp_path, walk, noise):
+        # one-shot dephasing acts on the coin at readout: the files are those
+        # of the noiseless walk, and the populations the diagonal of each
+        # dephased state
+        models = {record: name for name, record in _NOISE_MODELS.items()}
+        section = {"model": models[type(noise)], **asdict(noise)} if noise else None
+        written = {}
+        for label, doc in [("noisy", {"walk": walk, "noise": section}), ("free", {"walk": walk})]:
+            cfg, out = write_config(tmp_path, doc), tmp_path / label
+            assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
+            written[label] = [(out / f).read_bytes() for f in ("distribution.csv", "variance.csv")]
+        assert written["noisy"] == written["free"]
+        cfg = parse_config(json.dumps({"walk": walk})).walk
+        pairs = zip(populations(cfg, noise, "one_shot"), dense_one_shot(cfg, noise), strict=True)
+        for (t, sites, probs), (_, rho) in pairs:
+            found = np.zeros(cfg.n_positions)
+            found[sites] = probs
+            np.testing.assert_allclose(
+                found, dense_populations(rho), rtol=0.0, atol=1e-13, err_msg=f"t={t}"
+            )
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_config(tmp_path, {"walk": {"steps": 10}})

@@ -6,6 +6,7 @@ from conftest import (
     apply_signed,
     dephase_density,
     intermediate_kraus,
+    kraus_at,
     random_qubit_states,
 )
 from hypothesis import assume, given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from nmqwalk.divisibility import choi_eigenvalues, cp_divisibility_scan, is_cp, kernel_ratio
 from nmqwalk.exceptions import NonInvertibleMapError
-from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value, kraus_at
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.walk import density_from_amplitudes
 
 RATES = st.floats(min_value=1e-3, max_value=5.0)

@@ -16,7 +16,10 @@ regenerates the whole set, from the repository root, with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists every changed row in CHANGES.md.
+which prints, for each kept data file it rewrites with other bytes, its
+name, how many rows changed and the first difference, and for each
+digest-only case the names whose digest changed; the change lists those
+rows in CHANGES.md.
 """
 
 import hashlib
@@ -67,36 +70,56 @@ def run_case(case: str, out: Path) -> dict[str, bytes]:
     }
 
 
+def golden_files(case: str) -> dict[str, bytes]:
+    """Relative path -> bytes of every data file a kept case holds."""
+    case_dir = GOLDEN / case
+    return {
+        path.relative_to(case_dir).as_posix(): path.read_bytes()
+        for path in sorted(case_dir.rglob("*"))
+        if path.is_file() and path.name != "config.json"
+    }
+
+
+def golden_digests(case: str) -> dict[str, str]:
+    """Relative path -> SHA-256 hex digest of every data file a digest-only case lists."""
+    lines = (GOLDEN / case / DIGESTS).read_text(encoding="utf-8").splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def digests(files: dict[str, bytes]) -> dict[str, str]:
+    return {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+
+
 def digest_lines(files: dict[str, bytes]) -> str:
-    return "".join(f"{hashlib.sha256(data).hexdigest()}  {name}\n" for name, data in files.items())
+    return "".join(f"{digest}  {name}\n" for name, digest in digests(files).items())
+
+
+def line_pairs(got: bytes, want: bytes):
+    return itertools.zip_longest(got.decode().splitlines(), want.decode().splitlines())
 
 
 def first_difference(name: str, got: bytes, want: bytes) -> str:
     """Where two versions of one data file first differ, by line."""
-    pairs = itertools.zip_longest(got.decode().splitlines(), want.decode().splitlines())
-    for line, (g, w) in enumerate(pairs, start=1):
+    for line, (g, w) in enumerate(line_pairs(got, want), start=1):
         if g != w:
             return f"{name}: line {line} is {g!r}, the golden file has {w!r}"
     return f"{name}: same lines, different bytes (line endings?)"
+
+
+def changed_rows(got: bytes, want: bytes) -> int:
+    """How many lines differ between two versions of one data file, line by line."""
+    return sum(g != w for g, w in line_pairs(got, want))
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_data_files_match_the_golden_set(case, tmp_path):
     files = run_case(case, tmp_path)
     if case in DIGEST_ONLY:
-        lines = (GOLDEN / case / DIGESTS).read_text(encoding="utf-8").splitlines()
-        want = {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
-        got = {name: hashlib.sha256(data).hexdigest() for name, data in files.items()}
+        want, got = golden_digests(case), digests(files)
         moved = sorted(name for name in want.keys() & got.keys() if want[name] != got[name])
         assert not moved, f"{case}: SHA-256 differs for {moved}"
     else:
-        case_dir = GOLDEN / case
-        want = {
-            path.relative_to(case_dir).as_posix(): path.read_bytes()
-            for path in sorted(case_dir.rglob("*"))
-            if path.is_file() and path.name != "config.json"
-        }
-        got = files
+        want, got = golden_files(case), files
         moved = [
             first_difference(f"{case}/{name}", got[name], want[name])
             for name in sorted(want.keys() & got.keys())
@@ -118,12 +141,40 @@ def test_first_difference_names_the_line():
     assert "line 4 is None" in first_difference("td.csv", got[:-7], got)
 
 
+def test_changed_rows_counts_lines():
+    want = b"step,value\n0,1\n1,0.5\n2,0.25\n"
+    assert changed_rows(want, want) == 0
+    assert changed_rows(want.replace(b"0.5", b"0.6").replace(b"0.25", b"0.3"), want) == 2
+    assert changed_rows(want + b"3,0.125\n", want) == 1
+
+
+def changes(case: str, files: dict[str, bytes]) -> list[str]:
+    """One line per data file of ``case`` whose bytes ``files`` change.
+
+    A kept case gives the file's name, its number of changed rows and its
+    first difference; a digest-only case gives the names whose digest changed.
+    """
+    if case in DIGEST_ONLY:
+        old, new = golden_digests(case), digests(files)
+        moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+        return [f"{case}: SHA-256 changed for {moved}"] if moved else []
+    old = golden_files(case)
+    return [
+        f"{changed_rows(files.get(name, b''), old.get(name, b''))} changed rows in "
+        + first_difference(f"{case}/{name}", files.get(name, b""), old.get(name, b""))
+        for name in sorted(old.keys() | files.keys())
+        if files.get(name) != old.get(name)
+    ]
+
+
 def regenerate() -> None:
-    """Rewrite every case's data files, or its digests, from its config."""
+    """Rewrite every case's data files, or its digests, from its config, printing what changed."""
     for case in CASES:
         case_dir = GOLDEN / case
         with tempfile.TemporaryDirectory() as tmp:
             files = run_case(case, Path(tmp))
+        for line in changes(case, files):
+            print(line)
         if case in DIGEST_ONLY:
             (case_dir / DIGESTS).write_text(digest_lines(files), encoding="utf-8")
             continue

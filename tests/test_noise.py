@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import kraus_at
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,6 @@ from nmqwalk.noise import (
     PlnParams,
     RtnParams,
     kernel_value,
-    kraus_at,
     oun_p,
     pln_p,
     rtn_lambda,
@@ -151,7 +151,7 @@ class TestKernelProperties:
     @example(noise=near_critical_rtn(0.4, -0.6 * _CRITICAL_TOL), t=3.0)
     @example(noise=RtnParams(a=0.25, gamma=1.0), t=900.0)
     def test_kernel_within_unit_range(self, noise, t):
-        # the slack is the rounding allowance kraus_at accepts
+        # the slack is the rounding allowance kernel_value accepts
         k = kernel_value(noise, t)
         assert abs(k) <= 1.0 + _KERNEL_SLACK
 

@@ -155,16 +155,27 @@ class TestExponentialFit:
         assert np.all(np.diff(fit.fitted) <= 0.0)
         assert_never_loses_to_curve_fit(s, fit)
 
+    def test_times_far_from_zero_keep_finite_parameters(self):
+        # a steep drop after the first point: the best rate is 7.4, so the
+        # amplitude of a*exp(-b*t) would be about e^7420 at t0 = 1000; in
+        # t - t0 the parameters are those of the same values at t = 0..15
+        values = np.r_[1.0, np.zeros(15)] + 1e-3 * np.cos(np.arange(16.0))
+        times = 1000.0 + np.arange(16.0)
+        fit = fit_mfbf(series(values, times=times), "exponential")
+        at_zero = fit_mfbf(series(values), "exponential")
+        assert fit.t0 == 1000.0 and at_zero.t0 == 0.0
+        assert np.all(np.isfinite(fit.parameters)) and fit.parameters == at_zero.parameters
+        a, b, c = fit.parameters
+        assert b == pytest.approx(7.42, abs=0.01)
+        np.testing.assert_allclose(
+            a * np.exp(-b * (times - fit.t0)) + c, fit.fitted, rtol=0.0, atol=1e-14
+        )
+
     @pytest.mark.parametrize(
         "times, values",
-        [
-            # a steep drop after the first point: the best rate is 7.4, and
-            # a = amplitude*exp(b*t0) overflows at t0 = 1000
-            (1000.0 + np.arange(16.0), np.r_[1.0, np.zeros(15)] + 1e-3 * np.cos(np.arange(16.0))),
-            # the squared residuals overflow
-            (np.arange(16.0), 1e200 * np.cos(np.arange(16.0))),
-        ],
-        ids=["parameters", "sse"],
+        # the squared residuals overflow
+        [(np.arange(16.0), 1e200 * np.cos(np.arange(16.0)))],
+        ids=["sse"],
     )
     def test_overflow_raises(self, times, values):
         with pytest.raises(FitError):

@@ -6,12 +6,7 @@ import pytest
 from conftest import (
     SIDED_NOISES,
     basis_start,
-    check_density_matrix,
-    dense_one_shot,
-    density_from_factor,
-    dephase_density,
     embed,
-    evolve_noiseless,
     full_lattice_stepwise,
     initial_state,
     step_amplitudes,
@@ -22,39 +17,40 @@ from hypothesis import strategies as st
 import nmqwalk.noise as noise_mod
 import nmqwalk.walk as walk_mod
 from nmqwalk.exceptions import (
-    DimensionMismatchError,
     EdgeAmplitudeError,
     KernelRangeError,
     NmqwalkError,
     NonInvertibleMapError,
 )
-from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
+from nmqwalk.noise import OunParams, PlnParams, RtnParams
 from nmqwalk.walk import (
     WalkConfig,
     coin_operator,
     density_from_amplitudes,
     distribution_variance,
-    evolve_one_shot,
     evolve_stepwise,
     lattice_positions,
-    position_distribution,
+    populations,
 )
 from nmqwalk.witness import WITNESS_TAGS, witness_series
 
-RATES = st.floats(min_value=1e-3, max_value=2.0)
-NOISES = st.one_of(
-    st.none(),
-    st.builds(RtnParams, a=st.floats(min_value=0.0, max_value=2.0), gamma=RATES),
-    st.builds(OunParams, Gamma=RATES, gamma=RATES),
-    st.builds(PlnParams, Gamma=RATES, gamma=RATES),
-)
+MODES = ("one_shot", "stepwise")
 
 
 def noiseless_history(cfg):
     """The amplitudes (T + 1, 2, n_positions) of cfg's walker, as the one-shot
-    walk forms them from the basis pair: without noise the Kraus pair is
-    (I, 0), so the first Kraus column of each factor is psi(t)."""
-    return np.stack([factor[..., 0] for _, factor, _ in evolve_one_shot(cfg, None)])
+    walk forms it from the basis pair: sum_i v_i psi_i on the light cone."""
+    coin = walk_mod._coin_vector(cfg.delta, cfg.eta)
+    out = np.zeros((cfg.steps + 1, 2, cfg.n_positions), dtype=complex)
+    for t, a, sites in walk_mod._basis_walks(cfg, coin[None]):
+        out[t][:, sites] = np.einsum("i,cix->cx", coin, a)
+    return out
+
+
+def last_populations(cfg, noise=None, mode="one_shot"):
+    """The (sites, probs) of the last step of ``populations``."""
+    *_, (_, sites, probs) = populations(cfg, noise, mode)
+    return sites, probs
 
 
 def shift_operator(n_positions: int) -> np.ndarray:
@@ -142,77 +138,54 @@ class TestNoiselessEvolution:
         with pytest.raises(ValueError):
             WalkConfig(steps=2, initial_position=4)
 
-    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["coin_angle", "delta", "eta"])
-    def test_non_finite_angle_rejected(self, field, value, evolve):
+    def test_non_finite_angle_rejected(self, field, value):
         # unchecked, a NaN angle yields NaN states without an error, and an
         # infinite one fails inside math.cos with no field named
         with pytest.raises(ValueError, match=f"^{field} must be a finite angle"):
-            list(evolve(WalkConfig(steps=5, **{field: value}), None))
+            WalkConfig(steps=5, **{field: value})
 
     def test_symmetric_initial_state_gives_symmetric_distribution(self):
         cfg = WalkConfig(steps=20, eta=math.pi / 2)
-        probs = position_distribution(noiseless_history(cfg)[-1][..., None])
+        sites, probs = last_populations(cfg)
+        assert np.array_equal(lattice_positions(cfg)[sites], np.arange(-20, 21, 2))
         np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)
 
 
 class TestNoisyEvolution:
     NOISE = RtnParams(a=0.9, gamma=0.5)
 
-    def test_one_shot_states_are_physical(self):
-        cfg = WalkConfig(steps=8)
-        for t, factor, sites in evolve_one_shot(cfg, self.NOISE):
-            assert factor.shape == (2, cfg.n_positions, 2)
-            assert np.array_equal(sites, np.arange(cfg.n_positions))
-            check_density_matrix(density_from_factor(factor))
-
-    def test_one_shot_scales_coherence_blocks(self):
-        cfg = WalkConfig(steps=5)
-        n = cfg.n_positions
-        pure = {t: density_from_factor(b) for t, b, _ in evolve_one_shot(cfg, None)}
-        noisy = {t: density_from_factor(b) for t, b, _ in evolve_one_shot(cfg, self.NOISE)}
-        for t in pure:
-            k = kernel_value(self.NOISE, float(t))
-            np.testing.assert_allclose(
-                noisy[t][:n, n:], k * pure[t][:n, n:], atol=1e-14
-            )
-            np.testing.assert_allclose(noisy[t][:n, :n], pure[t][:n, :n], atol=1e-14)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_populations_are_a_distribution_on_the_light_cone(self, mode):
+        # a CP-divisible kernel, so every stepwise state is physical
+        cfg = WalkConfig(steps=8, delta=0.7, eta=0.3)
+        for t, sites, probs in populations(cfg, OunParams(Gamma=0.1, gamma=0.01), mode):
+            assert np.array_equal(lattice_positions(cfg)[sites], np.arange(-t, t + 1, 2))
+            assert probs.shape == (t + 1,) and np.all(probs >= 0.0), f"t={t}"
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12), f"t={t}"
 
     def test_stepwise_equals_one_shot_without_noise(self):
         cfg = WalkConfig(steps=10)
-        for (t1, b1, _), (t2, r2, sites) in zip(
-            evolve_one_shot(cfg, None), evolve_stepwise(cfg, None)
+        for (t1, sites1, p1), (t2, sites2, p2) in zip(
+            populations(cfg, None, "one_shot"), populations(cfg, None, "stepwise"), strict=True
         ):
-            assert t1 == t2
-            np.testing.assert_allclose(
-                density_from_factor(b1), embed(r2, sites, cfg.n_positions), atol=1e-12
-            )
+            assert t1 == t2 and np.array_equal(sites1, sites2)
+            np.testing.assert_allclose(p1, p2, rtol=0.0, atol=1e-12)
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        noise=NOISES,
-        steps=st.integers(min_value=0, max_value=6),
-        delta=st.floats(min_value=-math.pi, max_value=math.pi),
-        eta=st.floats(min_value=-math.pi, max_value=math.pi),
-    )
-    def test_factor_matches_dense_dephasing(self, noise, steps, delta, eta):
-        # sum_r b_r b_r^dag is the dephased pure state D[k](|psi><psi|)
-        cfg = WalkConfig(steps=steps, delta=delta, eta=eta)
-        amps = evolve_noiseless(cfg)
-        for t, factor, _ in evolve_one_shot(cfg, noise):
-            k = float(kernel_value(noise, float(t)))
-            expected = dephase_density(density_from_amplitudes(amps[t]), k, cfg.n_positions)
-            np.testing.assert_allclose(density_from_factor(factor), expected, atol=1e-14)
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            next(populations(WalkConfig(steps=2), None, "exact"))
 
     @pytest.mark.parametrize("k", [1.0 + 1e-9, -1.0 - 1e-9])
     def test_kernel_outside_unit_range_raises(self, monkeypatch, k):
         # |k| > 1 has no Kraus pair; it must stop the walk, not give NaN
         # columns, and the whole grid is checked before the first state
         monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.where(t < 2, 1.0, k))
-        for evolve in (evolve_one_shot, evolve_stepwise):
+        walks = [populations(WalkConfig(steps=4), self.NOISE, mode) for mode in MODES]
+        for walk in [*walks, evolve_stepwise(WalkConfig(steps=4), self.NOISE)]:
             with pytest.raises(KernelRangeError, match=r"at t=2\.0 "):
-                next(evolve(WalkConfig(steps=4), self.NOISE))
+                next(walk)
 
     def test_stepwise_preserves_trace_and_hermiticity(self):
         for t, rho, _ in evolve_stepwise(WalkConfig(steps=8), self.NOISE):
@@ -226,28 +199,25 @@ class TestNoisyEvolution:
         with pytest.raises(NonInvertibleMapError, match=r"t1=1\.0;"):
             next(evolve_stepwise(WalkConfig(steps=4), self.NOISE))
 
-    def test_kernel_evaluated_once_per_walk(self, monkeypatch):
-        calls = {"kraus_at": 0, "kernel": 0}
+    @pytest.mark.parametrize(
+        "mode, shapes", [("one_shot", [(13,)]), ("stepwise", [(12,), (12,)])], ids=MODES
+    )
+    def test_kernel_evaluated_once_per_walk(self, monkeypatch, mode, shapes):
+        # one-shot: one call on the grid t = 0..T; stepwise: kernel_ratio's
+        # one call on t1 = 0..T-1 and one on t2 = 1..T
+        calls = []
+        kernel = noise_mod._KERNELS[RtnParams]
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
+        def counted(p, t):
+            calls.append(np.shape(t))
+            return kernel(p, t)
 
-            return wrapper
+        monkeypatch.setitem(noise_mod._KERNELS, RtnParams, counted)
+        list(populations(WalkConfig(steps=12), self.NOISE, mode))
+        assert calls == shapes
 
-        monkeypatch.setattr(walk_mod, "kraus_at", counted("kraus_at", walk_mod.kraus_at))
-        monkeypatch.setitem(
-            noise_mod._KERNELS, RtnParams, counted("kernel", noise_mod._KERNELS[RtnParams])
-        )
-        list(evolve_one_shot(WalkConfig(steps=12), self.NOISE))
-        assert calls == {"kraus_at": 1, "kernel": 1}
-        calls["kernel"] = 0
-        list(evolve_stepwise(WalkConfig(steps=12), self.NOISE))
-        assert calls["kernel"] <= 2
-
-    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
-    def test_edge_guard_fires_in_both_modes(self, evolve, origin_lattice):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_edge_guard_fires_in_both_modes(self, mode, origin_lattice):
         cases = [
             # started next to the right edge, the coin-1 weight reaches it at t = 3
             (WalkConfig(steps=4, initial_position=4), self.NOISE),
@@ -256,7 +226,7 @@ class TestNoisyEvolution:
         ]
         for cfg, noise in cases:
             with pytest.raises(EdgeAmplitudeError):
-                list(evolve(cfg, noise))
+                list(populations(cfg, noise, mode))
 
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
@@ -378,7 +348,7 @@ class TestNoiselessStream:
             return walks(cfg, coins)
 
         monkeypatch.setattr(walk_mod, "_basis_walks", counting)
-        list(evolve_one_shot(WalkConfig(steps=4), OunParams(Gamma=0.1, gamma=0.01)))
+        list(populations(WalkConfig(steps=4), OunParams(Gamma=0.1, gamma=0.01), "one_shot"))
         assert calls == [1]
 
 
@@ -573,54 +543,32 @@ class TestEdgeGuardSteps:
         witness_series(cfg, OunParams(Gamma=0.1, gamma=0.01), mode=mode, witnesses=WITNESS_TAGS)
         assert calls == []
 
-    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "x0, reach", [(3, 8), (-5, 6), (-11, 1), (11, 1)], ids=["right", "left", "at-left", "at-right"]
     )
-    def test_first_call_is_at_reach(self, evolve, x0, reach, origin_lattice):
+    def test_first_call_is_at_reach(self, mode, x0, reach, origin_lattice):
         # on 2(T + 1) + 1 = 23 sites the start's lattice index is x0 + 11;
         # reach is min(x0 + 11, 11 - x0), and at least 1 since step 0 has no
         # guard
         cfg = WalkConfig(steps=10, delta=0.7, eta=0.3, initial_position=x0)
-        steps = guard_steps(evolve(cfg, OunParams(Gamma=0.1, gamma=0.01)))
+        steps = guard_steps(populations(cfg, OunParams(Gamma=0.1, gamma=0.01), mode))
         assert steps and steps == list(range(reach, reach + len(steps)))
 
 
 class TestDistributions:
     def test_probabilities_sum_to_one(self):
-        cfg = WalkConfig(steps=25)
-        probs = position_distribution(evolve_noiseless(cfg)[-1][..., None])
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_density_and_amplitude_paths_agree(self):
-        cfg = WalkConfig(steps=6)
-        noise = RtnParams(a=0.9, gamma=0.5)
-        amps = evolve_noiseless(cfg)[-1]
-        rho = dict(dense_one_shot(cfg, noise))[6]
-        factor = list(evolve_one_shot(cfg, noise))[6][1]
-        for state in (rho, factor):
-            np.testing.assert_allclose(
-                position_distribution(amps[..., None]), position_distribution(state), atol=1e-13
-            )
-
-    @pytest.mark.parametrize(
-        "shape", [(2, 7), (5, 5), (3, 7, 2)], ids=["non-square", "odd-square", "qutrit-factor"]
-    )
-    def test_other_shapes_rejected(self, shape):
-        # an amplitude array enters as its rank-1 factor amps[..., None]
-        with pytest.raises(DimensionMismatchError):
-            position_distribution(np.ones(shape))
+        assert last_populations(WalkConfig(steps=25))[1].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)
         positions = lattice_positions(cfg).astype(float)
-        amps = evolve_noiseless(cfg)
-        assert distribution_variance(position_distribution(amps[1, ..., None]), positions) == (
-            pytest.approx(0.0, abs=1e-14)
-        )
-        assert distribution_variance(position_distribution(amps[2, ..., None]), positions) == (
-            pytest.approx(1.0, abs=1e-12)
-        )
+        found = [
+            distribution_variance(probs, positions[sites])
+            for _, sites, probs in populations(cfg, None, "one_shot")
+        ]
+        assert found[1] == pytest.approx(0.0, abs=1e-14)
+        assert found[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_lattice_positions_span(self):
         pos = lattice_positions(WalkConfig(steps=3))
@@ -644,26 +592,28 @@ OFF_ORIGIN_STARTS = {
 }
 
 
-def lattice_distribution(cfg, state, sites):
-    """Position probabilities of a yielded state on the whole lattice."""
-    probs = np.zeros(cfg.n_positions)
-    probs[sites] = position_distribution(state)
-    return probs
+def lattice_distribution(cfg, sites, probs):
+    """Position probabilities on the light-cone ``sites``, on the whole lattice."""
+    out = np.zeros(cfg.n_positions)
+    out[sites] = probs
+    return out
 
 
 class TestOffOriginStart:
     NOISE = OunParams(Gamma=0.1, gamma=0.01)
 
-    @pytest.mark.parametrize("evolve", [evolve_one_shot, evolve_stepwise])
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "x0, delta, eta", OFF_ORIGIN_STARTS.values(), ids=OFF_ORIGIN_STARTS.keys()
     )
-    def test_distribution_is_the_origin_one_shifted(self, evolve, x0, delta, eta):
+    def test_distribution_is_the_origin_one_shifted(self, mode, x0, delta, eta):
         cfg = WalkConfig(steps=60, delta=delta, eta=eta, initial_position=x0)
         origin = WalkConfig(steps=60, delta=delta, eta=eta)
         shift = lattice_positions(origin) + x0
         inside = np.isin(lattice_positions(cfg), shift)
-        pairs = zip(evolve(cfg, self.NOISE), evolve(origin, self.NOISE), strict=True)
+        pairs = zip(
+            populations(cfg, self.NOISE, mode), populations(origin, self.NOISE, mode), strict=True
+        )
         for (t, *found), (_, *expected) in pairs:
             probs = lattice_distribution(cfg, *found)
             np.testing.assert_allclose(

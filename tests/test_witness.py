@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 from conftest import (
     SIDED_NOISES,
+    SIGMA_3,
     basis_start,
     dense_one_shot,
+    dense_populations,
     density_from_factor,
     embed,
     evolve_noiseless,
     koashi_winter_discord,
+    kraus_at,
+    one_shot_factors,
     one_shot_witnesses,
     rho_pe_concurrence,
     trace_distance,
@@ -22,17 +26,15 @@ from hypothesis import strategies as st
 import nmqwalk.walk as walk_mod
 import nmqwalk.witness as witness_mod
 from nmqwalk.exceptions import DimensionMismatchError, NmqwalkError
-from nmqwalk.noise import SIGMA_3, OunParams, PlnParams, RtnParams, kernel_value, kraus_at
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
     WalkConfig,
     density_from_amplitudes,
     distribution_variance,
-    evolve_one_shot,
     evolve_stepwise,
     lattice_positions,
-    position_distribution,
 )
 from nmqwalk.witness import (
     DEFAULT_TD_PAIR,
@@ -78,9 +80,7 @@ def single_state_values(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
         values["MID"].append(_mid(state))
         values["QD"].append(state.discord)
         values["Entropy"].append(state.coin_entropy)
-        values["Variance"].append(
-            distribution_variance(position_distribution(rho), positions[sites])
-        )
+        values["Variance"].append(distribution_variance(dense_populations(rho), positions[sites]))
     return values
 
 
@@ -428,7 +428,7 @@ class TestStateForms:
 #: tests: the default orthogonal pair, and the conjugate pair psi(0.7, +-0.3),
 #: whose walkers have equal populations at every step
 TD_PAIRS = {"default": DEFAULT_TD_PAIR, "conjugate": (0.7, 0.3, 0.7, -0.3)}
-TD_ORACLE_WALKS = {"one_shot": evolve_one_shot, "stepwise": evolve_stepwise}
+TD_ORACLE_WALKS = {"one_shot": one_shot_factors, "stepwise": evolve_stepwise}
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
@@ -477,7 +477,7 @@ class TestSeries:
     @pytest.mark.parametrize(
         "mode, oracle",
         [("one_shot", dense_one_shot_states), ("stepwise", evolve_stepwise)],
-        ids=["one_shot-evolve_one_shot", "stepwise-evolve_stepwise"],
+        ids=["one_shot", "stepwise"],
     )
     def test_one_pass_matches_single_state_functions(self, mode, oracle):
         cfg = WalkConfig(steps=8, delta=0.7, eta=0.3)
@@ -513,7 +513,7 @@ class TestSeries:
     )
     def test_one_noiseless_walk_for_all_tags(self, monkeypatch, tags, walkers):
         # one walk of the basis pair feeds the single walker and the TD pair,
-        # and its edge guard reads those walkers; no one-shot state is formed
+        # and its edge guard reads those walkers
         calls = []
         walks = walk_mod._basis_walks
 
@@ -521,12 +521,8 @@ class TestSeries:
             calls.append(len(coins))
             return walks(cfg, coins)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("witness_series formed one-shot states")
-
         monkeypatch.setattr(walk_mod, "_basis_walks", counting)
         monkeypatch.setattr(witness_mod, "_basis_walks", counting)
-        monkeypatch.setattr(walk_mod, "evolve_one_shot", refuse)
         witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=tags)
         assert calls == [walkers]
 
@@ -707,7 +703,7 @@ class TestCoinMap:
         delta[:, :, 1, 0] *= k[:, None]
         for p, pair in enumerate(pairs):
             found = [trace_distance(d, np.zeros((2, 2))) for d in delta[:, p]]
-            expected = two_walker_trace_distances(cfg, noise, evolve_one_shot, tuple(pair))
+            expected = two_walker_trace_distances(cfg, noise, one_shot_factors, tuple(pair))
             assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
 
