@@ -167,14 +167,21 @@ def test_detects_a_package_import():
     assert package_imports(ast.parse(source)) == {"witness_series", "WalkConfig", "disambiguate"}
 
 
-def test_scipy_is_imported_only_for_the_dense_discord():
+#: the one scipy import src/ holds: (file, enclosing function, module)
+DENSE_DISCORD_SCIPY = ("nmqwalk/witness.py", "minimize", "scipy.optimize")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_scipy_is_imported_only_for_the_dense_discord(path):
+    name = path.relative_to(ROOT / "src").as_posix()
+    assert DENSE_DISCORD_SCIPY[0] in {p.relative_to(ROOT / "src").as_posix() for p in PACKAGE}
     sites = {
-        (path.relative_to(ROOT / "src").as_posix(), function, module): line
-        for path in PACKAGE
+        (name, function, module): line
         for function, module, line in scipy_import_sites(ast.parse(path.read_text(encoding="utf-8")))
     }
-    assert set(sites) == {("nmqwalk/witness.py", "minimize", "scipy.optimize")}, (
-        f"scipy imports in src/, (file, function, module) -> line: {sites}; "
+    expected = {DENSE_DISCORD_SCIPY} if name == DENSE_DISCORD_SCIPY[0] else set()
+    assert set(sites) == expected, (
+        f"scipy imports in {name}, (file, function, module) -> line: {sites}; "
         "only witness.minimize may import scipy"
     )
 

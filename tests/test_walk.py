@@ -6,9 +6,15 @@ import pytest
 from conftest import (
     SIDED_NOISES,
     basis_start,
+    check_density_matrix,
+    dense_one_shot,
+    dense_populations,
+    density_from_factor,
     embed,
+    evolve_noiseless,
     full_lattice_stepwise,
     initial_state,
+    one_shot_factors,
     step_amplitudes,
 )
 from hypothesis import HealthCheck, example, given, settings
@@ -22,7 +28,7 @@ from nmqwalk.exceptions import (
     NmqwalkError,
     NonInvertibleMapError,
 )
-from nmqwalk.noise import OunParams, PlnParams, RtnParams
+from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.walk import (
     WalkConfig,
     coin_operator,
@@ -35,6 +41,19 @@ from nmqwalk.walk import (
 from nmqwalk.witness import WITNESS_TAGS, witness_series
 
 MODES = ("one_shot", "stepwise")
+#: every walk that checks the kernel's range before its first state
+KERNEL_CHECKED_WALKS = {
+    "one_shot": lambda cfg, noise: populations(cfg, noise, "one_shot"),
+    "stepwise": lambda cfg, noise: populations(cfg, noise, "stepwise"),
+    "evolve_stepwise": evolve_stepwise,
+}
+#: one record of each noise model, and none
+MODEL_NOISES = {
+    "none": None,
+    "rtn": RtnParams(a=0.9, gamma=0.5),
+    "oun": OunParams(Gamma=0.1, gamma=0.01),
+    "pln": PlnParams(Gamma=0.1, gamma=0.01),
+}
 
 
 def noiseless_history(cfg):
@@ -177,15 +196,54 @@ class TestNoisyEvolution:
         with pytest.raises(ValueError, match="mode"):
             next(populations(WalkConfig(steps=2), None, "exact"))
 
+    # the Kraus-factor oracle that the trace-distance and single-state
+    # oracles of test_witness.py walk
+
+    def test_one_shot_states_are_physical(self):
+        cfg = WalkConfig(steps=8)
+        pairs = zip(
+            one_shot_factors(cfg, self.NOISE), populations(cfg, self.NOISE, "one_shot"), strict=True
+        )
+        for (t, factor, sites), (_, cone, probs) in pairs:
+            assert factor.shape == (2, cfg.n_positions, 2)
+            assert np.array_equal(sites, np.arange(cfg.n_positions))
+            rho = check_density_matrix(density_from_factor(factor))
+            np.testing.assert_allclose(
+                dense_populations(rho)[cone], probs, rtol=0.0, atol=1e-13, err_msg=f"t={t}"
+            )
+
+    def test_one_shot_scales_coherence_blocks(self):
+        cfg = WalkConfig(steps=5)
+        n = cfg.n_positions
+        pure = {t: density_from_factor(b) for t, b, _ in one_shot_factors(cfg, None)}
+        noisy = {t: density_from_factor(b) for t, b, _ in one_shot_factors(cfg, self.NOISE)}
+        for t in pure:
+            k = kernel_value(self.NOISE, float(t))
+            np.testing.assert_allclose(noisy[t][:n, n:], k * pure[t][:n, n:], atol=1e-14)
+            np.testing.assert_allclose(noisy[t][:n, :n], pure[t][:n, :n], atol=1e-14)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        noise=SIDED_NOISES,
+        steps=st.integers(min_value=0, max_value=6),
+        delta=st.floats(min_value=-math.pi, max_value=math.pi),
+        eta=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_factor_matches_dense_dephasing(self, noise, steps, delta, eta):
+        # sum_r b_r b_r^dag is the dephased pure state D[k](|psi><psi|)
+        cfg = WalkConfig(steps=steps, delta=delta, eta=eta)
+        pairs = zip(one_shot_factors(cfg, noise), dense_one_shot(cfg, noise), strict=True)
+        for (t, factor, _), (_, rho) in pairs:
+            np.testing.assert_allclose(density_from_factor(factor), rho, atol=1e-14, err_msg=f"t={t}")
+
+    @pytest.mark.parametrize("walk", KERNEL_CHECKED_WALKS.values(), ids=KERNEL_CHECKED_WALKS.keys())
     @pytest.mark.parametrize("k", [1.0 + 1e-9, -1.0 - 1e-9])
-    def test_kernel_outside_unit_range_raises(self, monkeypatch, k):
+    def test_kernel_outside_unit_range_raises(self, monkeypatch, k, walk):
         # |k| > 1 has no Kraus pair; it must stop the walk, not give NaN
         # columns, and the whole grid is checked before the first state
         monkeypatch.setitem(noise_mod._KERNELS, RtnParams, lambda p, t: np.where(t < 2, 1.0, k))
-        walks = [populations(WalkConfig(steps=4), self.NOISE, mode) for mode in MODES]
-        for walk in [*walks, evolve_stepwise(WalkConfig(steps=4), self.NOISE)]:
-            with pytest.raises(KernelRangeError, match=r"at t=2\.0 "):
-                next(walk)
+        with pytest.raises(KernelRangeError, match=r"at t=2\.0 "):
+            next(walk(WalkConfig(steps=4), self.NOISE))
 
     def test_stepwise_preserves_trace_and_hermiticity(self):
         for t, rho, _ in evolve_stepwise(WalkConfig(steps=8), self.NOISE):
@@ -559,6 +617,40 @@ class TestEdgeGuardSteps:
 class TestDistributions:
     def test_probabilities_sum_to_one(self):
         assert last_populations(WalkConfig(steps=25))[1].sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_density_and_amplitude_paths_agree(self):
+        # at readout the dephased state, its Kraus factor and the noiseless
+        # amplitudes hold the populations that one-shot populations reads
+        cfg = WalkConfig(steps=6)
+        noise = RtnParams(a=0.9, gamma=0.5)
+        sites, probs = last_populations(cfg, noise)
+        found = np.zeros(cfg.n_positions)
+        found[sites] = probs
+        rho = dict(dense_one_shot(cfg, noise))[6]
+        factor = list(one_shot_factors(cfg, noise))[6][1]
+        for expected in (
+            np.sum(np.abs(evolve_noiseless(cfg)[-1]) ** 2, axis=0),
+            dense_populations(rho),
+            dense_populations(density_from_factor(factor)),
+        ):
+            np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("noise", MODEL_NOISES.values(), ids=MODEL_NOISES.keys())
+    @pytest.mark.parametrize("mode", MODES)
+    def test_populations_are_the_dense_diagonal(self, mode, noise):
+        # against the whole-lattice oracle of each mode: the dephased pure
+        # state at readout, or the stepwise walk with its map at every step
+        cfg = WalkConfig(steps=8, delta=0.7, eta=0.3, initial_position=-2)
+        if mode == "one_shot":
+            dense = dense_one_shot(cfg, noise)
+        else:
+            dense = ((t, rho) for t, rho, _ in full_lattice_stepwise(cfg, noise))
+        for (t, sites, probs), (_, rho) in zip(populations(cfg, noise, mode), dense, strict=True):
+            found = np.zeros(cfg.n_positions)
+            found[sites] = probs
+            np.testing.assert_allclose(
+                found, dense_populations(rho), rtol=0.0, atol=1e-13, err_msg=f"t={t}"
+            )
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)
