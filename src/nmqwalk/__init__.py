@@ -21,6 +21,7 @@ from .exceptions import (
     KernelRangeError,
     NmqwalkError,
     NonInvertibleMapError,
+    NonPhysicalStateError,
 )
 from .noise import NoiseModel, OunParams, PlnParams, RtnParams
 from .spectral import (
@@ -48,6 +49,7 @@ __all__ = [
     "NmqwalkError",
     "NoiseModel",
     "NonInvertibleMapError",
+    "NonPhysicalStateError",
     "OunParams",
     "Peak",
     "PlnParams",

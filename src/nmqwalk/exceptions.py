@@ -17,6 +17,10 @@ class NonInvertibleMapError(NmqwalkError, ValueError):
     """The dynamical map cannot be inverted because the kernel vanishes."""
 
 
+class NonPhysicalStateError(NmqwalkError, ValueError):
+    """A stepwise state has a negative eigenvalue: it left the set of states."""
+
+
 class EdgeAmplitudeError(NmqwalkError, RuntimeError):
     """The walker reached the lattice boundary; the lattice was sized wrong."""
 

@@ -27,10 +27,11 @@ two inequivalent ways:
   (2(t + 1), 2(t + 1)) block. It is full rank in general.
 
 :func:`populations` yields ``(t, sites, probs)`` in either mode and
-:func:`evolve_stepwise` yields ``(t, rho_t, sites)``: ``sites`` are the
-lattice indices of the light cone, so ``lattice_positions(cfg)[sites]``
-labels the probabilities. Amplitude arrays are shaped (2, n_positions);
-flat indices follow the coin (x) position order of :mod:`nmqwalk.qops`.
+:func:`_light_cone_blocks` yields the stepwise ``(t, rho_t, sites)``:
+``sites`` are the lattice indices of the light cone, so
+``lattice_positions(cfg)[sites]`` labels the probabilities. Amplitude
+arrays are shaped (2, n_positions); flat indices follow the coin (x)
+position order of :mod:`nmqwalk.qops`.
 
 One-shot mode walks the basis pair: the two noiseless walks psi_0 and
 psi_1 started from coin |0> or |1> at x0. C(theta) and the shift are real,
@@ -179,45 +180,6 @@ def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
     return np.outer(flat, flat.conj())
 
 
-def evolve_stepwise(
-    cfg: WalkConfig, noise: NoiseModel
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (t, rho_t, sites) with intermediate dephasing maps between steps.
-
-    The map applied after step t has ratio k(t)/k(t-1) and is not
-    completely positive whenever |k| grows between consecutive steps. Near
-    a zero of the kernel that ratio grows without bound, and the yielded
-    matrices leave the state space by whole units: for RTN a=0.05,
-    gamma=0.008 the minimum eigenvalue is -0.27 at t = 18 and -6.6 at
-    t = 60. Such states are neither checked nor reported yet; how to treat
-    them is an open item of ROADMAP.md. One kernel_ratio call checks all T
-    ratios before any yield.
-
-    The walk holds only its light cone. rho(t) is zero outside the
-    2(t + 1) rows and columns of the sites x0 - t, x0 - t + 2, ..., x0 + t,
-    so ``rho_t`` is the (2(t + 1), 2(t + 1)) block on those sites, coin 0
-    first, and ``sites`` are their lattice indices in that order, counted
-    mod n as ``np.roll`` counts them; on the lattice that
-    :attr:`WalkConfig.half_width` sizes nothing wraps, so they ascend. Each
-    step forms four coin-weighted sums of the last block's coin blocks and
-    copies them into the next light cone (see :func:`_walk_block`), with no
-    padding, in the order and rounding of the full-lattice ``einsum``. So,
-    embedded at ``sites`` in a zero (2n, 2n) matrix, every block is bit for
-    bit the state of the full-lattice evolution. On a lattice too small for
-    the walk, a walker that reaches an edge wraps as ``np.roll`` wraps it
-    there, and the edge guard, which sees the amplitudes sqrt|rho_ii|
-    scattered to the whole lattice, fires at the same step with the same
-    amplitude. The guard runs from the first step at which the light cone
-    can touch an end column, min(x0, n - 1 - x0) as a lattice index; before
-    it those columns are exact zeros, and on the lattice that
-    ``half_width`` sizes that step is T + 1, past the walk. Each yield is a
-    copy, so a caller may overwrite it.
-    """
-    start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-    for t, rho, sites in _light_cone_blocks(cfg, noise, start):
-        yield t, rho.copy(), sites
-
-
 def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
     """D[ratio](W rho W^dag) from the light cone of m sites to that of m + 1.
 
@@ -259,16 +221,32 @@ def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
 def _light_cone_blocks(
     cfg: WalkConfig, noise: NoiseModel, start: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """The loop of :func:`evolve_stepwise` from any 2 x 2 start block at x0.
+    """Yield (t, rho_t, sites): the stepwise walk from the 2 x 2 start block at x0.
+
+    ``rho_t`` is the (2(t + 1), 2(t + 1)) block of rho(t) on the light-cone
+    sites x0 - t, x0 - t + 2, ..., x0 + t, coin 0 first, and ``sites`` are
+    their lattice indices, counted mod n as ``np.roll`` counts them; on the
+    lattice that :attr:`WalkConfig.half_width` sizes nothing wraps, so they
+    ascend. Each step is :func:`_walk_block`, in the order and rounding of
+    the full-lattice ``einsum``, so every block, embedded at ``sites`` in a
+    zero (2n, 2n) matrix, is bit for bit the full-lattice state. One
+    kernel_ratio call checks all T ratios before any yield. A ratio above 1
+    in modulus is not CP; near a zero of the kernel it grows without bound
+    and the states leave the state space (RTN a=0.05, gamma=0.008: minimum
+    eigenvalue -0.27 at t = 18, -6.6 at t = 60). MI, MID and QD raise
+    ``NonPhysicalStateError`` on such a state; the walk does not check.
 
     Every step is complex-linear in the block, so a start ``X = rho1 + i rho2``
     carries two walkers at once: the Hermitian and anti-Hermitian parts of
     each yielded block are rho1(t) and i rho2(t). The edge guard reads
     sqrt max(|Re X_ii|, |Im X_ii|), the larger of the two walkers'
-    populations, so it fires where either walker's guard would and nowhere
-    else. For a Hermitian start that is sqrt|rho_ii|. Each step forms a new
-    block and yields it, not a copy; the next step reads it, so a caller
-    must not write to it.
+    populations, scattered to the whole lattice, so it fires where either
+    walker's guard would and nowhere else; for a Hermitian start that is
+    sqrt|rho_ii|, at the step and amplitude of the full-lattice walk. It runs
+    from the first step at which the cone can touch an end column,
+    min(x0, n - 1 - x0) as a lattice index, which on the lattice that
+    ``half_width`` sizes is T + 1. Each step forms a new block and yields
+    it, not a copy; the next step reads it, so a caller must not write to it.
     """
     n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width

@@ -46,10 +46,10 @@ walker's amplitudes and its frame F while it holds the basis pair.
 A stepwise state, a dense (2n, 2n) light-cone block, is measured through
 a per-state cache that every witness shares, on its support, the sites
 whose rows are not all zero, which keeps every nonzero eigenvalue,
-negative ones included. Its discord is a grid scan plus Nelder-Mead over
-projective coin measurements, the one place this module uses scipy:
-:func:`minimize` imports ``scipy.optimize`` when it first runs, so every
-other witness, in either mode, runs without it.
+negative ones included. MI, MID and QD read its full spectrum and raise
+:class:`~nmqwalk.exceptions.NonPhysicalStateError` on an eigenvalue below
+-POSITIVITY_TOL. Its discord is a grid scan plus a compass search over
+projective coin measurements (see :func:`_min_conditional_entropy`).
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .exceptions import NonPhysicalStateError
 from .noise import NoiseModel, kernel_value
 from .qops import (
     DEGENERACY_TOL,
@@ -75,7 +76,6 @@ from .walk import (
     _light_cone_blocks,
     density_from_amplitudes,
     distribution_variance,
-    evolve_stepwise,
     lattice_positions,
 )
 
@@ -86,22 +86,26 @@ WITNESS_TAGS = ("TD", "MI", "MID", "QD", "Entropy", "Variance")
 DEFAULT_TD_PAIR = (math.pi / 4, 0.0, -math.pi / 4, 0.0)
 
 _PROJECTION_TOL = 1e-8
+#: a dense state whose spectrum reaches below -POSITIVITY_TOL is not a state
+POSITIVITY_TOL = 1e-10
 
-#: (theta, phi) points of the coarse scan that seeds the dense discord optimizer
-_DISCORD_GRID = (32, 32)
+#: the 481 distinct measurements of the 32 x 32 grid theta = i pi / 31, phi = 2 pi j / 32:
+#: (theta, phi) and (pi - theta, phi + pi) are one measurement, and the rows
+#: theta = 0 and pi one axis, so +z and the rows i = 1..15 hold each of them once
+_DISCORD_AXES = np.array(
+    [(0.0, 0.0)]
+    + [
+        (theta, phi)
+        for theta in np.linspace(0.0, math.pi, 32)[1:16]
+        for phi in np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+    ]
+)
 #: coin axes per batch of conditional spectra in the dense discord search
 _AXIS_BLOCK = 64
-
-
-def _gram_blocks(factor: np.ndarray) -> np.ndarray:
-    """Gram blocks G[c, c'] = A_c^dag A_c' of a factorization rho = A A^dag.
-
-    ``factor`` has shape (d_c, d_p, r), with A_c = factor[c] the coin-c block
-    of A. The unnormalized conditional position state after projecting the
-    coin onto |m> has the same nonzero spectrum as
-    sum_{c,c'} m_c conj(m_c') G[c, c'], an r x r matrix instead of d_p x d_p.
-    """
-    return np.einsum("cjr,djs->cdrs", factor.conj(), factor)
+#: the compass search's 8 neighbours, its first spacing and the spacing it stops below, in radians
+_COMPASS = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b], dtype=float)
+_COMPASS_STEP = math.pi / 32
+_COMPASS_STOP = 1e-7
 
 
 class _State:
@@ -113,20 +117,23 @@ class _State:
     also a zero column, so the dropped block adds zero eigenvalues and
     zero-probability outcomes only, and every other eigenvalue, a negative
     one included, is kept. A stepwise state after t steps arrives as its
-    light-cone block of t + 1 sites (see :func:`nmqwalk.walk.evolve_stepwise`),
+    light-cone block of t + 1 sites (see :func:`nmqwalk.walk._light_cone_blocks`),
     so the scan costs O(t^2), not O(n^2); it still drops a site inside the
     light cone whose rows are exactly zero, which keeps every value the one
     the whole (2n, 2n) matrix gives. When every site is in the support, the
-    matrix is kept as it came, with no copy.
+    matrix is kept as it came, with no copy, and no quantity writes to it.
+    ``t``, the step of a stepwise state, is named in the error a
+    non-physical state raises (see :attr:`joint_entropy`).
     """
 
-    def __init__(self, rho: np.ndarray):
+    def __init__(self, rho: np.ndarray, t: int | None = None):
         n = rho.shape[0] // 2
         sites = np.flatnonzero(rho.any(axis=1).reshape(2, n).any(axis=0))
         if sites.size < n:
             rows = np.concatenate([sites, sites + n])
             rho = rho[np.ix_(rows, rows)]
         self.rho = rho
+        self.t = t
         self._dims = (2, sites.size)
 
     @cached_property
@@ -138,6 +145,17 @@ class _State:
         return partial_trace(self.rho, self._dims, "position")
 
     @cached_property
+    def pauli_parts(self) -> np.ndarray:
+        """P_k = Tr_c[(sigma_k (x) I) rho], sigma_0 = I, stacked (4, m, m); P_0 is rho_p.
+
+        The coin outcome +-n leaves the position state
+        Tr_c[(|+-n><+-n| (x) I) rho] = (P_0 +- n.(P_1, P_2, P_3)) / 2.
+        """
+        r = self.rho.reshape(2, self._dims[1], 2, self._dims[1])
+        up, down = r[0, :, 1], r[1, :, 0]
+        return np.stack([r[0, :, 0] + r[1, :, 1], up + down, 1j * (up - down), r[0, :, 0] - r[1, :, 1]])
+
+    @cached_property
     def coin_entropy(self) -> float:
         return entropy_of_spectrum(np.linalg.eigvalsh(self.coin))
 
@@ -147,7 +165,12 @@ class _State:
 
     @cached_property
     def joint_entropy(self) -> float:
-        return entropy_of_spectrum(np.linalg.eigvalsh(self.rho))
+        """S(rho), from the full spectrum, which must not reach below -POSITIVITY_TOL."""
+        w = np.linalg.eigvalsh(self.rho)
+        if w.size and w[0] < -POSITIVITY_TOL:
+            at = "" if self.t is None else f" at t={self.t}"
+            raise NonPhysicalStateError(f"state{at} has eigenvalue {w[0]:.6g} below -{POSITIVITY_TOL:g}")
+        return entropy_of_spectrum(w)
 
     @cached_property
     def mutual_information(self) -> float:
@@ -157,16 +180,13 @@ class _State:
     def discord(self) -> float:
         """Quantum discord D = I(rho) - max J in bits, with the coin measured.
 
-        J = S(rho_p) - sum_i p_i S(rho_p | outcome i) is maximized over rank-1
-        projective measurements along the Bloch axis (theta, phi) by a coarse
-        grid scan followed by Nelder-Mead refinement (tolerance 1e-7 on J).
+        J = S(rho_p) - sum_i p_i S(rho_p | outcome i) is maximized over
+        rank-1 projective measurements along the Bloch axis (theta, phi)
+        (see :func:`_min_conditional_entropy`). The mutual information is
+        read first, so a non-physical state raises before the search.
         """
-        w, v = np.linalg.eigh(self.rho)
-        keep = w > EIGENVALUE_CUTOFF
-        factor = v[:, keep] * np.sqrt(w[keep])
-        gram = _gram_blocks(factor.reshape(*self._dims, factor.shape[1]))
         return self.mutual_information - (
-            self.position_entropy - _min_conditional_entropy(gram)
+            self.position_entropy - _min_conditional_entropy(self.pauli_parts)
         )
 
 
@@ -327,23 +347,21 @@ def _mid(state: _State) -> float:
     return state.mutual_information - _classical_mi(table.reshape(2, -1))
 
 
-def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
-    """sum_i p_i S(rho_p|i) for a batch of coin measurement axes.
+def _conditional_entropies(parts: np.ndarray, axes: np.ndarray) -> np.ndarray:
+    """sum_i p_i S(rho_p|i) for each coin measurement axis (theta, phi) in axes (n, 2).
 
-    axes has shape (n, 2): rows (theta, phi) of the Bloch measurement
-    direction; the two projector outcomes are handled together. Every
-    positive conditional eigenvalue counts in the entropy: dropping a small
-    one would lower it, raise J above its maximum and let discord read below
-    zero.
+    The outcome +-n leaves the position state sum_k c_k P_k of the
+    :attr:`_State.pauli_parts` P_k, with c = (1, +-n) / 2. Every positive
+    conditional eigenvalue counts in the entropy: dropping a small one would
+    lower it, raise J above its maximum and let discord read below zero.
     """
-    theta = axes[:, 0]
-    phi = axes[:, 1]
-    m0 = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
-    m1 = np.stack([-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)], axis=1)
-    m = np.concatenate([m0, m1])
-    # (2n, r, r) conditional Gram matrices: outcome 0 of every axis, then outcome 1
-    g = np.einsum("nc,nd,cdrs->nrs", m, m.conj(), gram)
-    w = np.linalg.eigvalsh(g)
+    theta, phi = axes[:, 0], axes[:, 1]
+    sin = np.sin(theta)
+    c = 0.5 * np.stack([np.ones_like(theta), sin * np.cos(phi), sin * np.sin(phi), np.cos(theta)], 1)
+    # (2n, 4): outcome +n of every axis, then outcome -n. The real
+    # coefficients act on the float view of the parts, one real product
+    coef = np.concatenate([c, c * [1.0, -1.0, -1.0, -1.0]])
+    w = np.linalg.eigvalsh(np.tensordot(coef, parts.view(float), axes=1).view(complex))
     p = np.sum(w, axis=1)
     w = np.clip(w, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -352,41 +370,36 @@ def _conditional_entropies(gram: np.ndarray, axes: np.ndarray) -> np.ndarray:
     return s[: len(axes)] + s[len(axes) :]
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+def _min_conditional_entropy(parts: np.ndarray) -> float:
+    """min over coin axes of sum_i p_i S(rho_p|i): a grid scan, then a compass search.
 
-    The dense discord search is the only caller, so a program that measures
-    no dense discord never loads ``scipy.optimize``, which is most of the
-    package's start-up time.
+    The scan takes the 481 distinct axes in batches of _AXIS_BLOCK, so it
+    holds 2 _AXIS_BLOCK position blocks at once. From the best one, the
+    compass search evaluates the 8 neighbours at spacing h (theta and phi
+    each +-h or kept) in one batch and moves to the lowest if it is lower,
+    else halves h, from _COMPASS_STEP to below _COMPASS_STOP. After a move,
+    the neighbours the old 3 x 3 stencil held are no lower than the new
+    centre, so only the new ones are evaluated.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
-def _min_conditional_entropy(gram: np.ndarray) -> float:
-    """min over coin axes of sum_i p_i S(rho_p|i), from the Gram blocks of rho."""
-    nt, nf = _DISCORD_GRID
-    thetas = np.linspace(0.0, math.pi, nt)
-    phis = np.linspace(0.0, 2.0 * math.pi, nf, endpoint=False)
-    axes = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
-    # in blocks, so the batch holds 2 _AXIS_BLOCK r x r matrices for any grid
     cond = np.concatenate(
         [
-            _conditional_entropies(gram, axes[i : i + _AXIS_BLOCK])
-            for i in range(0, len(axes), _AXIS_BLOCK)
+            _conditional_entropies(parts, _DISCORD_AXES[i : i + _AXIS_BLOCK])
+            for i in range(0, len(_DISCORD_AXES), _AXIS_BLOCK)
         ]
     )
     best = int(np.argmin(cond))
-
-    res = minimize(
-        lambda x: float(_conditional_entropies(gram, np.asarray([x]))[0]),
-        axes[best],
-        method="Nelder-Mead",
-        options={"fatol": 1e-7, "xatol": 1e-6},
-    )
-    # refinement never worsens the grid optimum; a NaN refinement keeps it
-    return min(float(cond[best]), float(res.fun))
+    axis, value = _DISCORD_AXES[best], cond[best]
+    step, offsets = _COMPASS_STEP, _COMPASS
+    while step >= _COMPASS_STOP:
+        trial = axis + step * offsets
+        values = _conditional_entropies(parts, trial)
+        best = int(np.argmin(values))
+        if values[best] < value:
+            axis, value = trial[best], values[best]
+            offsets = _COMPASS[np.abs(offsets[best] + _COMPASS).max(axis=1) > 1]
+        else:
+            step, offsets = step / 2.0, _COMPASS
+    return float(value)
 
 
 def trace_norm(m: np.ndarray) -> np.ndarray:
@@ -531,8 +544,10 @@ def witness_series(
     single = [tag for tag in tags if tag != "TD"]
     if single:
         positions = lattice_positions(cfg).astype(float)
-        for _, rho, sites in evolve_stepwise(cfg, noise):
-            state = _State(rho)
+        start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
+        # each block is read, never written, so the walk's own block serves
+        for t, rho, sites in _light_cone_blocks(cfg, noise, start):
+            state = _State(rho, t)
             for tag in single:
                 if tag == "Variance":
                     probs = _cone_populations(rho)

@@ -24,9 +24,11 @@ form. ``one_shot_witnesses`` measures any stack of one-shot states
 D_k(|psi><psi|) through the closed forms the series runs, from psi and k
 themselves.
 
-``walk.evolve_stepwise`` evolves and yields only the light-cone block of
-the walker, with the lattice sites it covers. ``full_lattice_stepwise``
-below is its oracle: every step applies W rho W^dag to the whole
+``walk._light_cone_blocks`` evolves only the light-cone block of a
+walker, with the lattice sites it covers, and yields the block it keeps
+for the next step. ``evolve_stepwise`` below yields a copy of each block of
+cfg's walker, so a test may keep or overwrite it; ``full_lattice_stepwise``
+is the oracle of both: every step applies W rho W^dag to the whole
 (2 n_positions)^2 matrix, with ``np.roll`` as the shift, then the
 intermediate dephasing map, then the edge guard. ``embed`` puts a block
 back on the whole lattice to compare the two.
@@ -44,6 +46,13 @@ oracle: it evolves each walker on its own and compares their reduced coin
 states through the general ``trace_distance``. The density-matrix check and
 the von Neumann entropy are the oracles of the library's spectra.
 
+The discord of a dense state minimizes the conditional position entropy
+over coin measurements, from the (t + 1)^2 position blocks of each outcome
+read directly from rho. ``gram_min_conditional_entropy`` below is its
+oracle, the search the library ran before: the r x r Gram blocks of the
+factor of rho (r = rank rho), every axis of the 32 x 32 (theta, phi) grid,
+and scipy's Nelder-Mead from the best one.
+
 ``spectral.fit_mfbf`` fits a*exp(-b*t) + c by variable projection, a
 global search over b. ``curve_fit_exponential`` below is its oracle: scipy's
 bounded nonlinear least squares, a local search from a log-linear start.
@@ -56,7 +65,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.optimize import curve_fit
+from scipy.optimize import curve_fit, minimize
 
 from nmqwalk.divisibility import kernel_ratio
 from nmqwalk.exceptions import DimensionMismatchError, EdgeAmplitudeError
@@ -66,6 +75,8 @@ from nmqwalk.spectral import TimeSeries
 from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
     WalkConfig,
+    _coin_vector,
+    _light_cone_blocks,
     coin_operator,
     density_from_amplitudes,
 )
@@ -95,6 +106,16 @@ SIDED_NOISES = st.one_of(
     ),
     _RATES.flatmap(
         lambda g: st.builds(RtnParams, a=st.floats(0.55 * g, 2.0), gamma=st.just(g))
+    ),
+)
+
+#: the kernels that fall monotonically from 1, so that every step ratio lies
+#: in [0, 1]: OUN, PLN and overdamped RTN
+MONOTONE_KERNELS = st.one_of(
+    st.builds(OunParams, Gamma=_RATES, gamma=_RATES),
+    st.builds(PlnParams, Gamma=_RATES, gamma=_RATES),
+    _RATES.flatmap(
+        lambda g: st.builds(RtnParams, a=st.floats(0.0, 0.45 * g), gamma=st.just(g))
     ),
 )
 
@@ -214,6 +235,13 @@ def dense_populations(rho):
     return rho.diagonal().real.reshape(2, -1).sum(axis=0)
 
 
+def evolve_stepwise(cfg, noise):
+    """Yield (t, rho_t, sites) of cfg's stepwise walker, each block a copy."""
+    start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
+    for t, rho, sites in _light_cone_blocks(cfg, noise, start):
+        yield t, rho.copy(), sites
+
+
 def full_lattice_stepwise(cfg, noise, start=None):
     """Yield (t, rho_t, sites) of the stepwise walk, evolved on the whole lattice.
 
@@ -314,6 +342,58 @@ def koashi_winter_discord(factor):
         - von_neumann_entropy(density_from_factor(factor))
         + e_f
     )
+
+
+def gram_blocks(rho):
+    """G[c, d] = A_c^dag A_d (2, 2, r, r) for the factor A of a dense coin (x) position state.
+
+    A holds the eigenvectors of rho scaled by the square roots of their
+    eigenvalues above EIGENVALUE_CUTOFF, A_c its coin-c rows. The position
+    state the coin outcome |m> leaves has the nonzero spectrum of
+    sum_cd m_c conj(m_d) G[c, d], an r x r matrix.
+    """
+    w, v = np.linalg.eigh(rho)
+    keep = w > EIGENVALUE_CUTOFF
+    factor = (v[:, keep] * np.sqrt(w[keep])).reshape(2, rho.shape[0] // 2, -1)
+    return np.einsum("cjr,djs->cdrs", factor.conj(), factor)
+
+
+def gram_conditional_entropies(gram, axes):
+    """sum_i p_i S(rho_p|i) from the Gram blocks for each Bloch axis (theta, phi) in axes (n, 2)."""
+    theta, phi = axes[:, 0], axes[:, 1]
+    m0 = np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], axis=1)
+    m1 = np.stack([-np.exp(-1j * phi) * np.sin(theta / 2), np.cos(theta / 2)], axis=1)
+    m = np.concatenate([m0, m1])
+    w = np.linalg.eigvalsh(np.einsum("nc,nd,cdrs->nrs", m, m.conj(), gram))
+    p = np.sum(w, axis=1)
+    w = np.clip(w, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(w > 0.0, w * np.log2(w), 0.0)
+        s = np.where(p > EIGENVALUE_CUTOFF, -np.sum(terms, axis=1) + p * np.log2(p), 0.0)
+    return s[: len(axes)] + s[len(axes) :]
+
+
+def gram_min_conditional_entropy(rho):
+    """min over coin axes of sum_i p_i S(rho_p|i) of a dense state, by the Gram route.
+
+    Every axis of the 32 x 32 grid theta = i pi / 31, phi = 2 pi j / 32, in
+    batches of 64, then Nelder-Mead from the best one (fatol 1e-7, xatol 1e-6).
+    """
+    gram = gram_blocks(rho)
+    thetas = np.linspace(0.0, math.pi, 32)
+    phis = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
+    axes = np.stack(np.meshgrid(thetas, phis, indexing="ij"), axis=-1).reshape(-1, 2)
+    cond = np.concatenate(
+        [gram_conditional_entropies(gram, axes[i : i + 64]) for i in range(0, len(axes), 64)]
+    )
+    best = int(np.argmin(cond))
+    res = minimize(
+        lambda x: float(gram_conditional_entropies(gram, np.asarray([x]))[0]),
+        axes[best],
+        method="Nelder-Mead",
+        options={"fatol": 1e-7, "xatol": 1e-6},
+    )
+    return min(float(cond[best]), float(res.fun))
 
 
 def random_qubit_states(n, seed):

@@ -716,13 +716,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "kernel value nan" in err
 
+    def test_non_physical_stepwise_state_is_3(self, tmp_path, capsys):
+        # near a kernel zero the step ratio k(t)/k(t-1) grows without bound
+        # and the state leaves the state space: its minimum eigenvalue is
+        # -0.273 at t = 18, where MI would read more than the 2 bits a qubit
+        # coin allows (22.4 bits at t = 60)
+        doc = {
+            "walk": {"steps": 60},
+            "noise": {"model": "rtn", "a": 0.05, "gamma": 0.008},
+            "mode": "stepwise",
+            "witnesses": ["MI"],
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["witness", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.search(r"state at t=18 has eigenvalue -0\.273\d* below -1e-10", err), err
+        assert not (out / "mi.csv").exists()
 
-#: (config, CLI steps, exit code of the last step, whether scipy ends up
-#: loaded) per start-up case; a step's "{out}" and series paths ("{series}",
-#: "{short}" of 7 rows, "{uneven}" with a missing step) are filled in with
-#: paths under tmp_path
+
+#: (config, CLI steps, exit code of the last step) per start-up case; a
+#: step's "{out}" and series paths ("{series}", "{short}" of 7 rows,
+#: "{uneven}" with a missing step) are filled in with paths under tmp_path
 STARTUP_CASES = {
-    "import-and-parse": ({"walk": {"steps": 4}}, [], 0, False),
+    "import-and-parse": ({"walk": {"steps": 4}}, [], 0),
     "one-shot-witness": (
         {
             "walk": {"steps": 6},
@@ -731,7 +749,6 @@ STARTUP_CASES = {
         },
         [["witness", "--out", "{out}"]],
         0,
-        False,
     ),
     "stepwise-walk-and-witness": (
         {
@@ -742,13 +759,11 @@ STARTUP_CASES = {
         },
         [["walk", "--out", "{out}"], ["witness", "--out", "{out}"]],
         0,
-        False,
     ),
     "choi": (
         {"noise": {"model": "rtn", "a": 0.9, "gamma": 0.05}, "choi": {"t2_max": 3.0}},
         [["choi", "--out", "{out}"]],
         0,
-        False,
     ),
     "stepwise-discord": (
         {
@@ -759,20 +774,16 @@ STARTUP_CASES = {
         },
         [["witness", "--out", "{out}"]],
         0,
-        True,
     ),
-    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], 0, False),
+    "spectrum": ({}, [["spectrum", "--input", "{series}", "--out", "{out}"]], 0),
     "spectrum-isotonic": (
         {"spectral": {"family": "isotonic"}},
         [["spectrum", "--input", "{series}", "--out", "{out}"]],
         0,
-        False,
     ),
     # refused before the fit
-    "spectrum-7-rows": ({}, [["spectrum", "--input", "{short}", "--out", "{out}"]], 2, False),
-    "spectrum-uneven-steps": (
-        {}, [["spectrum", "--input", "{uneven}", "--out", "{out}"]], 2, False
-    ),
+    "spectrum-7-rows": ({}, [["spectrum", "--input", "{short}", "--out", "{out}"]], 2),
+    "spectrum-uneven-steps": ({}, [["spectrum", "--input", "{uneven}", "--out", "{out}"]], 2),
 }
 
 #: runs in a fresh interpreter: parse the config, run each CLI step until
@@ -790,12 +801,8 @@ print(json.dumps([code, "scipy" in sys.modules]))
 """
 
 
-@pytest.mark.parametrize(
-    "doc, steps, exit_code, loads_scipy", STARTUP_CASES.values(), ids=STARTUP_CASES.keys()
-)
-def test_scipy_loads_only_for_the_dense_discord(
-    tmp_path, doc, steps, exit_code, loads_scipy
-):
+@pytest.mark.parametrize("doc, steps, exit_code", STARTUP_CASES.values(), ids=STARTUP_CASES.keys())
+def test_no_subcommand_loads_scipy(tmp_path, doc, steps, exit_code):
     paths = {"out": str(tmp_path / "out")}
     for name, times in [
         ("series", range(16)),
@@ -816,4 +823,4 @@ def test_scipy_loads_only_for_the_dense_discord(
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [exit_code, loads_scipy], proc.stderr
+    assert json.loads(proc.stdout) == [exit_code, False], proc.stderr

@@ -7,10 +7,9 @@ class or constant (a leading underscore, not a dunder) defined at module
 level must be read somewhere in the same module. Every name
 ``nmqwalk.__all__`` lists must exist in the package, and every function it
 lists must be imported by the command line (``cli.py``) or a demo: the
-public surface is what they call. The one scipy import in ``src/``, at any
-depth, is the one inside ``witness.minimize``, which only the dense
-discord search calls: ``scipy.optimize`` alone takes about 0.6 s to load,
-so no module may import it when it is itself imported.
+public surface is what they call. ``src/`` imports no scipy, at any depth:
+numpy is its one run-time dependency, and scipy serves the tests' oracles
+alone.
 """
 
 import ast
@@ -167,23 +166,10 @@ def test_detects_a_package_import():
     assert package_imports(ast.parse(source)) == {"witness_series", "WalkConfig", "disambiguate"}
 
 
-#: the one scipy import src/ holds: (file, enclosing function, module)
-DENSE_DISCORD_SCIPY = ("nmqwalk/witness.py", "minimize", "scipy.optimize")
-
-
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_scipy_is_imported_only_for_the_dense_discord(path):
-    name = path.relative_to(ROOT / "src").as_posix()
-    assert DENSE_DISCORD_SCIPY[0] in {p.relative_to(ROOT / "src").as_posix() for p in PACKAGE}
-    sites = {
-        (name, function, module): line
-        for function, module, line in scipy_import_sites(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    expected = {DENSE_DISCORD_SCIPY} if name == DENSE_DISCORD_SCIPY[0] else set()
-    assert set(sites) == expected, (
-        f"scipy imports in {name}, (file, function, module) -> line: {sites}; "
-        "only witness.minimize may import scipy"
-    )
+def test_src_never_imports_scipy(path):
+    sites = scipy_import_sites(ast.parse(path.read_text(encoding="utf-8")))
+    assert not sites, f"scipy imports in {path.relative_to(ROOT)}, (function, module, line): {sites}"
 
 
 def test_detects_every_scipy_import_site():

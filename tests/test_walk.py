@@ -12,6 +12,7 @@ from conftest import (
     density_from_factor,
     embed,
     evolve_noiseless,
+    evolve_stepwise,
     full_lattice_stepwise,
     initial_state,
     one_shot_factors,
@@ -34,7 +35,6 @@ from nmqwalk.walk import (
     coin_operator,
     density_from_amplitudes,
     distribution_variance,
-    evolve_stepwise,
     lattice_positions,
     populations,
 )

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (
+    MONOTONE_KERNELS,
     SIDED_NOISES,
     SIGMA_3,
     basis_start,
@@ -12,6 +13,10 @@ from conftest import (
     density_from_factor,
     embed,
     evolve_noiseless,
+    evolve_stepwise,
+    gram_blocks,
+    gram_conditional_entropies,
+    gram_min_conditional_entropy,
     koashi_winter_discord,
     kraus_at,
     one_shot_factors,
@@ -25,7 +30,7 @@ from hypothesis import strategies as st
 
 import nmqwalk.walk as walk_mod
 import nmqwalk.witness as witness_mod
-from nmqwalk.exceptions import DimensionMismatchError, NmqwalkError
+from nmqwalk.exceptions import DimensionMismatchError, NmqwalkError, NonPhysicalStateError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
@@ -33,11 +38,11 @@ from nmqwalk.walk import (
     WalkConfig,
     density_from_amplitudes,
     distribution_variance,
-    evolve_stepwise,
     lattice_positions,
 )
 from nmqwalk.witness import (
     DEFAULT_TD_PAIR,
+    POSITIVITY_TOL,
     WITNESS_TAGS,
     _canonical_eigenbasis,
     _mid,
@@ -302,6 +307,112 @@ class TestDiscord:
             assert -1e-6 <= state.discord <= _mid(state) + 1e-6
 
 
+#: monotone kernels, under which every intermediate map is CP and every
+#: stepwise state is physical
+MONOTONE_NOISES = {
+    "oun": OunParams(Gamma=0.1, gamma=0.01),
+    "pln": PlnParams(Gamma=0.2, gamma=0.02),
+    "rtn-overdamped": RtnParams(a=0.1, gamma=0.5),
+}
+
+
+def random_dense_states(count, seed):
+    """Random dense states on C^2 (x) C^m, m <= 6, of random rank."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m = int(rng.integers(1, 7))
+        a = rng.normal(size=(2 * m, 2 * m)) + 1j * rng.normal(size=(2 * m, 2 * m))
+        a = a[:, : int(rng.integers(1, 2 * m + 1))]
+        rho = a @ a.conj().T
+        yield rho / np.trace(rho).real
+
+
+def stepwise_states(noise, steps):
+    cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3)
+    return [rho for _, rho, _ in evolve_stepwise(cfg, noise)]
+
+
+def min_conditional_entropy(state):
+    return witness_mod._min_conditional_entropy(state.pauli_parts)
+
+
+class TestPhysicality:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        noise=MONOTONE_KERNELS,
+        delta=st.floats(min_value=-math.pi, max_value=math.pi),
+        eta=st.floats(min_value=-math.pi, max_value=math.pi),
+    )
+    def test_monotone_kernels_keep_stepwise_states_physical(self, noise, delta, eta):
+        # every step ratio lies in [0, 1], so every intermediate map is CP
+        cfg = WalkConfig(steps=20, delta=delta, eta=eta)
+        for t, rho, _ in evolve_stepwise(cfg, noise):
+            assert np.linalg.eigvalsh(rho)[0] >= -POSITIVITY_TOL, f"t={t}"
+
+    def test_mi_mid_and_qd_refuse_the_first_non_physical_state(self):
+        # RTN(0.05, 0.008) has a kernel zero near t = 17; its state at t = 18
+        # has the eigenvalue -0.273
+        cfg = WalkConfig(steps=20)
+        noise = RtnParams(a=0.05, gamma=0.008)
+        lowest = [np.linalg.eigvalsh(rho)[0] for _, rho, _ in evolve_stepwise(cfg, noise)]
+        assert min(lowest[:18]) >= -POSITIVITY_TOL
+        assert lowest[18] == pytest.approx(-0.273, abs=5e-4)
+        for tag in ("MI", "MID", "QD"):
+            with pytest.raises(NonPhysicalStateError, match=r"state at t=18 has eigenvalue -0\.273"):
+                witness_series(cfg, noise, mode="stepwise", witnesses=(tag,))
+        # Entropy, TD and Variance do not read the spectrum of the state
+        witness_series(cfg, noise, mode="stepwise", witnesses=("Entropy", "TD", "Variance"))
+
+
+class TestDiscordSearch:
+    """The direct conditional blocks and the compass search against the Gram-route oracle."""
+
+    @pytest.mark.parametrize("source", ["random", "oun"])
+    def test_direct_blocks_equal_gram_route(self, source):
+        # the Gram route drops the eigenvalues of rho below EIGENVALUE_CUTOFF;
+        # a stepwise state has some, each worth up to about 4e-11 bits
+        if source == "random":
+            states = list(random_dense_states(20, seed=3))
+        else:
+            states = stepwise_states(MONOTONE_NOISES["oun"], 12)
+        axes = np.random.default_rng(4).uniform(-math.pi, 2 * math.pi, size=(50, 2))
+        axes = np.concatenate([witness_mod._DISCORD_AXES, axes])
+        for rho in states:
+            state = _State(rho)
+            found = witness_mod._conditional_entropies(state.pauli_parts, axes)
+            expected = gram_conditional_entropies(gram_blocks(state.rho), axes)
+            np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-10)
+
+    def test_grid_holds_each_measurement_once(self):
+        # +z and 15 theta rows of 32 phi; no axis is another's antipode
+        theta, phi = witness_mod._DISCORD_AXES.T
+        assert theta.shape == (481,)
+        n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], 1)
+        dots = n @ n.T
+        np.fill_diagonal(dots, 0.0)
+        assert np.max(np.abs(dots)) < 1 - 1e-6
+
+    @pytest.mark.parametrize("noise", MONOTONE_NOISES.values(), ids=MONOTONE_NOISES.keys())
+    def test_never_worse_than_gram_oracle_on_stepwise_states(self, noise):
+        for t, rho in enumerate(stepwise_states(noise, 12)):
+            state = _State(rho)
+            assert min_conditional_entropy(state) <= gram_min_conditional_entropy(state.rho) + 1e-9, t
+
+    def test_never_worse_than_gram_oracle_on_random_states(self):
+        for rho in random_dense_states(40, seed=5):
+            state = _State(rho)
+            assert min_conditional_entropy(state) <= gram_min_conditional_entropy(state.rho) + 1e-9
+
+    def test_finds_the_optimum_the_oracle_misses(self):
+        # at step 35 the grid's best axis is (0.608, 0), where Nelder-Mead
+        # stalls at 0.7530701; its copy (2.534, pi) leads to 0.7529712
+        cfg = WalkConfig(steps=40, delta=0.7, eta=0.3)
+        rho = next(rho for t, rho, _ in evolve_stepwise(cfg, MONOTONE_NOISES["oun"]) if t == 35)
+        state = _State(rho)
+        oracle = state.mutual_information - state.position_entropy + gram_min_conditional_entropy(rho)
+        assert state.discord < oracle - 1e-5
+
+
 class TestScalarWitnesses:
     def test_initial_coin_entropy_zero(self):
         cfg = WalkConfig(steps=3)
@@ -329,6 +440,7 @@ class FullLatticeState(_State):
 
     def __init__(self, rho):
         self.rho = rho
+        self.t = None
         self._dims = (2, rho.shape[0] // 2)
 
 
@@ -383,6 +495,13 @@ class TestSupport:
         kept = np.linalg.eigvalsh(state.rho)
         found_min = min(kept.min(initial=np.inf), 0.0 if kept.size < 2 * n else np.inf)
         assert found_min == pytest.approx(joint[0], abs=1e-12)
+        if joint[0] < -POSITIVITY_TOL:
+            # MI, MID and QD refuse a matrix that is not a state, in either form
+            for measured in (state, full):
+                for witness in (lambda s: s.mutual_information, _mid, lambda s: s.discord):
+                    with pytest.raises(NonPhysicalStateError, match="has eigenvalue"):
+                        witness(measured)
+            return
         assert state.mutual_information == pytest.approx(full.mutual_information, abs=1e-12)
         assert _mid(state) == pytest.approx(_mid(full), abs=1e-12)
         assert state.discord == pytest.approx(full.discord, abs=1e-9)
@@ -618,10 +737,10 @@ class TestSeries:
 
     def test_optimizer_runs_only_on_dense_states(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the discord optimizer ran on a one-shot factor")
+            raise AssertionError("the discord search ran on a one-shot state")
 
-        optimizer = witness_mod.minimize
-        monkeypatch.setattr(witness_mod, "minimize", refuse)
+        search = witness_mod._min_conditional_entropy
+        monkeypatch.setattr(witness_mod, "_min_conditional_entropy", refuse)
         cfg = WalkConfig(steps=ORACLE_STEPS, delta=0.7, eta=0.3)
         for noise in ORACLE_NOISES.values():
             witness_series(cfg, noise, witnesses=("QD",))
@@ -630,9 +749,9 @@ class TestSeries:
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return optimizer(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(witness_mod, "minimize", counting)
+        monkeypatch.setattr(witness_mod, "_min_conditional_entropy", counting)
         witness_series(
             WalkConfig(steps=4), OunParams(Gamma=0.1, gamma=0.01), mode="stepwise", witnesses=("QD",)
         )
