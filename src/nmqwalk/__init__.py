@@ -15,7 +15,6 @@ blocks behind it are importable from their modules.
 from .divisibility import ChoiScanResult, cp_divisibility_scan
 from .exceptions import (
     ConfigError,
-    DimensionMismatchError,
     EdgeAmplitudeError,
     FitError,
     KernelRangeError,
@@ -40,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ChoiScanResult",
     "ConfigError",
-    "DimensionMismatchError",
     "DisambiguationReport",
     "EdgeAmplitudeError",
     "FitError",

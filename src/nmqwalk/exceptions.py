@@ -5,10 +5,6 @@ class NmqwalkError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionMismatchError(NmqwalkError, ValueError):
-    """Operand dimensions are inconsistent with the declared factorization."""
-
-
 class KernelRangeError(NmqwalkError, ValueError):
     """A decoherence kernel value left the physical range [-1, 1]."""
 

@@ -1,41 +1,30 @@
-"""Dense complex linear algebra and quantum-state primitives.
+"""Quantum-state primitives: the two partial traces and the entropy of a spectrum.
 
 All states live on a bipartite Hilbert space ordered as coin (x) position,
-i.e. the flat index of basis vector |c, x> is ``c * n_positions + x``.
-Entropies are in bits (log base 2) throughout; a maximally mixed qubit has
-entropy exactly 1.
+i.e. the flat index of basis vector |c, x> is ``c * n_positions + x``, so a
+(2m, 2m) matrix reshapes to the coin-block view r[c, j, d, k] of shape
+(2, m, 2, m). Entropies are in bits (log base 2) throughout; a maximally
+mixed qubit has entropy exactly 1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError
-
 EIGENVALUE_CUTOFF = 1e-12
 DEGENERACY_TOL = 1e-9
 
 
-def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
-    """Reduced state of one subsystem of a coin (x) position state.
+def partial_trace(r: np.ndarray, keep: str) -> np.ndarray:
+    """Reduced state of one subsystem, read from the coin-block view r (2, m, 2, m).
 
-    Parameters
-    ----------
-    rho : square matrix on a space of dimension ``dims[0] * dims[1]``.
-    dims : (coin dimension, position dimension).
-    keep : "coin" or "position".
+    ``keep`` is "coin", for the 2 x 2 trace of each coin block, or
+    "position", for the m x m sum of the two coin-diagonal blocks.
     """
-    dc, dp = dims
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dc * dp, dc * dp):
-        raise DimensionMismatchError(
-            f"cannot factor shape {rho.shape} as ({dc}*{dp}, {dc}*{dp})"
-        )
-    r = rho.reshape(dc, dp, dc, dp)
     if keep == "coin":
-        return np.einsum("ajbj->ab", r)
+        return np.trace(r, axis1=1, axis2=3)
     if keep == "position":
-        return np.einsum("ajak->jk", r)
+        return r[0, :, 0] + r[1, :, 1]
     raise ValueError(f"keep must be 'coin' or 'position', got {keep!r}")
 
 
@@ -47,4 +36,3 @@ def entropy_of_spectrum(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     w = np.where(w > EIGENVALUE_CUTOFF, w, 1.0)
     return -np.sum(w * np.log2(w), axis=-1) + 0.0
-

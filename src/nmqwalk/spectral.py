@@ -67,6 +67,8 @@ class TimeSeries:
                 f"length mismatch: {len(times)} times, {len(values)} values, "
                 f"{len(weights)} weights"
             )
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if len(times) and np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(values)):

@@ -24,7 +24,8 @@ two inequivalent ways:
   rho(t) is zero outside the light cone, coin (x) the t + 1 sites x0 - t,
   x0 - t + 2, ..., x0 + t that a walker started at x0 can reach in t
   steps, so the walk holds and yields only that dense
-  (2(t + 1), 2(t + 1)) block. It is full rank in general.
+  (2(t + 1), 2(t + 1)) block, for a stack of walkers at once. It is full
+  rank in general.
 
 :func:`populations` yields ``(t, sites, probs)`` in either mode and
 :func:`_light_cone_blocks` yields the stepwise ``(t, rho_t, sites)``:
@@ -75,7 +76,12 @@ class WalkConfig:
     initial_position: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.steps, (int, np.integer)) or self.steps < 0:
+        for name in ("steps", "initial_position"):
+            value = getattr(self, name)
+            # Python counts a bool as an int
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.steps < 0:
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
         for name in ("coin_angle", "delta", "eta"):
             angle = getattr(self, name)
@@ -181,31 +187,32 @@ def density_from_amplitudes(amps: np.ndarray) -> np.ndarray:
 
 
 def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
-    """D[ratio](W rho W^dag) from the light cone of m sites to that of m + 1.
+    """D[ratio](W rho W^dag) from the light cone of m sites to that of m + 1, per walker.
 
-    ``rho`` is the (2m, 2m) block of rho(t - 1) and ``coin`` the real coin
-    matrix C. Coin block (a, d) of W rho W^dag before the shift is
-    sum_{b, c} C[a, b] rho_bc C[d, c], formed and added as
-    ``einsum("ab,bjck,dc->ajdk", ...)`` forms and adds it on the whole
+    ``rho`` is a stack (w, 2m, 2m) of blocks of rho(t - 1), one per walker,
+    and ``coin`` the real coin matrix C. Coin block (a, d) of W rho W^dag
+    before the shift is sum_{b, c} C[a, b] rho_bc C[d, c], formed and added
+    as ``einsum("ab,bjck,dc->ajdk", ...)`` forms and adds it on the whole
     lattice: b outer, c inner, each product (C[a, b] rho_bc) C[d, c], summed
-    left to right. The real coin entries multiply the float view of the
-    complex blocks, which rounds as the complex product with a zero
-    imaginary part does, up to the sign of a zero. Coin 0 moves left and
-    coin 1 right, so the sum lands at ``out[a, a:a + m, d, d:d + m]`` of the
-    next cone, and the coin coherences (a != d) are then scaled by
-    ``ratio``, the intermediate dephasing map. Each C[a, b] rho_bc serves
-    both d. The sums run in contiguous (m, 2m) float buffers and are copied
-    into the cone once; adding into its strided rows directly is slower,
-    as numpy then loops over them row by row.
+    left to right, elementwise, so each walker rounds as it would alone.
+    The real coin entries multiply the float view of the complex blocks,
+    which rounds as the complex product with a zero imaginary part does, up
+    to the sign of a zero. Coin 0 moves left and coin 1 right, so the sum
+    lands at ``out[:, a, a:a + m, d, d:d + m]`` of the next cone, and the
+    coin coherences (a != d) are then scaled by ``ratio``, the intermediate
+    dephasing map. Each C[a, b] rho_bc serves both d. The sums run in
+    contiguous (w, m, 2m) float buffers and are copied into the cone once;
+    adding into its strided rows directly is slower, as numpy then loops
+    over them row by row.
     """
-    m = rho.shape[0] // 2
-    parts = rho.reshape(2, m, 2, m).view(float)
-    out = np.zeros((2, m + 1, 2, m + 1), dtype=complex)
+    w, m = rho.shape[0], rho.shape[1] // 2
+    parts = rho.reshape(w, 2, m, 2, m).view(float)
+    out = np.zeros((w, 2, m + 1, 2, m + 1), dtype=complex)
     dest = out.view(float)
-    row, term, *acc = np.empty((4, m, 2 * m))
+    row, term, *acc = np.empty((4, w, m, 2 * m))
     for a in range(2):
         for b, c in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            np.multiply(parts[b, :, c], coin[a, b], out=row)
+            np.multiply(parts[:, b, :, c], coin[a, b], out=row)
             for d in range(2):
                 if b or c:
                     np.multiply(row, coin[d, c], out=term)
@@ -214,39 +221,42 @@ def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
                     np.multiply(row, coin[d, c], out=acc[d])
         acc[1 - a] *= ratio
         for d in range(2):
-            dest[a, a : a + m, d, 2 * d : 2 * (d + m)] = acc[d]
-    return out.reshape(2 * (m + 1), 2 * (m + 1))
+            dest[:, a, a : a + m, d, 2 * d : 2 * (d + m)] = acc[d]
+    return out.reshape(w, 2 * (m + 1), 2 * (m + 1))
 
 
 def _light_cone_blocks(
     cfg: WalkConfig, noise: NoiseModel, start: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (t, rho_t, sites): the stepwise walk from the 2 x 2 start block at x0.
+    """Yield (t, rho_t, sites): the stepwise walk of a stack of 2 x 2 start blocks at x0.
 
-    ``rho_t`` is the (2(t + 1), 2(t + 1)) block of rho(t) on the light-cone
-    sites x0 - t, x0 - t + 2, ..., x0 + t, coin 0 first, and ``sites`` are
-    their lattice indices, counted mod n as ``np.roll`` counts them; on the
-    lattice that :attr:`WalkConfig.half_width` sizes nothing wraps, so they
-    ascend. Each step is :func:`_walk_block`, in the order and rounding of
-    the full-lattice ``einsum``, so every block, embedded at ``sites`` in a
-    zero (2n, 2n) matrix, is bit for bit the full-lattice state. One
-    kernel_ratio call checks all T ratios before any yield. A ratio above 1
-    in modulus is not CP; near a zero of the kernel it grows without bound
-    and the states leave the state space (RTN a=0.05, gamma=0.008: minimum
-    eigenvalue -0.27 at t = 18, -6.6 at t = 60). MI, MID and QD raise
-    ``NonPhysicalStateError`` on such a state; the walk does not check.
+    ``start`` is a stack (w, 2, 2), one block per walker. ``rho_t`` is the
+    stack (w, 2(t + 1), 2(t + 1)) of their blocks of rho(t) on the
+    light-cone sites x0 - t, x0 - t + 2, ..., x0 + t, coin 0 first, and
+    ``sites`` are their lattice indices, counted mod n as ``np.roll`` counts
+    them; on the lattice that :attr:`WalkConfig.half_width` sizes nothing
+    wraps, so they ascend. Each step is :func:`_walk_block`, in the order
+    and rounding of the full-lattice ``einsum``, so every block, embedded at
+    ``sites`` in a zero (2n, 2n) matrix, is bit for bit that walker's
+    full-lattice state. One kernel_ratio call checks all T ratios before
+    any yield. A ratio above 1 in modulus is not CP; near a zero of the
+    kernel it grows without bound and the states leave the state space
+    (RTN a=0.05, gamma=0.008: minimum eigenvalue -0.27 at t = 18, -6.6 at
+    t = 60). MI, MID and QD raise ``NonPhysicalStateError`` on such a
+    state; the walk does not check.
 
     Every step is complex-linear in the block, so a start ``X = rho1 + i rho2``
     carries two walkers at once: the Hermitian and anti-Hermitian parts of
     each yielded block are rho1(t) and i rho2(t). The edge guard reads
-    sqrt max(|Re X_ii|, |Im X_ii|), the larger of the two walkers'
-    populations, scattered to the whole lattice, so it fires where either
-    walker's guard would and nowhere else; for a Hermitian start that is
-    sqrt|rho_ii|, at the step and amplitude of the full-lattice walk. It runs
-    from the first step at which the cone can touch an end column,
-    min(x0, n - 1 - x0) as a lattice index, which on the lattice that
-    ``half_width`` sizes is T + 1. Each step forms a new block and yields
-    it, not a copy; the next step reads it, so a caller must not write to it.
+    sqrt max(|Re X_ii|, |Im X_ii|), maximized over the stack too: the
+    largest population of any walker, scattered to the whole lattice, so it
+    fires at the first step where any walker's own guard would, with the
+    largest amplitude; for one Hermitian start that is sqrt|rho_ii|, at the
+    step and amplitude of the full-lattice walk. It runs from the first step
+    at which the cone can touch an end column, min(x0, n - 1 - x0) as a
+    lattice index, which on the lattice that ``half_width`` sizes is T + 1.
+    Each step forms a new stack and yields it, not a copy; the next step
+    reads it, so a caller must not write to it.
     """
     n = cfg.n_positions
     x0 = cfg.initial_position + cfg.half_width
@@ -260,8 +270,8 @@ def _light_cone_blocks(
             rho = _walk_block(rho, coin, ratios[t - 1])
             if t >= reach:
                 amps = np.zeros((2, n))
-                diag = rho.diagonal()
-                pops = np.maximum(np.abs(diag.real), np.abs(diag.imag))
+                diag = rho.diagonal(axis1=1, axis2=2)
+                pops = np.maximum(np.abs(diag.real), np.abs(diag.imag)).max(axis=0)
                 amps[:, sites] = np.sqrt(pops).reshape(2, t + 1)
                 _check_edges(amps)
         yield t, rho, sites
@@ -290,8 +300,8 @@ def populations(
     """
     if mode == "stepwise":
         start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-        for t, rho, sites in _light_cone_blocks(cfg, noise, start):
-            yield t, sites, _cone_populations(rho)
+        for t, rho, sites in _light_cone_blocks(cfg, noise, start[None]):
+            yield t, sites, _cone_populations(rho[0])
     elif mode == "one_shot":
         kernel_value(noise, np.arange(cfg.steps + 1.0))
         coin = _coin_vector(cfg.delta, cfg.eta)

@@ -43,10 +43,16 @@ where rho_p is degenerate inside its support, its canonical basis (see
 :func:`_mid`) lives on the lattice, so at such a step the walk forms the
 walker's amplitudes and its frame F while it holds the basis pair.
 
-A stepwise state, a dense (2n, 2n) light-cone block, is measured through
+Stepwise, one light-cone walk (:func:`nmqwalk.walk._light_cone_blocks`)
+of a stack of start blocks feeds every tag: the walker's rho_0 when a
+single-walker tag is asked, and X = rho_1 + i rho_2 of the ``td_pair``
+walkers when TD is, whose coin block gives both TD walkers at once. A
+stepwise state, a dense (2n, 2n) light-cone block, is measured through
 a per-state cache that every witness shares, on its support, the sites
 whose rows are not all zero, which keeps every nonzero eigenvalue,
-negative ones included. MI, MID and QD read its full spectrum and raise
+negative ones included. Its marginals, the Pauli parts of its discord and
+MID's outcome table all read one coin-block view r[c, :, d, :] of it. MI,
+MID and QD read its full spectrum and raise
 :class:`~nmqwalk.exceptions.NonPhysicalStateError` on an eigenvalue below
 -POSITIVITY_TOL. Its discord is a grid scan plus a compass search over
 projective coin measurements (see :func:`_min_conditional_entropy`).
@@ -122,8 +128,9 @@ class _State:
     light cone whose rows are exactly zero, which keeps every value the one
     the whole (2n, 2n) matrix gives. When every site is in the support, the
     matrix is kept as it came, with no copy, and no quantity writes to it.
-    ``t``, the step of a stepwise state, is named in the error a
-    non-physical state raises (see :attr:`joint_entropy`).
+    Every reduced quantity reads the one coin-block view ``r[c, :, d, :]``
+    of shape (2, m, 2, m). ``t``, the step of a stepwise state, is named in
+    the error a non-physical state raises (see :attr:`joint_entropy`).
     """
 
     def __init__(self, rho: np.ndarray, t: int | None = None):
@@ -133,16 +140,16 @@ class _State:
             rows = np.concatenate([sites, sites + n])
             rho = rho[np.ix_(rows, rows)]
         self.rho = rho
+        self.r = rho.reshape(2, sites.size, 2, sites.size)
         self.t = t
-        self._dims = (2, sites.size)
 
     @cached_property
     def coin(self) -> np.ndarray:
-        return partial_trace(self.rho, self._dims, "coin")
+        return partial_trace(self.r, "coin")
 
     @cached_property
     def position(self) -> np.ndarray:
-        return partial_trace(self.rho, self._dims, "position")
+        return partial_trace(self.r, "position")
 
     @cached_property
     def pauli_parts(self) -> np.ndarray:
@@ -151,9 +158,9 @@ class _State:
         The coin outcome +-n leaves the position state
         Tr_c[(|+-n><+-n| (x) I) rho] = (P_0 +- n.(P_1, P_2, P_3)) / 2.
         """
-        r = self.rho.reshape(2, self._dims[1], 2, self._dims[1])
+        r = self.r
         up, down = r[0, :, 1], r[1, :, 0]
-        return np.stack([r[0, :, 0] + r[1, :, 1], up + down, 1j * (up - down), r[0, :, 0] - r[1, :, 1]])
+        return np.stack([self.position, up + down, 1j * (up - down), r[0, :, 0] - r[1, :, 1]])
 
     @cached_property
     def coin_entropy(self) -> float:
@@ -334,17 +341,20 @@ def _classical_mi(table: np.ndarray):
 def _mid(state: _State) -> float:
     """Measurement-induced disturbance Q = I(rho) - I(Pi(rho)) in bits (Luo, PRA 77, 022301, 2008).
 
-    Pi dephases the state in the product of the marginal eigenbases; its
-    mutual information is the classical mutual information of the joint
-    outcome table. Where a marginal has a degenerate eigenvalue inside its
-    support (at or above EIGENVALUE_CUTOFF), its eigenbasis is not unique,
-    and the canonical rule of :func:`_canonicalize` makes the value
-    deterministic. Other conventions may give another value there.
+    Pi dephases the state in the product of the marginal eigenbases v_a
+    (coin) and u_p (position); its mutual information is that of the
+    outcome table P(a, p) = <u_p| B_a |u_p>, one m x m product per coin
+    outcome a, of B_a = sum_cd conj(v_ca) v_da r[c, :, d, :], the position
+    block that outcome leaves. Where a marginal has a degenerate eigenvalue
+    inside its support (at or above EIGENVALUE_CUTOFF), its eigenbasis is
+    not unique, and the canonical rule of :func:`_canonicalize` makes the
+    value deterministic. Other conventions may give another value there.
     """
-    # the probabilities of the product-basis outcomes, coin outcome first
-    u = np.kron(_canonical_eigenbasis(state.coin), _canonical_eigenbasis(state.position))
-    table = np.clip(np.real(np.sum(u.conj() * (state.rho @ u), axis=0)), 0.0, None)
-    return state.mutual_information - _classical_mi(table.reshape(2, -1))
+    v = _canonical_eigenbasis(state.coin)
+    u = _canonical_eigenbasis(state.position)
+    blocks = np.einsum("ca,da,cjdk->ajk", v.conj(), v, state.r)
+    table = np.clip(np.real(np.sum(u.conj() * (blocks @ u), axis=1)), 0.0, None)
+    return state.mutual_information - _classical_mi(table)
 
 
 def _conditional_entropies(parts: np.ndarray, axes: np.ndarray) -> np.ndarray:
@@ -487,23 +497,6 @@ def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: t
     return {tag: values[tag] for tag in tags}
 
 
-def _stepwise_trace_distances(cfg: WalkConfig, noise: NoiseModel, td_pair: tuple) -> np.ndarray:
-    """Stepwise TD(t) = 1/2 ||Tr_x(rho1(t) - rho2(t))||_1 from one light-cone walk.
-
-    The walk is linear, so X = rho1(0) + i rho2(0) carries both walkers: its
-    coin block is Y = C1 + i C2, and C1 - C2 is the Hermitian part of (1 + i) Y.
-    """
-    rho1 = density_from_amplitudes(_coin_vector(*td_pair[:2]))
-    rho2 = density_from_amplitudes(_coin_vector(*td_pair[2:]))
-    y = (1.0 + 1.0j) * np.stack(
-        [
-            partial_trace(block, (2, t + 1), "coin")
-            for t, block, _ in _light_cone_blocks(cfg, noise, rho1 + 1j * rho2)
-        ]
-    )
-    return 0.5 * trace_norm((y + y.conj().swapaxes(1, 2)) / 2.0)
-
-
 def witness_series(
     cfg: WalkConfig,
     noise: NoiseModel,
@@ -521,8 +514,9 @@ def witness_series(
     ``td_pair`` of another length, or with a NaN or infinite angle, raises
     ``ValueError``. The walk is linear in its initial state, so TD forms no
     walker state. In one-shot mode one walk of the basis pair feeds every
-    tag; in stepwise mode TD runs its own light-cone walk before the single
-    walker's, whose states are measured through one per-state cache.
+    tag; in stepwise mode one light-cone walk of a stack of start blocks
+    does, and each of the single walker's states is measured through one
+    per-state cache.
     """
     tags = tuple(dict.fromkeys(witnesses))
     for tag in tags:
@@ -539,19 +533,28 @@ def witness_series(
         return _one_shot_series(cfg, noise, tags, pair)
 
     values: dict[str, list[float]] = {tag: [] for tag in tags}
-    if "TD" in values:
-        values["TD"] = _stepwise_trace_distances(cfg, noise, pair)
+    td_blocks = []
     single = [tag for tag in tags if tag != "TD"]
-    if single:
-        positions = lattice_positions(cfg).astype(float)
-        start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-        # each block is read, never written, so the walk's own block serves
-        for t, rho, sites in _light_cone_blocks(cfg, noise, start):
-            state = _State(rho, t)
+    starts = [density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))] if single else []
+    if "TD" in tags:
+        # the walk is linear, so X = rho1(0) + i rho2(0) carries both TD walkers
+        rho1, rho2 = (density_from_amplitudes(_coin_vector(*a)) for a in (pair[:2], pair[2:]))
+        starts.append(rho1 + 1j * rho2)
+    positions = lattice_positions(cfg).astype(float)
+    # each block is read, never written, so the walk's own stack serves
+    for t, blocks, sites in _light_cone_blocks(cfg, noise, np.stack(starts)):
+        if "TD" in tags:
+            td_blocks.append(partial_trace(blocks[-1].reshape(2, t + 1, 2, t + 1), "coin"))
+        if single:
+            state = _State(blocks[0], t)
             for tag in single:
                 if tag == "Variance":
-                    probs = _cone_populations(rho)
+                    probs = _cone_populations(blocks[0])
                     values[tag].append(distribution_variance(probs, positions[sites]))
                 else:
                     values[tag].append(_DENSE_WITNESSES[tag](state))
+    if "TD" in tags:
+        # X's coin block is Y = C1 + i C2, and C1 - C2 is the Hermitian part of (1 + i) Y
+        y = (1.0 + 1.0j) * np.stack(td_blocks)
+        values["TD"] = 0.5 * trace_norm((y + y.conj().swapaxes(1, 2)) / 2.0)
     return {tag: np.asarray(v) for tag, v in values.items()}

@@ -24,10 +24,11 @@ form. ``one_shot_witnesses`` measures any stack of one-shot states
 D_k(|psi><psi|) through the closed forms the series runs, from psi and k
 themselves.
 
-``walk._light_cone_blocks`` evolves only the light-cone block of a
-walker, with the lattice sites it covers, and yields the block it keeps
-for the next step. ``evolve_stepwise`` below yields a copy of each block of
-cfg's walker, so a test may keep or overwrite it; ``full_lattice_stepwise``
+``walk._light_cone_blocks`` evolves only the light-cone blocks of a
+stack of walkers, with the lattice sites they cover, and yields the stack
+it keeps for the next step. ``evolve_stepwise`` below walks a stack of one,
+cfg's walker, and yields a copy of each block, so a test may keep or
+overwrite it; ``full_lattice_stepwise``
 is the oracle of both: every step applies W rho W^dag to the whole
 (2 n_positions)^2 matrix, with ``np.roll`` as the shift, then the
 intermediate dephasing map, then the edge guard. ``embed`` puts a block
@@ -44,7 +45,12 @@ that scaling and of the composition E(t2, t1) E(t1, 0) = E(t2, 0).
 forming either walker's states. ``two_walker_trace_distances`` below is its
 oracle: it evolves each walker on its own and compares their reduced coin
 states through the general ``trace_distance``. The density-matrix check and
-the von Neumann entropy are the oracles of the library's spectra.
+the von Neumann entropy are the oracles of the library's spectra, and
+``partial_trace``, an ``einsum`` over the (2, m, 2, m) reshape of the whole
+matrix, that of the marginals the library reads from its coin-block view.
+``kron_mid`` is the oracle of MID: the outcome table of the product basis
+of both marginals, formed as a (2m)^2 Kronecker basis and read from the
+whole matrix, where the library reads one m x m block per coin outcome.
 
 The discord of a dense state minimizes the conditional position entropy
 over coin measurements, from the (t + 1)^2 position blocks of each outcome
@@ -68,9 +74,9 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit, minimize
 
 from nmqwalk.divisibility import kernel_ratio
-from nmqwalk.exceptions import DimensionMismatchError, EdgeAmplitudeError
+from nmqwalk.exceptions import EdgeAmplitudeError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
-from nmqwalk.qops import EIGENVALUE_CUTOFF, partial_trace
+from nmqwalk.qops import EIGENVALUE_CUTOFF
 from nmqwalk.spectral import TimeSeries
 from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
@@ -82,6 +88,8 @@ from nmqwalk.walk import (
 )
 from nmqwalk.witness import (
     DEFAULT_TD_PAIR,
+    _canonical_eigenbasis,
+    _classical_mi,
     _near_degenerate,
     _one_shot_witnesses,
     _position_frame,
@@ -238,8 +246,8 @@ def dense_populations(rho):
 def evolve_stepwise(cfg, noise):
     """Yield (t, rho_t, sites) of cfg's stepwise walker, each block a copy."""
     start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-    for t, rho, sites in _light_cone_blocks(cfg, noise, start):
-        yield t, rho.copy(), sites
+    for t, rho, sites in _light_cone_blocks(cfg, noise, start[None]):
+        yield t, rho[0].copy(), sites
 
 
 def full_lattice_stepwise(cfg, noise, start=None):
@@ -465,9 +473,9 @@ def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
+        raise ValueError(f"density matrix must be square, got {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
-        raise DimensionMismatchError(f"expected dim {dim}, got {rho.shape[0]}")
+        raise ValueError(f"expected dim {dim}, got {rho.shape[0]}")
     if not is_hermitian(rho):
         raise ValueError("density matrix is not Hermitian within 1e-12")
     tr = complex(np.trace(rho))
@@ -477,6 +485,42 @@ def check_density_matrix(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     if wmin < -POSITIVITY_TOL:
         raise ValueError(f"density matrix has eigenvalue {wmin} < -1e-10")
     return rho
+
+
+def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: str) -> np.ndarray:
+    """Reduced state of one subsystem of a coin (x) position state.
+
+    ``rho`` is a square matrix on a space of dimension ``dims[0] * dims[1]``,
+    ``dims`` is (coin dimension, position dimension) and ``keep`` is "coin"
+    or "position".
+    """
+    dc, dp = dims
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (dc * dp, dc * dp):
+        raise ValueError(f"cannot factor shape {rho.shape} as ({dc}*{dp}, {dc}*{dp})")
+    r = rho.reshape(dc, dp, dc, dp)
+    if keep == "coin":
+        return np.einsum("ajbj->ab", r)
+    if keep == "position":
+        return np.einsum("ajak->jk", r)
+    raise ValueError(f"keep must be 'coin' or 'position', got {keep!r}")
+
+
+def kron_mid(state):
+    """MID of a ``witness._State`` from the Kronecker product of its marginal eigenbases.
+
+    The canonical eigenbases of both marginals, from ``partial_trace`` of
+    the state's matrix, form the (2m)^2 product basis, and the outcome
+    table is the diagonal of the whole matrix in that basis, coin outcome
+    first.
+    """
+    dims = (2, state.rho.shape[0] // 2)
+    u = np.kron(
+        _canonical_eigenbasis(partial_trace(state.rho, dims, "coin")),
+        _canonical_eigenbasis(partial_trace(state.rho, dims, "position")),
+    )
+    table = np.clip(np.real(np.sum(u.conj() * (state.rho @ u), axis=0)), 0.0, None)
+    return state.mutual_information - _classical_mi(table.reshape(2, -1))
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
@@ -490,7 +534,7 @@ def trace_norm(m: np.ndarray) -> float:
     """Sum of singular values; for Hermitian input, sum of |eigenvalues|."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"trace_norm needs a square matrix, got {m.shape}")
+        raise ValueError(f"trace_norm needs a square matrix, got {m.shape}")
     if is_hermitian(m, tol=1e-13):
         return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
@@ -501,7 +545,7 @@ def trace_distance(rho1: np.ndarray, rho2: np.ndarray) -> float:
     rho1 = np.asarray(rho1, dtype=complex)
     rho2 = np.asarray(rho2, dtype=complex)
     if rho1.shape != rho2.shape:
-        raise DimensionMismatchError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
+        raise ValueError(f"state shapes differ: {rho1.shape} vs {rho2.shape}")
     return 0.5 * trace_norm(rho1 - rho2)
 
 

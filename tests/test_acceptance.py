@@ -34,6 +34,7 @@ from conftest import (
     intermediate_kraus,
     kraus_at,
     one_shot_witnesses,
+    partial_trace,
     random_qubit_states,
     trace_distance,
     von_neumann_entropy,
@@ -41,7 +42,6 @@ from conftest import (
 
 from nmqwalk.divisibility import cp_divisibility_scan, kernel_ratio
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
-from nmqwalk.qops import partial_trace
 from nmqwalk.spectral import TimeSeries, disambiguate, fit_mfbf, power_spectrum
 from nmqwalk.walk import WalkConfig
 from nmqwalk.witness import witness_series

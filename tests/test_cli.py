@@ -620,6 +620,23 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(path) in err and reason in err
 
+    @pytest.mark.parametrize("family", ["isotonic", "exponential"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_step_is_2(self, tmp_path, capsys, family, bad):
+        # a NaN step once passed every check: the isotonic fit wrote it into
+        # fit.csv and exited 0, the exponential one exited 3 on an overflow
+        path = tmp_path / "td.csv"
+        rows = [f"{t},{math.exp(-0.1 * t)!r}" for t in range(16)]
+        rows[5] = f"{bad},{math.exp(-0.5)!r}"
+        path.write_text("\n".join(["step,value", *rows]) + "\n")
+        cfg = write_config(tmp_path, {"spectral": {"family": family}})
+        out = tmp_path / "o"
+        code = main(["spectrum", "--config", str(cfg), "--input", str(path), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "times must be finite" in err
+        assert not (out / "fit.csv").exists()
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("step,value\n0,1.0\n1,oops\n")

@@ -9,7 +9,9 @@ level must be read somewhere in the same module. Every name
 lists must be imported by the command line (``cli.py``) or a demo: the
 public surface is what they call. ``src/`` imports no scipy, at any depth:
 numpy is its one run-time dependency, and scipy serves the tests' oracles
-alone.
+alone. Every error class of ``nmqwalk.exceptions`` but the base
+``NmqwalkError`` is raised by some ``raise`` statement in ``src/``: an
+error nothing raises is public surface nothing needs.
 """
 
 import ast
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import nmqwalk
+import nmqwalk.exceptions
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
@@ -188,4 +191,50 @@ def test_detects_every_scipy_import_site():
         ("inner", "scipy.linalg", 6),
         (None, "scipy", 9),
         (None, "scipy.signal", 11),
+    }
+
+
+def raised_names(tree):
+    """Names of the classes a module's ``raise`` statements raise, called or bare."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                names.add(exc.attr)
+    return names
+
+
+def test_every_error_class_is_raised():
+    raised = set().union(
+        *(raised_names(ast.parse(path.read_text(encoding="utf-8"))) for path in PACKAGE)
+    )
+    base = nmqwalk.exceptions.NmqwalkError
+    errors = [
+        name
+        for name, obj in vars(nmqwalk.exceptions).items()
+        if inspect.isclass(obj) and issubclass(obj, base) and obj is not base
+    ]
+    assert errors, "nmqwalk.exceptions defines no error class"
+    unraised = sorted(set(errors) - raised)
+    assert not unraised, f"nmqwalk.exceptions defines errors no raise in src/ raises: {unraised}"
+
+
+def test_detects_every_raised_name():
+    # called, bare, qualified and nested raises count; a re-raise, an
+    # instantiation without raise and a name in an except clause do not
+    source = (
+        "from . import exceptions\n"
+        "def check(x):\n    if x:\n        raise KernelRangeError(f'{x}')\n"
+        "    try:\n        pass\n    except FitError:\n        raise\n"
+        "    err = EdgeAmplitudeError('kept')\n"
+        "    raise exceptions.ConfigError('bad') from None\n"
+        "class Walker:\n    def step(self):\n        raise NonPhysicalStateError\n"
+    )
+    assert raised_names(ast.parse(source)) == {
+        "KernelRangeError",
+        "ConfigError",
+        "NonPhysicalStateError",
     }

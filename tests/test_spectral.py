@@ -62,6 +62,15 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             series([1.0, np.nan, 2.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", [0, 1, 3], ids=["first", "second", "last"])
+    def test_rejects_non_finite_times(self, bad, where):
+        # a NaN time passed the increasing-time check: every comparison with it is False
+        times = np.arange(4.0)
+        times[where] = bad
+        with pytest.raises(ValueError, match="times must be finite"):
+            series([1.0, 0.8, 0.6, 0.5], times=times)
+
     def test_rejects_non_positive_weights(self):
         with pytest.raises(ValueError):
             series([1, 2, 3], weights=np.array([1.0, 0.0, 1.0]))

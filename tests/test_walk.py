@@ -157,6 +157,27 @@ class TestNoiselessEvolution:
         with pytest.raises(ValueError):
             WalkConfig(steps=2, initial_position=4)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", True),
+            ("steps", 3.0),
+            ("initial_position", 0.5),
+            ("initial_position", 1.0),
+            ("initial_position", True),
+        ],
+        ids=["bool-steps", "float-steps", "fractional-x0", "float-x0", "bool-x0"],
+    )
+    def test_non_integer_walk_field_rejected(self, field, value):
+        # unchecked, x0 = 0.5 sized a lattice of 10.0 sites, and steps=True
+        # ran a one-step walk
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            WalkConfig(**{"steps": 3, field: value})
+
+    def test_numpy_integer_walk_fields_accepted(self):
+        cfg = WalkConfig(steps=np.int64(3), initial_position=np.int32(-2))
+        assert cfg.n_positions == 2 * (3 + 1 + 2) + 1
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["coin_angle", "delta", "eta"])
     def test_non_finite_angle_rejected(self, field, value):
@@ -557,7 +578,12 @@ class TestStepwiseLightCone:
         )
         start = rho1 + 1j * rho2
         found, _, error = stepwise_run(
-            lambda cfg, noise: walk_mod._light_cone_blocks(cfg, noise, start), cfg, noise
+            lambda cfg, noise: (
+                (t, blocks[0], sites)
+                for t, blocks, sites in walk_mod._light_cone_blocks(cfg, noise, start[None])
+            ),
+            cfg,
+            noise,
         )
         expected, _, expected_error = stepwise_run(
             lambda cfg, noise: full_lattice_stepwise(cfg, noise, start), cfg, noise
@@ -566,6 +592,44 @@ class TestStepwiseLightCone:
         assert len(found) == len(expected)
         for t, (a, b) in enumerate(zip(found, expected)):
             assert np.array_equal(a, b), f"t={t}"
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        cfg=light_cone_walks(),
+        pair=st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 4),
+        noise=SIDED_NOISES,
+    )
+    def test_stacked_walkers_are_each_walked_alone(self, cfg, pair, noise, origin_lattice):
+        # bit for bit; on the narrowed lattice the walkers reach an edge, and
+        # the stack stops where the first walker alone stops, with its error
+        rho0 = density_from_amplitudes(walk_mod._coin_vector(cfg.delta, cfg.eta))
+        rho1, rho2 = (
+            density_from_amplitudes(walk_mod._coin_vector(*angles))
+            for angles in (pair[:2], pair[2:])
+        )
+        starts = np.stack([rho0, rho1 + 1j * rho2])
+
+        def walk(start):
+            states = []
+            try:
+                for _, blocks, _ in walk_mod._light_cone_blocks(cfg, noise, start):
+                    states.append(blocks)
+            except NmqwalkError as exc:
+                return states, type(exc).__name__
+            return states, None
+
+        stacked, error = walk(starts)
+        alone = [walk(start[None]) for start in starts]
+        first = min(alone, key=lambda run: len(run[0]))
+        assert len(stacked) == len(first[0]) and error == first[1]
+        for w, (states, _) in enumerate(alone):
+            for t, blocks in enumerate(stacked):
+                assert np.array_equal(blocks[w], states[t][0]), (w, t)
 
 
 def guard_steps(walk):

@@ -19,8 +19,10 @@ from conftest import (
     gram_min_conditional_entropy,
     koashi_winter_discord,
     kraus_at,
+    kron_mid,
     one_shot_factors,
     one_shot_witnesses,
+    partial_trace,
     rho_pe_concurrence,
     trace_distance,
     two_walker_trace_distances,
@@ -30,9 +32,8 @@ from hypothesis import strategies as st
 
 import nmqwalk.walk as walk_mod
 import nmqwalk.witness as witness_mod
-from nmqwalk.exceptions import DimensionMismatchError, NmqwalkError, NonPhysicalStateError
+from nmqwalk.exceptions import NmqwalkError, NonPhysicalStateError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
-from nmqwalk.qops import partial_trace
 from nmqwalk.walk import (
     EDGE_AMPLITUDE_TOL,
     WalkConfig,
@@ -166,7 +167,7 @@ class TestTraceDistance:
             )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(ValueError, match="shapes differ"):
             trace_distance(PLUS, np.eye(3) / 3)
 
 
@@ -236,6 +237,43 @@ class TestMid:
 
     def test_deterministic_under_degeneracy(self):
         assert _mid(_State(BELL)) == _mid(_State(BELL))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6])
+    @pytest.mark.parametrize("rank", ["full", "rank-2"])
+    def test_equals_kron_oracle_on_random_states(self, m, rank):
+        rng = np.random.default_rng(100 * m + len(rank))
+        for _ in range(10):
+            a = rng.normal(size=(2 * m, 2 * m)) + 1j * rng.normal(size=(2 * m, 2 * m))
+            if rank == "rank-2":
+                a = a[:, :2]
+            rho = a @ a.conj().T
+            state = _State(rho / np.trace(rho).real)
+            assert _mid(state) == pytest.approx(kron_mid(state), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            BELL,
+            np.kron(np.eye(2) / 2, random_density(np.random.default_rng(3), 3)),
+            np.kron(random_density(np.random.default_rng(4), 2), np.eye(3) / 3),
+        ],
+        ids=["bell", "mixed-coin", "mixed-position"],
+    )
+    def test_equals_kron_oracle_on_degenerate_marginals(self, rho):
+        # both read the canonical basis of each degenerate marginal
+        state = _State(rho)
+        assert _mid(state) == pytest.approx(kron_mid(state), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "noise",
+        [OunParams(Gamma=0.1, gamma=0.01), PlnParams(Gamma=0.2, gamma=0.02)],
+        ids=["oun", "pln"],
+    )
+    def test_equals_kron_oracle_on_stepwise_states(self, noise):
+        cfg = WalkConfig(steps=30, delta=0.7, eta=0.3)
+        for t, rho, _ in evolve_stepwise(cfg, noise):
+            state = _State(rho, t)
+            assert _mid(state) == pytest.approx(kron_mid(state), abs=1e-12), f"t={t}"
 
     def test_pure_walk_states_equal_coin_entropy(self):
         # Luo's MID of a pure state is its entanglement entropy. _State keeps
@@ -439,9 +477,10 @@ class FullLatticeState(_State):
     """A dense state measured on every site, as before the support compression."""
 
     def __init__(self, rho):
+        n = rho.shape[0] // 2
         self.rho = rho
+        self.r = rho.reshape(2, n, 2, n)
         self.t = None
-        self._dims = (2, rho.shape[0] // 2)
 
 
 @st.composite
@@ -506,14 +545,25 @@ class TestSupport:
         assert _mid(state) == pytest.approx(_mid(full), abs=1e-12)
         assert state.discord == pytest.approx(full.discord, abs=1e-9)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rho=hermitian_with_empty_sites())
+    def test_marginals_equal_the_oracle(self, rho):
+        # the coin-block view of the kept matrix against the einsum oracle
+        state = _State(rho)
+        dims = (2, state.rho.shape[0] // 2)
+        for keep, found in (("coin", state.coin), ("position", state.position)):
+            expected = partial_trace(state.rho, dims, keep)
+            np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-15, err_msg=keep)
+        assert np.array_equal(state.pauli_parts[0], state.position)
+
     def test_stepwise_states_keep_their_light_cone(self):
         # the yielded block is the support of the state on the whole lattice:
         # no site of the light cone is empty, and no other site is not
         cfg = WalkConfig(steps=60, delta=0.7, eta=0.3)
         for t, rho, sites in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
-            assert _State(rho)._dims == (2, t + 1), f"t={t}"
+            assert _State(rho).r.shape == (2, t + 1, 2, t + 1), f"t={t}"
             full = _State(embed(rho, sites, cfg.n_positions))
-            assert full._dims == (2, t + 1), f"t={t}"
+            assert full.r.shape == (2, t + 1, 2, t + 1), f"t={t}"
             assert np.array_equal(full.rho, rho), f"t={t}"
 
 
@@ -718,7 +768,7 @@ class TestSeries:
                 assert "%.12g" % values[0] == "0", (mode, tag)
 
     def test_one_light_cone_walk_for_td(self, monkeypatch):
-        # evolve_stepwise runs the same block walk as the TD pair
+        # the TD pair rides in the single walker's walk as a second start block
         calls = []
         blocks = walk_mod._light_cone_blocks
 
@@ -731,9 +781,48 @@ class TestSeries:
         cfg = WalkConfig(steps=4)
         noise = OunParams(Gamma=0.1, gamma=0.01)
         witness_series(cfg, noise, mode="stepwise", witnesses=("TD",))
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0].shape == (1, 2, 2)
         witness_series(cfg, noise, mode="stepwise", witnesses=("TD", "Entropy"))
-        assert len(calls) == 1 + 2
+        assert len(calls) == 1 + 1 and calls[1].shape == (2, 2, 2)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        cfg=st.builds(
+            WalkConfig,
+            steps=st.integers(min_value=0, max_value=6),
+            coin_angle=ANGLES,
+            delta=ANGLES,
+            eta=ANGLES,
+        ),
+        pair=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES),
+        noise=MONOTONE_KERNELS,
+    )
+    def test_every_tag_in_one_walk_equals_separate_runs(self, cfg, pair, noise):
+        # bit for bit: the stacked walk rounds each walker as it walks alone
+        walks, ratios = [], []
+        blocks, kernel_ratio = walk_mod._light_cone_blocks, walk_mod.kernel_ratio
+
+        def counting_walk(*args):
+            walks.append(args)
+            return blocks(*args)
+
+        def counting_ratio(*args):
+            ratios.append(args)
+            return kernel_ratio(*args)
+
+        td = witness_series(cfg, noise, mode="stepwise", witnesses=("TD",), td_pair=pair)
+        others = tuple(tag for tag in WITNESS_TAGS if tag != "TD")
+        single = witness_series(cfg, noise, mode="stepwise", witnesses=others)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(witness_mod, "_light_cone_blocks", counting_walk)
+            patch.setattr(walk_mod, "kernel_ratio", counting_ratio)
+            found = witness_series(
+                cfg, noise, mode="stepwise", witnesses=WITNESS_TAGS, td_pair=pair
+            )
+        assert len(walks) == 1 and len(ratios) == 1
+        assert list(found) == list(WITNESS_TAGS)
+        for tag, expected in {**td, **single}.items():
+            assert np.array_equal(found[tag], expected), tag
 
     def test_optimizer_runs_only_on_dense_states(self, monkeypatch):
         def refuse(*args, **kwargs):
