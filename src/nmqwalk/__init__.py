@@ -15,7 +15,6 @@ blocks behind it are importable from their modules.
 from .divisibility import ChoiScanResult, cp_divisibility_scan
 from .exceptions import (
     ConfigError,
-    EdgeAmplitudeError,
     FitError,
     KernelRangeError,
     NmqwalkError,
@@ -31,7 +30,7 @@ from .spectral import (
     TimeSeries,
     disambiguate,
 )
-from .walk import WalkConfig, lattice_positions
+from .walk import WalkConfig
 from .witness import witness_series
 
 __version__ = "0.1.0"
@@ -40,7 +39,6 @@ __all__ = [
     "ChoiScanResult",
     "ConfigError",
     "DisambiguationReport",
-    "EdgeAmplitudeError",
     "FitError",
     "KernelRangeError",
     "MonotoneFit",
@@ -57,6 +55,5 @@ __all__ = [
     "WalkConfig",
     "cp_divisibility_scan",
     "disambiguate",
-    "lattice_positions",
     "witness_series",
 ]

@@ -41,7 +41,7 @@ from .spectral import (
     TimeSeries,
     disambiguate,
 )
-from .walk import EvolutionMode, WalkConfig, distribution_variance, lattice_positions, populations
+from .walk import EvolutionMode, WalkConfig, distribution_variance, populations
 from .witness import DEFAULT_TD_PAIR, WITNESS_TAGS, witness_series
 
 EXIT_OK = 0
@@ -261,14 +261,12 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     they are the noiseless walk's, while stepwise noise decoheres the walk
     itself and slows the spread. Either way only the light cone is read.
     """
-    positions = lattice_positions(cfg.walk)
     dist_rows = []
     var_rows = []
-    for t, sites, probs in populations(cfg.walk, cfg.noise, cfg.mode):
-        labels = positions[sites]
+    for t, x, probs in populations(cfg.walk, cfg.noise, cfg.mode):
         emit = probs > _PROB_EMIT_TOL
-        dist_rows += zip(repeat(t), labels[emit].tolist(), probs[emit].tolist())
-        var_rows.append((t, distribution_variance(probs, labels.astype(float))))
+        dist_rows += zip(repeat(t), x[emit].tolist(), probs[emit].tolist())
+        var_rows.append((t, distribution_variance(probs, x.astype(float))))
     _write_csv(
         out_dir / "distribution.csv", ["step", "x", "probability"], "%d,%d,%.12g", dist_rows
     )

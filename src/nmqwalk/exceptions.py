@@ -17,10 +17,6 @@ class NonPhysicalStateError(NmqwalkError, ValueError):
     """A stepwise state has a negative eigenvalue: it left the set of states."""
 
 
-class EdgeAmplitudeError(NmqwalkError, RuntimeError):
-    """The walker reached the lattice boundary; the lattice was sized wrong."""
-
-
 class FitError(NmqwalkError, RuntimeError):
     """A fit overflowed: its error or a parameter is not finite."""
 

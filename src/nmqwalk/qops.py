@@ -1,7 +1,7 @@
 """Quantum-state primitives: the two partial traces and the entropy of a spectrum.
 
-All states live on a bipartite Hilbert space ordered as coin (x) position,
-i.e. the flat index of basis vector |c, x> is ``c * n_positions + x``, so a
+All states live on a bipartite Hilbert space ordered as coin (x) position:
+on m positions the flat index of basis vector |c, j> is ``c * m + j``, so a
 (2m, 2m) matrix reshapes to the coin-block view r[c, j, d, k] of shape
 (2, m, 2, m). Entropies are in bits (log base 2) throughout; a maximally
 mixed qubit has entropy exactly 1.

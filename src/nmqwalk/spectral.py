@@ -62,19 +62,19 @@ class TimeSeries:
             if self.weights is None
             else np.asarray(self.weights, dtype=float)
         )
-        if times.shape != values.shape or weights.shape != values.shape:
+        if times.ndim != 1 or times.shape != values.shape or weights.shape != values.shape:
             raise ValueError(
-                f"length mismatch: {len(times)} times, {len(values)} values, "
-                f"{len(weights)} weights"
+                "times, values and weights must be 1-d of one length, got shapes "
+                f"{times.shape}, {values.shape} and {weights.shape}"
             )
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
-        if len(times) and np.any(np.diff(times) <= 0):
+        if np.any(np.diff(times) <= 0):
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "weights", weights)

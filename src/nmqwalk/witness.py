@@ -40,19 +40,19 @@ the walk reads every walker's block in one batched contraction and computes
 every tag once with batched 2 x 2 linear algebra, holding O(t) amplitudes
 and a (T + 1) stack of small matrices. Only MID can need the amplitudes:
 where rho_p is degenerate inside its support, its canonical basis (see
-:func:`_mid`) lives on the lattice, so at such a step the walk forms the
-walker's amplitudes and its frame F while it holds the basis pair.
+:func:`_mid`) lives on the light cone, so at such a step the walk forms
+the walker's amplitudes and its frame F while it holds the basis pair.
 
 Stepwise, one light-cone walk (:func:`nmqwalk.walk._light_cone_blocks`)
 of a stack of start blocks feeds every tag: the walker's rho_0 when a
-single-walker tag is asked, and X = rho_1 + i rho_2 of the ``td_pair``
-walkers when TD is, whose coin block gives both TD walkers at once. A
-stepwise state, a dense (2n, 2n) light-cone block, is measured through
-a per-state cache that every witness shares, on its support, the sites
-whose rows are not all zero, which keeps every nonzero eigenvalue,
-negative ones included. Its marginals, the Pauli parts of its discord and
-MID's outcome table all read one coin-block view r[c, :, d, :] of it. MI,
-MID and QD read its full spectrum and raise
+single-walker tag is asked, and the difference rho_1 - rho_2 of the
+``td_pair`` walkers when TD is, whose coin block is the difference of the
+TD walkers' coin states. A stepwise state, a dense (2m, 2m) light-cone
+block, is measured through a per-state cache that every witness shares,
+on its support, the sites whose rows are not all zero, which keeps every
+nonzero eigenvalue, negative ones included. Its marginals, the Pauli
+parts of its discord and MID's outcome table all read one coin-block view
+r[c, :, d, :] of it. MI, MID and QD read its full spectrum and raise
 :class:`~nmqwalk.exceptions.NonPhysicalStateError` on an eigenvalue below
 -POSITIVITY_TOL. Its discord is a grid scan plus a compass search over
 projective coin measurements (see :func:`_min_conditional_entropy`).
@@ -79,10 +79,10 @@ from .walk import (
     _basis_walks,
     _coin_vector,
     _cone_populations,
+    _cone_positions,
     _light_cone_blocks,
     density_from_amplitudes,
     distribution_variance,
-    lattice_positions,
 )
 
 WITNESS_TAGS = ("TD", "MI", "MID", "QD", "Entropy", "Variance")
@@ -124,10 +124,10 @@ class _State:
     zero-probability outcomes only, and every other eigenvalue, a negative
     one included, is kept. A stepwise state after t steps arrives as its
     light-cone block of t + 1 sites (see :func:`nmqwalk.walk._light_cone_blocks`),
-    so the scan costs O(t^2), not O(n^2); it still drops a site inside the
-    light cone whose rows are exactly zero, which keeps every value the one
-    the whole (2n, 2n) matrix gives. When every site is in the support, the
-    matrix is kept as it came, with no copy, and no quantity writes to it.
+    and the scan still drops a site of it whose rows are exactly zero, which
+    keeps every value the one the whole matrix gives. When every site is in
+    the support, the matrix is kept as it came, with no copy, and no
+    quantity writes to it.
     Every reduced quantity reads the one coin-block view ``r[c, :, d, :]``
     of shape (2, m, 2, m). ``t``, the step of a stepwise state, is named in
     the error a non-physical state raises (see :attr:`joint_entropy`).
@@ -425,14 +425,12 @@ def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
     coin map, L_t[c, i, d, j] = sum_x psi_i(t)[c, x] psi_j(t)[d, x]. The walk
     is linear, so after it one batched contraction gives every walker's
     block, C_w(t) = sum_ij v_i conj(v_j) L_t[:, i, :, j] for v = coins[w].
-    The edge guard reads the walkers, so it raises where the first of them
-    reaches an edge.
 
     Returns the (T + 1, walkers, 2, 2) blocks, the position variance of the
     first walker when ``tags`` asks for it (else None), and that walker's
     MID frames. For the variance A also carries the rows A diag(x), x the
-    sites' offsets from x0, on which the variance does not depend and which
-    keep its moments O(t^2); the first walker's coin-diagonal sums of
+    light-cone offsets from x0, on which the variance does not depend and
+    which keep its moments O(t^2); the first walker's coin-diagonal sums of
     A diag(x) A^T and A diag(x^2) A^T are its <x> and <x^2>. For MID, where
     the first walker's block is near degenerate, its canonical position
     frame is built from its amplitudes while the walk holds them.
@@ -440,10 +438,9 @@ def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
     weights = np.einsum("wi,wj->wij", coins, coins.conj())  # v_w v_w^dag
     (p00, p01), (p10, p11) = weights[0].tolist()
     groups = 2 if "Variance" in tags else 1
-    offsets = (lattice_positions(cfg) - cfg.initial_position).astype(float)
     grams, frames = [], {}
-    for t, a, sites in _basis_walks(cfg, coins):
-        rows = np.concatenate((a, a * offsets[sites])) if groups == 2 else a
+    for t, a in _basis_walks(cfg):
+        rows = np.concatenate((a, a * _cone_positions(t))) if groups == 2 else a
         rows = rows.reshape(-1, a.shape[-1])
         gram = np.dot(rows, rows.T)
         grams.append(gram)
@@ -455,9 +452,7 @@ def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
             )
             diff = (p00 * (g00 - g22) + p11 * (g11 - g33) + 2.0 * p01 * (g01 - g23)).real
             if _near_degenerate(diff, p00 * g02 + p01 * g03 + p10 * g12 + p11 * g13):
-                psi = np.zeros((2, cfg.n_positions), dtype=complex)
-                psi[:, sites] = np.einsum("i,cix->cx", coins[0], a)
-                frames[t] = _position_frame(psi)
+                frames[t] = _position_frame(np.einsum("i,cix->cx", coins[0], a))
     grams = np.stack(grams).reshape(-1, groups, 2, 2, groups, 2, 2)
     blocks = np.einsum("wij,tcidj->twcd", weights, grams[:, 0, :, :, 0])
     variance = None
@@ -537,24 +532,21 @@ def witness_series(
     single = [tag for tag in tags if tag != "TD"]
     starts = [density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))] if single else []
     if "TD" in tags:
-        # the walk is linear, so X = rho1(0) + i rho2(0) carries both TD walkers
+        # the walk is linear, so it carries rho1(0) - rho2(0) to rho1(t) - rho2(t)
         rho1, rho2 = (density_from_amplitudes(_coin_vector(*a)) for a in (pair[:2], pair[2:]))
-        starts.append(rho1 + 1j * rho2)
-    positions = lattice_positions(cfg).astype(float)
+        starts.append(rho1 - rho2)
     # each block is read, never written, so the walk's own stack serves
-    for t, blocks, sites in _light_cone_blocks(cfg, noise, np.stack(starts)):
+    for t, blocks in _light_cone_blocks(cfg, noise, np.stack(starts)):
         if "TD" in tags:
             td_blocks.append(partial_trace(blocks[-1].reshape(2, t + 1, 2, t + 1), "coin"))
         if single:
             state = _State(blocks[0], t)
             for tag in single:
                 if tag == "Variance":
-                    probs = _cone_populations(blocks[0])
-                    values[tag].append(distribution_variance(probs, positions[sites]))
+                    x = _cone_positions(t, cfg.initial_position).astype(float)
+                    values[tag].append(distribution_variance(_cone_populations(blocks[0]), x))
                 else:
                     values[tag].append(_DENSE_WITNESSES[tag](state))
     if "TD" in tags:
-        # X's coin block is Y = C1 + i C2, and C1 - C2 is the Hermitian part of (1 + i) Y
-        y = (1.0 + 1.0j) * np.stack(td_blocks)
-        values["TD"] = 0.5 * trace_norm((y + y.conj().swapaxes(1, 2)) / 2.0)
+        values["TD"] = 0.5 * trace_norm(np.stack(td_blocks))
     return {tag: np.asarray(v) for tag, v in values.items()}

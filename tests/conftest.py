@@ -1,11 +1,20 @@
 """Oracles and helpers shared by the test modules.
 
+The library walks on the line and holds only the light cone
+x0 - t, x0 - t + 2, ..., x0 + t. The oracles below walk a finite lattice
+instead: the positions -h .. h, with h = T + 1 + |x0|
+(``lattice_half_width``), so the walker's reach keeps at least one empty
+site from either end and ``np.roll`` never wraps it. Position x sits at
+lattice index x + h. Every oracle walk yields (t, state, x), ``x`` the
+integer positions the state's rows cover, so the light cone for the
+library's walks and -h .. h for the full-lattice oracles.
+
 One-shot mode walks the basis pair: ``walk._basis_walks`` streams the two
 real noiseless walks psi_0 and psi_1 from coin |0> and |1> on the light
 cone, and every walker is v_0 psi_0 + v_1 psi_1. ``evolve_noiseless`` below
-is its oracle: one walker, the whole (T + 1, 2, n_positions) history,
-``np.roll`` as the shift and a guard on each end column of its own, the way
-the library walked before the stream. Started from the exact |0> or |1>
+is its oracle: one walker, the whole (T + 1, 2, n) history on the lattice
+of n = 2h + 1 sites, with ``np.roll`` as the shift, the way the library
+walked before the stream. Started from the exact |0> or |1>
 (``basis_start``), it is bit for bit a basis walk; a walker's own walk
 rounds apart from the sum of the basis walks by an ulp or so.
 
@@ -14,7 +23,7 @@ coin blocks, read from the Gram matrix of the basis pair, and the kernel
 values, and ``walk.populations`` reads the one-shot position populations
 from the noiseless walker alone. Two generators below form each one-shot
 state from the roll oracle's amplitudes and the kernel: ``dense_one_shot``
-as the (2 n_positions)^2 density matrix, and ``one_shot_factors`` as the
+as the (2n)^2 density matrix, and ``one_shot_factors`` as the
 rank-2 Kraus factor of the ``kraus_at`` pair, the form the library yielded
 before it read the witnesses and the populations without any state.
 ``koashi_winter_discord`` is the oracle of the one-shot discord
@@ -25,14 +34,13 @@ D_k(|psi><psi|) through the closed forms the series runs, from psi and k
 themselves.
 
 ``walk._light_cone_blocks`` evolves only the light-cone blocks of a
-stack of walkers, with the lattice sites they cover, and yields the stack
-it keeps for the next step. ``evolve_stepwise`` below walks a stack of one,
-cfg's walker, and yields a copy of each block, so a test may keep or
-overwrite it; ``full_lattice_stepwise``
-is the oracle of both: every step applies W rho W^dag to the whole
-(2 n_positions)^2 matrix, with ``np.roll`` as the shift, then the
-intermediate dephasing map, then the edge guard. ``embed`` puts a block
-back on the whole lattice to compare the two.
+stack of walkers and yields the stack it keeps for the next step.
+``evolve_stepwise`` below walks a stack of one, cfg's walker, and yields a
+copy of each block with its light-cone positions, so a test may keep or
+overwrite it; ``full_lattice_stepwise`` is the oracle of both: every step
+applies W rho W^dag to the whole (2n)^2 matrix, with ``np.roll`` as the
+shift, then the intermediate dephasing map. ``embed`` puts a block back
+on the whole lattice to compare the two.
 
 The intermediate dephasing map E(t2, t1) may be non-CP. The walk applies
 it by scaling the coin coherences of each new light-cone block as it forms
@@ -69,19 +77,16 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import pytest
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit, minimize
 
 from nmqwalk.divisibility import kernel_ratio
-from nmqwalk.exceptions import EdgeAmplitudeError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import EIGENVALUE_CUTOFF
 from nmqwalk.spectral import TimeSeries
 from nmqwalk.walk import (
-    EDGE_AMPLITUDE_TOL,
-    WalkConfig,
     _coin_vector,
+    _cone_positions,
     _light_cone_blocks,
     coin_operator,
     density_from_amplitudes,
@@ -128,61 +133,55 @@ MONOTONE_KERNELS = st.one_of(
 )
 
 
-@pytest.fixture
-def origin_lattice(monkeypatch):
-    """Size every lattice as 2(T + 1) + 1 sites around the origin, whatever x0.
+def lattice_half_width(cfg):
+    """h of the oracles' lattice -h .. h: the walker's reach T + |x0| plus one."""
+    return cfg.steps + 1 + abs(cfg.initial_position)
 
-    ``WalkConfig.half_width`` widens the lattice by |x0|, so no valid config
-    reaches an edge. On this narrower lattice a walker started off the
-    origin does, which is how the tests reach the edge guard through the
-    walk itself.
-    """
-    monkeypatch.setattr(WalkConfig, "half_width", property(lambda cfg: cfg.steps + 1))
+
+def lattice_size(cfg):
+    """The number of sites 2h + 1 of the oracles' lattice."""
+    return 2 * lattice_half_width(cfg) + 1
+
+
+def lattice_positions(cfg):
+    """The positions -h .. h of the oracles' lattice, in lattice-index order."""
+    h = lattice_half_width(cfg)
+    return np.arange(-h, h + 1)
 
 
 def initial_state(cfg):
-    """Amplitude array (2, n_positions) of the localized initial state."""
-    amps = np.zeros((2, cfg.n_positions), dtype=complex)
-    x0 = cfg.initial_position + cfg.half_width
+    """Amplitude array (2, n) of the localized initial state on the oracles' lattice."""
+    amps = np.zeros((2, lattice_size(cfg)), dtype=complex)
+    x0 = cfg.initial_position + lattice_half_width(cfg)
     amps[0, x0] = math.cos(cfg.delta)
     amps[1, x0] = np.exp(-1j * cfg.eta) * math.sin(cfg.delta)
     return amps
 
 
-def check_edges(amps):
-    """The edge guard on amplitudes (2, n), one lattice end at a time."""
-    edge = max(np.max(np.abs(amps[:, 0])), np.max(np.abs(amps[:, -1])))
-    if edge > EDGE_AMPLITUDE_TOL:
-        raise EdgeAmplitudeError(f"boundary amplitude {edge:.3e} exceeds {EDGE_AMPLITUDE_TOL}")
-
-
-def step_amplitudes(amps, coin, guard=True):
-    """One walk step W on an amplitude array: coin rotation, then np.roll
-    shift, then the edge guard unless ``guard`` is False."""
+def step_amplitudes(amps, coin):
+    """One walk step W on an amplitude array: coin rotation, then np.roll shift."""
     rotated = coin @ amps
     out = np.empty_like(rotated)
     for c, d in enumerate((-1, +1)):
         out[c] = np.roll(rotated[c], d)
-    if guard:
-        check_edges(out)
     return out
 
 
 def basis_start(cfg, i):
-    """The exact amplitude array (2, n_positions) of the coin basis state |i> at x0."""
-    amps = np.zeros((2, cfg.n_positions), dtype=complex)
-    amps[i, cfg.initial_position + cfg.half_width] = 1.0
+    """The exact amplitude array (2, n) of the coin basis state |i> at x0."""
+    amps = np.zeros((2, lattice_size(cfg)), dtype=complex)
+    amps[i, cfg.initial_position + lattice_half_width(cfg)] = 1.0
     return amps
 
 
 def evolve_noiseless(cfg, start=None):
-    """All noiseless amplitude arrays of one walker, shape (steps + 1, 2, n_positions).
+    """All noiseless amplitude arrays of one walker, shape (steps + 1, 2, n).
 
     The walker starts from the amplitude array ``start``, by default cfg's
     initial state.
     """
     coin = coin_operator(cfg.coin_angle)
-    out = np.empty((cfg.steps + 1, 2, cfg.n_positions), dtype=complex)
+    out = np.empty((cfg.steps + 1, 2, lattice_size(cfg)), dtype=complex)
     out[0] = initial_state(cfg) if start is None else start
     for t in range(1, cfg.steps + 1):
         out[t] = step_amplitudes(out[t - 1], coin)
@@ -220,22 +219,22 @@ def dense_one_shot(cfg, noise, kernel=None):
     for t, amps in enumerate(evolve_noiseless(cfg)):
         rho = density_from_amplitudes(amps)
         k = float(kernel_value(noise, float(t))) if kernel is None else kernel[t]
-        yield t, dephase_density(rho, k, cfg.n_positions)
+        yield t, dephase_density(rho, k, lattice_size(cfg))
 
 
 def one_shot_factors(cfg, noise):
-    """Yield (t, b_t, sites) with the full dephasing channel applied at each t.
+    """Yield (t, b_t, x) with the full dephasing channel applied at each t.
 
-    ``b_t`` has shape (2, n_positions, 2) (coin, position, Kraus index): the
-    columns b_r = (K_r (x) I) psi(t) for the ``kraus_at`` pair and the roll
+    ``b_t`` has shape (2, n, 2) (coin, position, Kraus index): the columns
+    b_r = (K_r (x) I) psi(t) for the ``kraus_at`` pair and the roll
     oracle's psi(t), so rho_t = sum_r b_r b_r^dag. The factor covers the
-    whole lattice, so ``sites`` is ``arange(n_positions)``. The kernel range
-    and the edge guard raise before the first yield.
+    whole lattice, so ``x`` is ``lattice_positions(cfg)``. The kernel range
+    raises before the first yield.
     """
     kraus = kraus_at(noise, np.arange(cfg.steps + 1.0))
-    sites = np.arange(cfg.n_positions)
+    x = lattice_positions(cfg)
     for t, psi in enumerate(evolve_noiseless(cfg)):
-        yield t, np.einsum("rcd,dj->cjr", kraus[t], psi), sites
+        yield t, np.einsum("rcd,dj->cjr", kraus[t], psi), x
 
 
 def dense_populations(rho):
@@ -244,33 +243,32 @@ def dense_populations(rho):
 
 
 def evolve_stepwise(cfg, noise):
-    """Yield (t, rho_t, sites) of cfg's stepwise walker, each block a copy."""
+    """Yield (t, rho_t, x) of cfg's stepwise walker, each block a copy on its light cone x."""
     start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-    for t, rho, sites in _light_cone_blocks(cfg, noise, start[None]):
-        yield t, rho[0].copy(), sites
+    for t, rho in _light_cone_blocks(cfg, noise, start[None]):
+        yield t, rho[0].copy(), _cone_positions(t, cfg.initial_position)
 
 
 def full_lattice_stepwise(cfg, noise, start=None):
-    """Yield (t, rho_t, sites) of the stepwise walk, evolved on the whole lattice.
+    """Yield (t, rho_t, x) of the stepwise walk, evolved on the whole lattice.
 
-    ``rho_t`` is the whole (2n, 2n) matrix, so ``sites`` is ``arange(n)``.
+    ``rho_t`` is the whole (2n, 2n) matrix, so ``x`` is ``lattice_positions(cfg)``.
     The walk starts from the 2 x 2 coin block ``start`` at x0, by default
     the density matrix of cfg's initial coin state; the block may be any
-    complex matrix, such as the X = rho1 + i rho2 of two walkers. The guard
-    reads sqrt|rho_ii|.
+    complex matrix, such as the difference rho1 - rho2 of two walkers.
     """
-    n = cfg.n_positions
-    sites = np.arange(n)
+    n = lattice_size(cfg)
+    x = lattice_positions(cfg)
     coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     if start is None:
         rho = density_from_amplitudes(initial_state(cfg))
     else:
-        x0 = cfg.initial_position + cfg.half_width
+        x0 = cfg.initial_position + lattice_half_width(cfg)
         rho = np.zeros((2, n, 2, n), dtype=complex)
         rho[:, x0, :, x0] = start
         rho = rho.reshape(2 * n, 2 * n)
-    yield 0, rho.copy(), sites
+    yield 0, rho.copy(), x
     for t, ratio in enumerate(ratios, start=1):
         r = np.einsum("ab,bjck,dc->ajdk", coin, rho.reshape(2, n, 2, n), coin.conj())
         out = np.empty_like(r)
@@ -278,14 +276,18 @@ def full_lattice_stepwise(cfg, noise, start=None):
             for d, dd in enumerate((-1, +1)):
                 out[a, :, d, :] = np.roll(np.roll(r[a, :, d, :], da, axis=0), dd, axis=1)
         rho = dephase_density(out.reshape(2 * n, 2 * n), ratio, n)
-        check_edges(np.sqrt(np.abs(rho.diagonal())).reshape(2, n))
-        yield t, rho.copy(), sites
+        yield t, rho.copy(), x
 
 
-def embed(block, sites, n_positions):
-    """The (2 n_positions)^2 matrix that is ``block`` on coin (x) ``sites``, zero elsewhere."""
-    rows = np.concatenate([sites, sites + n_positions])
-    out = np.zeros((2 * n_positions, 2 * n_positions), dtype=block.dtype)
+def embed(block, x, cfg):
+    """The (2n)^2 matrix on cfg's oracle lattice that is ``block`` on coin (x) positions ``x``.
+
+    Position x sits at lattice index x + h; the matrix is zero elsewhere.
+    """
+    n = lattice_size(cfg)
+    sites = np.asarray(x) + lattice_half_width(cfg)
+    rows = np.concatenate([sites, sites + n])
+    out = np.zeros((2 * n, 2 * n), dtype=block.dtype)
     out[np.ix_(rows, rows)] = block
     return out
 

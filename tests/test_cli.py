@@ -10,7 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import SIDED_NOISES, dense_one_shot, dense_populations, full_lattice_stepwise
+from conftest import (
+    SIDED_NOISES,
+    dense_one_shot,
+    dense_populations,
+    full_lattice_stepwise,
+    lattice_half_width,
+    lattice_size,
+)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +28,7 @@ from nmqwalk.cli import _NOISE_MODELS, _PROB_EMIT_TOL, choi_grid, main, parse_co
 from nmqwalk.divisibility import cp_divisibility_scan
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
-from nmqwalk.walk import distribution_variance, lattice_positions, populations
+from nmqwalk.walk import distribution_variance, populations
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -386,10 +393,9 @@ class TestWalkCommand:
         out = tmp_path / "out"
         assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
         parsed = parse_config(json.dumps(doc))
-        positions = lattice_positions(parsed.walk)
         dist = ["step,x,probability\n"]
         variance = []
-        for t, rho, _ in full_lattice_stepwise(parsed.walk, parsed.noise):
+        for t, rho, positions in full_lattice_stepwise(parsed.walk, parsed.noise):
             probs = dense_populations(rho)
             dist += [f"{t},{x},{p:.12g}\n" for x, p in zip(positions, probs) if p > _PROB_EMIT_TOL]
             variance.append(distribution_variance(probs, positions.astype(float)))
@@ -419,9 +425,9 @@ class TestWalkCommand:
         assert written["noisy"] == written["free"]
         cfg = parse_config(json.dumps({"walk": walk})).walk
         pairs = zip(populations(cfg, noise, "one_shot"), dense_one_shot(cfg, noise), strict=True)
-        for (t, sites, probs), (_, rho) in pairs:
-            found = np.zeros(cfg.n_positions)
-            found[sites] = probs
+        for (t, x, probs), (_, rho) in pairs:
+            found = np.zeros(lattice_size(cfg))
+            found[x + lattice_half_width(cfg)] = probs
             np.testing.assert_allclose(
                 found, dense_populations(rho), rtol=0.0, atol=1e-13, err_msg=f"t={t}"
             )
@@ -696,15 +702,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, {"mode": "retrocausal"})
         assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["walk", "witness"])
+    @pytest.mark.parametrize("side", [-1, 1], ids=["left", "right"])
+    def test_start_past_the_widest_is_2(self, tmp_path, command, side):
+        # x0 = +-(T + 1) is the farthest start a config accepts; one further is a config error
+        for x0, code in ((side * 5, 0), (side * 6, 2)):
+            doc = {"walk": {"steps": 4, "initial_position": x0}, "witnesses": ["TD"]}
+            cfg = write_config(tmp_path, doc, name=f"x{x0}.json")
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / f"o{x0}")]) == code
+
     def test_missing_config_is_4(self, tmp_path):
         missing = tmp_path / "nope.json"
         assert main(["walk", "--config", str(missing), "--out", str(tmp_path / "o")]) == 4
-
-    def test_numerical_failure_is_3(self, tmp_path, origin_lattice):
-        # starting on the boundary of a lattice too small for the walk trips
-        # the edge guard
-        cfg = write_config(tmp_path, {"walk": {"steps": 4, "initial_position": 5}})
-        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
 
     @pytest.mark.parametrize("command", ["walk", "witness", "choi"])
     def test_kernel_out_of_range_is_3(self, tmp_path, monkeypatch, command):

@@ -229,7 +229,7 @@ def test_detects_every_raised_name():
         "from . import exceptions\n"
         "def check(x):\n    if x:\n        raise KernelRangeError(f'{x}')\n"
         "    try:\n        pass\n    except FitError:\n        raise\n"
-        "    err = EdgeAmplitudeError('kept')\n"
+        "    err = NonInvertibleMapError('kept')\n"
         "    raise exceptions.ConfigError('bad') from None\n"
         "class Walker:\n    def step(self):\n        raise NonPhysicalStateError\n"
     )

@@ -75,6 +75,27 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             series([1, 2, 3], weights=np.array([1.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_weights(self, bad):
+        # a NaN weight passed the check weights <= 0, and the isotonic fit returned NaN
+        with pytest.raises(ValueError, match="weights must be positive and finite"):
+            series([1.0, 0.8, 0.6], weights=np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize(
+        "times, values, weights",
+        [
+            (np.arange(3.0), np.ones(3), 2.0),
+            (0.0, 1.0, None),
+            (np.zeros((2, 2)), np.ones((2, 2)), None),
+            (np.arange(3.0), np.ones(4), None),
+        ],
+        ids=["scalar-weights", "0-d-series", "2-d-series", "length-mismatch"],
+    )
+    def test_rejects_a_series_that_is_not_1d_of_one_length(self, times, values, weights):
+        # a scalar weight or a 0-d series raised TypeError from len() in the error message
+        with pytest.raises(ValueError, match=r"must be 1-d of one length, got shapes \("):
+            TimeSeries(times=times, values=values, weights=weights)
+
 
 class TestIsotonicFit:
     def test_monotone_input_unchanged(self):

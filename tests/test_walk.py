@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -15,30 +16,27 @@ from conftest import (
     evolve_stepwise,
     full_lattice_stepwise,
     initial_state,
+    lattice_half_width,
+    lattice_positions,
+    lattice_size,
     one_shot_factors,
     step_amplitudes,
 )
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmqwalk.noise as noise_mod
 import nmqwalk.walk as walk_mod
-from nmqwalk.exceptions import (
-    EdgeAmplitudeError,
-    KernelRangeError,
-    NmqwalkError,
-    NonInvertibleMapError,
-)
+from nmqwalk.cli import main, parse_config
+from nmqwalk.exceptions import KernelRangeError, NmqwalkError, NonInvertibleMapError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.walk import (
     WalkConfig,
     coin_operator,
     density_from_amplitudes,
     distribution_variance,
-    lattice_positions,
     populations,
 )
-from nmqwalk.witness import WITNESS_TAGS, witness_series
 
 MODES = ("one_shot", "stepwise")
 #: every walk that checks the kernel's range before its first state
@@ -56,28 +54,34 @@ MODEL_NOISES = {
 }
 
 
+def cone_indices(cfg, t):
+    """The oracles' lattice indices of the light cone after t steps."""
+    return walk_mod._cone_positions(t, cfg.initial_position) + lattice_half_width(cfg)
+
+
 def noiseless_history(cfg):
-    """The amplitudes (T + 1, 2, n_positions) of cfg's walker, as the one-shot
-    walk forms it from the basis pair: sum_i v_i psi_i on the light cone."""
+    """The amplitudes (T + 1, 2, n) of cfg's walker on the oracles' lattice, as
+    the one-shot walk forms it from the basis pair: sum_i v_i psi_i on the
+    light cone."""
     coin = walk_mod._coin_vector(cfg.delta, cfg.eta)
-    out = np.zeros((cfg.steps + 1, 2, cfg.n_positions), dtype=complex)
-    for t, a, sites in walk_mod._basis_walks(cfg, coin[None]):
-        out[t][:, sites] = np.einsum("i,cix->cx", coin, a)
+    out = np.zeros((cfg.steps + 1, 2, lattice_size(cfg)), dtype=complex)
+    for t, a in walk_mod._basis_walks(cfg):
+        out[t][:, cone_indices(cfg, t)] = np.einsum("i,cix->cx", coin, a)
     return out
 
 
 def last_populations(cfg, noise=None, mode="one_shot"):
-    """The (sites, probs) of the last step of ``populations``."""
-    *_, (_, sites, probs) = populations(cfg, noise, mode)
-    return sites, probs
+    """The (x, probs) of the last step of ``populations``."""
+    *_, (_, x, probs) = populations(cfg, noise, mode)
+    return x, probs
 
 
 def shift_operator(n_positions: int) -> np.ndarray:
     """Dense coin-conditioned shift S on the truncated lattice (test oracle).
 
     Interior columns are isometric; the two boundary columns map outside
-    the lattice and are zeroed, so S is only a partial isometry. Evolution
-    routines never populate those columns (enforced by the edge guard).
+    the lattice and are zeroed, so S is only a partial isometry. The
+    oracles' lattice is wide enough that no walk populates those columns.
     """
     if n_positions < 3 or n_positions % 2 == 0:
         raise ValueError(f"n_positions must be odd and >= 3, got {n_positions}")
@@ -128,7 +132,7 @@ class TestNoiselessEvolution:
         cfg = WalkConfig(steps=2)
         amps = noiseless_history(cfg)[2]
         center = cfg.steps + 1
-        expected = np.zeros((2, cfg.n_positions), dtype=complex)
+        expected = np.zeros((2, lattice_size(cfg)), dtype=complex)
         expected[0, center - 2] = 1 / np.sqrt(2)
         expected[1, center] = 1 / np.sqrt(2)
         np.testing.assert_allclose(amps, expected, atol=1e-14)
@@ -140,18 +144,12 @@ class TestNoiselessEvolution:
 
     def test_matches_dense_operator_product(self):
         cfg = WalkConfig(steps=6, coin_angle=0.6, delta=0.8, eta=1.1)
-        w = shift_operator(cfg.n_positions) @ np.kron(
-            coin_operator(cfg.coin_angle), np.eye(cfg.n_positions)
-        )
+        n = lattice_size(cfg)
+        w = shift_operator(n) @ np.kron(coin_operator(cfg.coin_angle), np.eye(n))
         vec = initial_state(cfg).reshape(-1)
         for t, amps in enumerate(noiseless_history(cfg)):
             np.testing.assert_allclose(amps.reshape(-1), vec, atol=1e-12)
             vec = w @ vec
-
-    def test_edge_guard_fires_when_started_at_boundary(self, origin_lattice):
-        cfg = WalkConfig(steps=2, initial_position=3)
-        with pytest.raises(EdgeAmplitudeError):
-            noiseless_history(cfg)
 
     def test_initial_position_outside_lattice_rejected(self):
         with pytest.raises(ValueError):
@@ -176,7 +174,7 @@ class TestNoiselessEvolution:
 
     def test_numpy_integer_walk_fields_accepted(self):
         cfg = WalkConfig(steps=np.int64(3), initial_position=np.int32(-2))
-        assert cfg.n_positions == 2 * (3 + 1 + 2) + 1
+        assert last_populations(cfg)[0].tolist() == [-5, -3, -1, 1]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["coin_angle", "delta", "eta"])
@@ -188,8 +186,8 @@ class TestNoiselessEvolution:
 
     def test_symmetric_initial_state_gives_symmetric_distribution(self):
         cfg = WalkConfig(steps=20, eta=math.pi / 2)
-        sites, probs = last_populations(cfg)
-        assert np.array_equal(lattice_positions(cfg)[sites], np.arange(-20, 21, 2))
+        x, probs = last_populations(cfg)
+        assert np.array_equal(x, np.arange(-20, 21, 2))
         np.testing.assert_allclose(probs, probs[::-1], atol=1e-12)
 
 
@@ -200,17 +198,17 @@ class TestNoisyEvolution:
     def test_populations_are_a_distribution_on_the_light_cone(self, mode):
         # a CP-divisible kernel, so every stepwise state is physical
         cfg = WalkConfig(steps=8, delta=0.7, eta=0.3)
-        for t, sites, probs in populations(cfg, OunParams(Gamma=0.1, gamma=0.01), mode):
-            assert np.array_equal(lattice_positions(cfg)[sites], np.arange(-t, t + 1, 2))
+        for t, x, probs in populations(cfg, OunParams(Gamma=0.1, gamma=0.01), mode):
+            assert np.array_equal(x, np.arange(-t, t + 1, 2))
             assert probs.shape == (t + 1,) and np.all(probs >= 0.0), f"t={t}"
             assert probs.sum() == pytest.approx(1.0, abs=1e-12), f"t={t}"
 
     def test_stepwise_equals_one_shot_without_noise(self):
         cfg = WalkConfig(steps=10)
-        for (t1, sites1, p1), (t2, sites2, p2) in zip(
+        for (t1, x1, p1), (t2, x2, p2) in zip(
             populations(cfg, None, "one_shot"), populations(cfg, None, "stepwise"), strict=True
         ):
-            assert t1 == t2 and np.array_equal(sites1, sites2)
+            assert t1 == t2 and np.array_equal(x1, x2)
             np.testing.assert_allclose(p1, p2, rtol=0.0, atol=1e-12)
 
     def test_unknown_mode_rejected(self):
@@ -225,17 +223,18 @@ class TestNoisyEvolution:
         pairs = zip(
             one_shot_factors(cfg, self.NOISE), populations(cfg, self.NOISE, "one_shot"), strict=True
         )
-        for (t, factor, sites), (_, cone, probs) in pairs:
-            assert factor.shape == (2, cfg.n_positions, 2)
-            assert np.array_equal(sites, np.arange(cfg.n_positions))
+        for (t, factor, x), (_, cone, probs) in pairs:
+            assert factor.shape == (2, lattice_size(cfg), 2)
+            assert np.array_equal(x, lattice_positions(cfg))
             rho = check_density_matrix(density_from_factor(factor))
             np.testing.assert_allclose(
-                dense_populations(rho)[cone], probs, rtol=0.0, atol=1e-13, err_msg=f"t={t}"
+                dense_populations(rho)[cone + lattice_half_width(cfg)], probs,
+                rtol=0.0, atol=1e-13, err_msg=f"t={t}",
             )
 
     def test_one_shot_scales_coherence_blocks(self):
         cfg = WalkConfig(steps=5)
-        n = cfg.n_positions
+        n = lattice_size(cfg)
         pure = {t: density_from_factor(b) for t, b, _ in one_shot_factors(cfg, None)}
         noisy = {t: density_from_factor(b) for t, b, _ in one_shot_factors(cfg, self.NOISE)}
         for t in pure:
@@ -295,19 +294,6 @@ class TestNoisyEvolution:
         list(populations(WalkConfig(steps=12), self.NOISE, mode))
         assert calls == shapes
 
-    @pytest.mark.parametrize("mode", MODES)
-    def test_edge_guard_fires_in_both_modes(self, mode, origin_lattice):
-        cases = [
-            # started next to the right edge, the coin-1 weight reaches it at t = 3
-            (WalkConfig(steps=4, initial_position=4), self.NOISE),
-            # only an amplitude of 1.4e-14 (a population of 2e-28) reaches the edge
-            (WalkConfig(steps=100, initial_position=10), None),
-        ]
-        for cfg, noise in cases:
-            with pytest.raises(EdgeAmplitudeError):
-                list(populations(cfg, noise, mode))
-
-
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
 
@@ -329,106 +315,65 @@ def batched_walks(draw):
 WALKER_TOL = 4e-15
 
 
-def stream_run(cfg, starts):
-    """Every step of the basis walks that guard the walkers ``starts``, each
-    as (2 basis, 2 coin, n_positions) on the whole lattice, and whether the
-    edge guard ended the walk."""
-    coins = np.array([walk_mod._coin_vector(d, e) for d, e in starts])
+def stream_run(cfg):
+    """Every step of the basis walks, each as (2 basis, 2 coin, n) on the
+    oracles' lattice."""
     found = []
-    try:
-        for t, a, sites in walk_mod._basis_walks(cfg, coins):
-            assert a.shape == (2, 2, t + 1) and a.dtype == float
-            basis = np.zeros((2, 2, cfg.n_positions))
-            basis[:, :, sites] = a.swapaxes(0, 1)
-            found.append(basis)
-    except EdgeAmplitudeError:
-        return found, True
-    return found, False
+    for t, a in walk_mod._basis_walks(cfg):
+        assert a.shape == (2, 2, t + 1) and a.dtype == float
+        basis = np.zeros((2, 2, lattice_size(cfg)))
+        basis[:, :, cone_indices(cfg, t)] = a.swapaxes(0, 1)
+        found.append(basis)
+    return found
 
 
-def roll_oracle_run(cfg, start=None, guard=True):
-    """The roll oracle's amplitudes from ``start`` (default cfg's walker), up
-    to the step its guard fires, or all T + 1 steps without the guard."""
+def roll_oracle_run(cfg, start=None):
+    """The roll oracle's T + 1 amplitude arrays from ``start`` (default cfg's walker)."""
     coin = coin_operator(cfg.coin_angle)
     found = [initial_state(cfg) if start is None else start]
-    try:
-        for _ in range(cfg.steps):
-            found.append(step_amplitudes(found[-1], coin, guard))
-    except EdgeAmplitudeError:
-        return found, True
-    return found, False
+    for _ in range(cfg.steps):
+        found.append(step_amplitudes(found[-1], coin))
+    return found
 
 
 def assert_stream_is_roll_oracle(cfg, starts):
     """The basis walks equal the roll walks of the exact |0> and |1> bit for
-    bit, each walker sum_i v_i psi_i equals its own roll walk to WALKER_TOL,
-    and the stream ends at the first step where one of the walkers' roll
-    walks fires its guard. Returns whether the guard fired."""
-    found, fired = stream_run(cfg, starts)
-    runs = [roll_oracle_run(replace(cfg, delta=d, eta=e)) for d, e in starts]
-    assert len(found) == min(len(amps) for amps, _ in runs)
-    assert fired == any(f for _, f in runs)
+    bit, and each walker sum_i v_i psi_i of ``starts`` equals its own roll
+    walk to WALKER_TOL."""
+    found = stream_run(cfg)
+    assert len(found) == cfg.steps + 1
     for i in range(2):
-        expected, _ = roll_oracle_run(cfg, basis_start(cfg, i), guard=False)
+        expected = roll_oracle_run(cfg, basis_start(cfg, i))
         for t, basis in enumerate(found):
             assert np.array_equal(basis[i], expected[t]), f"basis walk {i}, t={t}"
     for w, (d, e) in enumerate(starts):
         coin = walk_mod._coin_vector(d, e)
+        expected = roll_oracle_run(replace(cfg, delta=d, eta=e))
         for t, basis in enumerate(found):
             np.testing.assert_allclose(
-                np.einsum("i,icx->cx", coin, basis), runs[w][0][t], rtol=0, atol=WALKER_TOL,
+                np.einsum("i,icx->cx", coin, basis), expected[t], rtol=0, atol=WALKER_TOL,
                 err_msg=f"walker {w}, t={t}",
             )
-    return fired
 
 
 class TestNoiselessStream:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(walk=batched_walks())
     def test_steps_equal_roll_oracle(self, walk):
-        # the default lattice keeps one empty site past the walker's reach
-        assert not assert_stream_is_roll_oracle(*walk)
-
-    @settings(
-        max_examples=100,
-        deadline=None,
-        derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(walk=batched_walks())
-    # coin C(0) does not mix coin states: only the second walker reaches an
-    # edge, at t = 6
-    @example(
-        walk=(WalkConfig(steps=10, coin_angle=0.0, initial_position=5), [(0.0, 0.0), (1.5, 0.0)])
-    )
-    # the default walker under the Hadamard coin first reaches the right
-    # edge at t = 4, with amplitude 0.354; the basis walk psi_1 reaches it
-    # at t = 2, so a guard on the basis walks would fire two steps early
-    @example(walk=(WalkConfig(steps=8, initial_position=7), [(math.pi / 4, 0.0)]))
-    def test_edge_guard_fires_as_roll_oracle(self, walk, origin_lattice):
         assert_stream_is_roll_oracle(*walk)
-
-    def test_wrap_below_the_guard_equals_roll_oracle(self, origin_lattice):
-        # from x0 = 2 on the lattice of 2(T + 1) + 1 sites an amplitude below
-        # the guard reaches the right edge at t = 99 and wraps to the left
-        # edge at t = 100, as np.roll wraps it
-        cfg = WalkConfig(steps=100, initial_position=2)
-        starts = [(0.7, 0.3), (math.pi / 4, 0.0)]
-        assert not assert_stream_is_roll_oracle(cfg, starts)
-        last = stream_run(cfg, starts)[0][-1]
-        assert last[:, 1, 0].all(), "nothing wrapped to the left edge"
 
     def test_one_shot_walks_the_basis_pair_once(self, monkeypatch):
         calls = []
         walks = walk_mod._basis_walks
 
-        def counting(cfg, coins):
-            calls.append(len(coins))
-            return walks(cfg, coins)
+        def counting(cfg):
+            calls.append(cfg)
+            return walks(cfg)
 
         monkeypatch.setattr(walk_mod, "_basis_walks", counting)
-        list(populations(WalkConfig(steps=4), OunParams(Gamma=0.1, gamma=0.01), "one_shot"))
-        assert calls == [1]
+        cfg = WalkConfig(steps=4)
+        list(populations(cfg, OunParams(Gamma=0.1, gamma=0.01), "one_shot"))
+        assert calls == [cfg]
 
 
 #: the noise settings on which the light-cone walk is checked against the
@@ -455,17 +400,17 @@ def light_cone_walks(draw):
 
 
 def stepwise_run(evolve, cfg, noise):
-    """The states ``evolve`` yields, each on the whole lattice, their sites,
-    and the error that ends the walk, if any."""
-    states, sites = [], []
+    """The states ``evolve`` yields, each on the oracles' lattice, their
+    positions, and the error that ends the walk, if any."""
+    states, positions = [], []
     try:
-        for t, state, covered in evolve(cfg, noise):
+        for t, state, x in evolve(cfg, noise):
             assert t == len(states)
-            states.append(embed(state, covered, cfg.n_positions))
-            sites.append(covered)
+            states.append(embed(state, x, cfg))
+            positions.append(x)
     except NmqwalkError as exc:
-        return states, sites, f"{type(exc).__name__}: {exc}"
-    return states, sites, None
+        return states, positions, f"{type(exc).__name__}: {exc}"
+    return states, positions, None
 
 
 class TestStepwiseLightCone:
@@ -474,41 +419,12 @@ class TestStepwiseLightCone:
     def test_equals_full_lattice_loop(self, noise, x0):
         # from x0 = 2 the lattice is two sites wider on either side
         cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=x0)
-        n = cfg.n_positions
+        n = lattice_size(cfg)
         pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
-        for (t, found, sites), (_, expected, _) in pairs:
+        for (t, found, x), (_, expected, _) in pairs:
             assert found.shape == (2 * (t + 1),) * 2 and expected.shape == (2 * n,) * 2
-            assert np.array_equal(lattice_positions(cfg)[sites], x0 + np.arange(-t, t + 1, 2))
-            assert np.array_equal(embed(found, sites, n), expected), f"t={t}"
-
-    def test_wrap_below_the_guard_equals_full_lattice_loop(self, origin_lattice):
-        # on the lattice of 2(T + 1) + 1 sites the light cone from x0 = 2
-        # reaches the right edge at t = 99 with amplitudes below the guard,
-        # which then wrap to the left edge as np.roll wraps them
-        cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=2)
-        noise = STEPWISE_NOISES["oun"]
-        pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
-        for (t, found, sites), (_, expected, _) in pairs:
-            found = embed(found, sites, cfg.n_positions)
-            assert np.array_equal(found, expected), f"t={t}"
-        assert found.diagonal().reshape(2, -1)[:, 0].any(), "nothing wrapped to the left edge"
-
-    @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
-    @pytest.mark.parametrize(
-        "steps, x0", [(30, -31), (30, 31), (40, 5)], ids=["at-left-edge", "at-right-edge", "off-centre"]
-    )
-    def test_edge_walkers_fail_as_on_full_lattice(self, noise, steps, x0, origin_lattice):
-        # on a lattice too small for the walk the light cone wraps at the
-        # lattice ends as np.roll does, so the guard fires at the same step
-        # with the same amplitude
-        cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3, initial_position=x0)
-        found, _, error = stepwise_run(evolve_stepwise, cfg, noise)
-        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
-        assert expected_error is not None and expected_error.startswith("EdgeAmplitudeError")
-        assert error == expected_error
-        assert len(found) == len(expected)
-        for t, (a, b) in enumerate(zip(found, expected)):
-            assert np.array_equal(a, b), f"t={t}"
+            assert np.array_equal(x, x0 + np.arange(-t, t + 1, 2))
+            assert np.array_equal(embed(found, x, cfg), expected), f"t={t}"
 
     def test_yielded_states_are_copies(self):
         # the walk keeps its own state: overwriting a yielded one changes no
@@ -519,45 +435,40 @@ class TestStepwiseLightCone:
             full_lattice_stepwise(cfg, TestNoisyEvolution.NOISE),
             strict=True,
         )
-        for (t, found, sites), (_, expected, _) in pairs:
-            assert np.array_equal(embed(found, sites, cfg.n_positions), expected), f"t={t}"
+        for (t, found, x), (_, expected, _) in pairs:
+            assert np.array_equal(embed(found, x, cfg), expected), f"t={t}"
             found[...] = np.nan
+
+    @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
+    @pytest.mark.parametrize(
+        "steps, x0", [(30, -31), (30, 31), (40, 5)], ids=["at-left-edge", "at-right-edge", "off-centre"]
+    )
+    def test_edge_walkers_match_the_full_lattice(self, noise, steps, x0):
+        # x0 = +-(T + 1) are the farthest starts a config accepts: the walk
+        # runs to T with every block the full-lattice state bit for bit
+        cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3, initial_position=x0)
+        found, positions, error = stepwise_run(evolve_stepwise, cfg, noise)
+        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
+        assert error is None and expected_error is None
+        assert len(found) == len(expected) == steps + 1
+        for t, (a, b) in enumerate(zip(found, expected)):
+            assert np.array_equal(a, b), f"t={t}"
+        assert np.array_equal(positions[-1], x0 + np.arange(-steps, steps + 1, 2))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=light_cone_walks(), noise=SIDED_NOISES)
     @example(cfg=WalkConfig(steps=24, coin_angle=0.4, initial_position=-25), noise=None)
     def test_blocks_are_the_full_lattice_states(self, cfg, noise):
-        found, sites, error = stepwise_run(evolve_stepwise, cfg, noise)
+        found, positions, error = stepwise_run(evolve_stepwise, cfg, noise)
         expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
         assert error == expected_error
         assert len(found) == len(expected)
         for t, (a, b) in enumerate(zip(found, expected)):
             assert np.array_equal(a, b), f"t={t}"
-        # the light-cone sites, in ascending lattice order
+        # the light-cone positions, ascending
         x0 = cfg.initial_position
-        for t, covered in enumerate(sites):
-            assert np.array_equal(lattice_positions(cfg)[covered], x0 + np.arange(-t, t + 1, 2))
-
-    @settings(
-        max_examples=60,
-        deadline=None,
-        derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(cfg=light_cone_walks(), noise=SIDED_NOISES)
-    @example(cfg=WalkConfig(steps=12, delta=0.7, initial_position=13), noise=OunParams(0.1, 0.01))
-    @example(
-        cfg=WalkConfig(steps=12, delta=0.7, initial_position=-12), noise=RtnParams(0.05, 0.008)
-    )
-    def test_edge_walkers_fail_as_the_full_lattice_loop(self, cfg, noise, origin_lattice):
-        # the fixture narrows the lattice the same way for every example; a
-        # walker started off the origin reaches one of its edges
-        found, _, error = stepwise_run(evolve_stepwise, cfg, noise)
-        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
-        assert error == expected_error
-        assert len(found) == len(expected)
-        for t, (a, b) in enumerate(zip(found, expected)):
-            assert np.array_equal(a, b), f"t={t}"
+        for t, x in enumerate(positions):
+            assert np.array_equal(x, x0 + np.arange(-t, t + 1, 2))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -571,16 +482,16 @@ class TestStepwiseLightCone:
         noise=None,
     )
     def test_two_walker_blocks_are_the_full_lattice_states(self, cfg, pair, noise):
-        # the non-Hermitian start X = rho1 + i rho2 of the stepwise TD walk
+        # the start rho1 - rho2 of the stepwise TD walk: Hermitian, of trace 0
         rho1, rho2 = (
             density_from_amplitudes(walk_mod._coin_vector(*angles))
             for angles in (pair[:2], pair[2:])
         )
-        start = rho1 + 1j * rho2
+        start = rho1 - rho2
         found, _, error = stepwise_run(
             lambda cfg, noise: (
-                (t, blocks[0], sites)
-                for t, blocks, sites in walk_mod._light_cone_blocks(cfg, noise, start[None])
+                (t, blocks[0], walk_mod._cone_positions(t, cfg.initial_position))
+                for t, blocks in walk_mod._light_cone_blocks(cfg, noise, start[None])
             ),
             cfg,
             noise,
@@ -593,31 +504,25 @@ class TestStepwiseLightCone:
         for t, (a, b) in enumerate(zip(found, expected)):
             assert np.array_equal(a, b), f"t={t}"
 
-    @settings(
-        max_examples=40,
-        deadline=None,
-        derandomize=True,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         cfg=light_cone_walks(),
         pair=st.tuples(*[st.floats(min_value=-math.pi, max_value=math.pi)] * 4),
         noise=SIDED_NOISES,
     )
-    def test_stacked_walkers_are_each_walked_alone(self, cfg, pair, noise, origin_lattice):
-        # bit for bit; on the narrowed lattice the walkers reach an edge, and
-        # the stack stops where the first walker alone stops, with its error
+    def test_stacked_walkers_are_each_walked_alone(self, cfg, pair, noise):
+        # bit for bit, and the stack stops where a walker alone stops, with its error
         rho0 = density_from_amplitudes(walk_mod._coin_vector(cfg.delta, cfg.eta))
         rho1, rho2 = (
             density_from_amplitudes(walk_mod._coin_vector(*angles))
             for angles in (pair[:2], pair[2:])
         )
-        starts = np.stack([rho0, rho1 + 1j * rho2])
+        starts = np.stack([rho0, rho1 - rho2])
 
         def walk(start):
             states = []
             try:
-                for _, blocks, _ in walk_mod._light_cone_blocks(cfg, noise, start):
+                for _, blocks in walk_mod._light_cone_blocks(cfg, noise, start):
                     states.append(blocks)
             except NmqwalkError as exc:
                 return states, type(exc).__name__
@@ -632,50 +537,20 @@ class TestStepwiseLightCone:
                 assert np.array_equal(blocks[w], states[t][0]), (w, t)
 
 
-def guard_steps(walk):
-    """The steps of ``walk``, a generator of (t, ...), at which the edge
-    guard runs, up to the end of the walk or the guard's error."""
-    steps, last = [], [-1]
-    check = walk_mod._check_edges
-
-    def counting(amps):
-        steps.append(last[0] + 1)
-        check(amps)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walk_mod, "_check_edges", counting)
-        try:
-            for t, *_ in walk:
-                last[0] = t
-        except EdgeAmplitudeError:
-            pass
-    return steps
-
-
-class TestEdgeGuardSteps:
-    """The guard runs only from the first step at which the walk can reach
-    an end column."""
-
-    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
-    @pytest.mark.parametrize("x0", [-7, 0, 4])
-    def test_valid_walks_never_run_the_guard(self, monkeypatch, mode, x0):
-        calls = []
-        monkeypatch.setattr(walk_mod, "_check_edges", calls.append)
-        cfg = WalkConfig(steps=6, delta=0.7, eta=0.3, initial_position=x0)
-        witness_series(cfg, OunParams(Gamma=0.1, gamma=0.01), mode=mode, witnesses=WITNESS_TAGS)
-        assert calls == []
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize(
-        "x0, reach", [(3, 8), (-5, 6), (-11, 1), (11, 1)], ids=["right", "left", "at-left", "at-right"]
-    )
-    def test_first_call_is_at_reach(self, mode, x0, reach, origin_lattice):
-        # on 2(T + 1) + 1 = 23 sites the start's lattice index is x0 + 11;
-        # reach is min(x0 + 11, 11 - x0), and at least 1 since step 0 has no
-        # guard
-        cfg = WalkConfig(steps=10, delta=0.7, eta=0.3, initial_position=x0)
-        steps = guard_steps(populations(cfg, OunParams(Gamma=0.1, gamma=0.01), mode))
-        assert steps and steps == list(range(reach, reach + len(steps)))
+def assert_populations_are_the_dense_diagonal(cfg, noise, mode):
+    """Each step of ``populations`` holds the diagonal of the whole-lattice
+    oracle of ``mode``: the dephased pure state at readout, or the stepwise
+    walk with its map at every step."""
+    if mode == "one_shot":
+        dense = dense_one_shot(cfg, noise)
+    else:
+        dense = ((t, rho) for t, rho, _ in full_lattice_stepwise(cfg, noise))
+    for (t, x, probs), (_, rho) in zip(populations(cfg, noise, mode), dense, strict=True):
+        found = np.zeros(lattice_size(cfg))
+        found[x + lattice_half_width(cfg)] = probs
+        np.testing.assert_allclose(
+            found, dense_populations(rho), rtol=0.0, atol=1e-13, err_msg=f"t={t}"
+        )
 
 
 class TestDistributions:
@@ -687,9 +562,9 @@ class TestDistributions:
         # amplitudes hold the populations that one-shot populations reads
         cfg = WalkConfig(steps=6)
         noise = RtnParams(a=0.9, gamma=0.5)
-        sites, probs = last_populations(cfg, noise)
-        found = np.zeros(cfg.n_positions)
-        found[sites] = probs
+        x, probs = last_populations(cfg, noise)
+        found = np.zeros(lattice_size(cfg))
+        found[x + lattice_half_width(cfg)] = probs
         rho = dict(dense_one_shot(cfg, noise))[6]
         factor = list(one_shot_factors(cfg, noise))[6][1]
         for expected in (
@@ -702,57 +577,60 @@ class TestDistributions:
     @pytest.mark.parametrize("noise", MODEL_NOISES.values(), ids=MODEL_NOISES.keys())
     @pytest.mark.parametrize("mode", MODES)
     def test_populations_are_the_dense_diagonal(self, mode, noise):
-        # against the whole-lattice oracle of each mode: the dephased pure
-        # state at readout, or the stepwise walk with its map at every step
-        cfg = WalkConfig(steps=8, delta=0.7, eta=0.3, initial_position=-2)
-        if mode == "one_shot":
-            dense = dense_one_shot(cfg, noise)
-        else:
-            dense = ((t, rho) for t, rho, _ in full_lattice_stepwise(cfg, noise))
-        for (t, sites, probs), (_, rho) in zip(populations(cfg, noise, mode), dense, strict=True):
-            found = np.zeros(cfg.n_positions)
-            found[sites] = probs
-            np.testing.assert_allclose(
-                found, dense_populations(rho), rtol=0.0, atol=1e-13, err_msg=f"t={t}"
-            )
+        assert_populations_are_the_dense_diagonal(
+            WalkConfig(steps=8, delta=0.7, eta=0.3, initial_position=-2), noise, mode
+        )
+
+    @pytest.mark.parametrize("noise", MODEL_NOISES.values(), ids=MODEL_NOISES.keys())
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("x0", [-9, 9], ids=["left", "right"])
+    def test_populations_are_the_dense_diagonal_at_the_widest_start(self, x0, mode, noise):
+        # x0 = +-(T + 1), the farthest start a config accepts
+        assert_populations_are_the_dense_diagonal(
+            WalkConfig(steps=8, delta=0.7, eta=0.3, initial_position=x0), noise, mode
+        )
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)
-        positions = lattice_positions(cfg).astype(float)
         found = [
-            distribution_variance(probs, positions[sites])
-            for _, sites, probs in populations(cfg, None, "one_shot")
+            distribution_variance(probs, x.astype(float))
+            for _, x, probs in populations(cfg, None, "one_shot")
         ]
         assert found[1] == pytest.approx(0.0, abs=1e-14)
         assert found[2] == pytest.approx(1.0, abs=1e-12)
 
-    def test_lattice_positions_span(self):
-        pos = lattice_positions(WalkConfig(steps=3))
-        assert pos[0] == -4 and pos[-1] == 4 and len(pos) == 9
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("x0", [-7, 7], ids=["left", "right"])
+    def test_positions_are_the_light_cone_at_the_widest_start(self, tmp_path, mode, x0):
+        # x0 = +-(T + 1), the farthest start a config accepts: populations and
+        # the x column of distribution.csv hold x0 - t, x0 - t + 2, ..., x0 + t
+        # the config's angles are in degrees; this walker fills its whole cone
+        doc = {
+            "walk": {"steps": 6, "delta": 40.0, "eta": 30.0, "initial_position": x0},
+            "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
+            "mode": mode,
+        }
+        cfg = parse_config(json.dumps(doc))
+        cone = {t: (x0 + np.arange(-t, t + 1, 2)).tolist() for t in range(7)}
+        assert {t: x.tolist() for t, x, _ in populations(cfg.walk, cfg.noise, mode)} == cone
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["walk", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "distribution.csv").read_text(encoding="utf-8").splitlines()
+        written = {t: [] for t in cone}
+        for row in rows[1:]:
+            t, x, _ = row.split(",")
+            written[int(t)].append(int(x))
+        assert written == cone
 
-    @pytest.mark.parametrize("x0", [-2, 3])
-    def test_lattice_widens_by_the_start_offset(self, x0):
-        cfg = WalkConfig(steps=3, initial_position=x0)
-        pos = lattice_positions(cfg)
-        half = 4 + abs(x0)
-        assert pos[0] == -half and pos[-1] == half and len(pos) == cfg.n_positions
 
-
-#: off-origin starts that the narrower lattice of 2(T + 1) + 1 sites refused
-#: with an EdgeAmplitudeError: (x0, delta, eta), all at T = 60
+#: off-origin starts, (x0, delta, eta), all at T = 60
 OFF_ORIGIN_STARTS = {
     "left-1-default-coin": (-1, math.pi / 4, 0.0),
     "right-1": (1, 0.7, 0.3),
     "right-2": (2, 0.7, 0.3),
     "left-2": (-2, 0.7, 0.3),
 }
-
-
-def lattice_distribution(cfg, sites, probs):
-    """Position probabilities on the light-cone ``sites``, on the whole lattice."""
-    out = np.zeros(cfg.n_positions)
-    out[sites] = probs
-    return out
 
 
 class TestOffOriginStart:
@@ -765,15 +643,9 @@ class TestOffOriginStart:
     def test_distribution_is_the_origin_one_shifted(self, mode, x0, delta, eta):
         cfg = WalkConfig(steps=60, delta=delta, eta=eta, initial_position=x0)
         origin = WalkConfig(steps=60, delta=delta, eta=eta)
-        shift = lattice_positions(origin) + x0
-        inside = np.isin(lattice_positions(cfg), shift)
         pairs = zip(
             populations(cfg, self.NOISE, mode), populations(origin, self.NOISE, mode), strict=True
         )
-        for (t, *found), (_, *expected) in pairs:
-            probs = lattice_distribution(cfg, *found)
-            np.testing.assert_allclose(
-                probs[inside], lattice_distribution(origin, *expected), rtol=0, atol=1e-15,
-                err_msg=f"t={t}",
-            )
-            assert not probs[~inside].any(), f"t={t}"
+        for (t, x, probs), (_, x_origin, expected) in pairs:
+            assert np.array_equal(x, x_origin + x0), f"t={t}"
+            np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15, err_msg=f"t={t}")

@@ -19,6 +19,9 @@ from conftest import (
     gram_min_conditional_entropy,
     koashi_winter_discord,
     kraus_at,
+    lattice_half_width,
+    lattice_positions,
+    lattice_size,
     kron_mid,
     one_shot_factors,
     one_shot_witnesses,
@@ -34,13 +37,7 @@ import nmqwalk.walk as walk_mod
 import nmqwalk.witness as witness_mod
 from nmqwalk.exceptions import NmqwalkError, NonPhysicalStateError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
-from nmqwalk.walk import (
-    EDGE_AMPLITUDE_TOL,
-    WalkConfig,
-    density_from_amplitudes,
-    distribution_variance,
-    lattice_positions,
-)
+from nmqwalk.walk import WalkConfig, density_from_amplitudes, distribution_variance
 from nmqwalk.witness import (
     DEFAULT_TD_PAIR,
     POSITIVITY_TOL,
@@ -76,25 +73,24 @@ ORACLE_STEPS = 30
 
 def single_state_values(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
     """Every witness tag at each step, from the per-state cache of each dense
-    state that ``evolve`` yields with its sites, measured one at a time."""
-    positions = lattice_positions(cfg).astype(float)
+    state that ``evolve`` yields with its positions, measured one at a time."""
     values = {tag: [] for tag in WITNESS_TAGS}
     values["TD"] = two_walker_trace_distances(cfg, noise, evolve, td_pair)
-    for _, rho, sites in evolve(cfg, noise):
+    for _, rho, x in evolve(cfg, noise):
         state = _State(rho)
         values["MI"].append(state.mutual_information)
         values["MID"].append(_mid(state))
         values["QD"].append(state.discord)
         values["Entropy"].append(state.coin_entropy)
-        values["Variance"].append(distribution_variance(dense_populations(rho), positions[sites]))
+        values["Variance"].append(distribution_variance(dense_populations(rho), x.astype(float)))
     return values
 
 
 def dense_one_shot_states(cfg, noise):
-    """The states of ``dense_one_shot`` with the sites they cover, the whole lattice."""
-    sites = np.arange(cfg.n_positions)
+    """The states of ``dense_one_shot`` with the positions they cover, the whole lattice."""
+    x = lattice_positions(cfg)
     for t, rho in dense_one_shot(cfg, noise):
-        yield t, rho, sites
+        yield t, rho, x
 
 
 def assert_matches_oracle(values, expected, tag):
@@ -225,8 +221,8 @@ class TestMid:
         amps[0, 1:3] = 0.5
         amps[1, 1:3] = 0.5, -0.5
         basis = np.stack([amps, np.zeros((2, 5))], axis=1)  # (coin, basis walk, site)
-        steps = [(t, basis, np.arange(5)) for t in (0, 1)]
-        monkeypatch.setattr(witness_mod, "_basis_walks", lambda cfg, coins: iter(steps))
+        steps = [(t, basis) for t in (0, 1)]
+        monkeypatch.setattr(witness_mod, "_basis_walks", lambda cfg: iter(steps))
         noise = RtnParams(a=0.9, gamma=0.5)
         found = witness_series(WalkConfig(steps=1, delta=0.0), noise, witnesses=("MID",))["MID"]
         expected = [
@@ -282,8 +278,8 @@ class TestMid:
         # degenerate eigenspace; the explicit eigenbasis check below, not
         # _mid, covers that its rebuilt basis stays orthonormal.
         cfg = WalkConfig(steps=100)
-        split = (2, cfg.n_positions)
-        eye = np.eye(cfg.n_positions)
+        split = (2, lattice_size(cfg))
+        eye = np.eye(lattice_size(cfg))
         for t, rho in dense_one_shot(cfg, None):
             state = _State(rho)
             assert _mid(state) == pytest.approx(state.coin_entropy, abs=1e-9), f"t={t}"
@@ -465,12 +461,12 @@ class TestScalarWitnesses:
     def test_variance_point_mass(self):
         p = np.zeros(5)
         p[2] = 1.0
-        assert distribution_variance(p, lattice_positions(WalkConfig(steps=1))) == 0.0
+        assert distribution_variance(p, np.arange(-2.0, 3.0)) == 0.0
 
     def test_variance_symmetric_pair(self):
-        # weights 1/2 at x = -2 and x = 0 on the 5-site lattice [-2..2]
+        # weights 1/2 at x = -2 and x = 0 on the positions -2 .. 2
         p = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
-        assert distribution_variance(p, lattice_positions(WalkConfig(steps=1))) == pytest.approx(1.0)
+        assert distribution_variance(p, np.arange(-2.0, 3.0)) == pytest.approx(1.0)
 
 
 class FullLatticeState(_State):
@@ -560,9 +556,9 @@ class TestSupport:
         # the yielded block is the support of the state on the whole lattice:
         # no site of the light cone is empty, and no other site is not
         cfg = WalkConfig(steps=60, delta=0.7, eta=0.3)
-        for t, rho, sites in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
+        for t, rho, x in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
             assert _State(rho).r.shape == (2, t + 1, 2, t + 1), f"t={t}"
-            full = _State(embed(rho, sites, cfg.n_positions))
+            full = _State(embed(rho, x, cfg))
             assert full.r.shape == (2, t + 1, 2, t + 1), f"t={t}"
             assert np.array_equal(full.rho, rho), f"t={t}"
 
@@ -681,19 +677,24 @@ class TestSeries:
         ids=["single-walker", "td", "all"],
     )
     def test_one_noiseless_walk_for_all_tags(self, monkeypatch, tags, walkers):
-        # one walk of the basis pair feeds the single walker and the TD pair,
-        # and its edge guard reads those walkers
-        calls = []
+        # one walk of the basis pair feeds the single walker and the TD pair
+        calls, blocks = [], witness_mod._one_shot_blocks
         walks = walk_mod._basis_walks
 
-        def counting(cfg, coins):
+        def counting(cfg):
+            calls.append(cfg)
+            return walks(cfg)
+
+        def block_walkers(cfg, coins, tags):
             calls.append(len(coins))
-            return walks(cfg, coins)
+            return blocks(cfg, coins, tags)
 
         monkeypatch.setattr(walk_mod, "_basis_walks", counting)
         monkeypatch.setattr(witness_mod, "_basis_walks", counting)
-        witness_series(WalkConfig(steps=4), RtnParams(a=0.08, gamma=0.01), witnesses=tags)
-        assert calls == [walkers]
+        monkeypatch.setattr(witness_mod, "_one_shot_blocks", block_walkers)
+        cfg = WalkConfig(steps=4)
+        witness_series(cfg, RtnParams(a=0.08, gamma=0.01), witnesses=tags)
+        assert calls == [walkers, cfg]
 
     @pytest.mark.parametrize("tags", [("Variance",), ("TD", "Variance")], ids=["variance", "td-variance"])
     def test_variance_and_td_skip_the_closed_forms(self, monkeypatch, tags):
@@ -737,11 +738,11 @@ class TestSeries:
             ks = np.array(kernel)
         else:
             ks = np.clip(kernel_value(kernel, np.arange(cfg.steps + 1.0)), -1.0, 1.0)
-        sites = np.arange(cfg.n_positions)
+        x = lattice_positions(cfg)
 
         def oracle(c, _):
             for t, rho in dense_one_shot(c, None, ks):
-                yield t, rho, sites
+                yield t, rho, x
 
         expected = single_state_values(cfg, None, oracle, pair)
         with pytest.MonkeyPatch.context() as patch:
@@ -750,11 +751,11 @@ class TestSeries:
         for tag in WITNESS_TAGS:
             assert found[tag].shape == (cfg.steps + 1,), tag
             if tag == "Variance":
-                # the variance rounds on the scale of <x^2>, up to half_width^2,
-                # so a zero variance off the origin reads ~1e-32 in one path
-                np.testing.assert_allclose(
-                    found[tag], expected[tag], rtol=1e-12, atol=1e-12 * cfg.half_width**2
-                )
+                # the variance rounds on the scale of <x^2>, up to h^2 on the
+                # oracles' lattice -h .. h, so a zero variance off the origin
+                # reads ~1e-32 in one path
+                atol = 1e-12 * lattice_half_width(cfg) ** 2
+                np.testing.assert_allclose(found[tag], expected[tag], rtol=1e-12, atol=atol)
             else:
                 assert_matches_oracle(found[tag], expected[tag], tag)
 
@@ -969,13 +970,13 @@ class TestTraceDistanceSeries:
             witness_series(WalkConfig(steps=4), None, mode=mode, td_pair=pair)
 
     def test_identical_pair_reads_zero(self):
-        # Delta(t) = 0 exactly in one-shot mode; the stepwise block of
-        # X = (1 + i) rho cancels only up to rounding
+        # Delta(t) = 0 exactly in both modes: one-shot subtracts two equal
+        # blocks, and stepwise walks the zero start rho1 - rho2
         cfg = WalkConfig(steps=20)
         pair = (0.7, 0.3, 0.7, 0.3)
         for mode in TD_ORACLE_WALKS:
             td = witness_series(cfg, RtnParams(0.05, 0.008), mode=mode, td_pair=pair)["TD"]
-            assert np.all(np.abs(td) <= 1e-15), mode
+            assert np.array_equal(td, np.zeros(cfg.steps + 1)), mode
 
     @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
     @pytest.mark.parametrize("pair", TD_PAIRS.values(), ids=TD_PAIRS.keys())
@@ -985,38 +986,33 @@ class TestTraceDistanceSeries:
         [(30, -31, math.pi / 4), (30, 31, math.pi / 4), (40, 5, math.pi / 4), (40, 5, 0.0)],
         ids=["at-left-edge", "at-right-edge", "off-centre", "off-centre-ballistic"],
     )
-    def test_edge_walkers_fail_as_the_two_walker_oracle(
-        self, steps, x0, coin_angle, noise, pair, mode, origin_lattice
+    def test_edge_walkers_match_the_two_walker_oracle(
+        self, steps, x0, coin_angle, noise, pair, mode
     ):
-        # the fixture narrows the lattice so that both walkers reach an edge.
-        # Under the diagonal coin C(0) the real amplitudes of the default pair
-        # keep exactly equal populations, so an evolution of rho1 - rho2 alone
-        # would have an exactly zero diagonal and never meet the guard
+        # x0 = +-(T + 1) are the farthest starts a config accepts; on the line
+        # they walk as any other start. Under the diagonal coin C(0) the real
+        # amplitudes of the default pair keep exactly equal populations, so
+        # the stepwise start rho1 - rho2 keeps an exactly zero diagonal
         cfg = WalkConfig(steps=steps, coin_angle=coin_angle, initial_position=x0)
-        expected = outcome(
-            lambda: two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
-        )
-        found = outcome(
-            lambda: witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
-        )
-        assert expected == "EdgeAmplitudeError"
-        assert found == expected
+        expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
+        found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        assert found.shape == expected.shape == (steps + 1,)
+        assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
     @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
     @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
-    def test_edge_guard_reads_each_walker_on_its_own(self, noise, mode, origin_lattice):
-        # at T = 30 both walkers of the conjugate pair reach the right edge,
-        # and only there, with one amplitude a just under the guard's bound.
-        # The stepwise block X = rho1 + i rho2 has X_ii = (1 + i) a^2 there, so
-        # a guard on sqrt|X_ii| = 2^(1/4) a would fire where neither walker does
+    def test_equal_population_walkers_match_the_oracle(self, noise, mode):
+        # under a real coin the conjugate pair's walkers have equal
+        # populations at every step, so Delta = rho1 - rho2 has a zero
+        # diagonal and its trace norm comes from the coherences alone
         cfg = WalkConfig(steps=30, coin_angle=1.2286, initial_position=1)
         pair = TD_PAIRS["conjugate"]
-        edges = [
-            np.max(np.abs(evolve_noiseless(replace(cfg, delta=d, eta=e))[-1, :, -1]))
+        probs = [
+            np.sum(np.abs(evolve_noiseless(replace(cfg, delta=d, eta=e))) ** 2, axis=1)
             for d, e in (pair[:2], pair[2:])
         ]
-        assert edges[0] == pytest.approx(edges[1], rel=1e-12)
-        assert 2**-0.25 < edges[0] / EDGE_AMPLITUDE_TOL < 1
+        np.testing.assert_allclose(probs[0], probs[1], rtol=1e-12, atol=0)
         expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
         found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        assert np.max(expected) > 0.1
         assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
