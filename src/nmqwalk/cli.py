@@ -76,7 +76,7 @@ _SCHEMA = {
         "coin_angle": (_ANGLE, math.degrees(WalkConfig.coin_angle)),
         "delta": (_ANGLE, math.degrees(WalkConfig.delta)),
         "eta": (_ANGLE, math.degrees(WalkConfig.eta)),
-        "initial_position": (int, WalkConfig.initial_position),
+        "initial_position": (int, 0),
     },
     "noise": {},
     "mode": (get_args(EvolutionMode), "one_shot"),
@@ -103,12 +103,15 @@ _SCALARS = {
 class ExperimentConfig:
     """Fully validated experiment description (angles already in radians).
 
-    ``echo`` is the normalized JSON-ready form (defaults applied, angles
-    still in degrees) written to the metadata sidecar; re-parsing it gives
-    an equivalent config.
+    The walk is translation-invariant and runs from the origin, so the
+    start ``initial_position`` shifts the ``x`` column of distribution.csv
+    alone. ``echo`` is the normalized JSON-ready form (defaults applied,
+    angles still in degrees) written to the metadata sidecar; re-parsing
+    it gives an equivalent config.
     """
 
     walk: WalkConfig
+    initial_position: int
     noise: NoiseModel
     mode: str
     witnesses: tuple[str, ...]
@@ -204,6 +207,7 @@ def parse_config(text: str) -> ExperimentConfig:
         doc["noise"] = {}
     echo, values = _check({**_SCHEMA, "noise": _noise_schema(doc["noise"])}, doc)
 
+    initial_position = values["walk"].pop("initial_position")
     walk = _build(WalkConfig, values["walk"], "walk")
     params = values["noise"]
     model = _NOISE_MODELS[params.pop("model")]
@@ -220,6 +224,7 @@ def parse_config(text: str) -> ExperimentConfig:
         )
     return ExperimentConfig(
         walk=walk,
+        initial_position=initial_position,
         noise=noise,
         mode=values["mode"],
         witnesses=values["witnesses"],
@@ -259,13 +264,15 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     The evolution mode matters here: one-shot dephasing acts on the coin
     after the unitary walk and leaves position probabilities untouched, so
     they are the noiseless walk's, while stepwise noise decoheres the walk
-    itself and slows the spread. Either way only the light cone is read.
+    itself and slows the spread. Either way only the light cone is read,
+    and the start is added to its labels in Python integers, exactly.
     """
+    x0 = cfg.initial_position
     dist_rows = []
     var_rows = []
     for t, x, probs in populations(cfg.walk, cfg.noise, cfg.mode):
         emit = probs > _PROB_EMIT_TOL
-        dist_rows += zip(repeat(t), x[emit].tolist(), probs[emit].tolist())
+        dist_rows += zip(repeat(t), [x0 + v for v in x[emit].tolist()], probs[emit].tolist())
         var_rows.append((t, distribution_variance(probs, x.astype(float))))
     _write_csv(
         out_dir / "distribution.csv", ["step", "x", "probability"], "%d,%d,%.12g", dist_rows

@@ -2,10 +2,10 @@
 
 One step is W = S (C(theta) (x) I): a coin rotation followed by the
 coin-conditioned shift (coin |0> moves one site left, coin |1> one site
-right). The line is infinite, but a walker started at x0 is zero outside
-its light cone after t steps: the t + 1 sites x0 - t, x0 - t + 2, ...,
-x0 + t (:func:`_cone_positions`). Both modes hold and yield only that
-cone, so no lattice, no end and no wrap enter the walk.
+right). The walk commutes with the translations of the infinite line, so
+every walker starts at the origin and is zero outside its light cone after
+t steps, the t + 1 sites -t, -t + 2, ..., t (:func:`_cone_positions`).
+Both modes hold and yield only that cone: no lattice, no end, no wrap.
 
 Noisy evolution applies the dephasing kernel to the coin coherences in
 two inequivalent ways:
@@ -30,7 +30,7 @@ light-cone positions, and :func:`_light_cone_blocks` yields the stepwise
 :mod:`nmqwalk.qops`.
 
 One-shot mode walks the basis pair: the two noiseless walks psi_0 and
-psi_1 started from coin |0> or |1> at x0. C(theta) and the shift are real,
+psi_1 started from coin |0> or |1>. C(theta) and the shift are real,
 so both are real, and they are walked in real arithmetic on the t + 1
 light-cone sites only, holding only the current step. The walk is linear,
 so the walker started from the coin state (alpha, beta) is
@@ -59,37 +59,29 @@ class WalkConfig:
     """Walk length, coin rotation angle, and initial coin state.
 
     The initial state is ``(cos(delta) |0> + e^{-i eta} sin(delta) |1>)``
-    localized at ``initial_position``. Angles are in radians.
+    localized at the origin. Angles are in radians.
     """
 
     steps: int
     coin_angle: float = math.pi / 4
     delta: float = math.pi / 4
     eta: float = 0.0
-    initial_position: int = 0
 
     def __post_init__(self):
-        for name in ("steps", "initial_position"):
-            value = getattr(self, name)
-            # Python counts a bool as an int
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        # Python counts a bool as an int
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
         for name in ("coin_angle", "delta", "eta"):
             angle = getattr(self, name)
             if not math.isfinite(angle):
                 raise ValueError(f"{name} must be a finite angle, got {angle!r}")
-        if abs(self.initial_position) > self.steps + 1:
-            raise ValueError(
-                f"initial position {self.initial_position} is more than "
-                f"steps + 1 = {self.steps + 1} sites from the origin"
-            )
 
 
-def _cone_positions(t: int, x0: int = 0) -> np.ndarray:
-    """The light cone x0 - t, x0 - t + 2, ..., x0 + t after t steps, ascending."""
-    return np.arange(x0 - t, x0 + t + 1, 2)
+def _cone_positions(t: int) -> np.ndarray:
+    """The light cone -t, -t + 2, ..., t after t steps, ascending."""
+    return np.arange(-t, t + 1, 2)
 
 
 def coin_operator(theta: float) -> np.ndarray:
@@ -107,8 +99,8 @@ def _basis_walks(cfg: WalkConfig) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, a): the two noiseless basis walks on the light cone.
 
     ``a[c, i, j]`` is the real amplitude at coin c and position
-    ``_cone_positions(t, x0)[j]`` of the walk psi_i started from the coin
-    basis state |i> at x0, so ``a`` has shape (2, 2, t + 1). C(theta) and
+    ``_cone_positions(t)[j]`` of the walk psi_i started from the coin
+    basis state |i>, so ``a`` has shape (2, 2, t + 1). C(theta) and
     the shift are real, so both walks are real, and the walk is linear, so
     the walker started from the coin state v is sum_i v_i psi_i. A step is
     one real product ``coin @ a`` over both walks and every site, then the
@@ -181,11 +173,11 @@ def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
 def _light_cone_blocks(
     cfg: WalkConfig, noise: NoiseModel, start: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (t, rho_t): the stepwise walk of a stack of 2 x 2 start blocks at x0.
+    """Yield (t, rho_t): the stepwise walk of a stack of 2 x 2 start blocks.
 
     ``start`` is a stack (w, 2, 2), one block per walker. ``rho_t`` is the
     stack (w, 2(t + 1), 2(t + 1)) of their blocks of rho(t) on the light
-    cone ``_cone_positions(t, x0)``, coin 0 first. Each step is
+    cone ``_cone_positions(t)``, coin 0 first. Each step is
     :func:`_walk_block`, in the order and rounding of the full-lattice
     ``einsum``, so every block, embedded on a lattice wider than the cone,
     is bit for bit that walker's full-lattice state. Every step is
@@ -221,7 +213,7 @@ def populations(
     """Yield (t, x, probs): the walker's position populations on its light cone.
 
     ``probs[j]`` is the population of the integer position ``x[j]``, and
-    ``x`` is ``_cone_positions(t, x0)``. One-shot dephasing keeps the coin
+    ``x`` is ``_cone_positions(t)``. One-shot dephasing keeps the coin
     populations, so under any kernel they are the noiseless walker's,
     |sum_i v_i psi_i(t)|^2 summed over the coin, from the basis walks of
     :func:`_basis_walks`. The kernel is evaluated once on t = 0..T before
@@ -229,17 +221,16 @@ def populations(
     diagonal of each light-cone block of :func:`_light_cone_blocks`, which
     is not copied.
     """
-    x0 = cfg.initial_position
     if mode == "stepwise":
         start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
         for t, rho in _light_cone_blocks(cfg, noise, start[None]):
-            yield t, _cone_positions(t, x0), _cone_populations(rho[0])
+            yield t, _cone_positions(t), _cone_populations(rho[0])
     elif mode == "one_shot":
         kernel_value(noise, np.arange(cfg.steps + 1.0))
         coin = _coin_vector(cfg.delta, cfg.eta)
         for t, a in _basis_walks(cfg):
             psi = np.einsum("i,cix->cx", coin, a)
-            yield t, _cone_positions(t, x0), np.sum(np.abs(psi) ** 2, axis=0)
+            yield t, _cone_positions(t), np.sum(np.abs(psi) ** 2, axis=0)
     else:
         raise ValueError(f"mode must be 'one_shot' or 'stepwise', got {mode!r}")
 

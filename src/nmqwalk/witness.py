@@ -429,8 +429,7 @@ def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
     Returns the (T + 1, walkers, 2, 2) blocks, the position variance of the
     first walker when ``tags`` asks for it (else None), and that walker's
     MID frames. For the variance A also carries the rows A diag(x), x the
-    light-cone offsets from x0, on which the variance does not depend and
-    which keep its moments O(t^2); the first walker's coin-diagonal sums of
+    light-cone positions; the first walker's coin-diagonal sums of
     A diag(x) A^T and A diag(x^2) A^T are its <x> and <x^2>. For MID, where
     the first walker's block is near degenerate, its canonical position
     frame is built from its amplitudes while the walk holds them.
@@ -543,7 +542,7 @@ def witness_series(
             state = _State(blocks[0], t)
             for tag in single:
                 if tag == "Variance":
-                    x = _cone_positions(t, cfg.initial_position).astype(float)
+                    x = _cone_positions(t).astype(float)
                     values[tag].append(distribution_variance(_cone_populations(blocks[0]), x))
                 else:
                     values[tag].append(_DENSE_WITNESSES[tag](state))

@@ -1,10 +1,9 @@
 """Oracles and helpers shared by the test modules.
 
-The library walks on the line and holds only the light cone
-x0 - t, x0 - t + 2, ..., x0 + t. The oracles below walk a finite lattice
-instead: the positions -h .. h, with h = T + 1 + |x0|
-(``lattice_half_width``), so the walker's reach keeps at least one empty
-site from either end and ``np.roll`` never wraps it. Position x sits at
+The library walks on the line from the origin and holds only the light
+cone -t, -t + 2, ..., t. The oracles below walk a finite lattice
+instead: the positions -h .. h, with h = T + 1 (``lattice_half_width``),
+so the walker's reach keeps at least one empty site from either end and ``np.roll`` never wraps it. Position x sits at
 lattice index x + h. Every oracle walk yields (t, state, x), ``x`` the
 integer positions the state's rows cover, so the light cone for the
 library's walks and -h .. h for the full-lattice oracles.
@@ -134,8 +133,8 @@ MONOTONE_KERNELS = st.one_of(
 
 
 def lattice_half_width(cfg):
-    """h of the oracles' lattice -h .. h: the walker's reach T + |x0| plus one."""
-    return cfg.steps + 1 + abs(cfg.initial_position)
+    """h of the oracles' lattice -h .. h: the walker's reach T plus one."""
+    return cfg.steps + 1
 
 
 def lattice_size(cfg):
@@ -150,11 +149,11 @@ def lattice_positions(cfg):
 
 
 def initial_state(cfg):
-    """Amplitude array (2, n) of the localized initial state on the oracles' lattice."""
+    """Amplitude array (2, n) of the initial state at the origin of the oracles' lattice."""
     amps = np.zeros((2, lattice_size(cfg)), dtype=complex)
-    x0 = cfg.initial_position + lattice_half_width(cfg)
-    amps[0, x0] = math.cos(cfg.delta)
-    amps[1, x0] = np.exp(-1j * cfg.eta) * math.sin(cfg.delta)
+    origin = lattice_half_width(cfg)
+    amps[0, origin] = math.cos(cfg.delta)
+    amps[1, origin] = np.exp(-1j * cfg.eta) * math.sin(cfg.delta)
     return amps
 
 
@@ -168,9 +167,9 @@ def step_amplitudes(amps, coin):
 
 
 def basis_start(cfg, i):
-    """The exact amplitude array (2, n) of the coin basis state |i> at x0."""
+    """The exact amplitude array (2, n) of the coin basis state |i> at the origin."""
     amps = np.zeros((2, lattice_size(cfg)), dtype=complex)
-    amps[i, cfg.initial_position + lattice_half_width(cfg)] = 1.0
+    amps[i, lattice_half_width(cfg)] = 1.0
     return amps
 
 
@@ -246,14 +245,14 @@ def evolve_stepwise(cfg, noise):
     """Yield (t, rho_t, x) of cfg's stepwise walker, each block a copy on its light cone x."""
     start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
     for t, rho in _light_cone_blocks(cfg, noise, start[None]):
-        yield t, rho[0].copy(), _cone_positions(t, cfg.initial_position)
+        yield t, rho[0].copy(), _cone_positions(t)
 
 
 def full_lattice_stepwise(cfg, noise, start=None):
     """Yield (t, rho_t, x) of the stepwise walk, evolved on the whole lattice.
 
     ``rho_t`` is the whole (2n, 2n) matrix, so ``x`` is ``lattice_positions(cfg)``.
-    The walk starts from the 2 x 2 coin block ``start`` at x0, by default
+    The walk starts from the 2 x 2 coin block ``start`` at the origin, by default
     the density matrix of cfg's initial coin state; the block may be any
     complex matrix, such as the difference rho1 - rho2 of two walkers.
     """
@@ -264,9 +263,9 @@ def full_lattice_stepwise(cfg, noise, start=None):
     if start is None:
         rho = density_from_amplitudes(initial_state(cfg))
     else:
-        x0 = cfg.initial_position + lattice_half_width(cfg)
+        origin = lattice_half_width(cfg)
         rho = np.zeros((2, n, 2, n), dtype=complex)
-        rho[:, x0, :, x0] = start
+        rho[:, origin, :, origin] = start
         rho = rho.reshape(2 * n, 2 * n)
     yield 0, rho.copy(), x
     for t, ratio in enumerate(ratios, start=1):

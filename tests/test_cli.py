@@ -29,6 +29,7 @@ from nmqwalk.divisibility import cp_divisibility_scan
 from nmqwalk.exceptions import ConfigError
 from nmqwalk.noise import OunParams, RtnParams
 from nmqwalk.walk import distribution_variance, populations
+from nmqwalk.witness import WITNESS_TAGS
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -302,15 +303,13 @@ class TestParseConfig:
 
 @st.composite
 def one_shot_walk_docs(draw):
-    """The ``walk`` section of a walk of T <= 40 steps from any x0 in [-T - 1, T + 1]."""
-    steps = draw(st.integers(min_value=0, max_value=40))
+    """The ``walk`` section of a walk of T <= 40 steps with any coin and start."""
     angles = st.floats(min_value=-180.0, max_value=180.0)
     return {
-        "steps": steps,
+        "steps": draw(st.integers(min_value=0, max_value=40)),
         "coin_angle": draw(angles),
         "delta": draw(angles),
         "eta": draw(angles),
-        "initial_position": draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
     }
 
 
@@ -356,23 +355,7 @@ class TestWalkCommand:
 
         assert loglog_slope(out_noisy) < loglog_slope(out_free) < 2.1
 
-    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
-    def test_off_origin_start_is_the_origin_walk_shifted(self, tmp_path, mode):
-        noise = {"model": "oun", "Gamma": 0.1, "gamma": 0.01}
-        found = {}
-        for x0 in (0, -1):
-            doc = {"walk": {"steps": 60, "initial_position": x0}, "noise": noise, "mode": mode}
-            cfg = write_config(tmp_path, doc, f"x{x0}.json")
-            out = tmp_path / f"x{x0}"
-            assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
-            _, rows = read_csv(out / "distribution.csv")
-            found[x0] = {(int(t), int(x) - x0): float(p) for t, x, p in rows}
-        assert found[-1].keys() == found[0].keys()
-        for key, p in found[0].items():
-            assert found[-1][key] == pytest.approx(p, rel=1e-11, abs=1e-15), key
-
-    @pytest.mark.parametrize("x0", [0, -2])
-    def test_stepwise_outputs_match_the_full_lattice_loop(self, tmp_path, monkeypatch, x0):
+    def test_stepwise_outputs_match_the_full_lattice_loop(self, tmp_path, monkeypatch):
         # the rows the full (2n)^2 evolution gives under the same emit rule;
         # the variances are compared as computed, before the CSV rounds them
         # to 12 digits
@@ -385,7 +368,7 @@ class TestWalkCommand:
         write_csv = cli_mod._write_csv
         monkeypatch.setattr(cli_mod, "_write_csv", keep_rows)
         doc = {
-            "walk": {"steps": 30, "delta": 40.0, "eta": 30.0, "initial_position": x0},
+            "walk": {"steps": 30, "delta": 40.0, "eta": 30.0},
             "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
             "mode": "stepwise",
         }
@@ -449,6 +432,49 @@ class TestWalkCommand:
         _, rows = read_csv(out / "distribution.csv")
         for row in rows:
             assert float(row[2]) <= 1.0  # parses back at full precision
+
+
+#: the noise sections under which a start off the origin is checked
+START_NOISES = {
+    "none": None,
+    "oun": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
+    "pln": {"model": "pln", "Gamma": 0.1, "gamma": 0.01},
+    "rtn": {"model": "rtn", "a": 0.05, "gamma": 0.008},
+}
+
+
+class TestStartPosition:
+    """The walk is translation-invariant: ``walk.initial_position`` moves the
+    ``x`` column of distribution.csv and no other byte of any data file."""
+
+    @pytest.mark.parametrize("noise", START_NOISES.values(), ids=START_NOISES.keys())
+    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
+    def test_start_shifts_the_x_column_alone(self, tmp_path, mode, noise):
+        def run(x0):
+            doc = {
+                "walk": {"steps": 8, "initial_position": x0},
+                "noise": noise,
+                "mode": mode,
+                "witnesses": list(WITNESS_TAGS),
+            }
+            cfg = write_config(tmp_path, doc, f"x{x0}.json")
+            files = {}
+            # walk and witness each write a variance.csv, so each has its own directory
+            for command in ("walk", "witness"):
+                out = tmp_path / f"x{x0}" / command
+                assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, command
+                for path in out.iterdir():
+                    if path.name != "metadata.json":
+                        files[f"{command}/{path.name}"] = path.read_text(encoding="utf-8")
+            return files
+
+        origin = run(0)
+        header, *rows = origin.pop("walk/distribution.csv").splitlines(keepends=True)
+        for x0 in (-9, 12, 10**6, -(2**70)):
+            found = run(x0)
+            shifted = [f"{t},{int(x) + x0},{p}" for t, x, p in (row.split(",") for row in rows)]
+            assert found.pop("walk/distribution.csv") == header + "".join(shifted), x0
+            assert found == origin, x0
 
 
 class TestWitnessCommand:
@@ -701,15 +727,6 @@ class TestExitCodes:
     def test_schema_error_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"mode": "retrocausal"})
         assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-
-    @pytest.mark.parametrize("command", ["walk", "witness"])
-    @pytest.mark.parametrize("side", [-1, 1], ids=["left", "right"])
-    def test_start_past_the_widest_is_2(self, tmp_path, command, side):
-        # x0 = +-(T + 1) is the farthest start a config accepts; one further is a config error
-        for x0, code in ((side * 5, 0), (side * 6, 2)):
-            doc = {"walk": {"steps": 4, "initial_position": x0}, "witnesses": ["TD"]}
-            cfg = write_config(tmp_path, doc, name=f"x{x0}.json")
-            assert main([command, "--config", str(cfg), "--out", str(tmp_path / f"o{x0}")]) == code
 
     def test_missing_config_is_4(self, tmp_path):
         missing = tmp_path / "nope.json"

@@ -1,4 +1,3 @@
-import json
 import math
 from dataclasses import replace
 
@@ -27,7 +26,6 @@ from hypothesis import strategies as st
 
 import nmqwalk.noise as noise_mod
 import nmqwalk.walk as walk_mod
-from nmqwalk.cli import main, parse_config
 from nmqwalk.exceptions import KernelRangeError, NmqwalkError, NonInvertibleMapError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.walk import (
@@ -56,7 +54,7 @@ MODEL_NOISES = {
 
 def cone_indices(cfg, t):
     """The oracles' lattice indices of the light cone after t steps."""
-    return walk_mod._cone_positions(t, cfg.initial_position) + lattice_half_width(cfg)
+    return walk_mod._cone_positions(t) + lattice_half_width(cfg)
 
 
 def noiseless_history(cfg):
@@ -151,30 +149,17 @@ class TestNoiselessEvolution:
             np.testing.assert_allclose(amps.reshape(-1), vec, atol=1e-12)
             vec = w @ vec
 
-    def test_initial_position_outside_lattice_rejected(self):
-        with pytest.raises(ValueError):
-            WalkConfig(steps=2, initial_position=4)
-
     @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("steps", True),
-            ("steps", 3.0),
-            ("initial_position", 0.5),
-            ("initial_position", 1.0),
-            ("initial_position", True),
-        ],
-        ids=["bool-steps", "float-steps", "fractional-x0", "float-x0", "bool-x0"],
+        "field, value", [("steps", True), ("steps", 3.0)], ids=["bool-steps", "float-steps"]
     )
     def test_non_integer_walk_field_rejected(self, field, value):
-        # unchecked, x0 = 0.5 sized a lattice of 10.0 sites, and steps=True
-        # ran a one-step walk
+        # unchecked, steps=True ran a one-step walk
         with pytest.raises(ValueError, match=f"^{field} must be"):
             WalkConfig(**{"steps": 3, field: value})
 
     def test_numpy_integer_walk_fields_accepted(self):
-        cfg = WalkConfig(steps=np.int64(3), initial_position=np.int32(-2))
-        assert last_populations(cfg)[0].tolist() == [-5, -3, -1, 1]
+        cfg = WalkConfig(steps=np.int64(3))
+        assert last_populations(cfg)[0].tolist() == [-3, -1, 1, 3]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["coin_angle", "delta", "eta"])
@@ -299,13 +284,8 @@ ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
 @st.composite
 def batched_walks(draw):
-    """A walk of T <= 40 steps from any x0 in [-T - 1, T + 1], and 1 to 3 (delta, eta) starts."""
-    steps = draw(st.integers(min_value=0, max_value=40))
-    cfg = WalkConfig(
-        steps=steps,
-        coin_angle=draw(ANGLES),
-        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
-    )
+    """A walk of T <= 40 steps, and 1 to 3 (delta, eta) starts."""
+    cfg = WalkConfig(steps=draw(st.integers(min_value=0, max_value=40)), coin_angle=draw(ANGLES))
     return cfg, draw(st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=3))
 
 
@@ -388,14 +368,12 @@ STEPWISE_NOISES = {
 
 @st.composite
 def light_cone_walks(draw):
-    """A walk of T <= 24 steps from any start x0 in [-T - 1, T + 1]."""
-    steps = draw(st.integers(min_value=0, max_value=24))
+    """A walk of T <= 24 steps with any coin and start."""
     return WalkConfig(
-        steps=steps,
+        steps=draw(st.integers(min_value=0, max_value=24)),
         coin_angle=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
         delta=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
         eta=draw(st.floats(min_value=-math.pi, max_value=math.pi)),
-        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
     )
 
 
@@ -415,15 +393,13 @@ def stepwise_run(evolve, cfg, noise):
 
 class TestStepwiseLightCone:
     @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
-    @pytest.mark.parametrize("x0", [0, 2], ids=["centred", "off-centre"])
-    def test_equals_full_lattice_loop(self, noise, x0):
-        # from x0 = 2 the lattice is two sites wider on either side
-        cfg = WalkConfig(steps=100, delta=0.7, eta=0.3, initial_position=x0)
+    def test_equals_full_lattice_loop(self, noise):
+        cfg = WalkConfig(steps=100, delta=0.7, eta=0.3)
         n = lattice_size(cfg)
         pairs = zip(evolve_stepwise(cfg, noise), full_lattice_stepwise(cfg, noise), strict=True)
         for (t, found, x), (_, expected, _) in pairs:
             assert found.shape == (2 * (t + 1),) * 2 and expected.shape == (2 * n,) * 2
-            assert np.array_equal(x, x0 + np.arange(-t, t + 1, 2))
+            assert np.array_equal(x, np.arange(-t, t + 1, 2))
             assert np.array_equal(embed(found, x, cfg), expected), f"t={t}"
 
     def test_yielded_states_are_copies(self):
@@ -439,25 +415,9 @@ class TestStepwiseLightCone:
             assert np.array_equal(embed(found, x, cfg), expected), f"t={t}"
             found[...] = np.nan
 
-    @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
-    @pytest.mark.parametrize(
-        "steps, x0", [(30, -31), (30, 31), (40, 5)], ids=["at-left-edge", "at-right-edge", "off-centre"]
-    )
-    def test_edge_walkers_match_the_full_lattice(self, noise, steps, x0):
-        # x0 = +-(T + 1) are the farthest starts a config accepts: the walk
-        # runs to T with every block the full-lattice state bit for bit
-        cfg = WalkConfig(steps=steps, delta=0.7, eta=0.3, initial_position=x0)
-        found, positions, error = stepwise_run(evolve_stepwise, cfg, noise)
-        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
-        assert error is None and expected_error is None
-        assert len(found) == len(expected) == steps + 1
-        for t, (a, b) in enumerate(zip(found, expected)):
-            assert np.array_equal(a, b), f"t={t}"
-        assert np.array_equal(positions[-1], x0 + np.arange(-steps, steps + 1, 2))
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=light_cone_walks(), noise=SIDED_NOISES)
-    @example(cfg=WalkConfig(steps=24, coin_angle=0.4, initial_position=-25), noise=None)
+    @example(cfg=WalkConfig(steps=24, coin_angle=0.4), noise=None)
     def test_blocks_are_the_full_lattice_states(self, cfg, noise):
         found, positions, error = stepwise_run(evolve_stepwise, cfg, noise)
         expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
@@ -466,9 +426,8 @@ class TestStepwiseLightCone:
         for t, (a, b) in enumerate(zip(found, expected)):
             assert np.array_equal(a, b), f"t={t}"
         # the light-cone positions, ascending
-        x0 = cfg.initial_position
         for t, x in enumerate(positions):
-            assert np.array_equal(x, x0 + np.arange(-t, t + 1, 2))
+            assert np.array_equal(x, np.arange(-t, t + 1, 2))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -477,7 +436,7 @@ class TestStepwiseLightCone:
         noise=SIDED_NOISES,
     )
     @example(
-        cfg=WalkConfig(steps=24, coin_angle=-2.5, initial_position=25),
+        cfg=WalkConfig(steps=24, coin_angle=-2.5),
         pair=(0.7, 0.3, -0.8, 1.0),
         noise=None,
     )
@@ -490,7 +449,7 @@ class TestStepwiseLightCone:
         start = rho1 - rho2
         found, _, error = stepwise_run(
             lambda cfg, noise: (
-                (t, blocks[0], walk_mod._cone_positions(t, cfg.initial_position))
+                (t, blocks[0], walk_mod._cone_positions(t))
                 for t, blocks in walk_mod._light_cone_blocks(cfg, noise, start[None])
             ),
             cfg,
@@ -577,18 +536,7 @@ class TestDistributions:
     @pytest.mark.parametrize("noise", MODEL_NOISES.values(), ids=MODEL_NOISES.keys())
     @pytest.mark.parametrize("mode", MODES)
     def test_populations_are_the_dense_diagonal(self, mode, noise):
-        assert_populations_are_the_dense_diagonal(
-            WalkConfig(steps=8, delta=0.7, eta=0.3, initial_position=-2), noise, mode
-        )
-
-    @pytest.mark.parametrize("noise", MODEL_NOISES.values(), ids=MODEL_NOISES.keys())
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("x0", [-9, 9], ids=["left", "right"])
-    def test_populations_are_the_dense_diagonal_at_the_widest_start(self, x0, mode, noise):
-        # x0 = +-(T + 1), the farthest start a config accepts
-        assert_populations_are_the_dense_diagonal(
-            WalkConfig(steps=8, delta=0.7, eta=0.3, initial_position=x0), noise, mode
-        )
+        assert_populations_are_the_dense_diagonal(WalkConfig(steps=8, delta=0.7, eta=0.3), noise, mode)
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)
@@ -598,54 +546,3 @@ class TestDistributions:
         ]
         assert found[1] == pytest.approx(0.0, abs=1e-14)
         assert found[2] == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("x0", [-7, 7], ids=["left", "right"])
-    def test_positions_are_the_light_cone_at_the_widest_start(self, tmp_path, mode, x0):
-        # x0 = +-(T + 1), the farthest start a config accepts: populations and
-        # the x column of distribution.csv hold x0 - t, x0 - t + 2, ..., x0 + t
-        # the config's angles are in degrees; this walker fills its whole cone
-        doc = {
-            "walk": {"steps": 6, "delta": 40.0, "eta": 30.0, "initial_position": x0},
-            "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
-            "mode": mode,
-        }
-        cfg = parse_config(json.dumps(doc))
-        cone = {t: (x0 + np.arange(-t, t + 1, 2)).tolist() for t in range(7)}
-        assert {t: x.tolist() for t, x, _ in populations(cfg.walk, cfg.noise, mode)} == cone
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["walk", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        rows = (tmp_path / "out" / "distribution.csv").read_text(encoding="utf-8").splitlines()
-        written = {t: [] for t in cone}
-        for row in rows[1:]:
-            t, x, _ = row.split(",")
-            written[int(t)].append(int(x))
-        assert written == cone
-
-
-#: off-origin starts, (x0, delta, eta), all at T = 60
-OFF_ORIGIN_STARTS = {
-    "left-1-default-coin": (-1, math.pi / 4, 0.0),
-    "right-1": (1, 0.7, 0.3),
-    "right-2": (2, 0.7, 0.3),
-    "left-2": (-2, 0.7, 0.3),
-}
-
-
-class TestOffOriginStart:
-    NOISE = OunParams(Gamma=0.1, gamma=0.01)
-
-    @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize(
-        "x0, delta, eta", OFF_ORIGIN_STARTS.values(), ids=OFF_ORIGIN_STARTS.keys()
-    )
-    def test_distribution_is_the_origin_one_shifted(self, mode, x0, delta, eta):
-        cfg = WalkConfig(steps=60, delta=delta, eta=eta, initial_position=x0)
-        origin = WalkConfig(steps=60, delta=delta, eta=eta)
-        pairs = zip(
-            populations(cfg, self.NOISE, mode), populations(origin, self.NOISE, mode), strict=True
-        )
-        for (t, x, probs), (_, x_origin, expected) in pairs:
-            assert np.array_equal(x, x_origin + x0), f"t={t}"
-            np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15, err_msg=f"t={t}")

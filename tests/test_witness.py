@@ -599,17 +599,10 @@ ANGLES = st.floats(min_value=-math.pi, max_value=math.pi)
 
 @st.composite
 def one_shot_walks(draw):
-    """A walk of T <= 8 steps from any x0 in [-T - 1, T + 1], with any coin
-    and start, and its kernel: a noise model, or T + 1 values in [-1, 1] that
-    often hit -1, 0 and 1."""
+    """A walk of T <= 8 steps with any coin and start, and its kernel: a
+    noise model, or T + 1 values in [-1, 1] that often hit -1, 0 and 1."""
     steps = draw(st.integers(min_value=0, max_value=8))
-    cfg = WalkConfig(
-        steps=steps,
-        coin_angle=draw(ANGLES),
-        delta=draw(ANGLES),
-        eta=draw(ANGLES),
-        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
-    )
+    cfg = WalkConfig(steps=steps, coin_angle=draw(ANGLES), delta=draw(ANGLES), eta=draw(ANGLES))
     values = st.one_of(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-1.0, 1.0))
     kernel = draw(
         st.one_of(SIDED_NOISES, st.lists(values, min_size=steps + 1, max_size=steps + 1))
@@ -726,7 +719,7 @@ class TestSeries:
     @example(walk=(WalkConfig(steps=4, delta=0.7, eta=0.3), [1.0, -1.0, 0.0, -1.0, 1.0]), pair=DEFAULT_TD_PAIR)
     @example(walk=(WalkConfig(steps=5, delta=0.7, eta=0.3), None), pair=DEFAULT_TD_PAIR)
     @example(
-        walk=(WalkConfig(steps=5, delta=0.7, eta=0.3, initial_position=-6), OunParams(0.1, 0.01)),
+        walk=(WalkConfig(steps=5, delta=0.7, eta=0.3), OunParams(0.1, 0.01)),
         pair=DEFAULT_TD_PAIR,
     )
     def test_batched_one_shot_matches_dense_oracle(self, walk, pair):
@@ -865,13 +858,8 @@ class TestSeries:
 
 @st.composite
 def td_walks(draw):
-    """A walk of T <= 40 steps from any start x0 in [-T - 1, T + 1]."""
-    steps = draw(st.integers(min_value=0, max_value=40))
-    return WalkConfig(
-        steps=steps,
-        coin_angle=draw(ANGLES),
-        initial_position=draw(st.integers(min_value=-steps - 1, max_value=steps + 1)),
-    )
+    """A walk of T <= 40 steps with any coin."""
+    return WalkConfig(steps=draw(st.integers(min_value=0, max_value=40)), coin_angle=draw(ANGLES))
 
 
 class TestCoinMap:
@@ -880,7 +868,7 @@ class TestCoinMap:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(cfg=td_walks(), starts=st.lists(st.tuples(ANGLES, ANGLES), min_size=1, max_size=4))
-    @example(cfg=WalkConfig(steps=40, coin_angle=0.6, initial_position=-41), starts=[(0.7, 0.3)])
+    @example(cfg=WalkConfig(steps=40, coin_angle=0.6), starts=[(0.7, 0.3)])
     def test_blocks_equal_the_roll_oracle_blocks(self, cfg, starts):
         # v^T L_t conj(v) against the block of v_0 psi_0 + v_1 psi_1 for the
         # roll walks psi_i of the exact |0> and |1>, to 1e-15. A walker's own
@@ -902,7 +890,7 @@ class TestCoinMap:
     def test_one_walk_gives_td_for_every_pair(self, noise):
         # one basis walk reads eight random pairs; each pair's two walkers
         # evolved on their own are the oracle
-        cfg = WalkConfig(steps=ORACLE_STEPS, coin_angle=0.6, initial_position=3)
+        cfg = WalkConfig(steps=ORACLE_STEPS, coin_angle=0.6)
         pairs = np.random.default_rng(20).uniform(-math.pi, math.pi, size=(8, 4))
         coins = np.array([walk_mod._coin_vector(*half) for half in pairs.reshape(16, 2)])
         blocks = witness_mod._one_shot_blocks(cfg, coins, ())[0]
@@ -981,22 +969,15 @@ class TestTraceDistanceSeries:
     @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
     @pytest.mark.parametrize("pair", TD_PAIRS.values(), ids=TD_PAIRS.keys())
     @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
-    @pytest.mark.parametrize(
-        "steps, x0, coin_angle",
-        [(30, -31, math.pi / 4), (30, 31, math.pi / 4), (40, 5, math.pi / 4), (40, 5, 0.0)],
-        ids=["at-left-edge", "at-right-edge", "off-centre", "off-centre-ballistic"],
-    )
-    def test_edge_walkers_match_the_two_walker_oracle(
-        self, steps, x0, coin_angle, noise, pair, mode
-    ):
-        # x0 = +-(T + 1) are the farthest starts a config accepts; on the line
-        # they walk as any other start. Under the diagonal coin C(0) the real
-        # amplitudes of the default pair keep exactly equal populations, so
-        # the stepwise start rho1 - rho2 keeps an exactly zero diagonal
-        cfg = WalkConfig(steps=steps, coin_angle=coin_angle, initial_position=x0)
+    @pytest.mark.parametrize("coin_angle", [math.pi / 4, 0.0], ids=["hadamard", "ballistic"])
+    def test_long_walks_match_the_two_walker_oracle(self, coin_angle, noise, pair, mode):
+        # under the diagonal coin C(0) the real amplitudes of the default pair
+        # keep exactly equal populations, so the stepwise start rho1 - rho2
+        # keeps an exactly zero diagonal
+        cfg = WalkConfig(steps=40, coin_angle=coin_angle)
         expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
         found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
-        assert found.shape == expected.shape == (steps + 1,)
+        assert found.shape == expected.shape == (cfg.steps + 1,)
         assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
     @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
@@ -1005,7 +986,7 @@ class TestTraceDistanceSeries:
         # under a real coin the conjugate pair's walkers have equal
         # populations at every step, so Delta = rho1 - rho2 has a zero
         # diagonal and its trace norm comes from the coherences alone
-        cfg = WalkConfig(steps=30, coin_angle=1.2286, initial_position=1)
+        cfg = WalkConfig(steps=30, coin_angle=1.2286)
         pair = TD_PAIRS["conjugate"]
         probs = [
             np.sum(np.abs(evolve_noiseless(replace(cfg, delta=d, eta=e))) ** 2, axis=1)
