@@ -41,7 +41,7 @@ from .spectral import (
     TimeSeries,
     disambiguate,
 )
-from .walk import EvolutionMode, WalkConfig, distribution_variance, populations
+from .walk import EvolutionMode, WalkConfig, population_variance, populations
 from .witness import DEFAULT_TD_PAIR, WITNESS_TAGS, witness_series
 
 EXIT_OK = 0
@@ -273,7 +273,7 @@ def run_walk(cfg: ExperimentConfig, out_dir: Path) -> None:
     for t, x, probs in populations(cfg.walk, cfg.noise, cfg.mode):
         emit = probs > _PROB_EMIT_TOL
         dist_rows += zip(repeat(t), [x0 + v for v in x[emit].tolist()], probs[emit].tolist())
-        var_rows.append((t, distribution_variance(probs, x.astype(float))))
+        var_rows.append((t, population_variance(t, probs)))
     _write_csv(
         out_dir / "distribution.csv", ["step", "x", "probability"], "%d,%d,%.12g", dist_rows
     )

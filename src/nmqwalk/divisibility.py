@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import NonInvertibleMapError
-from .noise import KERNEL_ZERO_TOL, NoiseModel, kernel_value
+from .noise import KERNEL_ZERO_TOL, NoiseModel, RtnParams, kernel_value, rtn_oscillation
 
 CP_EIGENVALUE_TOL = 1e-12
 _SCAN_FIELDS = [("t2", float), ("lambda3", float), ("lambda4", float), ("is_cp", bool)]
@@ -49,12 +49,20 @@ def kernel_ratio(noise: NoiseModel, t1, t2):
     """Intermediate-map parameter r = k(t2)/k(t1), elementwise in t1 and t2.
 
     Fails if any t2 <= t1. The package's one kernel-zero check: raises
-    NonInvertibleMapError naming the first t1 with |k(t1)| <= KERNEL_ZERO_TOL.
+    NonInvertibleMapError naming the first t1 whose |k(t1)| is below the
+    smallest normal float, or, under underdamped RTN, whose oscillating
+    factor is within KERNEL_ZERO_TOL of zero. OUN, PLN and critically or
+    overdamped RTN kernels are positive for every t, so only their
+    underflow stops them: OUN(1, 5) is 2e-22 at t = 100, and each step
+    ratio there a plain e^(-1/2).
     """
     if np.any(np.less_equal(t2, t1)):
         raise ValueError(f"need t2 > t1, got t2 - t1 = {np.min(np.subtract(t2, t1))}")
     k1 = kernel_value(noise, t1)
-    zero = np.abs(k1) <= KERNEL_ZERO_TOL
+    zero = np.abs(k1) < np.finfo(float).tiny
+    factor = rtn_oscillation(noise, t1) if isinstance(noise, RtnParams) else None
+    if factor is not None:
+        zero |= np.abs(factor) <= KERNEL_ZERO_TOL
     if np.any(zero):
         raise NonInvertibleMapError(
             f"kernel vanishes at t1={np.ravel(t1)[np.argmax(zero)]}; E(t1, 0) has no inverse"

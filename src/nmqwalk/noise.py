@@ -15,7 +15,8 @@ import numpy as np
 
 from .exceptions import KernelRangeError
 
-#: |k(t)| at or below this is a kernel zero: the map from 0 to t has no inverse
+#: an underdamped RTN kernel whose oscillating factor (see rtn_oscillation)
+#: is at or below this in modulus is at a zero: the map from 0 to t has no inverse
 KERNEL_ZERO_TOL = 1e-14
 
 # tolerance for treating the RTN discriminant (2a/gamma)^2 - 1 as zero
@@ -81,15 +82,12 @@ def rtn_lambda(p: RtnParams, t):
     """
     t = np.asarray(t, dtype=float)
     g = p.gamma
-    # a numpy float: an overflow gives inf (so a NaN kernel), not OverflowError
-    disc = np.float64(2.0 * p.a / g) ** 2 - 1.0
+    disc = _rtn_discriminant(p)
     env = np.exp(-g * t)
     if abs(disc) < _CRITICAL_TOL:
         out = env * (1.0 + g * t)
     elif disc > 0:
-        root = np.sqrt(disc)
-        w = g * root
-        out = env * (np.cos(w * t) + np.sin(w * t) / root)
+        out = env * rtn_oscillation(p, t)
     else:
         root = np.sqrt(-disc)
         mu = g * root
@@ -99,6 +97,27 @@ def rtn_lambda(p: RtnParams, t):
         e = np.expm1(-2.0 * mu * t)
         out = np.exp(-(g - mu) * t) * (1.0 + 0.5 * e * (1.0 - 1.0 / root))
     return out if out.ndim else float(out)
+
+
+def _rtn_discriminant(p: RtnParams):
+    """(2a/gamma)^2 - 1 as a numpy float: an overflow gives inf (a NaN kernel), not OverflowError."""
+    return np.float64(2.0 * p.a / p.gamma) ** 2 - 1.0
+
+
+def rtn_oscillation(p: RtnParams, t):
+    """The factor cos(wt) + sin(wt)/root of an underdamped RTN kernel, or None.
+
+    Above the critical ratio Lambda(t) is exp(-gamma t) times this factor,
+    which crosses zero. At and below it Lambda(t) is positive for every t,
+    and None is returned.
+    """
+    disc = _rtn_discriminant(p)
+    if not disc >= _CRITICAL_TOL:
+        return None
+    root = np.sqrt(disc)
+    w = p.gamma * root
+    t = np.asarray(t, dtype=float)
+    return np.cos(w * t) + np.sin(w * t) / root
 
 
 def oun_p(p: OunParams, t):

@@ -49,9 +49,13 @@ from typing import Literal
 import numpy as np
 
 from .divisibility import kernel_ratio
+from .exceptions import NonPhysicalStateError
 from .noise import NoiseModel, kernel_value
 
 EvolutionMode = Literal["one_shot", "stepwise"]
+
+#: a population, or an eigenvalue of a dense state, below -POSITIVITY_TOL is not a state's
+POSITIVITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,8 @@ def _light_cone_blocks(
     near a zero of the kernel it grows without bound and the states leave
     the state space (RTN a=0.05, gamma=0.008: minimum eigenvalue -0.27 at
     t = 18, -6.6 at t = 60). MI, MID and QD raise ``NonPhysicalStateError``
-    on such a state; the walk does not check. Each step forms a new stack
+    on such a state, and :func:`population_variance` on a negative
+    population; the walk does not check. Each step forms a new stack
     and yields it, not a copy; the next step reads it, so a caller must not
     write to it.
     """
@@ -240,3 +245,16 @@ def distribution_variance(probs: np.ndarray, positions: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=float)
     mean = float(probs @ positions)
     return float(probs @ (positions - mean) ** 2)
+
+
+def population_variance(t: int, probs: np.ndarray) -> float:
+    """Variance of the populations ``probs`` on the light cone after t steps, if they are a state's.
+
+    Raises NonPhysicalStateError naming t and the lowest population when
+    one lies below -POSITIVITY_TOL, as a stepwise walk's do once it leaves
+    the state space (RTN(0.05, 0.008): -0.0606 at t = 19).
+    """
+    low = probs.min()
+    if low < -POSITIVITY_TOL:
+        raise NonPhysicalStateError(f"state at t={t} has population {low:.6g} below -{POSITIVITY_TOL:g}")
+    return distribution_variance(probs, _cone_positions(t).astype(float))

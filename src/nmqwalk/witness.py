@@ -54,7 +54,8 @@ nonzero eigenvalue, negative ones included. Its marginals, the Pauli
 parts of its discord and MID's outcome table all read one coin-block view
 r[c, :, d, :] of it. MI, MID and QD read its full spectrum and raise
 :class:`~nmqwalk.exceptions.NonPhysicalStateError` on an eigenvalue below
--POSITIVITY_TOL. Its discord is a grid scan plus a compass search over
+-POSITIVITY_TOL, and the Variance on a population below it; Entropy and
+TD take no spectrum of the state and do not check. Its discord is a grid scan plus a compass search over
 projective coin measurements (see :func:`_min_conditional_entropy`).
 """
 
@@ -74,6 +75,7 @@ from .qops import (
     partial_trace,
 )
 from .walk import (
+    POSITIVITY_TOL,
     EvolutionMode,
     WalkConfig,
     _basis_walks,
@@ -82,7 +84,7 @@ from .walk import (
     _cone_positions,
     _light_cone_blocks,
     density_from_amplitudes,
-    distribution_variance,
+    population_variance,
 )
 
 WITNESS_TAGS = ("TD", "MI", "MID", "QD", "Entropy", "Variance")
@@ -92,8 +94,6 @@ WITNESS_TAGS = ("TD", "MI", "MID", "QD", "Entropy", "Variance")
 DEFAULT_TD_PAIR = (math.pi / 4, 0.0, -math.pi / 4, 0.0)
 
 _PROJECTION_TOL = 1e-8
-#: a dense state whose spectrum reaches below -POSITIVITY_TOL is not a state
-POSITIVITY_TOL = 1e-10
 
 #: the 481 distinct measurements of the 32 x 32 grid theta = i pi / 31, phi = 2 pi j / 32:
 #: (theta, phi) and (pi - theta, phi + pi) are one measurement, and the rows
@@ -542,8 +542,7 @@ def witness_series(
             state = _State(blocks[0], t)
             for tag in single:
                 if tag == "Variance":
-                    x = _cone_positions(t).astype(float)
-                    values[tag].append(distribution_variance(_cone_populations(blocks[0]), x))
+                    values[tag].append(population_variance(t, _cone_populations(blocks[0])))
                 else:
                     values[tag].append(_DENSE_WITNESSES[tag](state))
     if "TD" in tags:

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import (
+    MONOTONE_KERNELS,
     SignedKrausSet,
     apply_kraus,
     apply_signed,
@@ -9,7 +12,7 @@ from conftest import (
     kraus_at,
     random_qubit_states,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nmqwalk.divisibility import choi_eigenvalues, cp_divisibility_scan, is_cp, kernel_ratio
@@ -78,6 +81,35 @@ class TestKernelRatio:
         t1 = np.arange(6.0)
         expected = [kernel_ratio(noise, float(s), s + 1.0) for s in t1]
         np.testing.assert_array_equal(kernel_ratio(noise, t1, t1 + 1.0), expected)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(noise=MONOTONE_KERNELS, t1=st.floats(0.0, 1e4), dt=st.floats(1e-3, 1e3))
+    @example(noise=OunParams(Gamma=0.1, gamma=0.01), t1=745.0, dt=1.0)
+    @example(noise=OunParams(Gamma=1.0, gamma=5.0), t1=65.0, dt=1.0)
+    def test_monotone_kernels_have_no_zeros(self, noise, t1, dt):
+        # OUN, PLN and overdamped RTN are positive at every t: the ratio is
+        # the plain quotient wherever k(t1) is a normal float (k(745) = 9.8e-15
+        # under OUN(0.1, 0.01)), and only an underflow below that is refused
+        t2 = t1 + dt
+        k1 = kernel_value(noise, t1)
+        if k1 >= np.finfo(float).tiny:
+            assert kernel_ratio(noise, t1, t2) == kernel_value(noise, t2) / k1
+        else:
+            with pytest.raises(NonInvertibleMapError, match="kernel vanishes"):
+                kernel_ratio(noise, t1, t2)
+
+    def test_underdamped_rtn_is_refused_at_the_zeros_of_its_oscillation(self):
+        # RTN(5, 1) has decayed to |k(40)| = 2e-18, yet its factor
+        # cos(wt) + sin(wt)/root is far from zero there, so E(40, 0) inverts
+        far = RtnParams(a=5.0, gamma=1.0)
+        assert abs(kernel_value(far, 40.0)) < 1e-14
+        assert kernel_ratio(far, 40.0, 41.0) == kernel_value(far, 41.0) / kernel_value(far, 40.0)
+        # 2a/gamma = sqrt(2) puts the first zero of the factor at w t = 3 pi / 4,
+        # and w = gamma = 3 pi / 4 puts it at t = 1
+        gamma = 3.0 * math.pi / 4.0
+        zero = RtnParams(a=gamma / math.sqrt(2.0), gamma=gamma)
+        with pytest.raises(NonInvertibleMapError, match=r"t1=1\.0;"):
+            kernel_ratio(zero, np.array([0.5, 1.0]), np.array([2.0, 2.0]))
 
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -178,6 +210,16 @@ class TestScan:
         r = kernel_ratio(noise, 1.0, self.GRID)
         np.testing.assert_array_equal(result.points["lambda3"], 1.0 - r)
         np.testing.assert_array_equal(result.points["lambda4"], 1.0 + r)
+
+    def test_oun_far_below_1e_14_stays_invertible(self):
+        # k(70) = 3e-16 under OUN(1, 5), and every ratio is a CP e^(-(t2 - 70)/2)
+        noise = OunParams(Gamma=1.0, gamma=5.0)
+        grid = 70.0 + self.GRID
+        result = cp_divisibility_scan(noise, 70.0, grid)
+        assert result.invertible and result.points["is_cp"].all()
+        np.testing.assert_allclose(
+            result.points["lambda3"], -np.expm1(-0.5 * (grid - 70.0)), rtol=1e-12
+        )
 
     def test_kernel_zero_at_t1_flags_every_point(self, monkeypatch):
         import nmqwalk.divisibility as div

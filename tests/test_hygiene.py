@@ -11,19 +11,26 @@ public surface is what they call. ``src/`` imports no scipy, at any depth:
 numpy is its one run-time dependency, and scipy serves the tests' oracles
 alone. Every error class of ``nmqwalk.exceptions`` but the base
 ``NmqwalkError`` is raised by some ``raise`` statement in ``src/``: an
-error nothing raises is public surface nothing needs.
+error nothing raises is public surface nothing needs. The README's config
+reference lists exactly the keys ``cli.parse_config`` accepts, each with
+its kind and default, and every numeric range it states is the one
+``parse_config`` enforces.
 """
 
 import ast
 import inspect
+import json
+import re
 from pathlib import Path
 
 import pytest
 
 import nmqwalk
+import nmqwalk.cli as cli
 import nmqwalk.exceptions
 
 ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 SOURCES = sorted([*PACKAGE, *(ROOT / "demos").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 #: the callers the public surface is for
@@ -238,3 +245,145 @@ def test_detects_every_raised_name():
         "ConfigError",
         "NonPhysicalStateError",
     }
+
+
+def schema_keys():
+    """Dotted key -> (kind, default) of every key ``cli.parse_config`` accepts,
+    and noise parameter -> the models that require it, in schema order."""
+    keys, required = {}, {}
+
+    def flatten(schema, prefix):
+        for key, spec in schema.items():
+            if isinstance(spec, dict):
+                flatten(spec, f"{prefix}{key}.")
+            else:
+                keys[prefix + key] = spec
+
+    flatten(cli._SCHEMA, "")
+    for model in cli._NOISE_MODELS:
+        for key, spec in cli._noise_schema({"model": model}).items():
+            keys[f"noise.{key}"] = spec
+            if spec[1] is cli._REQUIRED:
+                required.setdefault(key, []).append(model)
+    return keys, required
+
+
+def kind_name(kind):
+    """The name the README's Kind column gives a schema kind."""
+    if isinstance(kind, cli._ListOf):
+        count = f"{kind.length} " if kind.length else ""
+        return f"list of {count}{kind_name(kind.item)}s"
+    if isinstance(kind, tuple):
+        return "choice"
+    return {int: "integer", float: "number", cli._ANGLE: "angle", str: "string"}[kind]
+
+
+def readme_config_table(text):
+    """Key -> (kind, default, allowed) cells of each row of a config reference table."""
+    rows = {}
+    for line in text.splitlines():
+        key = re.match(r"\| `([^`]+)` \|", line)
+        if key:
+            cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[2:-1]]
+            rows[key.group(1)] = tuple(cells)
+    return rows
+
+
+def accepts(key, value, required):
+    """Whether ``parse_config`` accepts ``value`` for the dotted ``key``, all else default."""
+    section, _, name = key.rpartition(".")
+    if section == "noise":
+        model = required[name][0]
+        params = {p: 1.0 for p, models in required.items() if model in models}
+        doc = {"noise": {"model": model, **params, name: value}}
+    else:
+        doc = {section: {name: value}} if section else {name: value}
+    try:
+        cli.parse_config(json.dumps(doc))
+    except nmqwalk.ConfigError:
+        return False
+    return True
+
+
+def range_faults(key, kind, allowed, defaults, required):
+    """How ``parse_config`` departs from the numeric range an Allowed cell states.
+
+    The cell's range is the text before any ";": "any", ">= b", "> b" or
+    "[lo, hi]", where a bound is a number or a key of the same section (its
+    default stands in). Each bound is tried at and just past it.
+    """
+    text = allowed.split(";")[0].strip()
+    eps = 1 if kind is int else 1e-9
+    section = key.rpartition(".")[0]
+
+    def bound(word):
+        sibling = f"{section}.{word}" if section else word
+        return defaults[sibling] if sibling in defaults else (int if kind is int else float)(word)
+
+    if text == "any":
+        big = 2**70 if kind is int else 1e300
+        trials = [(-big, True), (big, True)]
+    elif m := re.fullmatch(r"(>=|>) (\S+)", text):
+        b = bound(m.group(2))
+        step = eps if kind is int else eps * max(1.0, abs(b))
+        trials = [(b, m.group(1) == ">="), (b - step, False), (b + step, True)]
+    elif m := re.fullmatch(r"\[(\S+), (\S+)\]", text):
+        lo, hi = bound(m.group(1)), bound(m.group(2))
+        trials = [(lo, True), (hi, True), (lo - eps, False), (hi + eps, False)]
+    else:
+        return [f"{key}: unrecognized range {allowed!r}"]
+    return [
+        f"{key}: {value!r} is {'refused' if ok else 'accepted'}, against {allowed!r}"
+        for value, ok in trials
+        if accepts(key, value, required) != ok
+    ]
+
+
+SCHEMA_KEYS, REQUIRED_BY = schema_keys()
+README_TABLE = readme_config_table(README.read_text(encoding="utf-8"))
+DEFAULTS = {key: default for key, (_, default) in SCHEMA_KEYS.items()}
+NUMERIC_KEYS = [key for key, (kind, _) in SCHEMA_KEYS.items() if kind in (int, float, cli._ANGLE)]
+
+
+def test_readme_config_table_matches_the_schema():
+    assert sorted(README_TABLE) == sorted(SCHEMA_KEYS)
+    for key, (kind, default) in SCHEMA_KEYS.items():
+        kind_cell, default_cell, allowed = README_TABLE[key]
+        assert kind_cell == kind_name(kind), key
+        if default is cli._REQUIRED:
+            assert default_cell == f"required ({', '.join(REQUIRED_BY[key.split('.')[1]])})", key
+        else:
+            assert default_cell.strip("`") == json.dumps(default), key
+        choices = kind.item if isinstance(kind, cli._ListOf) else kind
+        if isinstance(choices, tuple):
+            listed = re.findall(r"`([^`]+)`", allowed.split(" (")[0])
+            assert sorted(listed) == sorted(choices), key
+
+
+@pytest.mark.parametrize("key", NUMERIC_KEYS)
+def test_readme_config_range_holds(key):
+    kind = SCHEMA_KEYS[key][0]
+    assert not range_faults(key, kind, README_TABLE[key][2], DEFAULTS, REQUIRED_BY)
+
+
+def test_detects_a_stale_config_table():
+    table = readme_config_table(
+        "| `walk.steps` | integer | 100 | >= 1 |\n"
+        "| `walk.initial_position` | integer | 0 | \\|x\\| <= steps + 1 |\n"
+        "| `choi.t2_max` | number | 20.0 | > t1; the grid ends at t2_max |\n"
+        "Plain text | `not.a.row` |\n"
+    )
+    assert table == {
+        "walk.steps": ("integer", "100", ">= 1"),
+        "walk.initial_position": ("integer", "0", "\\|x\\| <= steps + 1"),
+        "choi.t2_max": ("number", "20.0", "> t1; the grid ends at t2_max"),
+    }
+    faults = [
+        range_faults(key, SCHEMA_KEYS[key][0], table[key][2], DEFAULTS, REQUIRED_BY)
+        for key in table
+    ]
+    assert faults == [
+        ["walk.steps: 0 is accepted, against '>= 1'"],
+        ["walk.initial_position: unrecognized range '\\\\|x\\\\| <= steps + 1'"],
+        [],
+    ]
