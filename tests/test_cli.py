@@ -46,6 +46,9 @@ CONFIG_FAULTS = {
     "steps-float": ('{"walk": {"steps": 5.0}}', "walk.steps"),
     "steps-string": ('{"walk": {"steps": "many"}}', "walk.steps"),
     "position-float": ('{"walk": {"initial_position": 1.5}}', "walk.initial_position"),
+    "position-whole-float": ('{"walk": {"initial_position": 1.0}}', "walk.initial_position"),
+    "position-bool": ('{"walk": {"initial_position": true}}', "walk.initial_position"),
+    "position-string": ('{"walk": {"initial_position": "0"}}', "walk.initial_position"),
     "angle-bool": ('{"walk": {"coin_angle": true}}', "walk.coin_angle"),
     "angle-string": ('{"walk": {"eta": "0"}}', "walk.eta"),
     "steps-negative": ('{"walk": {"steps": -1}}', "steps"),
@@ -340,10 +343,11 @@ class TestWalkCommand:
 
         assert loglog_slope(out_noisy) < loglog_slope(out_free) < 2.1
 
-    def test_stepwise_outputs_match_the_full_lattice_loop(self, tmp_path, monkeypatch):
-        # the rows the full (2n)^2 evolution gives under the same emit rule;
-        # the variances are compared as computed, before the CSV rounds them
-        # to 12 digits
+    @pytest.mark.parametrize("x0", [0, -2])
+    def test_stepwise_outputs_match_the_full_lattice_loop(self, tmp_path, monkeypatch, x0):
+        # the rows the full (2n)^2 evolution gives under the same emit rule,
+        # their x shifted by the start; the variances are compared as
+        # computed, before the CSV rounds them to 12 digits
         written = {}
 
         def keep_rows(path, header, fmt, rows):
@@ -353,7 +357,7 @@ class TestWalkCommand:
         write_csv = cli_mod._write_csv
         monkeypatch.setattr(cli_mod, "_write_csv", keep_rows)
         doc = {
-            "walk": {"steps": 30, "delta": 40.0, "eta": 30.0},
+            "walk": {"steps": 30, "delta": 40.0, "eta": 30.0, "initial_position": x0},
             "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
             "mode": "stepwise",
         }
@@ -365,7 +369,9 @@ class TestWalkCommand:
         variance = []
         for t, rho, positions in full_lattice_stepwise(parsed.walk, parsed.noise):
             probs = dense_populations(rho)
-            dist += [f"{t},{x},{p:.12g}\n" for x, p in zip(positions, probs) if p > _PROB_EMIT_TOL]
+            dist += [
+                f"{t},{x + x0},{p:.12g}\n" for x, p in zip(positions, probs) if p > _PROB_EMIT_TOL
+            ]
             variance.append(distribution_variance(probs, positions.astype(float)))
         assert (out / "distribution.csv").read_text(encoding="utf-8") == "".join(dist)
         steps, found = zip(*written["variance.csv"])
@@ -460,6 +466,25 @@ class TestStartPosition:
             shifted = [f"{t},{int(x) + x0},{p}" for t, x, p in (row.split(",") for row in rows)]
             assert found.pop("walk/distribution.csv") == header + "".join(shifted), x0
             assert found == origin, x0
+
+
+    @pytest.mark.parametrize("x0", [-7, 7], ids=["left", "right"])
+    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
+    def test_x_column_is_the_light_cone_about_the_start(self, tmp_path, mode, x0):
+        # distribution.csv holds x0 - t, x0 - t + 2, ..., x0 + t at step t;
+        # the config's angles are in degrees; this walker fills its whole cone
+        doc = {
+            "walk": {"steps": 6, "delta": 40.0, "eta": 30.0, "initial_position": x0},
+            "noise": {"model": "oun", "Gamma": 0.1, "gamma": 0.01},
+            "mode": mode,
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["walk", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        _, rows = read_csv(tmp_path / "out" / "distribution.csv")
+        written = {t: [] for t in range(7)}
+        for t, x, _ in rows:
+            written[int(t)].append(int(x))
+        assert written == {t: list(range(x0 - t, x0 + t + 1, 2)) for t in written}
 
 
 class TestWitnessCommand:

@@ -402,6 +402,20 @@ class TestStepwiseLightCone:
             assert np.array_equal(x, np.arange(-t, t + 1, 2))
             assert np.array_equal(embed(found, x, cfg), expected), f"t={t}"
 
+    @pytest.mark.parametrize("noise", STEPWISE_NOISES.values(), ids=STEPWISE_NOISES.keys())
+    @pytest.mark.parametrize("coin_angle", [0.0, 1.2286, -2.5], ids=["ballistic", "real", "obtuse"])
+    def test_long_walks_under_other_coins_match_the_full_lattice(self, coin_angle, noise):
+        # the hypothesis walks stop at T = 24; these run to T = 40, every
+        # block the full-lattice state bit for bit
+        cfg = WalkConfig(steps=40, coin_angle=coin_angle, delta=0.7, eta=0.3)
+        found, positions, error = stepwise_run(evolve_stepwise, cfg, noise)
+        expected, _, expected_error = stepwise_run(full_lattice_stepwise, cfg, noise)
+        assert error is None and expected_error is None
+        assert len(found) == len(expected) == cfg.steps + 1
+        for t, (a, b) in enumerate(zip(found, expected)):
+            assert np.array_equal(a, b), f"t={t}"
+        assert np.array_equal(positions[-1], np.arange(-cfg.steps, cfg.steps + 1, 2))
+
     def test_yielded_states_are_copies(self):
         # the walk keeps its own state: overwriting a yielded one changes no
         # later one
@@ -535,8 +549,14 @@ class TestDistributions:
 
     @pytest.mark.parametrize("noise", MODEL_NOISES.values(), ids=MODEL_NOISES.keys())
     @pytest.mark.parametrize("mode", MODES)
-    def test_populations_are_the_dense_diagonal(self, mode, noise):
-        assert_populations_are_the_dense_diagonal(WalkConfig(steps=8, delta=0.7, eta=0.3), noise, mode)
+    @pytest.mark.parametrize(
+        "steps, coin_angle",
+        [(8, math.pi / 4), (9, math.pi / 4), (9, 1.2286)],
+        ids=["hadamard-8", "hadamard-9", "real-9"],
+    )
+    def test_populations_are_the_dense_diagonal(self, steps, coin_angle, mode, noise):
+        cfg = WalkConfig(steps=steps, coin_angle=coin_angle, delta=0.7, eta=0.3)
+        assert_populations_are_the_dense_diagonal(cfg, noise, mode)
 
     def test_variance_early_steps(self):
         cfg = WalkConfig(steps=2)

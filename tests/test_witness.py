@@ -972,12 +972,14 @@ class TestTraceDistanceSeries:
     @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
     @pytest.mark.parametrize("pair", TD_PAIRS.values(), ids=TD_PAIRS.keys())
     @pytest.mark.parametrize("noise", ORACLE_NOISES.values(), ids=ORACLE_NOISES.keys())
+    @pytest.mark.parametrize("steps", [40, 31], ids=["even", "odd"])
     @pytest.mark.parametrize("coin_angle", [math.pi / 4, 0.0], ids=["hadamard", "ballistic"])
-    def test_long_walks_match_the_two_walker_oracle(self, coin_angle, noise, pair, mode):
-        # under the diagonal coin C(0) the real amplitudes of the default pair
-        # keep exactly equal populations, so the stepwise start rho1 - rho2
-        # keeps an exactly zero diagonal
-        cfg = WalkConfig(steps=40, coin_angle=coin_angle)
+    def test_long_walks_match_the_two_walker_oracle(self, coin_angle, steps, noise, pair, mode):
+        # an odd T ends the walk on the odd sites. Under the diagonal coin
+        # C(0) the real amplitudes of the default pair keep exactly equal
+        # populations, so the stepwise start rho1 - rho2 keeps an exactly
+        # zero diagonal
+        cfg = WalkConfig(steps=steps, coin_angle=coin_angle)
         expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
         found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
         assert found.shape == expected.shape == (cfg.steps + 1,)
