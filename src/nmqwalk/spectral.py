@@ -7,12 +7,12 @@ signal information backflow. Subtracting a monotonically falling best fit
 noise-induced revivals from the fast position-environment recurrences by
 frequency, and peak powers quantify their relative strength.
 
-Frequencies are in cycles per walk step. The one-sided power spectrum is
-normalized so that the total power over all bins equals N times the
-variance of the mean-removed series (interior bins carry the doubled
-two-sided power).
+Frequencies are in cycles per walk step, whatever the uniform spacing of
+the series' times. The one-sided power spectrum is normalized so that the
+total power over all bins equals N times the variance of the mean-removed
+series (interior bins carry the doubled two-sided power).
 
-Both MFBF families are exact weighted least-squares fits in numpy alone:
+Both MFBF families are exact least-squares fits in numpy alone:
 the isotonic family by pool-adjacent-violators, the exponential family by
 variable projection, a closed form for (a, c) and a search over the rate b
 (see :func:`fit_mfbf`). So the spectral step never loads scipy.
@@ -43,29 +43,24 @@ _LEVEL_TOL = 1e-12
 _RATE_TOL = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _TINY = sys.float_info.min
+#: the most any step of a series may differ from its first, relative to it
 _UNIFORM_SPACING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Uniformly weighted (by default) samples of a witness over walk steps."""
+    """Samples of a witness at strictly increasing walk steps."""
 
     times: np.ndarray
     values: np.ndarray
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        weights = (
-            np.ones_like(values)
-            if self.weights is None
-            else np.asarray(self.weights, dtype=float)
-        )
-        if times.ndim != 1 or times.shape != values.shape or weights.shape != values.shape:
+        if times.ndim != 1 or times.shape != values.shape:
             raise ValueError(
-                "times, values and weights must be 1-d of one length, got shapes "
-                f"{times.shape}, {values.shape} and {weights.shape}"
+                "times and values must be 1-d of one length, got shapes "
+                f"{times.shape} and {values.shape}"
             )
         if not np.all(np.isfinite(times)):
             raise ValueError("times must be finite")
@@ -73,11 +68,8 @@ class TimeSeries:
             raise ValueError("times must be strictly increasing")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)
@@ -86,10 +78,9 @@ class MonotoneFit:
 
     ``parameters`` is (amplitude, rate, offset) for the exponential family
     a*exp(-b*(t - t0)) + c, with ``t0`` the series' first time; both are
-    None for the isotonic family.
+    None for the isotonic family, so ``parameters`` tells the two apart.
     """
 
-    family: str
     fitted: np.ndarray
     parameters: tuple[float, float, float] | None = None
     t0: float | None = None
@@ -97,7 +88,10 @@ class MonotoneFit:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided magnitude-squared DFT; frequencies k/N, k = 0..floor(N/2)."""
+    """One-sided magnitude-squared DFT of N samples a step D apart.
+
+    ``frequencies`` are k/(N*D), k = 0..floor(N/2), in cycles per walk step.
+    """
 
     frequencies: np.ndarray
     power: np.ndarray
@@ -125,18 +119,18 @@ class DisambiguationReport:
 
 
 def _projected_fits(rates, tau, centred, mass):
-    """Weighted SSE, amplitude and centred basis of the best a*exp(-b*tau) + c per rate.
+    """SSE, amplitude and centred basis of the best a*exp(-b*tau) + c per rate.
 
-    ``rates`` is one rate b or an array of them; ``mass`` is the weights
-    scaled to sum to 1, so the SSE comes out divided by the weight sum.
-    For a fixed b the model is linear in (a, c). In the basis
-    psi = exp(-b*tau) - 1, taken by ``expm1`` so that it stays exact as
-    b -> 0, centred on its weighted mean, the 2 x 2 weighted normal
-    equations give a = <psi, y> / <psi, psi> against the centred values y,
-    and c from the means. A negative a is set to 0, with c the weighted
-    mean: the best non-increasing fit of that rate. b = 0 gives psi = 0,
-    the same answer. The SSE is summed from the residuals, not from the
-    normal equations, so it keeps its relative precision at a close fit.
+    ``rates`` is one rate b or an array of them; ``mass`` is 1/n at each of
+    the n samples, so the SSE comes out divided by n and every inner
+    product is a mean. For a fixed b the model is linear in (a, c). In the
+    basis psi = exp(-b*tau) - 1, taken by ``expm1`` so that it stays exact
+    as b -> 0, centred on its mean, the 2 x 2 normal equations give
+    a = <psi, y> / <psi, psi> against the centred values y, and c from the
+    means. A negative a is set to 0, with c the mean: the best
+    non-increasing fit of that rate. b = 0 gives psi = 0, the same answer.
+    The SSE is summed from the residuals, not from the normal equations,
+    so it keeps its relative precision at a close fit.
     """
     psi = np.expm1(np.multiply.outer(-rates, tau))
     psi -= np.dot(psi, mass)[..., None]
@@ -173,7 +167,7 @@ def _fit_exponential(s: TimeSeries) -> MonotoneFit:
     """a*exp(-b*(t - t0)) + c with a, b >= 0 by variable projection (see ``fit_mfbf``)."""
     t0 = s.times[0]
     tau = s.times - t0
-    mass = s.weights / np.sum(s.weights)
+    mass = np.full(len(tau), 1.0 / len(tau))
     mean = float(np.dot(mass, s.values))
     centred = s.values - mean
     # from rates at which psi is a straight line to within rounding, to
@@ -206,27 +200,25 @@ def _fit_exponential(s: TimeSeries) -> MonotoneFit:
     fitted = mean + amplitude * psi
     if not (np.isfinite(sse) and np.all(np.isfinite(parameters))):
         raise FitError(f"exponential fit overflows: SSE {sse}, (a, b, c) = {parameters}")
-    return MonotoneFit(family="exponential", fitted=fitted, parameters=parameters, t0=float(t0))
+    return MonotoneFit(fitted=fitted, parameters=parameters, t0=float(t0))
 
 
 def _fit_isotonic(s: TimeSeries) -> MonotoneFit:
-    """The weighted least-squares non-increasing fit by pool-adjacent-violators.
+    """The least-squares non-increasing fit by pool-adjacent-violators.
 
     Each point opens a block; while the block before it has a mean no
-    larger, the two pool into one with their weighted mean. O(n).
+    larger, the two pool into one with their mean. O(n).
     """
-    sums, totals, counts = [], [], []
-    for y, w in zip((s.values * s.weights).tolist(), s.weights.tolist()):
+    sums, counts = [], []
+    for y in s.values.tolist():
         count = 1
-        while sums and sums[-1] / totals[-1] <= y / w:
+        while sums and sums[-1] / counts[-1] <= y / count:
             y += sums.pop()
-            w += totals.pop()
             count += counts.pop()
         sums.append(y)
-        totals.append(w)
         counts.append(count)
-    fitted = np.repeat(np.array(sums) / np.array(totals), counts)
-    return MonotoneFit(family="isotonic", fitted=fitted)
+    fitted = np.repeat(np.array(sums) / np.array(counts), counts)
+    return MonotoneFit(fitted=fitted)
 
 
 def _check_fit_input(s: TimeSeries, family: str) -> None:
@@ -240,19 +232,19 @@ def _check_spectrum_input(s: TimeSeries) -> None:
     if len(s.values) < 8:
         raise ValueError(f"need at least 8 samples, got {len(s.values)}")
     dt = np.diff(s.times)
-    if np.max(np.abs(dt - dt[0])) > _UNIFORM_SPACING_TOL:
+    if np.max(np.abs(dt - dt[0])) > _UNIFORM_SPACING_TOL * dt[0]:
         raise ValueError("power_spectrum requires uniformly spaced times")
 
 
 def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
-    """Monotonically falling best fit of a series, by weighted least squares.
+    """Monotonically falling best fit of a series, by least squares.
 
     The isotonic family is the exact non-increasing fit, by
     pool-adjacent-violators (Best & Chakravarti, Math. Programming 47, 425,
     1990). The exponential family fits a*exp(-b*(t - t0)) + c, t0 the first
     time, with a, b >= 0 by variable projection (Golub & Pereyra, SIAM J.
     Numer. Anal. 10, 413, 1973): for a fixed b the best (a, c) is a closed
-    form, so the fit is a search over b alone. The weighted SSE is
+    form, so the fit is a search over b alone. The SSE is
     evaluated at b = 0 and on a log-spaced bracket of b in one ``expm1``,
     and golden-section search refines the best point of each basin the
     bracket finds to a relative 1e-12 in b. t0 is kept in
@@ -268,20 +260,12 @@ def fit_mfbf(s: TimeSeries, family: str = DEFAULT_FIT_FAMILY) -> MonotoneFit:
         return _fit_exponential(s)
 
 
-def detrend(s: TimeSeries, fit: MonotoneFit) -> TimeSeries:
-    """Residual series s.values - fit.fitted on the same time grid."""
-    if len(fit.fitted) != len(s.values):
-        raise ValueError(
-            f"fit length {len(fit.fitted)} does not match series length {len(s.values)}"
-        )
-    return TimeSeries(times=s.times, values=s.values - fit.fitted, weights=s.weights)
-
-
 def power_spectrum(s: TimeSeries) -> Spectrum:
     """One-sided magnitude-squared DFT of the mean-removed series.
 
     Interior bins carry both DFT halves so the total power equals N times
     the variance of the mean-removed input (a discrete Parseval identity).
+    The step D of ``Spectrum`` is (t_last - t_0)/(N - 1).
     """
     _check_spectrum_input(s)
     n = len(s.values)
@@ -291,7 +275,8 @@ def power_spectrum(s: TimeSeries) -> Spectrum:
     scale[0] = 1.0
     if n % 2 == 0:
         scale[-1] = 1.0
-    freqs = np.arange(len(spec)) / n
+    step = (s.times[-1] - s.times[0]) / (n - 1)
+    freqs = np.arange(len(spec)) / (n * step)
     return Spectrum(frequencies=freqs, power=spec * scale)
 
 
@@ -326,7 +311,7 @@ def disambiguate(
     _check_fit_input(s, family)
     _check_spectrum_input(s)
     fit = fit_mfbf(s, family)
-    residual = detrend(s, fit)
+    residual = TimeSeries(s.times, s.values - fit.fitted)
     spectrum = power_spectrum(residual)
     peaks = tuple(find_peaks(spectrum, min_prominence))
     ratio = peaks[0].power / peaks[1].power if len(peaks) >= 2 else None

@@ -69,7 +69,7 @@ and scipy's Nelder-Mead from the best one.
 ``spectral.fit_mfbf`` fits a*exp(-b*t) + c by variable projection, a
 global search over b. ``curve_fit_exponential`` below is its oracle: scipy's
 bounded nonlinear least squares, a local search from a log-linear start.
-The exact fit must reach at least as low a ``weighted_sse``.
+The exact fit must reach at least as low an ``sse``.
 """
 
 import math
@@ -597,13 +597,12 @@ def curve_fit_exponential(s: TimeSeries) -> np.ndarray:
         s.times,
         s.values,
         p0=start,
-        sigma=1.0 / np.sqrt(s.weights),
         bounds=([0.0, 0.0, -np.inf], [np.inf, np.inf, np.inf]),
         maxfev=10_000,
     )
     return _exp_model(s.times, *popt)
 
 
-def weighted_sse(s: TimeSeries, fitted: np.ndarray) -> float:
-    """sum_i w_i (y_i - g_i)^2 of a fit g of the series."""
-    return float(np.sum(s.weights * (s.values - fitted) ** 2))
+def sse(s: TimeSeries, fitted: np.ndarray) -> float:
+    """sum_i (y_i - g_i)^2 of a fit g of the series."""
+    return float(np.sum((s.values - fitted) ** 2))

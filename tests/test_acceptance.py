@@ -289,8 +289,8 @@ def test_criterion_8_purity_revival(capsys):
     report(capsys, 8, "temporary purity increase only under RTN", checks)
 
 
-def exhaustive_isotonic(values, weights):
-    """The weighted least-squares fit, constant on blocks of consecutive
+def exhaustive_isotonic(values):
+    """The least-squares fit, constant on blocks of consecutive
     points whose means do not rise by more than 1e-12 from block to block,
     over every one of the 2^(n - 1) partitions into blocks."""
     import itertools
@@ -302,18 +302,18 @@ def exhaustive_isotonic(values, weights):
         fit = np.empty(n)
         means = []
         for lo, hi in zip(bounds, bounds[1:]):
-            m = np.average(values[lo:hi], weights=weights[lo:hi])
+            m = np.mean(values[lo:hi])
             means.append(m)
             fit[lo:hi] = m
         if any(b > a + 1e-12 for a, b in zip(means, means[1:])):
             continue
-        cost = np.sum(weights * (values - fit) ** 2)
+        cost = np.sum((values - fit) ** 2)
         if cost < best_cost:
             best, best_cost = fit, cost
     return best
 
 
-def dynamic_isotonic(values, weights):
+def dynamic_isotonic(values):
     """The fit of ``exhaustive_isotonic`` in O(n^3) time, over the same partitions.
 
     The partitions are feasible exactly when each pair of consecutive blocks
@@ -326,8 +326,8 @@ def dynamic_isotonic(values, weights):
     mean, cost = {}, {}
     for lo in range(n):
         for hi in range(lo + 1, n + 1):
-            mean[lo, hi] = np.average(values[lo:hi], weights=weights[lo:hi])
-            cost[lo, hi] = np.sum(weights[lo:hi] * (values[lo:hi] - mean[lo, hi]) ** 2)
+            mean[lo, hi] = np.mean(values[lo:hi])
+            cost[lo, hi] = np.sum((values[lo:hi] - mean[lo, hi]) ** 2)
     # (least cost, start of the block before) of 0 .. hi - 1 ending in block lo .. hi - 1
     best = {(0, hi): (cost[0, hi], None) for hi in range(1, n + 1)}
     for hi in range(2, n + 1):
@@ -357,16 +357,13 @@ def test_criterion_9_oracle_suites(capsys):
     for _ in range(200):
         n = int(rng.integers(4, 13))
         values = rng.normal(size=n)
-        weights = rng.uniform(0.2, 3.0, size=n)
-        fitted = fit_mfbf(
-            TimeSeries(np.arange(n, dtype=float), values, weights), "isotonic"
-        ).fitted
-        expected = dynamic_isotonic(values, weights)
+        fitted = fit_mfbf(TimeSeries(np.arange(n, dtype=float), values), "isotonic").fitted
+        expected = dynamic_isotonic(values)
         worst_iso = max(worst_iso, float(np.max(np.abs(fitted - expected))))
         if n <= 8:
             worst_dynamic = max(
                 worst_dynamic,
-                float(np.max(np.abs(expected - exhaustive_isotonic(values, weights)))),
+                float(np.max(np.abs(expected - exhaustive_isotonic(values)))),
             )
 
     worst_parseval = 0.0

@@ -603,9 +603,10 @@ class TestChoiCommand:
 
 
 class TestSpectrumCommand:
-    def write_series(self, tmp_path, values):
+    def write_series(self, tmp_path, values, times=None):
         path = tmp_path / "series.csv"
-        lines = ["step,value"] + [f"{t},{float(v)!r}" for t, v in enumerate(values)]
+        times = range(len(values)) if times is None else times
+        lines = ["step,value"] + [f"{t},{float(v)!r}" for t, v in zip(times, values)]
         path.write_text("\n".join(lines) + "\n")
         return path
 
@@ -630,6 +631,34 @@ class TestSpectrumCommand:
         for name in ("fit.csv", "residual.csv", "spectrum.csv"):
             header, rows = read_csv(out / name)
             assert len(rows) > 0
+
+    @pytest.mark.parametrize("step", [1, 2], ids=["unit-steps", "steps-of-2"])
+    def test_outputs_follow_the_input_and_its_step(self, tmp_path, step):
+        # a tone of 0.1 cycles per step on a decay; at steps of 2 the input
+        # holds every second row of the unit-step one
+        t = step * np.arange(80)
+        src = self.write_series(tmp_path, np.exp(-0.05 * t) + 0.1 * np.cos(0.2 * np.pi * t), t)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {})
+        assert main(["spectrum", "--config", str(cfg), "--input", str(src), "--out", str(out)]) == 0
+        inputs, fit, residual = (
+            np.array(read_csv(path)[1], dtype=float)
+            for path in (src, out / "fit.csv", out / "residual.csv")
+        )
+        n = len(inputs)
+        assert fit.shape == residual.shape == (n, 2)
+        assert np.array_equal(fit[:, 0], t) and np.array_equal(residual[:, 0], t)
+        # to 12 significant digits of the input, as the CSVs write them
+        np.testing.assert_allclose(
+            residual[:, 1], inputs[:, 1] - fit[:, 1], rtol=0, atol=1e-11 * np.max(np.abs(inputs))
+        )
+        header, rows = read_csv(out / "spectrum.csv")
+        frequencies, power = np.array(rows, dtype=float).T
+        assert header == ["frequency", "power"]
+        np.testing.assert_allclose(frequencies, np.arange(n // 2 + 1) / (n * step), rtol=1e-11)
+        assert np.sum(power) == pytest.approx(n * np.var(residual[:, 1]), rel=1e-9)
+        peaks = json.loads((out / "peaks.json").read_text())
+        assert peaks[0]["frequency"] == pytest.approx(0.1, rel=1e-12)
 
     def test_constant_input_empty_peaks(self, tmp_path):
         src = self.write_series(tmp_path, [0.5] * 16)

@@ -7,9 +7,10 @@ class or constant (a leading underscore, not a dunder) defined at module
 level must be read somewhere in the same module. Every name
 ``nmqwalk.__all__`` lists must exist in the package, and every function it
 lists must be imported by the command line (``cli.py``) or a demo: the
-public surface is what they call. ``src/`` imports no scipy, at any depth:
-numpy is its one run-time dependency, and scipy serves the tests' oracles
-alone. Every error class of ``nmqwalk.exceptions`` but the base
+public surface is what they call. Likewise every field of a dataclass it
+lists must be named there, as an attribute or as a keyword argument.
+``src/`` imports no scipy, at any depth: numpy is its one run-time
+dependency, and scipy serves the tests' oracles alone. Every error class of ``nmqwalk.exceptions`` but the base
 ``NmqwalkError`` is raised by some ``raise`` statement in ``src/``: an
 error nothing raises is public surface nothing needs. The README's config
 reference lists exactly the keys ``cli.parse_config`` accepts, each with
@@ -18,6 +19,7 @@ its kind and default, and every numeric range it states is the one
 """
 
 import ast
+import dataclasses
 import inspect
 import json
 import re
@@ -165,6 +167,64 @@ def test_every_exported_function_has_a_client():
     assert not unused, (
         f"nmqwalk.__all__ lists functions neither cli.py nor a demo imports: {unused}"
     )
+
+
+def attribute_and_keyword_names(tree):
+    """Names a module uses as an attribute (``x.name``) or a keyword (``f(name=...)``)."""
+    return {
+        node.attr if isinstance(node, ast.Attribute) else node.arg
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.keyword) and node.arg)
+    }
+
+
+def unnamed_fields(objects, named):
+    """``Class.field`` for every field of a dataclass among ``objects`` not in ``named``."""
+    return [
+        f"{obj.__name__}.{f.name}"
+        for obj in objects
+        if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+        for f in dataclasses.fields(obj)
+        if f.name not in named
+    ]
+
+
+def test_every_exported_dataclass_field_has_a_client():
+    """A field neither cli.py nor a demo reads or sets is public surface nothing needs.
+
+    The rule matches names, not types: a field passes when any attribute or
+    keyword of the clients shares its name. So ``MonotoneFit.family``, read
+    by no one, passed while ``family=`` was also a keyword of
+    ``disambiguate``.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in CLIENTS]
+    named = set().union(*map(attribute_and_keyword_names, trees))
+    unnamed = unnamed_fields([getattr(nmqwalk, name) for name in nmqwalk.__all__], named)
+    assert not unnamed, (
+        f"dataclasses in nmqwalk.__all__ have fields neither cli.py nor a demo names: {unnamed}"
+    )
+
+
+def test_detects_an_unnamed_dataclass_field():
+    source = "s = Series(times=t, **extra)\nprint(s.values, report.fit.t0)\n"
+    named = attribute_and_keyword_names(ast.parse(source))
+    assert named == {"times", "values", "fit", "t0"}
+
+    @dataclasses.dataclass
+    class Series:
+        times: list
+        values: list
+        weights: list
+
+    @dataclasses.dataclass
+    class Fit:
+        t0: float
+        family: str
+
+    class Plain:
+        spare = 0
+
+    assert unnamed_fields([Series, Fit, Plain, print], named) == ["Series.weights", "Fit.family"]
 
 
 def test_detects_a_package_import():

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import curve_fit_exponential, weighted_sse
+from conftest import curve_fit_exponential, sse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import isotonic_regression
@@ -11,7 +11,6 @@ from nmqwalk.cli import _read_series_csv, main
 from nmqwalk.exceptions import FitError
 from nmqwalk.spectral import (
     TimeSeries,
-    detrend,
     disambiguate,
     find_peaks,
     fit_mfbf,
@@ -23,11 +22,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SSE_MARGIN = 1e-12
 
 
-def series(values, times=None, weights=None):
+def series(values, times=None):
     values = np.asarray(values, dtype=float)
     if times is None:
         times = np.arange(len(values), dtype=float)
-    return TimeSeries(times=times, values=values, weights=weights)
+    return TimeSeries(times=times, values=values)
 
 
 T60, T100, T128 = (np.arange(n, dtype=float) for n in (60, 100, 128))
@@ -48,9 +47,7 @@ EXPONENTIAL_SERIES = {
 
 
 def assert_never_loses_to_curve_fit(s, fit):
-    assert weighted_sse(s, fit.fitted) <= weighted_sse(s, curve_fit_exponential(s)) * (
-        1 + SSE_MARGIN
-    )
+    assert sse(s, fit.fitted) <= sse(s, curve_fit_exponential(s)) * (1 + SSE_MARGIN)
 
 
 class TestTimeSeries:
@@ -71,30 +68,19 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="times must be finite"):
             series([1.0, 0.8, 0.6, 0.5], times=times)
 
-    def test_rejects_non_positive_weights(self):
-        with pytest.raises(ValueError):
-            series([1, 2, 3], weights=np.array([1.0, 0.0, 1.0]))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_rejects_non_finite_weights(self, bad):
-        # a NaN weight passed the check weights <= 0, and the isotonic fit returned NaN
-        with pytest.raises(ValueError, match="weights must be positive and finite"):
-            series([1.0, 0.8, 0.6], weights=np.array([1.0, bad, 1.0]))
-
     @pytest.mark.parametrize(
-        "times, values, weights",
+        "times, values",
         [
-            (np.arange(3.0), np.ones(3), 2.0),
-            (0.0, 1.0, None),
-            (np.zeros((2, 2)), np.ones((2, 2)), None),
-            (np.arange(3.0), np.ones(4), None),
+            (0.0, 1.0),
+            (np.zeros((2, 2)), np.ones((2, 2))),
+            (np.arange(3.0), np.ones(4)),
         ],
-        ids=["scalar-weights", "0-d-series", "2-d-series", "length-mismatch"],
+        ids=["0-d-series", "2-d-series", "length-mismatch"],
     )
-    def test_rejects_a_series_that_is_not_1d_of_one_length(self, times, values, weights):
-        # a scalar weight or a 0-d series raised TypeError from len() in the error message
+    def test_rejects_a_series_that_is_not_1d_of_one_length(self, times, values):
+        # a 0-d series raised TypeError from len() in the error message
         with pytest.raises(ValueError, match=r"must be 1-d of one length, got shapes \("):
-            TimeSeries(times=times, values=values, weights=weights)
+            TimeSeries(times=times, values=values)
 
 
 class TestIsotonicFit:
@@ -115,24 +101,20 @@ class TestIsotonicFit:
     @given(
         levels=st.lists(st.integers(-3, 3), min_size=4, max_size=40),
         scale=st.floats(1e-3, 10.0),
-        data=st.data(),
     )
-    def test_matches_scipy(self, levels, scale, data):
+    def test_matches_scipy(self, levels, scale):
         # integer levels make ties, within a block and between blocks
-        weights = np.array(
-            data.draw(st.lists(st.floats(0.01, 100.0), min_size=len(levels), max_size=len(levels)))
-        )
         values = scale * np.array(levels, dtype=float)
-        fitted = fit_mfbf(series(values, weights=weights), "isotonic").fitted
-        expected = isotonic_regression(values, weights=weights, increasing=False).x
+        fitted = fit_mfbf(series(values), "isotonic").fitted
+        expected = isotonic_regression(values, increasing=False).x
         assert np.max(np.abs(fitted - expected)) <= 1e-12
 
     def test_residual_has_no_monotone_component(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
             s = series(rng.normal(size=30))
-            fit = fit_mfbf(s, "isotonic")
-            residual = detrend(s, fit)
+            report = disambiguate(s, "isotonic")
+            fit, residual = report.fit, report.residual
             refit = fit_mfbf(residual, "isotonic").fitted
             fit_ss = float(np.sum(fit.fitted**2))
             assert np.sum(refit**2) <= 1e-9 * max(fit_ss, 1.0)
@@ -180,7 +162,7 @@ class TestExponentialFit:
         rng = np.random.default_rng(seed)
         times = t0 + np.arange(n, dtype=float)
         values = a * np.exp(-b * (times - t0)) + c + noise * rng.normal(size=n)
-        s = series(values, times=times, weights=rng.uniform(0.2, 3.0, size=n))
+        s = series(values, times=times)
         fit = fit_mfbf(s, "exponential")
         assert np.all(np.diff(fit.fitted) <= 0.0)
         assert_never_loses_to_curve_fit(s, fit)
@@ -222,25 +204,16 @@ class TestExponentialFit:
 
 class TestDetrend:
     def test_monotone_input_zero_residual(self):
-        s = series([4.0, 3.0, 2.0, 1.0])
-        residual = detrend(s, fit_mfbf(s, "isotonic"))
+        residual = disambiguate(series(np.arange(8.0, 0.0, -1.0)), "isotonic").residual
         np.testing.assert_allclose(residual.values, 0.0, atol=1e-12)
 
     def test_constant_series_zero_residual(self):
-        s = series([2.0] * 8)
-        residual = detrend(s, fit_mfbf(s, "isotonic"))
+        residual = disambiguate(series([2.0] * 8), "isotonic").residual
         np.testing.assert_allclose(residual.values, 0.0, atol=1e-12)
 
     def test_recovers_oscillation_under_exponential_trend(self):
-        s = EXPONENTIAL_SERIES["tone-on-decay"]
-        residual = detrend(s, fit_mfbf(s, "exponential"))
+        residual = disambiguate(EXPONENTIAL_SERIES["tone-on-decay"], "exponential").residual
         assert np.max(np.abs(residual.values - 0.1 * np.cos(2 * np.pi * 0.25 * T128))) <= 0.02
-
-    def test_length_mismatch_rejected(self):
-        s = series([3.0, 2.0, 1.0, 0.5])
-        fit = fit_mfbf(s, "isotonic")
-        with pytest.raises(ValueError):
-            detrend(series([1.0, 0.5, 0.25, 0.2, 0.1]), fit)
 
 
 class TestPowerSpectrum:
@@ -272,14 +245,33 @@ class TestPowerSpectrum:
                 n * np.var(y), abs=1e-9 * max(1.0, n * np.var(y))
             )
 
-    def test_frequency_axis(self):
-        sp = power_spectrum(series(np.arange(10.0)))
-        np.testing.assert_allclose(sp.frequencies, np.arange(6) / 10)
+    @pytest.mark.parametrize(
+        "t0, step", [(0.0, 1.0), (3.0, 0.5)], ids=["unit-step", "offset-half-step"]
+    )
+    def test_frequency_axis(self, t0, step):
+        # cycles per walk step: bin k of N samples a step D apart is k/(N*D)
+        sp = power_spectrum(series(np.arange(10.0), times=t0 + step * np.arange(10.0)))
+        np.testing.assert_allclose(sp.frequencies, np.arange(6) / (10 * step), rtol=1e-15)
 
-    def test_non_uniform_spacing_rejected(self):
-        t = np.array([0.0, 1.0, 2.0, 3.5, 4.0, 5.0, 6.0, 7.0])
-        with pytest.raises(ValueError):
-            power_spectrum(series(np.ones(8), times=t))
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            [1.0, 1.0, 1.5, 0.5, 1.0, 1.0, 1.0],
+            # a spacing far below 1e-9 once passed the check, however uneven
+            [1e-12, 1.5e-12] * 7 + [1e-12],
+        ],
+        ids=["unit-scale", "picosteps"],
+    )
+    def test_non_uniform_spacing_rejected(self, steps):
+        t = np.concatenate(([0.0], np.cumsum(steps)))
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            power_spectrum(series(np.ones(len(t)), times=t))
+
+    def test_uniformity_is_relative_to_the_step(self):
+        # a 1e-4 jitter on steps of 1e6 is 1e-10 of the step
+        t = np.concatenate(([0.0], np.cumsum([1e6, 1e6 + 1e-4] * 7 + [1e6])))
+        sp = power_spectrum(series(np.cos(np.arange(16.0)), times=t))
+        np.testing.assert_allclose(sp.frequencies, np.arange(9) / (16 * 1e6), rtol=1e-9)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +319,13 @@ class TestDisambiguate:
         assert report.peak_power_ratio == pytest.approx(
             report.peaks[0].power / report.peaks[1].power
         )
+
+    def test_peak_frequency_is_in_cycles_per_step(self):
+        # every second step of a tone of 0.1 cycles per step on a decay
+        t = np.arange(0.0, 160.0, 2.0)
+        values = np.exp(-0.05 * t) + 0.1 * np.cos(2 * np.pi * 0.1 * t)
+        report = disambiguate(series(values, times=t))
+        assert report.peaks[0].frequency == pytest.approx(0.1, rel=1e-12)
 
     def test_single_peak_has_no_ratio(self):
         t = np.arange(64, dtype=float)
