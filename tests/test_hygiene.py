@@ -10,12 +10,12 @@ lists must be imported by the command line (``cli.py``) or a demo: the
 public surface is what they call. Likewise every field of a dataclass it
 lists must be named there, as an attribute or as a keyword argument.
 ``src/`` imports no scipy, at any depth: numpy is its one run-time
-dependency, and scipy serves the tests' oracles alone. Every error class of ``nmqwalk.exceptions`` but the base
-``NmqwalkError`` is raised by some ``raise`` statement in ``src/``: an
-error nothing raises is public surface nothing needs. The README's config
-reference lists exactly the keys ``cli.parse_config`` accepts, each with
-its kind and default, and every numeric range it states is the one
-``parse_config`` enforces.
+dependency, and scipy serves the tests' oracles alone. Every error class
+of ``nmqwalk.exceptions`` but the base ``NmqwalkError`` is raised by some
+``raise`` statement in ``src/``: an error nothing raises is public surface
+nothing needs. The README's config reference lists exactly the keys
+``cli.parse_config`` accepts, each with its kind and default, and every
+numeric range it states is the one ``parse_config`` enforces.
 """
 
 import ast
