@@ -70,19 +70,12 @@ def kernel_ratio(noise: NoiseModel, t1, t2):
     return kernel_value(noise, t2) / k1
 
 
-def choi_eigenvalues(r):
-    """Eigenvalues (0, 0, 1 - r, 1 + r) of the intermediate Choi matrix."""
-    return (0.0, 0.0, 1.0 - r, 1.0 + r)
-
-
 def is_cp(r):
-    """Complete positivity of the intermediate map: no negative Choi eigenvalue.
+    """Complete positivity of the intermediate map: neither Choi eigenvalue 1 -+ r is negative.
 
     Elementwise for an array r; a NaN r is not CP.
     """
-    _, _, l3, l4 = choi_eigenvalues(r)
-    cp = np.minimum(l3, l4) >= -CP_EIGENVALUE_TOL
-    return cp if cp.ndim else bool(cp)
+    return np.minimum(1.0 - r, 1.0 + r) >= -CP_EIGENVALUE_TOL
 
 
 def cp_divisibility_scan(
@@ -101,8 +94,7 @@ def cp_divisibility_scan(
     except NonInvertibleMapError:
         r = np.full(t2.shape, np.nan)
         invertible = False
-    _, _, l3, l4 = choi_eigenvalues(r)
     points = np.empty(t2.shape, dtype=_SCAN_FIELDS)
-    for name, column in zip(points.dtype.names, (t2, l3, l4, is_cp(r))):
+    for name, column in zip(points.dtype.names, (t2, 1.0 - r, 1.0 + r, is_cp(r))):
         points[name] = column
     return ChoiScanResult(points=points, invertible=invertible)

@@ -39,31 +39,31 @@ class RtnParams:
 
 
 @dataclass(frozen=True)
-class OunParams:
-    """Modified Ornstein-Uhlenbeck noise: relaxation rate Gamma, bandwidth gamma."""
+class _RateParams:
+    """Relaxation rate Gamma and bandwidth gamma, the record of OUN and PLN noise."""
 
     Gamma: float
     gamma: float
 
     def __post_init__(self):
         if self.Gamma < 0:
-            raise ValueError(f"OUN Gamma must be >= 0, got {self.Gamma}")
+            raise ValueError(f"{self._LABEL} Gamma must be >= 0, got {self.Gamma}")
         if self.gamma <= 0:
-            raise ValueError(f"OUN gamma must be > 0, got {self.gamma}")
+            raise ValueError(f"{self._LABEL} gamma must be > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
-class PlnParams:
+class OunParams(_RateParams):
+    """Modified Ornstein-Uhlenbeck noise: relaxation rate Gamma, bandwidth gamma."""
+
+    _LABEL = "OUN"
+
+
+@dataclass(frozen=True)
+class PlnParams(_RateParams):
     """Power-law noise: relaxation rate Gamma, bandwidth gamma."""
 
-    Gamma: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.Gamma < 0:
-            raise ValueError(f"PLN Gamma must be >= 0, got {self.Gamma}")
-        if self.gamma <= 0:
-            raise ValueError(f"PLN gamma must be > 0, got {self.gamma}")
+    _LABEL = "PLN"
 
 
 #: A noise model is one of the three parameter records, or None (no noise).
@@ -78,25 +78,23 @@ def rtn_lambda(p: RtnParams, t):
     w = gamma sqrt((2a/gamma)^2 - 1); below it, the square root turns
     imaginary and the analytic continuation (cosh/sinh) applies; at the
     boundary the limit form exp(-gamma t)(1 + gamma t) is used.
-    Accepts scalar or array t >= 0.
+    Accepts scalar or array t >= 0, and returns a numpy value of its shape.
     """
     t = np.asarray(t, dtype=float)
     g = p.gamma
     disc = _rtn_discriminant(p)
     env = np.exp(-g * t)
     if abs(disc) < _CRITICAL_TOL:
-        out = env * (1.0 + g * t)
-    elif disc > 0:
-        out = env * rtn_oscillation(p, t)
-    else:
-        root = np.sqrt(-disc)
-        mu = g * root
-        # env (cosh + sinh / root) in terms of the slow decay
-        # exp(-(gamma - mu) t): nothing overflows at large gamma t, and
-        # expm1 keeps sinh / root accurate near the critical ratio
-        e = np.expm1(-2.0 * mu * t)
-        out = np.exp(-(g - mu) * t) * (1.0 + 0.5 * e * (1.0 - 1.0 / root))
-    return out if out.ndim else float(out)
+        return env * (1.0 + g * t)
+    if disc > 0:
+        return env * rtn_oscillation(p, t)
+    root = np.sqrt(-disc)
+    mu = g * root
+    # env (cosh + sinh / root) in terms of the slow decay
+    # exp(-(gamma - mu) t): nothing overflows at large gamma t, and
+    # expm1 keeps sinh / root accurate near the critical ratio
+    e = np.expm1(-2.0 * mu * t)
+    return np.exp(-(g - mu) * t) * (1.0 + 0.5 * e * (1.0 - 1.0 / root))
 
 
 def _rtn_discriminant(p: RtnParams):
@@ -123,8 +121,7 @@ def rtn_oscillation(p: RtnParams, t):
 def oun_p(p: OunParams, t):
     """OUN kernel P(t) = exp[-(Gamma/2)(t + (exp(-gamma t) - 1)/gamma)]."""
     t = np.asarray(t, dtype=float)
-    out = np.exp(-0.5 * p.Gamma * (t + np.expm1(-p.gamma * t) / p.gamma))
-    return out if out.ndim else float(out)
+    return np.exp(-0.5 * p.Gamma * (t + np.expm1(-p.gamma * t) / p.gamma))
 
 
 def pln_p(p: PlnParams, t):
@@ -134,21 +131,20 @@ def pln_p(p: PlnParams, t):
     """
     t = np.asarray(t, dtype=float)
     g = p.gamma
-    out = np.exp(-t * (t * g + 2.0) * p.Gamma * g / (2.0 * np.square(t * g + 1.0)))
-    return out if out.ndim else float(out)
+    return np.exp(-t * (t * g + 2.0) * p.Gamma * g / (2.0 * np.square(t * g + 1.0)))
 
 
 _KERNELS = {RtnParams: rtn_lambda, OunParams: oun_p, PlnParams: pln_p}
 
 
 def kernel_value(noise: NoiseModel, t):
-    """Decoherence kernel of any model at scalar or array t (1.0 for no noise).
+    """Decoherence kernel of any model at scalar or array t (ones for no noise).
 
     The package's one range check: raises KernelRangeError naming the first
     t where k is NaN (an overflowing model) or |k| > 1 + _KERNEL_SLACK.
     """
     if noise is None:
-        return 1.0 if np.isscalar(t) else np.ones_like(np.asarray(t, dtype=float))
+        return np.ones_like(t, dtype=float)
     if type(noise) not in _KERNELS:
         raise TypeError(f"unknown noise model {noise!r}")
     with np.errstate(all="ignore"):  # a non-finite k is reported below

@@ -91,7 +91,7 @@ def _cone_positions(t: int) -> np.ndarray:
 def coin_operator(theta: float) -> np.ndarray:
     """Real symmetric coin C(theta); theta = pi/4 gives the Hadamard coin."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [s, -c]], dtype=complex)
+    return np.array([[c, s], [s, -c]])
 
 
 def _coin_vector(delta: float, eta: float) -> np.ndarray:
@@ -118,7 +118,7 @@ def _basis_walks(cfg: WalkConfig) -> Iterator[tuple[int, np.ndarray]]:
     T; the next step reads the yielded array, so a caller must not write
     to it.
     """
-    coin = coin_operator(cfg.coin_angle).real
+    coin = coin_operator(cfg.coin_angle)
     a = np.eye(2)[:, :, None]
     yield 0, a
     for t in range(1, cfg.steps + 1):
@@ -196,7 +196,7 @@ def _light_cone_blocks(
     and yields it, not a copy; the next step reads it, so a caller must not
     write to it.
     """
-    coin = coin_operator(cfg.coin_angle).real
+    coin = coin_operator(cfg.coin_angle)
     ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = start
     for t in range(cfg.steps + 1):

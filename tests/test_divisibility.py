@@ -15,7 +15,7 @@ from conftest import (
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nmqwalk.divisibility import choi_eigenvalues, cp_divisibility_scan, is_cp, kernel_ratio
+from nmqwalk.divisibility import cp_divisibility_scan, is_cp, kernel_ratio
 from nmqwalk.exceptions import NonInvertibleMapError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.walk import density_from_amplitudes
@@ -50,9 +50,16 @@ def intermediate_choi(r):
 
 class TestChoi:
     def test_closed_form_matches_numeric_spectrum(self):
-        for r in (-1.7, -0.3, 0.0, 0.8, 1.0, 2.4):
-            analytic = np.sort(choi_eigenvalues(r))
-            numeric = np.sort(np.linalg.eigvalsh(intermediate_choi(r)))
+        # the scan's lambda3 and lambda4 with the two zeros are the Choi
+        # spectrum, for ratios below -1, inside [-1, 1] and above 1
+        noise = RtnParams(a=0.9, gamma=0.05)
+        t2 = 0.8 + np.linspace(0.25, 10.0, 40)
+        r = kernel_ratio(noise, 0.8, t2)
+        assert r.min() < -1.0 and r.max() > 1.0 and np.any(np.abs(r) <= 1.0)
+        points = cp_divisibility_scan(noise, 0.8, t2).points
+        for ratio, l3, l4 in zip(r, points["lambda3"], points["lambda4"]):
+            analytic = np.sort([0.0, 0.0, l3, l4])
+            numeric = np.sort(np.linalg.eigvalsh(intermediate_choi(ratio)))
             np.testing.assert_allclose(numeric, analytic, atol=1e-12)
 
     def test_cp_iff_ratio_within_unit_interval(self):
@@ -64,7 +71,7 @@ class TestChoi:
 
     def test_ratio_continuity_near_t1(self):
         noise = RtnParams(a=0.9, gamma=0.05)
-        _, _, l3, _ = choi_eigenvalues(kernel_ratio(noise, 1.0, 1.0 + 1e-8))
+        (l3,) = cp_divisibility_scan(noise, 1.0, [1.0 + 1e-8]).points["lambda3"]
         assert abs(l3) < 1e-6
 
 
