@@ -312,7 +312,13 @@ def run_choi_scan(cfg: ExperimentConfig, out_dir: Path) -> None:
     """Emit choi.csv with the intermediate-map Choi spectrum over the grid."""
     if cfg.noise is None:
         raise ConfigError("the choi subcommand requires a concrete noise model")
-    result = cp_divisibility_scan(cfg.noise, cfg.choi["t1"], choi_grid(cfg.choi))
+    grid = choi_grid(cfg.choi)
+    if not grid.size:
+        raise ConfigError(
+            "the 'choi' grid is empty: t1 + dt > t2_max; got "
+            "t1={t1}, t2_max={t2_max}, dt={dt}".format(**cfg.choi)
+        )
+    result = cp_divisibility_scan(cfg.noise, cfg.choi["t1"], grid)
     invertible = _FLAGS[result.invertible]
     rows = [(t2, l3, l4, _FLAGS[cp], invertible) for t2, l3, l4, cp in result.points.tolist()]
     _write_csv(

@@ -174,30 +174,37 @@ def _walk_block(rho: np.ndarray, coin: np.ndarray, ratio: float) -> np.ndarray:
     return out.reshape(w, 2 * (m + 1), 2 * (m + 1))
 
 
+def _step_ratios(cfg: WalkConfig, noise: NoiseModel) -> np.ndarray:
+    """The T stepwise ratios k(t)/k(t - 1), t = 1..T, from one kernel_ratio call.
+
+    The call checks every ratio, so a kernel zero raises before the walk.
+    """
+    return kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
+
+
 def _light_cone_blocks(
-    cfg: WalkConfig, noise: NoiseModel, start: np.ndarray
+    cfg: WalkConfig, ratios: np.ndarray, start: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (t, rho_t): the stepwise walk of a stack of 2 x 2 start blocks.
 
-    ``start`` is a stack (w, 2, 2), one block per walker. ``rho_t`` is the
-    stack (w, 2(t + 1), 2(t + 1)) of their blocks of rho(t) on the light
-    cone ``_cone_positions(t)``, coin 0 first. Each step is
+    ``ratios`` are the :func:`_step_ratios` of the walk, and ``start`` is a
+    stack (w, 2, 2), one block per walker. ``rho_t`` is the stack
+    (w, 2(t + 1), 2(t + 1)) of their blocks of rho(t) on the light cone
+    ``_cone_positions(t)``, coin 0 first. Each step is
     :func:`_walk_block`, in the order and rounding of the full-lattice
     ``einsum``, so every block, embedded on a lattice wider than the cone,
     is bit for bit that walker's full-lattice state. Every step is
     complex-linear in the block, so any complex start may be walked, such
-    as the difference of two walkers' states. One kernel_ratio call checks
-    all T ratios before any yield. A ratio above 1 in modulus is not CP;
-    near a zero of the kernel it grows without bound and the states leave
-    the state space (RTN a=0.05, gamma=0.008: minimum eigenvalue -0.27 at
-    t = 18, -6.6 at t = 60). MI, MID and QD raise ``NonPhysicalStateError``
-    on such a state, and :func:`population_variance` on a negative
-    population; the walk does not check. Each step forms a new stack
-    and yields it, not a copy; the next step reads it, so a caller must not
-    write to it.
+    as the difference of two walkers' states. A ratio above 1 in modulus is
+    not CP; near a zero of the kernel it grows without bound and the states
+    leave the state space (RTN a=0.05, gamma=0.008: minimum eigenvalue -0.27
+    at t = 18, -6.6 at t = 60). The witnesses check the states from the
+    first such step on (see :func:`nmqwalk.witness.witness_series`), and
+    :func:`population_variance` checks the populations; the walk does not
+    check. Each step forms a new stack and yields it, not a copy; the next
+    step reads it, so a caller must not write to it.
     """
     coin = coin_operator(cfg.coin_angle)
-    ratios = kernel_ratio(noise, np.arange(float(cfg.steps)), np.arange(1.0, cfg.steps + 1))
     rho = start
     for t in range(cfg.steps + 1):
         if t:
@@ -228,7 +235,7 @@ def populations(
     """
     if mode == "stepwise":
         start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-        for t, rho in _light_cone_blocks(cfg, noise, start[None]):
+        for t, rho in _light_cone_blocks(cfg, _step_ratios(cfg, noise), start[None]):
             yield t, _cone_positions(t), _cone_populations(rho[0])
     elif mode == "one_shot":
         kernel_value(noise, np.arange(cfg.steps + 1.0))

@@ -54,8 +54,11 @@ nonzero eigenvalue, negative ones included. Its marginals, the Pauli
 parts of its discord and MID's outcome table all read one coin-block view
 r[c, :, d, :] of it. MI, MID and QD read its full spectrum and raise
 :class:`~nmqwalk.exceptions.NonPhysicalStateError` on an eigenvalue below
--POSITIVITY_TOL, and the Variance on a population below it; Entropy and
-TD take no spectrum of the state and do not check. Its discord is a grid scan plus a compass search over
+-POSITIVITY_TOL, and the Variance on a population below it. A CP step
+keeps a state physical, so Entropy and TD check only from the first step
+whose ratio is not CP on: Entropy through the walker's spectrum, and TD
+through those of its two walkers, walked as two more blocks of the stack
+in such runs alone. Its discord is a grid scan plus a compass search over
 projective coin measurements (see :func:`_min_conditional_entropy`).
 """
 
@@ -66,6 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .divisibility import is_cp
 from .exceptions import NonPhysicalStateError
 from .noise import NoiseModel, kernel_value
 from .qops import (
@@ -83,6 +87,7 @@ from .walk import (
     _cone_populations,
     _cone_positions,
     _light_cone_blocks,
+    _step_ratios,
     density_from_amplitudes,
     population_variance,
 )
@@ -171,13 +176,17 @@ class _State:
         return entropy_of_spectrum(np.linalg.eigvalsh(self.position))
 
     @cached_property
-    def joint_entropy(self) -> float:
-        """S(rho), from the full spectrum, which must not reach below -POSITIVITY_TOL."""
+    def spectrum(self) -> np.ndarray:
+        """The eigenvalues of rho, ascending, which must not reach below -POSITIVITY_TOL."""
         w = np.linalg.eigvalsh(self.rho)
         if w.size and w[0] < -POSITIVITY_TOL:
             at = "" if self.t is None else f" at t={self.t}"
             raise NonPhysicalStateError(f"state{at} has eigenvalue {w[0]:.6g} below -{POSITIVITY_TOL:g}")
-        return entropy_of_spectrum(w)
+        return w
+
+    @cached_property
+    def joint_entropy(self) -> float:
+        return entropy_of_spectrum(self.spectrum)
 
     @cached_property
     def mutual_information(self) -> float:
@@ -528,18 +537,33 @@ def witness_series(
 
     values: dict[str, list[float]] = {tag: [] for tag in tags}
     td_blocks = []
+    ratios = _step_ratios(cfg, noise)
+    # a CP step keeps a state physical, so only the states from the first
+    # step whose ratio is not CP on need a check (RTN(0.05, 0.008): t = 18)
+    not_cp = ~is_cp(ratios)
+    checked_from = int(np.argmax(not_cp)) + 1 if not_cp.any() else cfg.steps + 1
     single = [tag for tag in tags if tag != "TD"]
     starts = [density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))] if single else []
     if "TD" in tags:
         # the walk is linear, so it carries rho1(0) - rho2(0) to rho1(t) - rho2(t)
         rho1, rho2 = (density_from_amplitudes(_coin_vector(*a)) for a in (pair[:2], pair[2:]))
+        td = len(starts)
         starts.append(rho1 - rho2)
+        if checked_from <= cfg.steps:
+            # the difference has no spectrum to check, so both walkers ride along
+            starts += [rho1, rho2]
     # each block is read, never written, so the walk's own stack serves
-    for t, blocks in _light_cone_blocks(cfg, noise, np.stack(starts)):
+    for t, blocks in _light_cone_blocks(cfg, ratios, np.stack(starts)):
+        checked = t >= checked_from
         if "TD" in tags:
-            td_blocks.append(partial_trace(blocks[-1].reshape(2, t + 1, 2, t + 1), "coin"))
+            td_blocks.append(partial_trace(blocks[td].reshape(2, t + 1, 2, t + 1), "coin"))
+            if checked:
+                for walker in blocks[td + 1 :]:
+                    _State(walker, t).spectrum  # raises on a non-physical walker
         if single:
             state = _State(blocks[0], t)
+            if checked and "Entropy" in tags:
+                state.spectrum  # raises on a non-physical walker, as MI, MID and QD do
             for tag in single:
                 if tag == "Variance":
                     values[tag].append(population_variance(t, _cone_populations(blocks[0])))

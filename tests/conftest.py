@@ -66,6 +66,11 @@ oracle, the search the library ran before: the r x r Gram blocks of the
 factor of rho (r = rank rho), every axis of the 32 x 32 (theta, phi) grid,
 and scipy's Nelder-Mead from the best one.
 
+``coin_block_limit`` is the long-time oracle of the noiseless coin block
+C(t) = int dk/2pi U(k)^t rho_c0 U(k)^-t of the walk in momentum space:
+the cross terms between the two eigenvectors of U(k) oscillate away as
+t^(-1/2), which leaves their diagonal part.
+
 ``spectral.fit_mfbf`` fits a*exp(-b*t) + c by variable projection, a
 global search over b. ``curve_fit_exponential`` below is its oracle: scipy's
 bounded nonlinear least squares, a local search from a log-linear start.
@@ -80,6 +85,7 @@ from hypothesis import strategies as st
 from scipy.optimize import curve_fit, minimize
 
 from nmqwalk.divisibility import kernel_ratio
+from nmqwalk.exceptions import NonPhysicalStateError
 from nmqwalk.noise import OunParams, PlnParams, RtnParams, kernel_value
 from nmqwalk.qops import EIGENVALUE_CUTOFF
 from nmqwalk.spectral import TimeSeries
@@ -87,6 +93,7 @@ from nmqwalk.walk import (
     _coin_vector,
     _cone_positions,
     _light_cone_blocks,
+    _step_ratios,
     coin_operator,
     density_from_amplitudes,
 )
@@ -244,7 +251,7 @@ def dense_populations(rho):
 def evolve_stepwise(cfg, noise):
     """Yield (t, rho_t, x) of cfg's stepwise walker, each block a copy on its light cone x."""
     start = density_from_amplitudes(_coin_vector(cfg.delta, cfg.eta))
-    for t, rho in _light_cone_blocks(cfg, noise, start[None]):
+    for t, rho in _light_cone_blocks(cfg, _step_ratios(cfg, noise), start[None]):
         yield t, rho[0].copy(), _cone_positions(t)
 
 
@@ -562,16 +569,39 @@ def two_walker_trace_distances(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
 
     The walkers start in the coin states (delta, eta) of ``td_pair`` and
     advance in lockstep, so an error either walk raises ends the series at
-    the step where it arises.
+    the step where it arises. A dense walker state with an eigenvalue below
+    -POSITIVITY_TOL raises NonPhysicalStateError, as the stepwise series does.
     """
     d1, e1, d2, e2 = td_pair
     walks = zip(
         evolve(replace(cfg, delta=d1, eta=e1), noise),
         evolve(replace(cfg, delta=d2, eta=e2), noise),
     )
-    return np.array(
-        [trace_distance(reduced_coin(s1), reduced_coin(s2)) for (_, s1, _), (_, s2, _) in walks]
-    )
+    distances = []
+    for (t, s1, _), (_, s2, _) in walks:
+        for state in (s1, s2):
+            low = np.linalg.eigvalsh(state)[0] if state.ndim == 2 else 0.0
+            if low < -POSITIVITY_TOL:
+                raise NonPhysicalStateError(f"state at t={t} has eigenvalue {low:.6g}")
+        distances.append(trace_distance(reduced_coin(s1), reduced_coin(s2)))
+    return np.array(distances)
+
+
+def coin_block_limit(theta: float, v: np.ndarray, points: int = 2048) -> np.ndarray:
+    """C_inf = int dk/2pi sum_+- P+-(k) rho_c0 P+-(k)^dag, by a midpoint rule over k.
+
+    ``v`` is the initial coin state, rho_c0 = v v^dag, and P+-(k) are the
+    eigenprojectors of the walk step U(k) = diag(e^{ik}, e^{-ik}) C(theta)
+    (coin 0 moves left). U(k) is unitary and its eigenvalues meet only at
+    theta = 0, so elsewhere the integrand is smooth and periodic in k and the
+    rule converges exponentially: at theta = 0.1, 2048 and 8192 points agree
+    to 1e-15.
+    """
+    k = 2.0 * np.pi * (np.arange(points) + 0.5) / points
+    step = np.exp(1j * np.stack([k, -k], axis=1))[:, :, None] * coin_operator(theta)
+    _, vecs = np.linalg.eig(step)
+    weights = np.abs(np.einsum("kcj,c->kj", vecs.conj(), v)) ** 2  # |<e_j(k)|v>|^2
+    return np.einsum("kj,kcj,kdj->cd", weights, vecs, vecs.conj()) / points
 
 
 def _exp_model(t, a, b, c):

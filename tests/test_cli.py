@@ -569,8 +569,8 @@ class TestChoiCommand:
 
     @pytest.mark.parametrize(
         "t2_max, dt, rows",
-        [(1.26, 0.1, 2), (1.3, 0.1, 3), (20.0, 0.1, 190), (20.0, 0.01, 1900)],
-        ids=["between-points", "on-a-point", "default", "fine"],
+        [(1.1, 0.1, 1), (1.26, 0.1, 2), (1.3, 0.1, 3), (20.0, 0.1, 190), (20.0, 0.01, 1900)],
+        ids=["one-point", "between-points", "on-a-point", "default", "fine"],
     )
     def test_grid_ends_at_t2_max(self, tmp_path, t2_max, dt, rows):
         # the last point is the last t1 + n dt <= t2_max, up to rounding
@@ -587,19 +587,24 @@ class TestChoiCommand:
         assert len(t2) == rows
         assert max(t2) <= t2_max + 1e-12
 
-    def test_empty_grid_writes_header_only(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "noise": {"model": "oun", "Gamma": 1.0, "gamma": 5.0},
-                "choi": {"t1": 1, "t2_max": 2, "dt": 100},
-            },
-        )
+    @pytest.mark.parametrize(
+        "choi",
+        [{"t1": 1.0, "t2_max": 1.05, "dt": 0.1}, {"t1": 1, "t2_max": 2, "dt": 100}],
+        ids=["short", "wide-step"],
+    )
+    def test_empty_grid_refused(self, tmp_path, capsys, choi):
+        # t2_max > t1 passes parse_config, but no t1 + n dt reaches t2_max:
+        # the scan used to write a choi.csv of its header alone. walk and
+        # witness do not read the grid, so they still accept the config
+        doc = {"noise": {"model": "oun", "Gamma": 1.0, "gamma": 5.0}, "choi": choi}
+        cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["choi", "--config", str(cfg), "--out", str(out)]) == 0
-        assert read_csv(out / "choi.csv") == (
-            ["t2", "lambda3", "lambda4", "is_cp", "invertible"], []
-        )
+        assert main(["choi", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not (out / "choi.csv").exists()
+        message = capsys.readouterr().err
+        assert "'choi' grid is empty" in message
+        assert "t1={}, t2_max={}, dt={}".format(*map(float, choi.values())) in message
+        assert main(["walk", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 class TestSpectrumCommand:
@@ -798,16 +803,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "kernel value nan" in err
 
-    def test_non_physical_stepwise_state_is_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("tag", ["MI", "Entropy", "TD"])
+    def test_non_physical_stepwise_state_is_3(self, tmp_path, capsys, tag):
         # near a kernel zero the step ratio k(t)/k(t-1) grows without bound
         # and the state leaves the state space: its minimum eigenvalue is
         # -0.273 at t = 18, where MI would read more than the 2 bits a qubit
-        # coin allows (22.4 bits at t = 60)
+        # coin allows (22.4 bits at t = 60). Entropy and TD, which read no
+        # spectrum, wrote 0.583 and 0.721 at t = 60 before they checked
         doc = {
             "walk": {"steps": 60},
             "noise": {"model": "rtn", "a": 0.05, "gamma": 0.008},
             "mode": "stepwise",
-            "witnesses": ["MI"],
+            "witnesses": [tag],
         }
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "o"
@@ -815,7 +822,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert re.search(r"state at t=18 has eigenvalue -0\.273\d* below -1e-10", err), err
-        assert not (out / "mi.csv").exists()
+        assert not (out / f"{tag.lower()}.csv").exists()
 
     @pytest.mark.parametrize("command", ["walk", "witness"])
     def test_negative_population_is_3(self, tmp_path, capsys, command):

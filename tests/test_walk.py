@@ -464,7 +464,9 @@ class TestStepwiseLightCone:
         found, _, error = stepwise_run(
             lambda cfg, noise: (
                 (t, blocks[0], walk_mod._cone_positions(t))
-                for t, blocks in walk_mod._light_cone_blocks(cfg, noise, start[None])
+                for t, blocks in walk_mod._light_cone_blocks(
+                    cfg, walk_mod._step_ratios(cfg, noise), start[None]
+                )
             ),
             cfg,
             noise,
@@ -495,7 +497,8 @@ class TestStepwiseLightCone:
         def walk(start):
             states = []
             try:
-                for _, blocks in walk_mod._light_cone_blocks(cfg, noise, start):
+                ratios = walk_mod._step_ratios(cfg, noise)
+                for _, blocks in walk_mod._light_cone_blocks(cfg, ratios, start):
                     states.append(blocks)
             except NmqwalkError as exc:
                 return states, type(exc).__name__

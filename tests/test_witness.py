@@ -8,6 +8,7 @@ from conftest import (
     SIDED_NOISES,
     SIGMA_3,
     basis_start,
+    coin_block_limit,
     dense_one_shot,
     dense_populations,
     density_from_factor,
@@ -29,6 +30,7 @@ from conftest import (
     rho_pe_concurrence,
     trace_distance,
     two_walker_trace_distances,
+    von_neumann_entropy,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -391,14 +393,31 @@ class TestPhysicality:
         lowest = [np.linalg.eigvalsh(rho)[0] for _, rho, _ in evolve_stepwise(cfg, noise)]
         assert min(lowest[:18]) >= -POSITIVITY_TOL
         assert lowest[18] == pytest.approx(-0.273, abs=5e-4)
-        for tag in ("MI", "MID", "QD"):
+        for tags in (("MI",), ("MID",), ("QD",), ("Entropy", "TD")):
             with pytest.raises(NonPhysicalStateError, match=r"state at t=18 has eigenvalue -0\.273"):
-                witness_series(cfg, noise, mode="stepwise", witnesses=(tag,))
-        # Entropy and TD do not read the spectrum of the state; the Variance
-        # refuses the first negative population, -0.0606 at t = 19
-        witness_series(cfg, noise, mode="stepwise", witnesses=("Entropy", "TD"))
+                witness_series(cfg, noise, mode="stepwise", witnesses=tags)
+        # the Variance reads no spectrum: it refuses the first negative
+        # population, -0.0606 at t = 19
         with pytest.raises(NonPhysicalStateError, match=r"state at t=19 has population -0\.0606"):
-            witness_series(cfg, noise, mode="stepwise", witnesses=("Entropy", "TD", "Variance"))
+            witness_series(cfg, noise, mode="stepwise", witnesses=("Variance",))
+
+    @pytest.mark.parametrize("tag", ["Entropy", "TD"])
+    def test_entropy_and_td_refuse_from_the_first_non_cp_step(self, tag, monkeypatch):
+        # the step ratio first exceeds 1 at t = 18 (r = 3.246). From there on
+        # Entropy takes the walker's spectrum and TD those of its two
+        # walkers, all -0.273 there; unchecked, Entropy read 0.583 and TD
+        # 0.721 at t = 60. A run of CP steps alone takes no such spectrum
+        read = []
+        spectrum = witness_mod._State.spectrum.func
+        monkeypatch.setattr(
+            witness_mod._State, "spectrum", property(lambda s: read.append(s.t) or spectrum(s))
+        )
+        cfg = WalkConfig(steps=60)
+        witness_series(cfg, MONOTONE_NOISES["oun"], mode="stepwise", witnesses=(tag,))
+        assert read == []
+        with pytest.raises(NonPhysicalStateError, match=r"state at t=18 has eigenvalue -0\.273"):
+            witness_series(cfg, RtnParams(0.05, 0.008), mode="stepwise", witnesses=(tag,))
+        assert read == [18]
 
 
 class TestDiscordSearch:
@@ -769,9 +788,9 @@ class TestSeries:
         calls = []
         blocks = walk_mod._light_cone_blocks
 
-        def counting(cfg, noise, start):
+        def counting(cfg, ratios, start):
             calls.append(start)
-            return blocks(cfg, noise, start)
+            return blocks(cfg, ratios, start)
 
         monkeypatch.setattr(walk_mod, "_light_cone_blocks", counting)
         monkeypatch.setattr(witness_mod, "_light_cone_blocks", counting)
@@ -915,6 +934,26 @@ def outcome(run):
         return type(exc).__name__
 
 
+def td_and_oracle(cfg, noise, mode, pair):
+    """The walk compared, and the TD series of ``pair`` and its two-walker oracle on it.
+
+    Only the stepwise walkers of RTN(0.05, 0.008) leave the state space (at
+    t = 18 for the pairs used here): there the series must refuse as the
+    oracle does, and the two are compared on the walk to T = 17 instead.
+    """
+    oracle = lambda cfg: two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
+    series = lambda cfg: witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+    expected = outcome(lambda: oracle(cfg))
+    if isinstance(expected, str):
+        assert (mode, noise) == ("stepwise", ORACLE_NOISES["rtn-underdamped"])
+        assert expected == "NonPhysicalStateError"
+        with pytest.raises(NonPhysicalStateError, match=r"state at t=18 has eigenvalue"):
+            series(cfg)
+        cfg = replace(cfg, steps=17)
+        expected = oracle(cfg)
+    return cfg, series(cfg), expected
+
+
 class TestTraceDistanceSeries:
     """TD from one evolution against the two-walker oracle."""
 
@@ -962,12 +1001,15 @@ class TestTraceDistanceSeries:
 
     def test_identical_pair_reads_zero(self):
         # Delta(t) = 0 exactly in both modes: one-shot subtracts two equal
-        # blocks, and stepwise walks the zero start rho1 - rho2
-        cfg = WalkConfig(steps=20)
-        pair = (0.7, 0.3, 0.7, 0.3)
-        for mode in TD_ORACLE_WALKS:
-            td = witness_series(cfg, RtnParams(0.05, 0.008), mode=mode, td_pair=pair)["TD"]
-            assert np.array_equal(td, np.zeros(cfg.steps + 1)), mode
+        # blocks, and stepwise walks the zero start rho1 - rho2. Stepwise,
+        # the walkers themselves leave the state space at t = 18
+        noise, pair = RtnParams(0.05, 0.008), (0.7, 0.3, 0.7, 0.3)
+        td = witness_series(WalkConfig(steps=20), noise, td_pair=pair)["TD"]
+        assert np.array_equal(td, np.zeros(21))
+        td = witness_series(WalkConfig(steps=17), noise, mode="stepwise", td_pair=pair)["TD"]
+        assert np.array_equal(td, np.zeros(18))
+        with pytest.raises(NonPhysicalStateError, match=r"state at t=18 has eigenvalue"):
+            witness_series(WalkConfig(steps=20), noise, mode="stepwise", td_pair=pair)
 
     @pytest.mark.parametrize("mode", list(TD_ORACLE_WALKS))
     @pytest.mark.parametrize("pair", TD_PAIRS.values(), ids=TD_PAIRS.keys())
@@ -980,8 +1022,7 @@ class TestTraceDistanceSeries:
         # populations, so the stepwise start rho1 - rho2 keeps an exactly
         # zero diagonal
         cfg = WalkConfig(steps=steps, coin_angle=coin_angle)
-        expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
-        found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        cfg, found, expected = td_and_oracle(cfg, noise, mode, pair)
         assert found.shape == expected.shape == (cfg.steps + 1,)
         assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
 
@@ -998,7 +1039,53 @@ class TestTraceDistanceSeries:
             for d, e in (pair[:2], pair[2:])
         ]
         np.testing.assert_allclose(probs[0], probs[1], rtol=1e-12, atol=0)
-        expected = two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
-        found = witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+        _, found, expected = td_and_oracle(cfg, noise, mode, pair)
         assert np.max(expected) > 0.1
         assert np.all(np.abs(found - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+
+
+class TestLongTimeLimits:
+    """The late walk against its closed-form limits, noiseless and stepwise."""
+
+    @pytest.mark.parametrize("Gamma", [2.0, 1.0, 0.5])
+    def test_stepwise_variance_spreads_at_the_classical_rate(self, Gamma):
+        # a Hadamard walk whose step ratio tends to r spreads with the late
+        # slope (1 + r^2)/(1 - r^2) (Brun, Carteret, Ambainis, PRA 67, 032304,
+        # 2003); under OUN with a fast bath r -> e^(-Gamma/2), so the slope is
+        # coth(Gamma/2). The last step of T = 100 grows by it to a relative
+        # 2.3e-6 at Gamma = 0.5, and to 1e-11 or closer at Gamma = 1 and 2
+        cfg = WalkConfig(steps=100)
+        noise = OunParams(Gamma=Gamma, gamma=5.0)
+        variance = witness_series(cfg, noise, mode="stepwise", witnesses=("Variance",))["Variance"]
+        assert variance[-1] - variance[-2] == pytest.approx(1.0 / math.tanh(Gamma / 2.0), rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "delta, eta",
+        [(0.0, 0.0), (math.pi / 4, -math.pi / 2), (math.pi / 4, 0.0)],
+        ids=["zero", "circular", "plus"],
+    )
+    def test_hadamard_coin_entropy_tends_to_its_limit(self, delta, eta):
+        # S(C_inf) = 0.87243 from each start, the 0.872 of Abal et al., PRA 73,
+        # 042302 (2006). The noiseless entropy approaches it as T^(-1/2):
+        # sqrt(T) |S(C(T)) - S(C_inf)| reads at most 0.388 from T = 100 to 1600
+        limit = von_neumann_entropy(coin_block_limit(math.pi / 4, walk_mod._coin_vector(delta, eta)))
+        assert limit == pytest.approx(0.87243, abs=5e-6)
+        cfg = WalkConfig(steps=1600, delta=delta, eta=eta)
+        entropy = witness_series(cfg, None, witnesses=("Entropy",))["Entropy"]
+        t = np.arange(100, cfg.steps + 1)
+        assert np.all(np.sqrt(t) * np.abs(entropy[100:] - limit) <= 0.4)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(theta=st.floats(min_value=0.1, max_value=1.4), delta=ANGLES, eta=ANGLES)
+    @example(theta=1.4, delta=2.081461173802089, eta=-2.747524323996315)
+    def test_coin_block_tends_to_its_limit(self, theta, delta, eta):
+        # the cross terms of C(t) decay as t^(-1/2) for every coin away from
+        # theta = 0, where the eigenvalues of U(k) meet, and pi/2, where U(k)^2
+        # is the identity and C(t) does not converge. On [0.1, 1.4] the largest
+        # sqrt(T) ||C(T) - C_inf||_F of T <= 1600 measured 1.18 (the example, at
+        # T = 6), and it grows towards pi/2
+        coin = walk_mod._coin_vector(delta, eta)
+        cfg = WalkConfig(steps=1600, coin_angle=theta, delta=delta, eta=eta)
+        blocks = witness_mod._one_shot_blocks(cfg, coin[None], ("Entropy",))[0][:, 0]
+        error = np.linalg.norm(blocks - coin_block_limit(theta, coin), axis=(1, 2))
+        assert np.all(np.sqrt(np.arange(cfg.steps + 1)) * error <= 1.5)
