@@ -800,6 +800,10 @@ class TestSeries:
         assert len(calls) == 1 and calls[0].shape == (1, 2, 2)
         witness_series(cfg, noise, mode="stepwise", witnesses=("TD", "Entropy"))
         assert len(calls) == 1 + 1 and calls[1].shape == (2, 2, 2)
+        # a run with a step that is not CP also walks both TD walkers, to check them
+        with pytest.raises(NonPhysicalStateError):
+            witness_series(WalkConfig(steps=20), RtnParams(0.05, 0.008), mode="stepwise")
+        assert len(calls) == 3 and calls[2].shape == (3, 2, 2)
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(
@@ -941,8 +945,13 @@ def td_and_oracle(cfg, noise, mode, pair):
     t = 18 for the pairs used here): there the series must refuse as the
     oracle does, and the two are compared on the walk to T = 17 instead.
     """
-    oracle = lambda cfg: two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
-    series = lambda cfg: witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+
+    def oracle(cfg):
+        return two_walker_trace_distances(cfg, noise, TD_ORACLE_WALKS[mode], pair)
+
+    def series(cfg):
+        return witness_series(cfg, noise, mode=mode, witnesses=("TD",), td_pair=pair)["TD"]
+
     expected = outcome(lambda: oracle(cfg))
     if isinstance(expected, str):
         assert (mode, noise) == ("stepwise", ORACLE_NOISES["rtn-underdamped"])
