@@ -4,10 +4,12 @@ Each case is a directory holding the ``config.json`` it runs. The three
 benchmark workloads are cases at seeds 1-10 (``correlations-1`` ...), with
 the configs the benchmark draws for them, and each runs every subcommand
 its workload runs. Two more cases run ``witness`` with every tag: a
-stepwise OUN walk and a one-shot PLN walk. Seed 1 and the two all-tag cases
-keep their data files; seeds 2-10 keep only their SHA-256 digests, in
-``SHA256SUMS`` (the ``sha256sum`` format). ``metadata.json`` holds a
-timestamp and is left out.
+stepwise OUN walk and a one-shot PLN walk. A third, one-shot MID and MI of
+the default walker under RTN(0.05, 0.008), reaches a step whose position
+marginal is degenerate (t = 2), where MID takes its canonical position
+frame. Seed 1 and these three cases keep their data files; seeds 2-10 keep
+only their SHA-256 digests, in ``SHA256SUMS`` (the ``sha256sum`` format).
+``metadata.json`` holds a timestamp and is left out.
 
 The test runs each case through ``nmqwalk.cli.main`` in ``tmp_path`` and
 compares the bytes of every data file it writes; a mismatch names the file
@@ -48,6 +50,7 @@ CASES = {
 }
 CASES["stepwise-oun-all-tags"] = ("witness",)
 CASES["one-shot-pln-all-tags"] = ("witness",)
+CASES["one-shot-degenerate-mid"] = ("witness",)
 #: cases that keep only the digests of their data files, in their DIGESTS file
 DIGEST_ONLY = {f"{workload}-{seed}" for workload in _WORKLOAD_STEPS for seed in range(2, 11)}
 DIGESTS = "SHA256SUMS"
