@@ -40,8 +40,8 @@ the walk reads every walker's block in one batched contraction and computes
 every tag once with batched 2 x 2 linear algebra, holding O(t) amplitudes
 and a (T + 1) stack of small matrices. Only MID can need the amplitudes:
 where rho_p is degenerate inside its support, its canonical basis (see
-:func:`_mid`) lives on the light cone, so at such a step the walk forms
-the walker's amplitudes and its frame F while it holds the basis pair.
+:func:`_mid`) lives on the light cone, so where the blocks find such steps
+a second walk, up to the last of them, forms the walker and its frame F.
 
 Stepwise, one light-cone walk (:func:`nmqwalk.walk._light_cone_blocks`)
 of a stack of start blocks feeds every tag: the walker's rho_0 when a
@@ -64,6 +64,7 @@ projective coin measurements (see :func:`_min_conditional_entropy`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import cached_property
 
@@ -206,13 +207,15 @@ class _State:
         )
 
 
-def _near_degenerate(diff: float, coherence: complex) -> bool:
-    """Whether a 2 x 2 Hermitian block has an eigenvalue gap below twice DEGENERACY_TOL.
+def _degenerate_rows(blocks: np.ndarray) -> np.ndarray:
+    """The rows of a stack (m, 2, 2) of Hermitian blocks whose eigenvalue gap is below 2 DEGENERACY_TOL.
 
-    ``diff`` is the difference of its diagonal entries and ``coherence`` its
-    off-diagonal entry; the gap is sqrt(diff^2 + 4 |coherence|^2).
+    The gap of a block C is sqrt((C_00 - C_11)^2 + 4 |C_01|^2). The margin
+    of 2 keeps the rows a superset of those :func:`_canonicalize` acts on.
     """
-    return diff * diff + 4.0 * abs(coherence) ** 2 < (2.0 * DEGENERACY_TOL) ** 2
+    diff = (blocks[:, 0, 0] - blocks[:, 1, 1]).real
+    gap2 = diff * diff + 4.0 * np.abs(blocks[:, 0, 1]) ** 2
+    return np.flatnonzero(gap2 < (2.0 * DEGENERACY_TOL) ** 2)
 
 
 def _position_frame(psi: np.ndarray) -> np.ndarray:
@@ -435,32 +438,19 @@ def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
     is linear, so after it one batched contraction gives every walker's
     block, C_w(t) = sum_ij v_i conj(v_j) L_t[:, i, :, j] for v = coins[w].
 
-    Returns the (T + 1, walkers, 2, 2) blocks, the position variance of the
-    first walker when ``tags`` asks for it (else None), and that walker's
-    MID frames. For the variance A also carries the rows A diag(x), x the
-    light-cone positions; the first walker's coin-diagonal sums of
-    A diag(x) A^T and A diag(x^2) A^T are its <x> and <x^2>. For MID, where
-    the first walker's block is near degenerate, its canonical position
-    frame is built from its amplitudes while the walk holds them.
+    Returns the (T + 1, walkers, 2, 2) blocks and the position variance of
+    the first walker when ``tags`` asks for it (else None). For the
+    variance A also carries the rows A diag(x), x the light-cone positions;
+    the first walker's coin-diagonal sums of A diag(x) A^T and
+    A diag(x^2) A^T are its <x> and <x^2>.
     """
     weights = np.einsum("wi,wj->wij", coins, coins.conj())  # v_w v_w^dag
-    (p00, p01), (p10, p11) = weights[0].tolist()
     groups = 2 if "Variance" in tags else 1
-    grams, frames = [], {}
+    grams = []
     for t, a in _basis_walks(cfg):
         rows = np.concatenate((a, a * _cone_positions(t))) if groups == 2 else a
         rows = rows.reshape(-1, a.shape[-1])
-        gram = np.dot(rows, rows.T)
-        grams.append(gram)
-        if "MID" in tags:
-            # the first walker's block from L_t, in scalars: a batched
-            # contraction per step would cost more than the rest of the step
-            (g00, g01, g02, g03), (_, g11, g12, g13), (_, _, g22, g23), (_, _, _, g33) = (
-                gram[:4, :4].tolist()
-            )
-            diff = (p00 * (g00 - g22) + p11 * (g11 - g33) + 2.0 * p01 * (g01 - g23)).real
-            if _near_degenerate(diff, p00 * g02 + p01 * g03 + p10 * g12 + p11 * g13):
-                frames[t] = _position_frame(np.einsum("i,cix->cx", coins[0], a))
+        grams.append(np.dot(rows, rows.T))
     grams = np.stack(grams).reshape(-1, groups, 2, 2, groups, 2, 2)
     blocks = np.einsum("wij,tcidj->twcd", weights, grams[:, 0, :, :, 0])
     variance = None
@@ -469,7 +459,21 @@ def _one_shot_blocks(cfg: WalkConfig, coins: np.ndarray, tags) -> tuple:
             np.einsum("ij,tcicj->t", weights[0], grams[:, 1, :, :, g]).real for g in (0, 1)
         )
         variance = square - mean * mean
-    return blocks, variance, frames
+    return blocks, variance
+
+
+def _position_frames(cfg: WalkConfig, coin: np.ndarray, blocks: np.ndarray) -> dict:
+    """The :func:`_position_frame` of each step whose coin block may be degenerate.
+
+    ``blocks`` (T + 1, 2, 2) are the coin blocks of the walker started from
+    the coin state ``coin``. Only if such a step exists is the basis pair
+    walked again, up to the last of them, to form the walker there.
+    """
+    steps = _degenerate_rows(blocks)
+    if not steps.size:
+        return {}
+    walks = itertools.islice(_basis_walks(cfg), steps[-1] + 1)
+    return {t: _position_frame(np.einsum("i,cix->cx", coin, a)) for t, a in walks if t in steps}
 
 
 def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: tuple) -> dict:
@@ -487,7 +491,7 @@ def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: t
     coins = [_coin_vector(cfg.delta, cfg.eta)] if single else []
     if "TD" in tags:
         coins += [_coin_vector(*td_pair[:2]), _coin_vector(*td_pair[2:])]
-    blocks, variance, frames = _one_shot_blocks(cfg, np.stack(coins), tags)
+    blocks, variance = _one_shot_blocks(cfg, np.stack(coins), tags)
 
     values = {"Variance": variance}
     if "TD" in tags:
@@ -496,6 +500,7 @@ def _one_shot_series(cfg: WalkConfig, noise: NoiseModel, tags: tuple, td_pair: t
         delta[:, 1, 0] *= k
         values["TD"] = 0.5 * trace_norm(delta)
     if entropic:
+        frames = _position_frames(cfg, coins[0], blocks[:, 0]) if "MID" in tags else {}
         values.update(_one_shot_witnesses(blocks[:, 0], k, frames, tags))
     return {tag: values[tag] for tag in tags}
 

@@ -101,7 +101,7 @@ from nmqwalk.witness import (
     DEFAULT_TD_PAIR,
     _canonical_eigenbasis,
     _classical_mi,
-    _near_degenerate,
+    _degenerate_rows,
     _one_shot_witnesses,
     _position_frame,
 )
@@ -313,11 +313,7 @@ def one_shot_witnesses(psi, k, tags=("MI", "MID", "QD", "Entropy")):
     """
     psi = np.asarray(psi, dtype=complex)
     blocks = np.einsum("mcx,mdx->mcd", psi, psi.conj())
-    frames = {
-        row: _position_frame(psi[row])
-        for row, c in enumerate(blocks)
-        if _near_degenerate((c[0, 0] - c[1, 1]).real, c[0, 1])
-    }
+    frames = {row: _position_frame(psi[row]) for row in _degenerate_rows(blocks)}
     return _one_shot_witnesses(blocks, np.asarray(k, dtype=float), frames, tags)
 
 

@@ -213,12 +213,12 @@ class TestMid:
         assert found == pytest.approx(_mid(_State(density_from_factor(factor))), abs=1e-12)
 
     def test_series_keeps_the_canonical_basis(self, monkeypatch):
-        # the series loop meets the psi of the Gram-route test above at
-        # every step of a walk on 5 sites, so it must build each step's
-        # canonical position frame from the amplitudes it holds; a walk from
-        # one site reaches such a step rarely, with exactly equal coin
-        # populations and zero coin coherence. psi enters as the basis walk
-        # psi_0, which is the walker itself for the coin |0> (delta = 0)
+        # the series meets the psi of the Gram-route test above at every
+        # step of a walk on 5 sites, so it must build each step's canonical
+        # position frame from the walker's amplitudes; a walk from one site
+        # reaches such a step rarely, with exactly equal coin populations
+        # and zero coin coherence. psi enters as the basis walk psi_0, which
+        # is the walker itself for the coin |0> (delta = 0)
         amps = np.zeros((2, 5))
         amps[0, 1:3] = 0.5
         amps[1, 1:3] = 0.5, -0.5
@@ -230,6 +230,45 @@ class TestMid:
         expected = [
             _mid(_State(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps))))
             for t in (0.0, 1.0)
+        ]
+        np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-12)
+
+    def test_walks_again_only_up_to_the_last_degenerate_step(self, monkeypatch):
+        # the frames come after the walk: a run with no degenerate step walks
+        # the basis pair once, and one with some walks it again up to the
+        # last of them. The fake walk has 5 steps, and its walker psi_0
+        # (delta = 0) has the degenerate psi of the Gram-route test at steps
+        # 1 and 3 and a non-degenerate one at steps 0, 2 and 4
+        walks, seen = walk_mod._basis_walks, []
+
+        def counting(walk):
+            def basis_walks(cfg):
+                seen.append([])
+                for t, a in walk(cfg):
+                    seen[-1].append(t)
+                    yield t, a
+
+            return basis_walks
+
+        noise = RtnParams(a=0.9, gamma=0.5)
+        monkeypatch.setattr(witness_mod, "_basis_walks", counting(walks))
+        witness_series(WalkConfig(steps=12, delta=0.7, eta=0.3), noise, witnesses=("MID",))
+        assert seen == [list(range(13))]
+
+        degenerate = np.zeros((2, 5))
+        degenerate[0, 1:3] = 0.5
+        degenerate[1, 1:3] = 0.5, -0.5
+        plain = np.zeros((2, 5))
+        plain[0, 0], plain[1, 2] = 0.6, 0.8
+        psi = [degenerate if t in (1, 3) else plain for t in range(5)]
+        steps = [(t, np.stack([amps, np.zeros((2, 5))], axis=1)) for t, amps in enumerate(psi)]
+        seen.clear()
+        monkeypatch.setattr(witness_mod, "_basis_walks", counting(lambda cfg: iter(steps)))
+        found = witness_series(WalkConfig(steps=4, delta=0.0), noise, witnesses=("MID",))["MID"]
+        assert seen == [[0, 1, 2, 3, 4], [0, 1, 2, 3]]
+        expected = [
+            _mid(_State(density_from_factor(np.einsum("rcd,dj->cjr", kraus_at(noise, t), amps))))
+            for t, amps in enumerate(psi)
         ]
         np.testing.assert_allclose(found, expected, rtol=0.0, atol=1e-12)
 
@@ -707,7 +746,8 @@ class TestSeries:
         monkeypatch.setattr(walk_mod, "_basis_walks", counting)
         monkeypatch.setattr(witness_mod, "_basis_walks", counting)
         monkeypatch.setattr(witness_mod, "_one_shot_blocks", block_walkers)
-        cfg = WalkConfig(steps=4)
+        # no step of this walker is degenerate, so MID walks no second time
+        cfg = WalkConfig(steps=4, delta=0.7, eta=0.3)
         witness_series(cfg, RtnParams(a=0.08, gamma=0.01), witnesses=tags)
         assert calls == [walkers, cfg]
 
@@ -1054,7 +1094,7 @@ class TestTraceDistanceSeries:
 
 
 class TestLongTimeLimits:
-    """The late walk against its closed-form limits, noiseless and stepwise."""
+    """The late walk against its closed-form limits: noiseless, one-shot noisy and stepwise."""
 
     @pytest.mark.parametrize("Gamma", [2.0, 1.0, 0.5])
     def test_stepwise_variance_spreads_at_the_classical_rate(self, Gamma):
@@ -1083,6 +1123,33 @@ class TestLongTimeLimits:
         entropy = witness_series(cfg, None, witnesses=("Entropy",))["Entropy"]
         t = np.arange(100, cfg.steps + 1)
         assert np.all(np.sqrt(t) * np.abs(entropy[100:] - limit) <= 0.4)
+
+    @pytest.mark.parametrize(
+        "noise, k_limit",
+        [(OunParams(Gamma=1.0, gamma=5.0), 0.0), (PlnParams(Gamma=0.2, gamma=0.02), math.exp(-0.1))],
+        ids=["oun", "pln"],
+    )
+    @pytest.mark.parametrize(
+        "delta, eta",
+        [(0.0, 0.0), (math.pi / 4, -math.pi / 2), (math.pi / 4, 0.0), (0.7, 0.3)],
+        ids=["zero", "circular", "plus", "generic"],
+    )
+    def test_one_shot_tags_tend_to_their_kernel_limits(self, noise, k_limit, delta, eta):
+        # each one-shot tag is a closed form of C(t) and k(t), so under a
+        # kernel with a limit it tends to that form at (C_inf, k_inf): k -> 0
+        # under OUN with a fast bath, and to the plateau e^(-Gamma/2) under
+        # PLN. The reference walker psi = sqrt(C_inf) has psi psi^dag = C_inf.
+        # sqrt(T) |tag(T) - tag_inf| read at most 1.10 from T = 100 to 1600
+        # (MID under OUN from |+>), with no growth over that range
+        tags = ("Entropy", "MI", "QD", "MID")
+        coin = walk_mod._coin_vector(delta, eta)
+        w, u = np.linalg.eigh(coin_block_limit(math.pi / 4, coin))
+        limits = one_shot_witnesses(((u * np.sqrt(w)) @ u.conj().T)[None], np.array([k_limit]), tags)
+        cfg = WalkConfig(steps=1600, delta=delta, eta=eta)
+        found = witness_series(cfg, noise, witnesses=tags)
+        scale = np.sqrt(np.arange(100, cfg.steps + 1))
+        for tag in tags:
+            assert np.all(scale * np.abs(found[tag][100:] - limits[tag][0]) <= 1.25), tag
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(theta=st.floats(min_value=0.1, max_value=1.4), delta=ANGLES, eta=ANGLES)
