@@ -11,7 +11,7 @@ All experiments are configured by a single JSON document (angles in
 degrees; unknown keys rejected). Data files contain no timestamps, so
 identical configs produce byte-identical output; the only timestamp lives
 in the metadata sidecar. Exit codes: 0 success, 2 config/schema error,
-3 numerical failure, 4 I/O error.
+3 numerical failure or an array too large to allocate, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -455,6 +455,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (NmqwalkError, np.linalg.LinAlgError) as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)

@@ -63,7 +63,8 @@ class WalkConfig:
     """Walk length, coin rotation angle, and initial coin state.
 
     The initial state is ``(cos(delta) |0> + e^{-i eta} sin(delta) |1>)``
-    localized at the origin. Angles are in radians.
+    localized at the origin. Angles are in radians. ``steps`` is at most
+    2**53 - 1: the walk's time grids are floats, exact up to 2**53.
     """
 
     steps: int
@@ -77,6 +78,8 @@ class WalkConfig:
             raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 0:
             raise ValueError(f"steps must be a non-negative integer, got {self.steps!r}")
+        if self.steps > 2**53 - 1:
+            raise ValueError(f"steps must be at most 2**53 - 1, got {self.steps!r}")
         for name in ("coin_angle", "delta", "eta"):
             angle = getattr(self, name)
             if not math.isfinite(angle):

@@ -824,6 +824,27 @@ class TestExitCodes:
         assert re.search(r"state at t=18 has eigenvalue -0\.273\d* below -1e-10", err), err
         assert not (out / f"{tag.lower()}.csv").exists()
 
+    @pytest.mark.parametrize("mode", ["one_shot", "stepwise"])
+    @pytest.mark.parametrize("command", ["walk", "witness"])
+    @pytest.mark.parametrize(
+        "steps, code, message",
+        [
+            # the first time grid would take 728 TiB, past any address space,
+            # so its allocation fails at once
+            (10**14, 3, "out of memory: Unable to allocate 728. TiB"),
+            # past 2**53 a float time grid is no longer exact
+            (10**19, 2, "steps must be at most 2**53 - 1"),
+        ],
+        ids=["too-large-to-allocate", "past-exact-float-times"],
+    )
+    def test_impossible_walk_length(self, tmp_path, capsys, mode, command, steps, code, message):
+        # both exited 1 with a traceback: numpy's MemoryError, or its
+        # "Maximum allowed size exceeded" ValueError
+        cfg = write_config(tmp_path, {"walk": {"steps": steps}, "mode": mode})
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
     @pytest.mark.parametrize("command", ["walk", "witness"])
     def test_negative_population_is_3(self, tmp_path, capsys, command):
         # the same walk's first population below -1e-10 is -0.0606 at t = 19;

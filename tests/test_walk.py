@@ -157,6 +157,12 @@ class TestNoiselessEvolution:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             WalkConfig(**{"steps": 3, field: value})
 
+    def test_steps_past_exact_float_times_rejected(self):
+        # the time grids are np.arange(steps + 1.0), exact up to 2**53
+        assert WalkConfig(steps=2**53 - 1).steps == 2**53 - 1
+        with pytest.raises(ValueError, match=r"^steps must be at most 2\*\*53 - 1, got 9007199254740992$"):
+            WalkConfig(steps=2**53)
+
     def test_numpy_integer_walk_fields_accepted(self):
         cfg = WalkConfig(steps=np.int64(3))
         assert last_populations(cfg)[0].tolist() == [-3, -1, 1, 3]
