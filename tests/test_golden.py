@@ -7,7 +7,11 @@ its workload runs. Two more cases run ``witness`` with every tag: a
 stepwise OUN walk and a one-shot PLN walk. A third, one-shot MID and MI of
 the default walker under RTN(0.05, 0.008), reaches a step whose position
 marginal is degenerate (t = 2), where MID takes its canonical position
-frame. Seed 1 and these three cases keep their data files; seeds 2-10 keep
+frame. A fourth, stepwise MID, MI and QD under OUN(20, 5) from
+delta = 0.7, eta = 0.5 rad, meets coin marginals whose eigenvalue gap is
+a few 1e-9, just above DEGENERACY_TOL, at t = 2-4, where MID keeps the
+solver's basis and reads 0.82, 0.40 and 0.055 bits while MI and QD stay
+near 0. Seed 1 and these four cases keep their data files; seeds 2-10 keep
 only their SHA-256 digests, in ``SHA256SUMS`` (the ``sha256sum`` format).
 ``metadata.json`` holds a timestamp and is left out.
 
@@ -51,6 +55,7 @@ CASES = {
 CASES["stepwise-oun-all-tags"] = ("witness",)
 CASES["one-shot-pln-all-tags"] = ("witness",)
 CASES["one-shot-degenerate-mid"] = ("witness",)
+CASES["stepwise-near-degenerate-mid"] = ("witness",)
 #: cases that keep only the digests of their data files, in their DIGESTS file
 DIGEST_ONLY = {f"{workload}-{seed}" for workload in _WORKLOAD_STEPS for seed in range(2, 11)}
 DIGESTS = "SHA256SUMS"
