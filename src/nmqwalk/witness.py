@@ -47,10 +47,10 @@ Stepwise, one light-cone walk (:func:`nmqwalk.walk._light_cone_blocks`)
 of a stack of start blocks feeds every tag: the walker's rho_0 when a
 single-walker tag is asked, and the difference rho_1 - rho_2 of the
 ``td_pair`` walkers when TD is, whose coin block is the difference of the
-TD walkers' coin states. A stepwise state, a dense (2m, 2m) light-cone
-block, is measured through a per-state cache that every witness shares,
-on its support, the sites whose rows are not all zero, which keeps every
-nonzero eigenvalue, negative ones included. Its marginals, the Pauli
+TD walkers' coin states. A stepwise state is measured as the dense
+(2m, 2m) light-cone block the walk yields, m = t + 1, through a per-state
+cache that every witness shares, every eigenvalue of it, negative ones
+included. Its marginals, the Pauli
 parts of its discord and MID's outcome table all read one coin-block view
 r[c, :, d, :] of it. MI, MID and QD read its full spectrum and raise
 :class:`~nmqwalk.exceptions.NonPhysicalStateError` on an eigenvalue below
@@ -121,32 +121,21 @@ _COMPASS_STOP = 1e-7
 
 
 class _State:
-    """One dense coin (x) position density matrix of shape (2n, 2n).
+    """One dense coin (x) position density matrix of shape (2m, 2m), measured as given.
 
     Each quantity is computed on first use and kept for every witness that
-    shares it. The matrix is kept only on its support: the sites where the
-    row of either coin is not identically zero. In a Hermitian matrix a zero row is
-    also a zero column, so the dropped block adds zero eigenvalues and
-    zero-probability outcomes only, and every other eigenvalue, a negative
-    one included, is kept. A stepwise state after t steps arrives as its
-    light-cone block of t + 1 sites (see :func:`nmqwalk.walk._light_cone_blocks`),
-    and the scan still drops a site of it whose rows are exactly zero, which
-    keeps every value the one the whole matrix gives. When every site is in
-    the support, the matrix is kept as it came, with no copy, and no
-    quantity writes to it.
+    shares it. A stepwise state after t steps is its light-cone block of
+    m = t + 1 sites (see :func:`nmqwalk.walk._light_cone_blocks`); it is
+    kept as it came, with no copy, and no quantity writes to it.
     Every reduced quantity reads the one coin-block view ``r[c, :, d, :]``
     of shape (2, m, 2, m). ``t``, the step of a stepwise state, is named in
-    the error a non-physical state raises (see :attr:`joint_entropy`).
+    the error a non-physical state raises (see :attr:`spectrum`).
     """
 
     def __init__(self, rho: np.ndarray, t: int | None = None):
-        n = rho.shape[0] // 2
-        sites = np.flatnonzero(rho.any(axis=1).reshape(2, n).any(axis=0))
-        if sites.size < n:
-            rows = np.concatenate([sites, sites + n])
-            rho = rho[np.ix_(rows, rows)]
+        m = rho.shape[0] // 2
         self.rho = rho
-        self.r = rho.reshape(2, sites.size, 2, sites.size)
+        self.r = rho.reshape(2, m, 2, m)
         self.t = t
 
     @cached_property

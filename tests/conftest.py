@@ -41,6 +41,12 @@ applies W rho W^dag to the whole (2n)^2 matrix, with ``np.roll`` as the
 shift, then the intermediate dephasing map. ``embed`` puts a block back
 on the whole lattice to compare the two.
 
+``witness._State`` measures the matrix it is given, every site of it.
+``support_state`` hands it the support block of a whole-lattice matrix
+instead, the sites whose rows are not all zero, so that the oracles'
+states, of 2T + 3 sites with at most t + 1 of them occupied, cost what
+the light-cone blocks cost and measure to the same values.
+
 The intermediate dephasing map E(t2, t1) may be non-CP. The walk applies
 it by scaling the coin coherences of each new light-cone block as it forms
 it. ``dephase_density`` below is that scaling on a whole coin (x) position
@@ -104,6 +110,7 @@ from nmqwalk.witness import (
     _degenerate_rows,
     _one_shot_witnesses,
     _position_frame,
+    _State,
 )
 
 HERMITICITY_TOL = 1e-12
@@ -296,6 +303,20 @@ def embed(block, x, cfg):
     out = np.zeros((2 * n, 2 * n), dtype=block.dtype)
     out[np.ix_(rows, rows)] = block
     return out
+
+
+def support_state(rho):
+    """``witness._State`` of the block of a coin (x) position matrix on its support.
+
+    The support is the sites where the row of either coin is not identically
+    zero. In a Hermitian matrix a zero row is also a zero column, so the
+    dropped block adds zero eigenvalues and zero-probability outcomes only,
+    and every other eigenvalue, a negative one included, is kept.
+    """
+    n = rho.shape[0] // 2
+    sites = np.flatnonzero(rho.any(axis=1).reshape(2, n).any(axis=0))
+    rows = np.concatenate([sites, sites + n])
+    return _State(rho[np.ix_(rows, rows)])
 
 
 def density_from_factor(factor):

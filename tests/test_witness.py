@@ -28,6 +28,7 @@ from conftest import (
     one_shot_witnesses,
     partial_trace,
     rho_pe_concurrence,
+    support_state,
     trace_distance,
     two_walker_trace_distances,
     von_neumann_entropy,
@@ -75,11 +76,12 @@ ORACLE_STEPS = 30
 
 def single_state_values(cfg, noise, evolve, td_pair=DEFAULT_TD_PAIR):
     """Every witness tag at each step, from the per-state cache of each dense
-    state that ``evolve`` yields with its positions, measured one at a time."""
+    state that ``evolve`` yields with its positions, measured one at a time
+    on its support."""
     values = {tag: [] for tag in WITNESS_TAGS}
     values["TD"] = two_walker_trace_distances(cfg, noise, evolve, td_pair)
     for _, rho, x in evolve(cfg, noise):
-        state = _State(rho)
+        state = support_state(rho)
         values["MI"].append(state.mutual_information)
         values["MID"].append(_mid(state))
         values["QD"].append(state.discord)
@@ -181,7 +183,7 @@ class TestMutualInformation:
     def test_noiseless_walk_step_two_maximally_entangled(self):
         cfg = WalkConfig(steps=2)
         rho = dict(dense_one_shot(cfg, None))[2]
-        assert _State(rho).mutual_information == pytest.approx(2.0, abs=1e-10)
+        assert support_state(rho).mutual_information == pytest.approx(2.0, abs=1e-10)
 
 
 class TestMid:
@@ -313,8 +315,8 @@ class TestMid:
             assert _mid(state) == pytest.approx(kron_mid(state), abs=1e-12), f"t={t}"
 
     def test_pure_walk_states_equal_coin_entropy(self):
-        # Luo's MID of a pure state is its entanglement entropy. _State keeps
-        # rho on its support of t + 1 sites only. The full position marginal
+        # Luo's MID of a pure state is its entanglement entropy. The state is
+        # measured on its support of t + 1 sites only. The full position marginal
         # on the T = 100 lattice has rank <= 2, so its kernel is a 201-fold
         # degenerate eigenspace; the explicit eigenbasis check below, not
         # _mid, covers that its rebuilt basis stays orthonormal.
@@ -322,7 +324,7 @@ class TestMid:
         split = (2, lattice_size(cfg))
         eye = np.eye(lattice_size(cfg))
         for t, rho in dense_one_shot(cfg, None):
-            state = _State(rho)
+            state = support_state(rho)
             assert _mid(state) == pytest.approx(state.coin_entropy, abs=1e-9), f"t={t}"
             u = _canonical_eigenbasis(partial_trace(rho, split, "position"))
             assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-10, f"t={t}"
@@ -378,7 +380,7 @@ class TestDiscord:
         cfg = WalkConfig(steps=8)
         noise = RtnParams(a=0.08, gamma=0.01)
         for t, rho in dense_one_shot(cfg, noise):
-            state = _State(rho)
+            state = support_state(rho)
             assert -1e-6 <= state.discord <= _mid(state) + 1e-6
 
 
@@ -512,7 +514,7 @@ class TestScalarWitnesses:
     def test_initial_coin_entropy_zero(self):
         cfg = WalkConfig(steps=3)
         rho = dict(dense_one_shot(cfg, None))[0]
-        assert _State(rho).coin_entropy == pytest.approx(0.0, abs=1e-12)
+        assert support_state(rho).coin_entropy == pytest.approx(0.0, abs=1e-12)
 
     def test_dephased_entangled_coin_fully_mixed(self):
         # killing the coherences of a Bell state leaves the coin at I/2
@@ -528,16 +530,6 @@ class TestScalarWitnesses:
         # weights 1/2 at x = -2 and x = 0 on the positions -2 .. 2
         p = np.array([0.5, 0.0, 0.5, 0.0, 0.0])
         assert distribution_variance(p, np.arange(-2.0, 3.0)) == pytest.approx(1.0)
-
-
-class FullLatticeState(_State):
-    """A dense state measured on every site, as before the support compression."""
-
-    def __init__(self, rho):
-        n = rho.shape[0] // 2
-        self.rho = rho
-        self.r = rho.reshape(2, n, 2, n)
-        self.t = None
 
 
 @st.composite
@@ -572,14 +564,16 @@ def padded_spectrum(m, dim):
 
 
 class TestSupport:
+    """``support_state`` against ``_State``, which measures every site of the matrix it is given."""
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rho=hermitian_with_empty_sites())
     @example(rho=np.zeros((6, 6)))
     @example(rho=INDEFINITE_WITH_EMPTY_SITE)
     def test_compression_keeps_spectra_and_witnesses(self, rho):
         n = rho.shape[0] // 2
-        state = _State(rho)
-        full = FullLatticeState(rho)
+        state = support_state(rho)
+        full = _State(rho)
         joint = np.linalg.eigvalsh(rho)
         for found, expected in [
             (padded_spectrum(state.rho, 2 * n), joint),
@@ -605,7 +599,7 @@ class TestSupport:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(rho=hermitian_with_empty_sites())
     def test_marginals_equal_the_oracle(self, rho):
-        # the coin-block view of the kept matrix against the einsum oracle
+        # the coin-block view of a matrix with empty sites against the einsum oracle
         state = _State(rho)
         dims = (2, state.rho.shape[0] // 2)
         for keep, found in (("coin", state.coin), ("position", state.position)):
@@ -618,8 +612,8 @@ class TestSupport:
         # no site of the light cone is empty, and no other site is not
         cfg = WalkConfig(steps=60, delta=0.7, eta=0.3)
         for t, rho, x in evolve_stepwise(cfg, OunParams(Gamma=0.1, gamma=0.01)):
-            assert _State(rho).r.shape == (2, t + 1, 2, t + 1), f"t={t}"
-            full = _State(embed(rho, x, cfg))
+            assert rho.shape == (2 * (t + 1), 2 * (t + 1)), f"t={t}"
+            full = support_state(embed(rho, x, cfg))
             assert full.r.shape == (2, t + 1, 2, t + 1), f"t={t}"
             assert np.array_equal(full.rho, rho), f"t={t}"
 
