@@ -77,6 +77,12 @@ C(t) = int dk/2pi U(k)^t rho_c0 U(k)^-t of the walk in momentum space:
 the cross terms between the two eigenvectors of U(k) oscillate away as
 t^(-1/2), which leaves their diagonal part.
 
+``persistent_walk`` is the oracle of the classical end of stepwise mode:
+at step ratio r = 0 every coin coherence dies after each step, so the
+state stays diagonal, a classical persistent random walk whose coin flips
+with probability |C_ab|^2. Its MI, Entropy and Variance are those of the
+joint distribution p_t(c, x).
+
 ``spectral.fit_mfbf`` fits a*exp(-b*t) + c by variable projection, a
 global search over b. ``curve_fit_exponential`` below is its oracle: scipy's
 bounded nonlinear least squares, a local search from a log-linear start.
@@ -619,6 +625,40 @@ def coin_block_limit(theta: float, v: np.ndarray, points: int = 2048) -> np.ndar
     _, vecs = np.linalg.eig(step)
     weights = np.abs(np.einsum("kcj,c->kj", vecs.conj(), v)) ** 2  # |<e_j(k)|v>|^2
     return np.einsum("kj,kcj,kdj->cd", weights, vecs, vecs.conj()) / points
+
+
+def _shannon(p):
+    """-sum p log2 p in bits over the positive entries of p."""
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
+
+
+def persistent_walk(cfg):
+    """Entropy, MI and Variance by step of the persistent random walk of cfg's coin and start.
+
+    Step 1 acts on the coherent start: it leaves the coin populations
+    |C v|^2, coin 0 at x = -1 and coin 1 at x = +1. After it, coin b
+    becomes coin a with probability |C_ab|^2, and coin 0 steps left, coin 1
+    right. The start is pure and at the origin, so every tag is 0 at t = 0.
+    """
+    coin = coin_operator(cfg.coin_angle)
+    flip = np.abs(coin) ** 2
+    steps = cfg.steps
+    x = np.arange(-steps, steps + 1.0)
+    p = np.zeros((2, x.size))  # (coin, x + T)
+    values = {"Entropy": [0.0], "MI": [0.0], "Variance": [0.0]}
+    for t in range(1, steps + 1):
+        if t == 1:
+            p[:, steps] = np.abs(coin @ _coin_vector(cfg.delta, cfg.eta)) ** 2
+        else:
+            p = flip @ p
+        p = np.stack([np.roll(p[0], -1), np.roll(p[1], 1)])
+        coin_p, position_p = p.sum(axis=1), p.sum(axis=0)
+        values["Entropy"].append(_shannon(coin_p))
+        values["MI"].append(_shannon(coin_p) + _shannon(position_p) - _shannon(p.ravel()))
+        mean = position_p @ x
+        values["Variance"].append(position_p @ x**2 - mean * mean)
+    return {tag: np.array(v) for tag, v in values.items()}
 
 
 def _exp_model(t, a, b, c):

@@ -27,6 +27,7 @@ from conftest import (
     one_shot_factors,
     one_shot_witnesses,
     partial_trace,
+    persistent_walk,
     rho_pe_concurrence,
     support_state,
     trace_distance,
@@ -1159,3 +1160,67 @@ class TestLongTimeLimits:
         blocks = witness_mod._one_shot_blocks(cfg, coin[None], ("Entropy",))[0][:, 0]
         error = np.linalg.norm(blocks - coin_block_limit(theta, coin), axis=(1, 2))
         assert np.all(np.sqrt(np.arange(cfg.steps + 1)) * error <= 1.5)
+
+
+def binary_entropy(p):
+    """h(p) = -p log2 p - (1 - p) log2 (1 - p) in bits, for p in (0, 1)."""
+    return -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+
+
+class TestClassicalEnd:
+    """Stepwise mode where its coherences vanish, against the classical walks it becomes."""
+
+    #: every step ratio of OUN(40, 5) after t = 1 is at most 2.1e-9 (its
+    #: runs are refused from T = 37 on, where the kernel underflows)
+    NOISE = OunParams(Gamma=40.0, gamma=5.0)
+
+    @pytest.mark.parametrize("delta, eta", [(0.7, 0.5), (0.3, 1.9), (1.1, 0.0)])
+    @pytest.mark.parametrize(
+        "theta, mi_tol", [(math.pi / 4, 1e-12), (math.pi / 5, 1e-12), (1.2, 1e-10)], ids=["pi/4", "pi/5", "1.2"]
+    )
+    def test_stepwise_walk_becomes_the_persistent_walk(self, theta, mi_tol, delta, eta):
+        # Entropy and Variance match to 8.5e-14 or closer, and MI to 8.2e-15
+        # at pi/4 and pi/5. At theta = 1.2 a coin keeps its direction with
+        # probability cos^2 1.2 = 0.13 per step, so by t = 30 the tails hold
+        # 24 joint and 12 position populations below EIGENVALUE_CUTOFF, which
+        # the library's entropies count as zero and the chain does not: MI
+        # reads 4.2e-11 high there, at OUN(30, 5) as at OUN(40, 5)
+        cfg = WalkConfig(steps=30, coin_angle=theta, delta=delta, eta=eta)
+        found = witness_series(cfg, self.NOISE, mode="stepwise", witnesses=("Entropy", "MI", "Variance"))
+        expected = persistent_walk(cfg)
+        for tag, tol in (("Entropy", 1e-12), ("MI", mi_tol), ("Variance", 1e-12)):
+            np.testing.assert_allclose(found[tag], expected[tag], rtol=0.0, atol=tol, err_msg=tag)
+
+    @pytest.mark.parametrize("theta, tol", [(math.pi / 4, 1e-12), (1.2, 1e-10)], ids=["pi/4", "1.2"])
+    def test_persistent_walk_states_hold_no_quantum_correlations(self, theta, tol):
+        # a diagonal state has QD = MID = 0; measured at most 3.4e-13 at pi/4.
+        # At theta = 1.2 QD reads 5.6e-11: its conditional entropies count
+        # every positive eigenvalue, and S(rho) drops the tails' populations
+        # below EIGENVALUE_CUTOFF (see above)
+        cfg = WalkConfig(steps=30, coin_angle=theta, delta=0.7, eta=0.5)
+        found = witness_series(cfg, self.NOISE, mode="stepwise", witnesses=("QD", "MID"))
+        for tag, values in found.items():
+            assert np.max(np.abs(values)) <= tol, tag
+
+    @pytest.mark.parametrize(
+        "noise", [OunParams(Gamma=0.1, gamma=0.01), RtnParams(a=0.05, gamma=0.5)], ids=["oun", "rtn-overdamped"]
+    )
+    def test_straight_coin_matches_its_closed_form(self, noise):
+        # at coin angle 0 the walker is c|0, -t> + s e^(-i eta) |1, t> up to a
+        # sign, c = cos delta and s = sin delta, with its coherence scaled by
+        # k(t). Both marginals are diag(c^2, s^2), so Entropy = h(c^2); the
+        # joint spectrum is lambda+- = (1 +- sqrt((c^2 - s^2)^2 + k^2 sin^2 2 delta)) / 2,
+        # so MI = 2 h(c^2) - S(lambda), and measuring the coin leaves pure
+        # position states, so QD = MID = h(c^2) - S(lambda)
+        cfg = WalkConfig(steps=20, coin_angle=0.0, delta=0.7, eta=0.5)
+        tags = ("Entropy", "MI", "QD", "MID")
+        found = witness_series(cfg, noise, mode="stepwise", witnesses=tags)
+        c2 = math.cos(cfg.delta) ** 2
+        k = kernel_value(noise, np.arange(1.0, cfg.steps + 1))
+        root = np.sqrt((2.0 * c2 - 1.0) ** 2 + (k * math.sin(2.0 * cfg.delta)) ** 2)
+        marginal, joint = binary_entropy(c2), binary_entropy((1.0 + root) / 2.0)
+        expected = {"Entropy": marginal, "MI": 2.0 * marginal - joint, "QD": marginal - joint}
+        expected["MID"] = expected["QD"]
+        for tag in tags:
+            assert found[tag][0] == pytest.approx(0.0, abs=1e-12), tag
+            np.testing.assert_allclose(found[tag][1:], expected[tag], rtol=0.0, atol=1e-12, err_msg=tag)
