@@ -646,11 +646,10 @@ def persistent_walk(cfg):
     steps = cfg.steps
     x = np.arange(-steps, steps + 1.0)
     p = np.zeros((2, x.size))  # (coin, x + T)
+    p[:, steps] = np.abs(coin @ _coin_vector(cfg.delta, cfg.eta)) ** 2
     values = {"Entropy": [0.0], "MI": [0.0], "Variance": [0.0]}
     for t in range(1, steps + 1):
-        if t == 1:
-            p[:, steps] = np.abs(coin @ _coin_vector(cfg.delta, cfg.eta)) ** 2
-        else:
+        if t > 1:
             p = flip @ p
         p = np.stack([np.roll(p[0], -1), np.roll(p[1], 1)])
         coin_p, position_p = p.sum(axis=1), p.sum(axis=0)
